@@ -11,7 +11,7 @@
 //!   TensorFlow / MADlib / scikit proxy for Tables 4 and 5);
 //! * [`refresh::RecomputeReference`] — the recompute-from-scratch referee of
 //!   incremental maintenance: applies the same update stream as a
-//!   `MaintainedBatch` but answers by re-planning and re-scanning everything.
+//!   `Maintainer` but answers by re-planning and re-scanning everything.
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,7 @@
 //! Recompute-from-scratch reference for incremental maintenance.
 //!
-//! The maintenance layer (`lmfao_core::maintain`) claims that applying a
-//! [`TableDelta`] to a [`lmfao_core::MaintainedBatch`] leaves it in the same
+//! The maintenance layer (`lmfao_core::maintain`) claims that committing a
+//! [`TableDelta`] to a [`lmfao_core::Maintainer`] leaves it in the same
 //! state as recomputing the whole batch over the updated database. This
 //! module is the referee: a [`RecomputeReference`] tracks the same update
 //! stream but answers every query by building a **fresh engine** over its

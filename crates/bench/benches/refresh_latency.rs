@@ -4,7 +4,7 @@
 //! The workload is the Retailer regression-tree node batch (RT) — the
 //! acceptance workload of the maintenance milestone. `full_execute` re-runs
 //! every scan of the prepared batch; `single_tuple_refresh` applies a
-//! one-insert delta to the fact table of a `MaintainedBatch` (delta-partition
+//! one-insert delta to the fact table of a `Maintainer` (delta-partition
 //! scan plus signed propagation through the view DAG); `delete_insert_pair`
 //! measures a correction (retract + append in one delta). The maintained
 //! paths must come out ≥10× faster than `full_execute` — the refresh touches
@@ -29,7 +29,7 @@ fn bench_refresh_latency(c: &mut Criterion) {
     let mut maintained = engine
         .prepare(&batch)
         .unwrap()
-        .into_maintained(&dynamics)
+        .into_serving(&dynamics)
         .unwrap();
     let template = ds.db.relation(fact).unwrap().row(0).to_vec();
 

@@ -1292,7 +1292,7 @@ fn maintain_bench(datasets: &[Dataset], threads: usize) -> Vec<MaintainRecord> {
         // whole transactions on a single-threaded engine (one *sequential*
         // DAG walk) — so both the one-walk payoff and the parallel-frontier
         // payoff are measured over identical data.
-        let mut txn_side = match prepared.into_maintained(&dynamics) {
+        let mut txn_side = match prepared.into_serving(&dynamics) {
             Ok(m) => m,
             Err(e) => {
                 println!("{:<10} ERROR: {e}", ds.name);
@@ -1302,7 +1302,7 @@ fn maintain_bench(datasets: &[Dataset], threads: usize) -> Vec<MaintainRecord> {
         };
         let mut seq_side = match engine
             .prepare(&batch)
-            .and_then(|p| p.into_maintained(&dynamics))
+            .and_then(|p| p.into_serving(&dynamics))
         {
             Ok(m) => m,
             Err(e) => {
@@ -1313,7 +1313,7 @@ fn maintain_bench(datasets: &[Dataset], threads: usize) -> Vec<MaintainRecord> {
         };
         let mut walk_side = match engine_for(ds, EngineConfig::full(1))
             .prepare(&batch)
-            .and_then(|p| p.into_maintained(&dynamics))
+            .and_then(|p| p.into_serving(&dynamics))
         {
             Ok(m) => m,
             Err(e) => {

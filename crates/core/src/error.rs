@@ -5,7 +5,7 @@
 //! old `IncomingData::Missing` path that treated an uncomputed dependency
 //! view as empty). Both are now typed [`EngineError`]s surfaced through
 //! [`crate::engine::Engine::prepare`] / [`crate::prepared::PreparedBatch::execute`]
-//! and through the maintenance API ([`crate::maintain::MaintainedBatch`]).
+//! and through the maintenance API ([`crate::snapshot::Maintainer::commit`]).
 
 use crate::view::ViewId;
 use lmfao_data::DataError;
@@ -41,7 +41,8 @@ pub enum EngineError {
         /// The conflicting row, debug-printed.
         row: String,
     },
-    /// A worker thread of the morsel scheduler panicked. The panic payload
+    /// A job of the DAG scheduler panicked — a group scan of an execution or
+    /// of a commit's frontier walk, at any thread count. The panic payload
     /// (when it was a string) is carried here instead of aborting the whole
     /// process out of `join().unwrap()`.
     WorkerPanicked(String),

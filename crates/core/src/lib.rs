@@ -11,7 +11,8 @@
 //! 4. [`group`] — view groups and their dependency graph,
 //! 5. [`plan`] — multi-output physical plans (attribute orders, registers),
 //! 6. [`exec`] — specialized execution, [`interp`] — the unoptimized proxy,
-//! 7. [`parallel`] — task and domain parallelism,
+//! 7. [`parallel`] — task and domain parallelism (one DAG scheduler shared
+//!    by fresh execution, maintenance scans and the commit frontier walk),
 //! 8. [`engine`] — the façade tying everything together.
 //!
 //! The public workflow is *prepare once, execute many*: [`Engine::prepare`]
@@ -19,20 +20,19 @@
 //! [`SharedDatabase`] handle; [`PreparedBatch::execute`] runs only the scans,
 //! so batches with changing dynamic functions (decision-tree predicates,
 //! iteration weights) never pay for planning twice. When base relations
-//! receive updates, [`PreparedBatch::into_maintained`] promotes the batch to
-//! live materialized state ([`maintain`]): a [`MaintainedBatch`] retains
-//! every computed view and commits [`lmfao_data::Transaction`]s — atomic
-//! sets of signed [`lmfao_data::TableDelta`]s over one or more relations —
-//! in a single DAG walk each, with work proportional to the deltas instead
-//! of recomputing. A [`DeltaBuffer`] ([`buffer`]) coalesces churny update
-//! streams into such transactions. For concurrent serving,
-//! [`PreparedBatch::into_serving`] splits that state into an immutable,
-//! epoch-published [`ViewSnapshot`] and a [`Maintainer`] writer
-//! ([`snapshot`]): readers pin whatever generation they load through a
-//! [`SnapshotHandle`] and never block on a refresh — a contract the
-//! black-box snapshot-isolation checker ([`isocheck`]) validates from
-//! recorded read/commit histories. Planning and execution failures surface
-//! as typed [`EngineError`]s.
+//! receive updates, [`PreparedBatch::into_serving`] promotes the batch to
+//! live materialized state: a [`Maintainer`] retains every computed view and
+//! commits [`lmfao_data::Transaction`]s — atomic sets of signed
+//! [`lmfao_data::TableDelta`]s over one or more relations — in a single DAG
+//! walk each ([`maintain`]), with work proportional to the deltas instead of
+//! recomputing. A [`DeltaBuffer`] ([`buffer`]) coalesces churny update
+//! streams into such transactions. Every commit publishes one immutable,
+//! epoch-published [`ViewSnapshot`] ([`snapshot`]): the writer reads its own
+//! results through [`Maintainer::snapshot`], and concurrent readers pin
+//! whatever generation they load through a [`SnapshotHandle`] and never
+//! block on a refresh — a contract the black-box snapshot-isolation checker
+//! ([`isocheck`]) validates from recorded read/commit histories. Planning
+//! and execution failures surface as typed [`EngineError`]s.
 //!
 //! Trust: [`PreparedBatch::execute_certified`] and every published
 //! [`ViewSnapshot`] emit versioned, integer/fixed-point *execution
@@ -43,6 +43,8 @@
 #![warn(missing_docs)]
 
 mod certificate;
+mod overlay;
+mod sched;
 
 pub mod buffer;
 pub mod config;
@@ -67,7 +69,7 @@ pub use config::EngineConfig;
 pub use engine::{BatchResult, Engine, EngineStats, QueryResult};
 pub use error::EngineError;
 pub use isocheck::{check_history, snapshot_digest, CommitEvent, History, IsoViolation, ReadEvent};
-pub use maintain::{MaintainedBatch, RefreshStats};
+pub use maintain::RefreshStats;
 pub use prepared::PreparedBatch;
 pub use shared::SharedDatabase;
 pub use snapshot::{

@@ -1,14 +1,17 @@
-//! Incremental view maintenance: prepared batches that refresh under updates.
+//! Incremental view maintenance: committing transactions against retained
+//! view state.
 //!
 //! A [`crate::prepared::PreparedBatch`] replays its plans against frozen
-//! data. [`MaintainedBatch`] goes one step further and turns the batch into
-//! *live materialized state*: every [`ComputedView`] of every group is
-//! retained, and when the base relations receive a [`Transaction`] — an
-//! atomic set of signed [`TableDelta`](lmfao_data::TableDelta)s (inserts + deletes), one per touched
-//! relation — [`MaintainedBatch::commit`] refreshes the state with work
-//! proportional to the deltas — the dynamic-evaluation setting of Berkholz
-//! et al. ("Answering FO+MOD queries under updates") brought to LMFAO's view
-//! trees.
+//! data. [`PreparedBatch::into_serving`](crate::prepared::PreparedBatch::into_serving)
+//! goes one step further and turns the batch into *live materialized state*:
+//! the [`Maintainer`] retains every [`ComputedView`] of every group, and
+//! when the base relations receive a [`Transaction`] — an atomic set of
+//! signed [`TableDelta`](lmfao_data::TableDelta)s (inserts + deletes), one
+//! per touched relation — [`Maintainer::commit`] refreshes the state with
+//! work proportional to the deltas — the dynamic-evaluation setting of
+//! Berkholz et al. ("Answering FO+MOD queries under updates") brought to
+//! LMFAO's view trees. This module is the write path; publication of the
+//! refreshed state as immutable generations lives in [`crate::snapshot`].
 //!
 //! The refresh exploits two structural properties of the engine:
 //!
@@ -29,27 +32,32 @@
 //!    the delta's keys).
 //!
 //! Propagation therefore walks the group-dependency DAG once per committed
-//! transaction, in topological order: groups scanning a changed relation
-//! re-scan only that relation's delta partitions; groups downstream re-scan
-//! with delta-overlaid probes and masked terms; every other group is
-//! untouched ([`crate::group::Grouping::transitive_dependents`]). A
-//! transaction touching several relations unions the refresh frontiers and
-//! still visits each group **once**: a group's change splits exactly into a
-//! seed contribution (its relation's delta against the old incoming views)
-//! plus a propagation contribution (the incoming-view deltas against the
-//! updated relation), and the rare term that multiplies two changed views
-//! together is handled by an exact telescoped substitution — see
-//! [`crate::snapshot`] for the algebra.
+//! transaction: groups scanning a changed relation re-scan only that
+//! relation's delta partitions; groups downstream re-scan with
+//! delta-overlaid probes and masked terms; every other group is untouched
+//! ([`crate::group::Grouping::transitive_dependents`]). A transaction
+//! touching several relations unions the refresh frontiers and still visits
+//! each group **once**: a group's change splits exactly into a seed
+//! contribution (its relation's delta against the old incoming views) plus a
+//! propagation contribution (the incoming-view deltas against the updated
+//! relation), and the rare term that multiplies two changed views together
+//! is handled by an exact telescoped substitution (the crate-internal
+//! `overlay` module holds that algebra).
 //!
-//! Since the serving milestone the refresh machinery itself lives in
-//! [`crate::snapshot`]: a [`MaintainedBatch`] is a thin single-owner wrapper
-//! around a [`Maintainer`], which publishes one refreshed generation per
-//! committed transaction as an immutable
-//! [`crate::snapshot::ViewSnapshot`]. Use the wrapper when one
-//! owner both commits transactions and reads results; call
-//! [`MaintainedBatch::snapshot`] / [`MaintainedBatch::handle`] (or unwrap
-//! with [`MaintainedBatch::into_serving`]) when readers on other threads
-//! should keep answering while deltas are applied.
+//! # The frontier walk
+//!
+//! The walk is a client of the crate's one DAG scheduler (`sched`, the same
+//! one fresh execution runs on — see [`crate::parallel`]): nodes are the
+//! view groups, a group runs once every upstream group's view deltas are
+//! published, and a group nothing reached is skipped without a scan. With
+//! `threads > 1` independent groups of the affected frontier refresh
+//! concurrently (their scans single-threaded — the outer workers carry the
+//! parallelism; a single-group frontier hands every thread to its morsel
+//! scan instead); with `threads = 1` the same code is a topological walk on
+//! the writer's thread. Either way the per-group outputs fold in group
+//! order, so the published state, the certificate and the [`RefreshStats`]
+//! are identical at every thread count, and a panicking worker surfaces as
+//! [`EngineError::WorkerPanicked`] with nothing published.
 //!
 //! Floating-point caveat: refreshed sums are mathematically identical to a
 //! full recompute but may differ in the last ulp, because float addition is
@@ -59,16 +67,24 @@
 //! ([`ComputedView::merge_signed_snapped`]) so cancelling streams prune
 //! their dead keys.
 
-use crate::engine::{BatchResult, QueryResult};
+use crate::certificate::encoded_totals;
 use crate::error::EngineError;
-use crate::prepared::PreparedBatch;
-use crate::snapshot::{Maintainer, SnapshotHandle, ViewSnapshot};
-use crate::view::{ComputedView, ViewId};
-use lmfao_data::{DatabaseSnapshot, Transaction};
+use crate::group::Grouping;
+use crate::overlay::{propagate, scan_partition};
+use crate::plan::GroupPlan;
+use crate::prepared::project_results;
+use crate::sched::{self, Done};
+use crate::snapshot::{Maintainer, CANCELLATION_REL_EPS};
+use crate::view::{ComputedView, ViewId, ViewSource};
+use lmfao_certify::{
+    Certificate, MaintenanceCertificate, QueryTotals, RelationDeltaAccount, ViewDeltaAccount,
+    CERTIFICATE_VERSION,
+};
+use lmfao_data::{DatabaseSnapshot, FxHashMap, Relation, Transaction};
 use lmfao_expr::DynamicRegistry;
 use std::sync::Arc;
 
-/// What one [`MaintainedBatch::commit`] call did.
+/// What one [`Maintainer::commit`] call did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RefreshStats {
     /// Rows across the transaction's deltas (inserts + deletes).
@@ -91,133 +107,404 @@ pub struct RefreshStats {
     pub group_scans: usize,
 }
 
-/// A prepared batch promoted to live, incrementally maintained state.
-///
-/// Built with [`PreparedBatch::into_maintained`]; owns a private
-/// copy-on-write database state (base relations are updated by
-/// [`MaintainedBatch::commit`]) plus the retained result of every view.
-/// Current query results are available at any time through
-/// [`MaintainedBatch::results`] without re-running any scan.
-#[derive(Debug)]
-pub struct MaintainedBatch {
-    writer: Maintainer,
+/// One output view's share of a group refresh.
+struct ViewRefresh {
+    view: ViewId,
+    /// The view's merged signed delta (possibly empty: the view did not
+    /// change).
+    delta: ComputedView,
+    /// Encoded (inserted, deleted) totals of the seed scans — the two signed
+    /// halves the maintenance certificate accounts separately. Captured per
+    /// scan, before any merge ("sums of encodings, never encodings of
+    /// sums").
+    seed: Option<(Vec<i128>, Vec<i128>)>,
+    /// Summed encoded totals of the propagation scans.
+    propagated: Option<Vec<i128>>,
 }
 
-impl PreparedBatch {
-    /// Executes the batch once, retaining every computed view, and returns
-    /// the state as a [`MaintainedBatch`] that refreshes under
-    /// [`TableDelta`](lmfao_data::TableDelta)s instead of recomputing.
-    ///
-    /// This clones the shared database once — the maintained batch needs its
-    /// own (copy-on-write) database state to apply deltas to.
-    pub fn into_maintained(
-        self,
-        dynamics: &DynamicRegistry,
-    ) -> Result<MaintainedBatch, EngineError> {
-        Ok(MaintainedBatch {
-            writer: self.into_serving(dynamics)?,
-        })
+/// The private output of one group's refresh: everything the commit folds
+/// into the maintainer afterwards, so a group can run on any worker.
+struct GroupRefresh {
+    /// True when the group's own relation changed (a seed refresh), false
+    /// for a purely propagated one.
+    seeded: bool,
+    /// Delta scans the group executed.
+    scans: usize,
+    /// One entry per output view, in plan output order.
+    views: Vec<ViewRefresh>,
+}
+
+/// Resolves a view to the non-empty signed delta its producing group
+/// published during this walk. An empty delta means the view did not change:
+/// reading it as absent lets downstream groups skip entirely.
+struct UpstreamDeltas<'a> {
+    grouping: &'a Grouping,
+    done: &'a Done<Option<GroupRefresh>>,
+}
+
+impl ViewSource for UpstreamDeltas<'_> {
+    fn view_result(&self, id: ViewId) -> Option<&ComputedView> {
+        let producer = *self.grouping.group_of_view.get(&id)?;
+        let refreshed = self.done.get(producer)?.as_ref()?;
+        let delta = &refreshed.views.iter().find(|v| v.view == id)?.delta;
+        (!delta.is_empty()).then_some(delta)
     }
 }
 
-impl MaintainedBatch {
-    /// The maintained database state (base relations reflect every applied
-    /// delta).
-    pub fn database(&self) -> &DatabaseSnapshot {
-        self.writer.database()
-    }
-
-    /// The retained result of a view, if it exists in the catalog.
-    pub fn view_state(&self, id: ViewId) -> Option<&ComputedView> {
-        self.writer.view_state(id)
-    }
-
-    /// The groups a delta against `relation` would touch (seed groups plus
-    /// transitive dependents), in refresh order — the exposure of the
-    /// group-dependency reachability the refresh runs on.
-    pub fn affected_groups(&self, relation: &str) -> Vec<usize> {
-        self.writer.affected_groups(relation)
-    }
-
-    /// Current results of every query of the batch, projected from the
-    /// retained output views — no scan runs here.
+impl Maintainer {
+    /// Commits a transaction: applies every per-relation delta atomically,
+    /// refreshes the **union** of the affected refresh frontiers in one
+    /// dependency-ordered DAG walk, and publishes exactly one generation.
+    /// A bare [`TableDelta`](lmfao_data::TableDelta) commits as a single-relation transaction via
+    /// `Into<Transaction>`.
     ///
-    /// **Freshness**: the returned results always reflect the state after
-    /// the *last successful* [`MaintainedBatch::commit`] (a failed commit
-    /// changes nothing). They are a point-in-time copy: results obtained
-    /// before a `commit` keep their old values — hold a
-    /// [`MaintainedBatch::snapshot`] instead if you want an explicitly
-    /// pinned generation.
-    pub fn results(&self) -> Result<BatchResult, EngineError> {
-        Ok(self.writer.snapshot().results().clone())
-    }
-
-    /// The current result of the named query, or
-    /// [`EngineError::UnknownQuery`] — the fallible by-name lookup for
-    /// callers serving externally supplied names. Reflects the last
-    /// successful [`MaintainedBatch::commit`], like
-    /// [`MaintainedBatch::results`].
-    pub fn query(&self, name: &str) -> Result<QueryResult, EngineError> {
-        let snapshot = self.writer.snapshot();
-        snapshot.query(name).cloned()
-    }
-
-    /// The latest published immutable generation. The returned snapshot is
-    /// pinned: it keeps answering with its own state however many deltas are
-    /// applied afterwards.
-    pub fn snapshot(&self) -> Arc<ViewSnapshot> {
-        self.writer.snapshot()
-    }
-
-    /// The execution certificate of the latest published generation: the
-    /// `Execute` root after construction, a chained `Maintenance` certificate
-    /// after every successful [`MaintainedBatch::commit`]. See
-    /// [`ViewSnapshot::certificate`].
-    pub fn certificate(&self) -> Arc<lmfao_certify::Certificate> {
-        Arc::clone(self.writer.snapshot().certificate())
-    }
-
-    /// The publication cell readers can clone into other threads; see
-    /// [`crate::snapshot::SnapshotHandle`].
-    pub fn handle(&self) -> SnapshotHandle {
-        self.writer.handle()
-    }
-
-    /// Unwraps the serving-layer writer, for callers that want the explicit
-    /// writer/reader split of [`crate::snapshot`].
-    pub fn into_serving(self) -> Maintainer {
-        self.writer
-    }
-
-    /// Commits a [`Transaction`] — signed deltas over one or more base
-    /// relations — atomically, refreshing every affected view in a single
-    /// DAG walk and leaving unaffected groups untouched. Results afterwards
-    /// match a full recompute over the updated database (exactly for
-    /// integer-valued aggregates; up to float-addition reassociation plus
-    /// residue snapping otherwise — see the module docs).
+    /// Published results match a full recompute over the updated database
+    /// (exactly for integer-valued aggregates; within float-addition
+    /// reassociation plus residue snapping otherwise — see the module docs).
+    /// Readers keep answering from previously published generations
+    /// throughout; they observe all of the transaction's effects or none.
     ///
-    /// Accepts anything convertible into a [`Transaction`], so a bare
-    /// [`TableDelta`](lmfao_data::TableDelta) still commits directly. The base relations are updated
-    /// copy-on-write (sorted-merge, so trie order is preserved); an unmatched
-    /// delete, an empty transaction ([`EngineError::EmptyTransaction`]), or a
-    /// row both inserted and deleted ([`EngineError::ConflictingDelta`])
-    /// fails atomically before any state changes. Each successful commit
-    /// publishes the refreshed state as exactly one new generation through
-    /// [`MaintainedBatch::handle`].
+    /// Typed failures, all before any state changes: an empty transaction is
+    /// [`EngineError::EmptyTransaction`] (a commit always publishes — an
+    /// empty one would publish a phantom generation), a transaction that
+    /// both inserts and deletes one row is
+    /// [`EngineError::ConflictingDelta`] (resolve ordered streams with
+    /// [`Transaction::coalesce`] or a [`crate::buffer::DeltaBuffer`] first),
+    /// an unmatched delete in *any* delta fails the whole transaction, and a
+    /// panic inside a refresh scan is [`EngineError::WorkerPanicked`].
     pub fn commit(
         &mut self,
         txn: impl Into<Transaction>,
         dynamics: &DynamicRegistry,
     ) -> Result<RefreshStats, EngineError> {
-        self.writer.commit(txn, dynamics)
+        let txn = txn.into();
+        if txn.is_empty() {
+            return Err(EngineError::EmptyTransaction);
+        }
+        if let Some((relation, row)) = txn.conflict() {
+            return Err(EngineError::ConflictingDelta { relation, row });
+        }
+        let mut stats = RefreshStats {
+            delta_rows: txn.len(),
+            relations_changed: txn.num_relations(),
+            ..RefreshStats::default()
+        };
+
+        // Stage the database: every delta lands on a private copy-on-write
+        // clone, so an unmatched delete in any of them fails before the
+        // maintainer's own state changes — the transaction is atomic against
+        // the writer, not just against readers.
+        let mut staged_db = self.db.clone();
+        let mut relation_accounts = Vec::with_capacity(txn.num_relations());
+        for delta in txn.deltas() {
+            let rows_before = staged_db
+                .relation(delta.relation())
+                .map_err(|_| EngineError::UnknownRelation(delta.relation().to_string()))?
+                .len() as u64;
+            staged_db.apply(delta)?;
+            let rows_after = staged_db
+                .relation(delta.relation())
+                .map_err(|_| EngineError::UnknownRelation(delta.relation().to_string()))?
+                .len() as u64;
+            relation_accounts.push(RelationDeltaAccount {
+                relation: delta.relation().to_string(),
+                rows_inserted: delta.num_inserts() as u64,
+                rows_deleted: delta.num_deletes() as u64,
+                rows_before,
+                rows_after,
+            });
+        }
+
+        // Sort each relation's delta partitions into the trie order of the
+        // node that scans it, so the seed scans see valid tries (every group
+        // of one relation scans at the same node, hence one order suffices).
+        let mut partitions: FxHashMap<&str, (Relation, Relation)> = FxHashMap::default();
+        for delta in txn.deltas() {
+            let (mut inserts, mut deletes) = delta.partition();
+            if let Some(plan) = self.plans.iter().find(|p| p.relation == delta.relation()) {
+                inserts.sort_by_positions(&plan.attr_order_cols);
+                deletes.sort_by_positions(&plan.attr_order_cols);
+            }
+            partitions.insert(delta.relation(), (inserts, deletes));
+        }
+        let num_attrs = staged_db.schema().num_attributes();
+
+        // The walk. Outer workers carry the parallelism across a multi-group
+        // frontier, so each group's scans run single-threaded (no pool
+        // oversubscription); a single-group frontier hands every thread to
+        // its morsel scan instead. A group reads only the staged database,
+        // the retained (old) views and its producers' published deltas, so
+        // its output is the same on any worker and at any thread count.
+        let grouping = &self.inner.grouping;
+        let seeds: Vec<usize> = (0..self.plans.len())
+            .filter(|&g| partitions.contains_key(self.plans[g].relation.as_str()))
+            .collect();
+        let frontier = grouping.transitive_dependents(&seeds).len();
+        let threads = self.inner.config.threads.max(1);
+        let (workers, scan_threads) = if frontier > 1 {
+            (threads.min(frontier), 1)
+        } else {
+            (1, threads)
+        };
+        let outcomes = sched::run(
+            &grouping.dependencies,
+            |_| 1,
+            workers,
+            |gid, _, _, done| {
+                let plan = &self.plans[gid];
+                refresh_group(
+                    plan,
+                    partitions.get(plan.relation.as_str()),
+                    num_attrs,
+                    &staged_db,
+                    &self.computed,
+                    &UpstreamDeltas { grouping, done },
+                    dynamics,
+                    scan_threads,
+                )
+            },
+            |_, _| unreachable!("frontier nodes run as one part"),
+        )?;
+
+        // Fold the signed deltas into the retained state, in group order.
+        // `Arc::make_mut` is the copy-on-write step: only views on the
+        // refresh frontier are cloned, and only when a published generation
+        // still pins them. Residues that are zero up to rounding snap to
+        // exact zero so the pruning below drops keys whose aggregates
+        // cancelled. Each fold also settles the view's certificate account:
+        // the exact encoded net moves the shadow ledger, never the
+        // re-encoded float state.
+        let mut accounts = Vec::new();
+        for outcome in outcomes {
+            let Some(group) = outcome else {
+                stats.skipped_groups += 1;
+                continue;
+            };
+            if group.seeded {
+                stats.seed_groups += 1;
+            } else {
+                stats.propagated_groups += 1;
+            }
+            stats.group_scans += group.scans;
+            for ViewRefresh {
+                view,
+                delta,
+                seed,
+                propagated,
+            } in group.views
+            {
+                if delta.is_empty() {
+                    continue;
+                }
+                stats.views_changed += 1;
+                let rows_before = self.computed.get(&view).map_or(0, |cv| cv.len() as u64);
+                let entry = self.computed.entry(view).or_insert_with(|| {
+                    Arc::new(ComputedView::new(
+                        delta.key_attrs.clone(),
+                        delta.num_aggregates,
+                    ))
+                });
+                let cv = Arc::make_mut(entry);
+                cv.merge_signed_snapped(&delta, 1.0, CANCELLATION_REL_EPS);
+                cv.prune_zero_entries();
+
+                let (inserted, deleted, propagated, net) = match seed {
+                    // Seeded views: net is defined as inserted - deleted (+
+                    // the propagated component when the same transaction also
+                    // changed an incoming view), so the checker's signed
+                    // identity holds exactly.
+                    Some((ins, del)) => {
+                        let net: Vec<i128> = ins
+                            .iter()
+                            .zip(&del)
+                            .enumerate()
+                            .map(|(i, (a, b))| a - b + propagated.as_ref().map_or(0, |p| p[i]))
+                            .collect();
+                        (Some(ins), Some(del), propagated, net)
+                    }
+                    // Purely propagated views: the net is the sum of the
+                    // encoded per-scan totals; the certificate carries no
+                    // split.
+                    None => {
+                        let net = propagated.unwrap_or_else(|| encoded_totals(&delta));
+                        (None, None, None, net)
+                    }
+                };
+                let totals_before = self
+                    .shadow
+                    .get(&view)
+                    .cloned()
+                    .unwrap_or_else(|| vec![0; net.len()]);
+                let totals_after: Vec<i128> =
+                    totals_before.iter().zip(&net).map(|(a, b)| a + b).collect();
+                self.shadow.insert(view, totals_after.clone());
+                accounts.push(ViewDeltaAccount {
+                    view: view.0 as u32,
+                    rows_before,
+                    rows_after: cv.len() as u64,
+                    inserted,
+                    deleted,
+                    propagated,
+                    net,
+                    totals_before,
+                    totals_after,
+                });
+            }
+        }
+        accounts.sort_by_key(|a| a.view);
+
+        // Publish: swap in the staged database, project the new results,
+        // emit the chained maintenance certificate and hand the generation
+        // to the publication cell. Everything above ran on private state;
+        // readers observe the new generation — one per transaction —
+        // atomically or not at all.
+        self.db = staged_db;
+        self.generation += 1;
+        self.txns += 1;
+        let results = project_results(&self.inner, &self.computed)?;
+        let certificate = Certificate::Maintenance(MaintenanceCertificate {
+            version: CERTIFICATE_VERSION,
+            generation: self.generation,
+            txn: self.txns,
+            parent_generation: self.generation - 1,
+            parent_hash: self.last_fingerprint,
+            relations: relation_accounts,
+            views: accounts,
+            queries: self.ledger_query_totals(),
+        });
+        self.publish(results, certificate);
+        Ok(stats)
     }
+
+    /// Per-query totals as of the maintainer's current state, read from the
+    /// shadow ledger (the chain checker verifies them against the state it
+    /// tracks independently from the execute root forward).
+    fn ledger_query_totals(&self) -> Vec<QueryTotals> {
+        self.inner
+            .queries
+            .iter()
+            .map(|pq| QueryTotals {
+                name: pq.name.clone(),
+                view: pq.view.0 as u32,
+                rows: self.computed.get(&pq.view).map_or(0, |cv| cv.len() as u64),
+                aggregate_indices: pq.aggregate_indices.iter().map(|&i| i as u32).collect(),
+                totals: pq
+                    .aggregate_indices
+                    .iter()
+                    .map(|&i| self.shadow.get(&pq.view).map_or(0, |t| t[i]))
+                    .collect(),
+            })
+            .collect()
+    }
+}
+
+/// Refreshes one group: the seed contribution of its relation's delta
+/// partitions plus the propagation of upstream view deltas, or `None` when
+/// neither reaches it (the group is skipped without a scan). Pure with
+/// respect to the maintainer — reads the staged database, the retained (old)
+/// views, and the deltas of upstream views; returns everything it produced.
+#[allow(clippy::too_many_arguments)]
+fn refresh_group<D: ViewSource + Sync>(
+    plan: &GroupPlan,
+    seed: Option<&(Relation, Relation)>,
+    num_attrs: usize,
+    staged_db: &DatabaseSnapshot,
+    retained: &FxHashMap<ViewId, Arc<ComputedView>>,
+    upstream: &D,
+    dynamics: &DynamicRegistry,
+    scan_threads: usize,
+) -> Result<Option<GroupRefresh>, EngineError> {
+    let changed_incoming: Vec<bool> = plan
+        .incoming
+        .iter()
+        .map(|inc| upstream.view_result(inc.view).is_some())
+        .collect();
+    let propagated = changed_incoming.contains(&true);
+    if seed.is_none() && !propagated {
+        return Ok(None);
+    }
+    let mut out = GroupRefresh {
+        seeded: seed.is_some(),
+        scans: 0,
+        views: Vec::new(),
+    };
+
+    // Seed contribution: the delta partitions scanned against the retained
+    // (old) incoming views.
+    if let Some((inserts, deletes)) = seed {
+        out.scans += [inserts, deletes]
+            .into_iter()
+            .filter(|p| !p.is_empty())
+            .count();
+        let pos = scan_partition(inserts, num_attrs, plan, retained, dynamics)?;
+        let neg = scan_partition(deletes, num_attrs, plan, retained, dynamics)?;
+        out.views = pos
+            .into_iter()
+            .zip(neg)
+            .map(|((view, mut delta), (nview, d))| {
+                debug_assert_eq!(view, nview);
+                let seed = Some((encoded_totals(&delta), encoded_totals(&d)));
+                delta.merge_signed(&d, -1.0);
+                ViewRefresh {
+                    view,
+                    delta,
+                    seed,
+                    propagated: None,
+                }
+            })
+            .collect();
+    }
+
+    // Propagation contribution: charge the incoming-view deltas against the
+    // *updated* relation.
+    if propagated {
+        let relation = staged_db
+            .relation(&plan.relation)
+            .map_err(|_| EngineError::UnknownRelation(plan.relation.clone()))?;
+        let scans = propagate(
+            plan,
+            &changed_incoming,
+            relation,
+            num_attrs,
+            retained,
+            upstream,
+            dynamics,
+            scan_threads,
+        )?;
+        out.scans += scans.len();
+        for scan in scans {
+            if out.views.is_empty() {
+                out.views = scan
+                    .into_iter()
+                    .map(|(view, delta)| ViewRefresh {
+                        view,
+                        propagated: Some(encoded_totals(&delta)),
+                        delta,
+                        seed: None,
+                    })
+                    .collect();
+                continue;
+            }
+            for (v, (view, d)) in out.views.iter_mut().zip(&scan) {
+                debug_assert_eq!(v.view, *view);
+                let enc = encoded_totals(d);
+                match &mut v.propagated {
+                    Some(totals) => totals.iter_mut().zip(&enc).for_each(|(t, e)| *t += e),
+                    None => v.propagated = Some(enc),
+                }
+                v.delta.merge_signed(d, 1.0);
+            }
+        }
+    }
+    Ok(Some(out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::engine::Engine;
+    use crate::engine::{BatchResult, Engine};
+    use crate::snapshot::ViewSnapshot;
     use lmfao_data::{
         AttrId, AttrType, Database, DatabaseSchema, Relation, RelationSchema, TableDelta, Value,
     };
@@ -320,7 +607,7 @@ mod tests {
             let mut maintained = engine
                 .prepare(&b)
                 .unwrap()
-                .into_maintained(&DynamicRegistry::new())
+                .into_serving(&DynamicRegistry::new())
                 .unwrap();
             let mut delta = TableDelta::for_relation(db.relation("Sales").unwrap());
             delta
@@ -332,7 +619,7 @@ mod tests {
             let stats = maintained.commit(&delta, &DynamicRegistry::new()).unwrap();
             assert!(stats.seed_groups > 0, "{name}");
             let expected = recompute(maintained.database(), &tree, cfg, &b);
-            assert_same_results(&maintained.results().unwrap(), &expected);
+            assert_same_results(maintained.snapshot().results(), &expected);
         }
     }
 
@@ -344,7 +631,7 @@ mod tests {
         let mut maintained = engine
             .prepare(&b)
             .unwrap()
-            .into_maintained(&DynamicRegistry::new())
+            .into_serving(&DynamicRegistry::new())
             .unwrap();
         // Repricing item 3: delete the old tuple, insert the new one.
         let mut delta = TableDelta::for_relation(db.relation("Items").unwrap());
@@ -353,7 +640,7 @@ mod tests {
         let stats = maintained.commit(&delta, &DynamicRegistry::new()).unwrap();
         assert!(stats.seed_groups > 0);
         let expected = recompute(maintained.database(), &tree, EngineConfig::default(), &b);
-        assert_same_results(&maintained.results().unwrap(), &expected);
+        assert_same_results(maintained.snapshot().results(), &expected);
     }
 
     #[test]
@@ -363,7 +650,7 @@ mod tests {
         let engine = Engine::new(db.clone(), tree.clone(), EngineConfig::default());
         let prepared = engine.prepare(&b).unwrap();
         let before = prepared.execute(&DynamicRegistry::new()).unwrap();
-        let mut maintained = prepared.into_maintained(&DynamicRegistry::new()).unwrap();
+        let mut maintained = prepared.into_serving(&DynamicRegistry::new()).unwrap();
         let row = vec![Value::Int(0), Value::Int(0), Value::Double(0.0)];
         let mut del = TableDelta::for_relation(db.relation("Sales").unwrap());
         del.delete(&row).unwrap();
@@ -371,7 +658,7 @@ mod tests {
         let mut ins = TableDelta::for_relation(db.relation("Sales").unwrap());
         ins.insert(&row).unwrap();
         maintained.commit(&ins, &DynamicRegistry::new()).unwrap();
-        assert_same_results(&maintained.results().unwrap(), &before);
+        assert_same_results(maintained.snapshot().results(), &before);
     }
 
     #[test]
@@ -388,7 +675,7 @@ mod tests {
         let mut maintained = engine
             .prepare(&b)
             .unwrap()
-            .into_maintained(&DynamicRegistry::new())
+            .into_serving(&DynamicRegistry::new())
             .unwrap();
         let affected = maintained.affected_groups("Sales");
         assert!(!affected.is_empty());
@@ -404,7 +691,7 @@ mod tests {
             "refreshed groups must equal the exposed frontier"
         );
         let expected = recompute(maintained.database(), &tree, EngineConfig::default(), &b);
-        assert_same_results(&maintained.results().unwrap(), &expected);
+        assert_same_results(maintained.snapshot().results(), &expected);
     }
 
     #[test]
@@ -415,9 +702,9 @@ mod tests {
         let mut maintained = engine
             .prepare(&b)
             .unwrap()
-            .into_maintained(&DynamicRegistry::new())
+            .into_serving(&DynamicRegistry::new())
             .unwrap();
-        let before = maintained.results().unwrap();
+        let before = maintained.snapshot();
         let mut delta = TableDelta::for_relation(db.relation("Sales").unwrap());
         delta
             .delete(&[Value::Int(77), Value::Int(77), Value::Double(77.0)])
@@ -426,7 +713,7 @@ mod tests {
             .commit(&delta, &DynamicRegistry::new())
             .unwrap_err();
         assert!(matches!(err, EngineError::Data(_)));
-        assert_same_results(&maintained.results().unwrap(), &before);
+        assert_same_results(maintained.snapshot().results(), before.results());
         assert_eq!(maintained.database().relation("Sales").unwrap().len(), 40);
     }
 
@@ -441,7 +728,7 @@ mod tests {
         let mut maintained = engine
             .prepare(&b)
             .unwrap()
-            .into_maintained(&DynamicRegistry::new())
+            .into_serving(&DynamicRegistry::new())
             .unwrap();
         let generation_before = maintained.handle().generation();
         let delta = TableDelta::for_relation(db.relation("Sales").unwrap());
@@ -460,14 +747,14 @@ mod tests {
         let mut maintained = engine
             .prepare(&b)
             .unwrap()
-            .into_maintained(&DynamicRegistry::new())
+            .into_serving(&DynamicRegistry::new())
             .unwrap();
-        let before = maintained.results().unwrap();
+        let before = maintained.snapshot();
         let err = maintained
             .commit(Transaction::new(), &DynamicRegistry::new())
             .unwrap_err();
         assert!(matches!(err, EngineError::EmptyTransaction));
-        assert_same_results(&maintained.results().unwrap(), &before);
+        assert_same_results(maintained.snapshot().results(), before.results());
         assert_eq!(maintained.snapshot().generation(), 0, "nothing published");
     }
 
@@ -479,9 +766,9 @@ mod tests {
         let mut maintained = engine
             .prepare(&b)
             .unwrap()
-            .into_maintained(&DynamicRegistry::new())
+            .into_serving(&DynamicRegistry::new())
             .unwrap();
-        let before = maintained.results().unwrap();
+        let before = maintained.snapshot();
         let row = vec![Value::Int(0), Value::Int(0), Value::Double(0.0)];
         let mut delta = TableDelta::for_relation(db.relation("Sales").unwrap());
         delta.insert(&row).unwrap();
@@ -492,7 +779,7 @@ mod tests {
         assert!(
             matches!(err, EngineError::ConflictingDelta { ref relation, .. } if relation == "Sales")
         );
-        assert_same_results(&maintained.results().unwrap(), &before);
+        assert_same_results(maintained.snapshot().results(), before.results());
         assert_eq!(maintained.snapshot().generation(), 0, "nothing published");
     }
 
@@ -504,12 +791,12 @@ mod tests {
         let mut maintained = engine
             .prepare(&b)
             .unwrap()
-            .into_maintained(&DynamicRegistry::new())
+            .into_serving(&DynamicRegistry::new())
             .unwrap();
         let mut sequential = engine
             .prepare(&b)
             .unwrap()
-            .into_maintained(&DynamicRegistry::new())
+            .into_serving(&DynamicRegistry::new())
             .unwrap();
 
         let mut sales = TableDelta::for_relation(db.relation("Sales").unwrap());
@@ -562,37 +849,38 @@ mod tests {
             s2.group_scans
         );
         assert_same_results(
-            &maintained.results().unwrap(),
-            &sequential.results().unwrap(),
+            maintained.snapshot().results(),
+            sequential.snapshot().results(),
         );
         let expected = recompute(maintained.database(), &tree, EngineConfig::default(), &b);
-        assert_same_results(&maintained.results().unwrap(), &expected);
+        assert_same_results(maintained.snapshot().results(), &expected);
     }
 
     #[test]
     fn results_reflect_the_last_apply() {
-        // The stale-read footgun, pinned down: results() is a point-in-time
-        // copy — a copy taken before an apply keeps its old values, a copy
-        // taken after reflects the delta. No other sequence is possible.
+        // The stale-read footgun, pinned down: snapshot() is a point-in-time
+        // pin — one taken before a commit keeps its old values, one taken
+        // after reflects the delta. No other sequence is possible.
         let (db, tree) = db_and_tree();
         let b = batch(&db);
         let engine = Engine::new(db.clone(), tree.clone(), EngineConfig::default());
         let mut maintained = engine
             .prepare(&b)
             .unwrap()
-            .into_maintained(&DynamicRegistry::new())
+            .into_serving(&DynamicRegistry::new())
             .unwrap();
-        let before = maintained.results().unwrap();
+        let before = maintained.snapshot();
         let mut delta = TableDelta::for_relation(db.relation("Sales").unwrap());
         delta
             .insert(&[Value::Int(1), Value::Int(1), Value::Double(5.0)])
             .unwrap();
         maintained.commit(&delta, &DynamicRegistry::new()).unwrap();
-        let after = maintained.results().unwrap();
-        assert_eq!(before.query("count").scalar()[0], 40.0, "old copy is old");
-        assert_eq!(after.query("count").scalar()[0], 41.0, "new copy is new");
+        let after = maintained.snapshot();
+        let count = |snap: &ViewSnapshot| snap.query("count").unwrap().scalar()[0];
+        assert_eq!(count(&before), 40.0, "old snapshot is old");
+        assert_eq!(count(&after), 41.0, "new snapshot is new");
         assert_eq!(
-            maintained.query("count").unwrap().scalar()[0],
+            maintained.snapshot().query("count").unwrap().scalar()[0],
             41.0,
             "by-name lookup reflects the last apply"
         );
@@ -606,10 +894,10 @@ mod tests {
         let maintained = engine
             .prepare(&b)
             .unwrap()
-            .into_maintained(&DynamicRegistry::new())
+            .into_serving(&DynamicRegistry::new())
             .unwrap();
-        assert!(maintained.query("count").is_ok());
-        let err = maintained.query("no_such_query").unwrap_err();
+        assert!(maintained.snapshot().query("count").is_ok());
+        let err = maintained.snapshot().query("no_such_query").unwrap_err();
         assert!(matches!(err, EngineError::UnknownQuery(ref n) if n == "no_such_query"));
         assert!(err.to_string().contains("no_such_query"));
     }
@@ -622,7 +910,7 @@ mod tests {
         let mut maintained = engine
             .prepare(&b)
             .unwrap()
-            .into_maintained(&DynamicRegistry::new())
+            .into_serving(&DynamicRegistry::new())
             .unwrap();
         let pinned = maintained.snapshot();
         let handle = maintained.handle();
@@ -645,7 +933,7 @@ mod tests {
         let mut maintained = engine
             .prepare(&b)
             .unwrap()
-            .into_maintained(&DynamicRegistry::new())
+            .into_serving(&DynamicRegistry::new())
             .unwrap();
         // Alternate fact and dimension updates, checking after every step.
         for step in 0..6i64 {
@@ -672,7 +960,68 @@ mod tests {
             }
             maintained.commit(&delta, &DynamicRegistry::new()).unwrap();
             let expected = recompute(maintained.database(), &tree, EngineConfig::default(), &b);
-            assert_same_results(&maintained.results().unwrap(), &expected);
+            assert_same_results(maintained.snapshot().results(), &expected);
         }
+    }
+
+    #[test]
+    fn a_panicking_frontier_worker_is_a_typed_error_and_publishes_nothing() {
+        use lmfao_expr::{ProductTerm, ScalarFunction};
+
+        let (db, tree) = db_and_tree();
+        let units = db.schema().attr_id("units").unwrap();
+        let mut b = batch(&db);
+        b.push(
+            "dyn_units",
+            vec![],
+            vec![Aggregate::product(ProductTerm::single(
+                ScalarFunction::Dynamic {
+                    id: 0,
+                    attrs: vec![units],
+                },
+            ))],
+        );
+        let mut benign = DynamicRegistry::new();
+        benign.register(|args| args[0].as_f64());
+        let mut panicking = DynamicRegistry::new();
+        panicking.register(|_| panic!("dynamic boom"));
+
+        // Two threads over a two-relation transaction: a multi-group
+        // frontier, so the refresh runs on the scheduler's worker pool.
+        let engine = Engine::new(db.clone(), tree, EngineConfig::full(2));
+        let mut maintained = engine.prepare(&b).unwrap().into_serving(&benign).unwrap();
+        let mut sales = TableDelta::for_relation(db.relation("Sales").unwrap());
+        sales
+            .insert(&[Value::Int(1), Value::Int(3), Value::Double(100.0)])
+            .unwrap();
+        let mut items = TableDelta::for_relation(db.relation("Items").unwrap());
+        items.delete(&[Value::Int(3), Value::Double(12.0)]).unwrap();
+        items.insert(&[Value::Int(3), Value::Double(40.0)]).unwrap();
+        let txn: Transaction = [sales, items].into_iter().collect();
+        assert!(maintained.affected_groups("Items").len() > 1);
+
+        let gen0 = maintained.snapshot();
+        let ledger = maintained.shadow.clone();
+        let err = maintained.commit(txn.clone(), &panicking).unwrap_err();
+        assert!(
+            matches!(err, EngineError::WorkerPanicked(ref msg) if msg.contains("dynamic boom")),
+            "{err:?}"
+        );
+        assert_eq!(maintained.generation(), 0);
+        assert!(
+            Arc::ptr_eq(&gen0, &maintained.snapshot()),
+            "nothing published"
+        );
+        assert_eq!(maintained.shadow, ledger, "shadow ledger untouched");
+        assert_eq!(maintained.database().relation("Sales").unwrap().len(), 40);
+
+        // The next commit succeeds and chains straight onto generation 0.
+        maintained.commit(txn, &benign).unwrap();
+        let gen1 = maintained.snapshot();
+        assert_eq!(gen1.generation(), 1);
+        let summary =
+            lmfao_certify::check_chain([&**gen0.certificate(), &**gen1.certificate()]).unwrap();
+        assert_eq!(summary.certificates, 2);
+        assert_eq!(summary.final_generation, 1);
     }
 }

@@ -1,4 +1,4 @@
-//! The Parallelization layer: a morsel-driven scheduler over view groups.
+//! The Parallelization layer: morsel-driven execution of view groups.
 //!
 //! LMFAO parallelizes along two axes (Section 1.2): **task parallelism** —
 //! view groups that do not depend on each other run concurrently — and
@@ -6,54 +6,50 @@
 //! into row ranges whose partial results merge by element-wise addition
 //! (valid because every view aggregate is a sum over the scanned tuples).
 //!
-//! Both axes are served by one scheduler: [`execute_all`] spawns a single
-//! persistent worker pool per call and drives a dependency-counted ready
-//! queue over the groups of a [`Grouping`]. A group becomes runnable the
-//! moment its last dependency finishes — there is no inter-wave barrier —
-//! and its scan is decomposed into [`MORSEL_ROWS`]-row *morsels* claimed
-//! from a shared atomic cursor, so workers stay busy on skewed groups
-//! instead of idling behind one long partition.
+//! Both axes are one scheduler, the crate-internal `sched` module: a
+//! dependency-counted ready queue over a DAG whose nodes split into indexed
+//! parts. It has three clients. [`execute_all`] runs the groups of a
+//! [`Grouping`] as nodes and the [`MORSEL_ROWS`]-row *morsels* of each
+//! group's scan as parts: a group becomes runnable the moment its last
+//! dependency finishes — there is no inter-wave barrier — and workers stay
+//! busy on skewed groups instead of idling behind one long partition. The
+//! crate-internal `scan_morsels` runs one maintenance scan as a single node
+//! of morsels. The commit frontier walk of [`crate::maintain`] runs the
+//! affected groups as single-part nodes.
 //!
-//! **Determinism.** Per-morsel partials are buffered per group and folded in
-//! morsel-index order by the worker that finishes the group's last morsel,
-//! and every view is produced by exactly one group — so the result of a run
-//! does not depend on thread timing. For a fixed [`MORSEL_ROWS`] the merged
-//! float sums are identical across all thread counts `> 1`; they can differ
-//! from `threads = 1` (one unsplit scan per group) only by float-addition
+//! **Determinism.** The worker that finishes a group's last morsel folds the
+//! morsel partials in morsel-index order, and every view is produced by
+//! exactly one group — so the result of a run does not depend on thread
+//! timing. For a fixed [`MORSEL_ROWS`] the merged float sums are identical
+//! across all thread counts `> 1`; they can differ from `threads = 1` (one
+//! unsplit scan per group, on the calling thread) only by float-addition
 //! reassociation at morsel boundaries, which is exact — bit-identical — for
 //! integer-valued aggregates within 2⁵³ (counts, and all generated bench
 //! measures).
 //!
 //! Worker panics surface as [`EngineError::WorkerPanicked`] instead of
 //! aborting the process; the first error (panic or typed) cancels the
-//! remaining queue.
-//!
-//! The *incremental* counterpart of this scheduler lives in
-//! [`crate::snapshot`]: a commit's union frontier — the transitive
-//! dependents of the touched relations — is walked with the same
-//! dependency-counted ready-queue discipline (task parallelism across
-//! independent view groups), while each group's delta scan reuses the
-//! crate-internal `scan_morsels` for domain parallelism. See "The parallel
-//! frontier walk" in the [`crate::snapshot`] module docs.
+//! remaining queue — for every client alike.
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::exec::{execute_group, execute_group_scan};
 use crate::group::Grouping;
 use crate::plan::GroupPlan;
+use crate::sched::{self, Done};
 use crate::view::{ComputedView, ViewId, ViewSource};
 use lmfao_data::{Database, FxHashMap, Relation};
 use lmfao_expr::DynamicRegistry;
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Rows per morsel: large enough that per-morsel overhead (trie range setup,
 /// partial-map allocation) is negligible, small enough that 8+ workers share
 /// even a single skewed group scan.
 pub const MORSEL_ROWS: usize = 65_536;
+
+/// The result of one group scan (or of one morsel of it): a computed view
+/// per output of the group's plan, in plan output order.
+type GroupOutput = Vec<(ViewId, ComputedView)>;
 
 /// Merges `other` into `acc` by element-wise addition, consuming `other` so
 /// key tuples move instead of being cloned.
@@ -61,25 +57,13 @@ pub fn merge_computed(acc: &mut ComputedView, other: ComputedView) {
     acc.merge_from(other);
 }
 
-/// Folds a batch of `(view, result)` pairs into the accumulator map: results
-/// for a view already present merge by element-wise addition (domain-parallel
-/// partials), new views are inserted (task-parallel group outputs). Keyed by
-/// the hash map, so the cost is O(results), not O(results · views).
-fn merge_results(acc: &mut FxHashMap<ViewId, ComputedView>, results: Vec<(ViewId, ComputedView)>) {
-    for (vid, cv) in results {
-        match acc.entry(vid) {
-            std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge_from(cv),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(cv);
-            }
-        }
+/// Folds the next morsel's partial into the accumulated one, view by view
+/// (both are in plan output order).
+fn merge_partials(acc: &mut GroupOutput, next: GroupOutput) {
+    for ((vid, a), (nvid, b)) in acc.iter_mut().zip(next) {
+        debug_assert_eq!(*vid, nvid);
+        merge_computed(a, b);
     }
-}
-
-/// The row range of morsel `index` in a `rows`-row scan.
-fn morsel_range(rows: usize, index: usize) -> Range<usize> {
-    let start = index * MORSEL_ROWS;
-    start..rows.min(start + MORSEL_ROWS)
 }
 
 /// Number of morsels of a `rows`-row scan (at least one, so empty relations
@@ -88,223 +72,33 @@ fn morsel_count(rows: usize) -> usize {
     rows.div_ceil(MORSEL_ROWS).max(1)
 }
 
-/// Renders a panic payload for [`EngineError::WorkerPanicked`].
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// The row range of part `part` of `of` of a `rows`-row scan: morsel `part`
+/// of a split scan, the whole relation (`None`) of an unsplit one.
+fn morsel_range(rows: usize, part: usize, of: usize) -> Option<Range<usize>> {
+    (of > 1).then(|| {
+        let start = part * MORSEL_ROWS;
+        start..rows.min(start + MORSEL_ROWS)
+    })
+}
+
+/// Resolves a view through the published output of the group producing it.
+struct Upstream<'a> {
+    grouping: &'a Grouping,
+    done: &'a Done<GroupOutput>,
+}
+
+impl ViewSource for Upstream<'_> {
+    fn view_result(&self, id: ViewId) -> Option<&ComputedView> {
+        let produced = self.done.get(*self.grouping.group_of_view.get(&id)?)?;
+        produced.iter().find(|(v, _)| *v == id).map(|(_, cv)| cv)
     }
 }
 
-/// Locks a scheduler mutex, ignoring poisoning: a panicked worker already
-/// recorded (or will surface as) a typed error, so survivors may keep
-/// reading the state to shut down cleanly.
-fn lock_ignore_poison<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A runnable group: all dependencies complete, scan decomposed into morsels
-/// claimed from the shared cursor.
-struct GroupJob {
-    gid: usize,
-    rows: usize,
-    num_morsels: usize,
-    /// Next unclaimed morsel index (advanced under the scheduler lock).
-    cursor: AtomicUsize,
-    /// Snapshot of the incoming views the group's plan probes, taken when
-    /// the job was enqueued (its dependencies were complete then, so every
-    /// needed view exists and can no longer change).
-    incoming: FxHashMap<ViewId, Arc<ComputedView>>,
-}
-
-/// Morsel partials of an in-flight group, indexed by morsel.
-struct GroupPartials {
-    finished: usize,
-    slots: Vec<Option<Vec<(ViewId, ComputedView)>>>,
-}
-
-/// Scheduler state shared by the worker pool.
-struct Sched {
-    /// Runnable jobs in dependency-completion order. The front job's morsels
-    /// are claimed first; a job is popped when its last morsel is claimed.
-    queue: VecDeque<Arc<GroupJob>>,
-    /// Unfinished-dependency count per group.
-    indegree: Vec<usize>,
-    /// Completed view results (published when their group's last morsel
-    /// merge finishes).
-    computed: FxHashMap<ViewId, Arc<ComputedView>>,
-    /// Partials of groups whose morsels are still being scanned.
-    partials: FxHashMap<usize, GroupPartials>,
-    /// Groups not yet completed.
-    remaining: usize,
-    /// First error raised by any worker; set once, cancels the queue.
-    error: Option<EngineError>,
-}
-
-/// Everything a worker borrows.
-struct Pool<'a> {
-    db: &'a Database,
-    plans: &'a [GroupPlan],
-    dependents: Vec<Vec<usize>>,
-    state: Mutex<Sched>,
-    wake: Condvar,
-}
-
-impl Pool<'_> {
-    /// Builds the job for `gid`: snapshots its incoming views (dependencies
-    /// are complete when this is called) and sizes the morsel cursor.
-    fn make_job(&self, gid: usize, sched: &Sched) -> Arc<GroupJob> {
-        let plan = &self.plans[gid];
-        let rows = self
-            .db
-            .relation(&plan.relation)
-            .map(Relation::len)
-            .unwrap_or(0);
-        let incoming: FxHashMap<ViewId, Arc<ComputedView>> = plan
-            .incoming
-            .iter()
-            .filter_map(|inc| {
-                sched
-                    .computed
-                    .get(&inc.view)
-                    .map(|cv| (inc.view, Arc::clone(cv)))
-            })
-            .collect();
-        Arc::new(GroupJob {
-            gid,
-            rows,
-            num_morsels: morsel_count(rows),
-            cursor: AtomicUsize::new(0),
-            incoming,
-        })
-    }
-
-    /// Records `error` (first writer wins) and wakes every worker.
-    fn fail(&self, error: EngineError) {
-        let mut sched = lock_ignore_poison(&self.state);
-        if sched.error.is_none() {
-            sched.error = Some(error);
-        }
-        sched.queue.clear();
-        drop(sched);
-        self.wake.notify_all();
-    }
-
-    /// The worker loop: claim a morsel, scan it, merge on group completion,
-    /// release newly-ready dependents.
-    fn work(&self, dynamics: &DynamicRegistry) {
-        loop {
-            // Claim the next morsel from the front job's cursor.
-            let (job, morsel) = {
-                let mut sched = lock_ignore_poison(&self.state);
-                loop {
-                    if sched.error.is_some() || sched.remaining == 0 {
-                        return;
-                    }
-                    if let Some(front) = sched.queue.front() {
-                        let job = Arc::clone(front);
-                        let m = job.cursor.fetch_add(1, Ordering::Relaxed);
-                        debug_assert!(m < job.num_morsels, "claimed morsel past the cursor end");
-                        if m + 1 == job.num_morsels {
-                            sched.queue.pop_front();
-                        }
-                        break (job, m);
-                    }
-                    sched = self
-                        .wake
-                        .wait(sched)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            };
-
-            // Scan the morsel outside the lock; a panic becomes a typed error.
-            let plan = &self.plans[job.gid];
-            let range = morsel_range(job.rows, morsel);
-            let scanned = catch_unwind(AssertUnwindSafe(|| {
-                execute_group(self.db, plan, &job.incoming, dynamics, Some(range))
-            }));
-            let partial = match scanned {
-                Ok(Ok(partial)) => partial,
-                Ok(Err(e)) => {
-                    self.fail(e);
-                    return;
-                }
-                Err(payload) => {
-                    self.fail(EngineError::WorkerPanicked(panic_message(payload.as_ref())));
-                    return;
-                }
-            };
-
-            // Record the partial; the worker finishing the group's last
-            // morsel folds them in morsel-index order and publishes.
-            let to_merge = {
-                let mut sched = lock_ignore_poison(&self.state);
-                if sched.error.is_some() {
-                    return;
-                }
-                let entry = sched
-                    .partials
-                    .entry(job.gid)
-                    .or_insert_with(|| GroupPartials {
-                        finished: 0,
-                        slots: (0..job.num_morsels).map(|_| None).collect(),
-                    });
-                entry.slots[morsel] = Some(partial);
-                entry.finished += 1;
-                if entry.finished == job.num_morsels {
-                    sched.partials.remove(&job.gid)
-                } else {
-                    None
-                }
-            };
-            let Some(parts) = to_merge else { continue };
-
-            // Deterministic fold outside the lock: morsel 0 first, then 1, …
-            let folded = catch_unwind(AssertUnwindSafe(|| {
-                let mut merged: FxHashMap<ViewId, ComputedView> = FxHashMap::default();
-                for slot in parts.slots {
-                    merge_results(&mut merged, slot.expect("every morsel partial recorded"));
-                }
-                merged
-            }));
-            let merged = match folded {
-                Ok(m) => m,
-                Err(payload) => {
-                    self.fail(EngineError::WorkerPanicked(panic_message(payload.as_ref())));
-                    return;
-                }
-            };
-
-            // Publish the group's views and release dependents whose last
-            // dependency this was.
-            {
-                let mut sched = lock_ignore_poison(&self.state);
-                for (vid, cv) in merged {
-                    sched.computed.insert(vid, Arc::new(cv));
-                }
-                for &dep in &self.dependents[job.gid] {
-                    sched.indegree[dep] -= 1;
-                    if sched.indegree[dep] == 0 {
-                        let ready = self.make_job(dep, &sched);
-                        sched.queue.push_back(ready);
-                    }
-                }
-                sched.remaining -= 1;
-            }
-            self.wake.notify_all();
-        }
-    }
-}
-
-/// Executes all groups of a grouping in dependency order on a morsel-driven
-/// worker pool (task parallelism across ready groups, domain parallelism
-/// within each scan). With `threads = 1` the scheduler is bypassed entirely:
-/// groups run one unsplit scan each, in topological order — the reference
-/// execution the parallel results are measured against. Returns the computed
-/// result of every view.
+/// Executes all groups of a grouping in dependency order (task parallelism
+/// across ready groups, domain parallelism within each scan). With
+/// `threads = 1` groups run one unsplit scan each on the calling thread, in
+/// topological order — the reference execution the parallel results are
+/// measured against. Returns the computed result of every view.
 pub fn execute_all(
     db: &Database,
     plans: &[GroupPlan],
@@ -312,90 +106,29 @@ pub fn execute_all(
     dynamics: &DynamicRegistry,
     config: &EngineConfig,
 ) -> Result<FxHashMap<ViewId, ComputedView>, EngineError> {
-    if config.threads <= 1 || grouping.is_empty() {
-        let mut computed: FxHashMap<ViewId, ComputedView> = FxHashMap::default();
-        for gid in grouping.topological_order() {
-            let result = execute_group(db, &plans[gid], &computed, dynamics, None)?;
-            merge_results(&mut computed, result);
-        }
-        return Ok(computed);
-    }
-
-    // Dependency counts and reverse edges for the ready queue.
-    let n = grouping.len();
-    let mut indegree = vec![0usize; n];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (g, deps) in grouping.dependencies.iter().enumerate() {
-        indegree[g] = deps.len();
-        for &d in deps {
-            dependents[d].push(g);
-        }
-    }
-
-    let pool = Pool {
-        db,
-        plans,
-        dependents,
-        state: Mutex::new(Sched {
-            queue: VecDeque::new(),
-            indegree,
-            computed: FxHashMap::default(),
-            partials: FxHashMap::default(),
-            remaining: n,
-            error: None,
-        }),
-        wake: Condvar::new(),
-    };
-    {
-        let mut sched = lock_ignore_poison(&pool.state);
-        let seeds: Vec<Arc<GroupJob>> = (0..n)
-            .filter(|&g| sched.indegree[g] == 0)
-            .map(|g| pool.make_job(g, &sched))
-            .collect();
-        sched.queue.extend(seeds);
-    }
-
-    // One persistent pool for the whole call; every worker runs until the
-    // queue drains or an error cancels it. Panics that escape the per-morsel
-    // guards (they should not) still surface as the typed error via `join`.
-    let mut worker_panic: Option<EngineError> = None;
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..config.threads)
-            .map(|_| scope.spawn(|_| pool.work(dynamics)))
-            .collect();
-        for h in handles {
-            if let Err(payload) = h.join() {
-                worker_panic
-                    .get_or_insert(EngineError::WorkerPanicked(panic_message(payload.as_ref())));
-            }
-        }
-    })
-    .map_err(|payload| EngineError::WorkerPanicked(panic_message(payload.as_ref())))?;
-
-    let mut sched = lock_ignore_poison(&pool.state);
-    if let Some(e) = sched.error.take() {
-        return Err(e);
-    }
-    if let Some(e) = worker_panic {
-        return Err(e);
-    }
-    debug_assert_eq!(sched.remaining, 0, "scheduler exited with groups pending");
-    let computed = std::mem::take(&mut sched.computed);
-    drop(sched);
-    Ok(computed
-        .into_iter()
-        .map(|(vid, cv)| {
-            let cv = Arc::try_unwrap(cv).unwrap_or_else(|arc| (*arc).clone());
-            (vid, cv)
-        })
-        .collect())
+    let rows: Vec<usize> = plans
+        .iter()
+        .map(|p| db.relation(&p.relation).map_or(0, Relation::len))
+        .collect();
+    let outputs = sched::run(
+        &grouping.dependencies,
+        |gid| morsel_count(rows[gid]),
+        config.threads,
+        |gid, part, of, done| {
+            let upstream = Upstream { grouping, done };
+            let range = morsel_range(rows[gid], part, of);
+            execute_group(db, &plans[gid], &upstream, dynamics, range)
+        },
+        merge_partials,
+    )?;
+    Ok(outputs.into_iter().flatten().collect())
 }
 
 /// Morsel-parallel variant of [`execute_group_scan`] for the maintenance
-/// layer's full-relation propagation scans: the scan is decomposed into
-/// [`MORSEL_ROWS`]-row morsels claimed from a shared atomic cursor and the
-/// partials fold in morsel-index order (same determinism guarantee as
-/// [`execute_all`]). Small scans and `threads = 1` run unsplit.
+/// layer's full-relation propagation scans: one scheduler node whose parts
+/// are the scan's [`MORSEL_ROWS`]-row morsels, folded in morsel-index order
+/// (same determinism guarantee as [`execute_all`]). Single-morsel scans and
+/// `threads = 1` run unsplit on the calling thread.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_morsels<V: ViewSource + Sync>(
     relation: &Relation,
@@ -405,83 +138,21 @@ pub(crate) fn scan_morsels<V: ViewSource + Sync>(
     dynamics: &DynamicRegistry,
     slot_mask: Option<&[bool]>,
     threads: usize,
-) -> Result<Vec<(ViewId, ComputedView)>, EngineError> {
+) -> Result<GroupOutput, EngineError> {
     let rows = relation.len();
-    if threads <= 1 || rows <= MORSEL_ROWS {
-        return execute_group_scan(
-            relation, num_attrs, plan, computed, dynamics, None, slot_mask,
-        );
-    }
-    let num_morsels = morsel_count(rows);
-    let cursor = AtomicUsize::new(0);
-    type Partial = Vec<(ViewId, ComputedView)>;
-    let worker = || -> Result<Vec<(usize, Partial)>, EngineError> {
-        let mut out = Vec::new();
-        loop {
-            let m = cursor.fetch_add(1, Ordering::Relaxed);
-            if m >= num_morsels {
-                return Ok(out);
-            }
-            let range = morsel_range(rows, m);
-            let scanned = catch_unwind(AssertUnwindSafe(|| {
-                execute_group_scan(
-                    relation,
-                    num_attrs,
-                    plan,
-                    computed,
-                    dynamics,
-                    Some(range),
-                    slot_mask,
-                )
-            }));
-            match scanned {
-                Ok(Ok(partial)) => out.push((m, partial)),
-                Ok(Err(e)) => return Err(e),
-                Err(payload) => {
-                    return Err(EngineError::WorkerPanicked(panic_message(payload.as_ref())))
-                }
-            }
-        }
-    };
-    let joined: Vec<Result<Vec<(usize, Partial)>, EngineError>> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(num_morsels))
-            .map(|_| scope.spawn(|_| worker()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|payload| {
-                    Err(EngineError::WorkerPanicked(panic_message(payload.as_ref())))
-                })
-            })
-            .collect()
-    })
-    .map_err(|payload| EngineError::WorkerPanicked(panic_message(payload.as_ref())))?;
-
-    // Deterministic fold: sort all partials by morsel index, merge in order.
-    let mut indexed: Vec<(usize, Partial)> = Vec::with_capacity(num_morsels);
-    for worker_out in joined {
-        indexed.extend(worker_out?);
-    }
-    indexed.sort_by_key(|(m, _)| *m);
-    let mut merged: FxHashMap<ViewId, ComputedView> = FxHashMap::default();
-    let mut order: Vec<ViewId> = Vec::new();
-    for (_, partial) in indexed {
-        for (vid, _) in &partial {
-            if !merged.contains_key(vid) {
-                order.push(*vid);
-            }
-        }
-        merge_results(&mut merged, partial);
-    }
-    // Preserve the plan's output order (callers zip scans positionally).
-    Ok(order
-        .into_iter()
-        .map(|vid| {
-            let cv = merged.remove(&vid).expect("merged view present");
-            (vid, cv)
-        })
-        .collect())
+    let mut output = sched::run(
+        &[Vec::new()],
+        |_| morsel_count(rows),
+        threads,
+        |_, part, of, _| {
+            let range = morsel_range(rows, part, of);
+            execute_group_scan(
+                relation, num_attrs, plan, computed, dynamics, range, slot_mask,
+            )
+        },
+        merge_partials,
+    )?;
+    Ok(output.pop().expect("one node, one output"))
 }
 
 #[cfg(test)]
@@ -504,7 +175,8 @@ mod tests {
             let mut covered = 0;
             let mut prev_end = 0;
             for m in 0..n {
-                let r = morsel_range(rows, m);
+                // An unsplit scan covers the whole relation.
+                let r = morsel_range(rows, m, n).unwrap_or(0..rows);
                 assert_eq!(r.start, prev_end);
                 covered += r.len();
                 prev_end = r.end;
@@ -515,19 +187,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_results_sums_existing_views_and_inserts_new_ones() {
-        let mut acc: FxHashMap<ViewId, ComputedView> = FxHashMap::default();
+    fn merge_partials_sums_view_by_view_in_output_order() {
         let mut a = ComputedView::new(vec![AttrId(0)], 1);
         a.add(vec![Value::Int(1)], &[1.0]);
-        merge_results(&mut acc, vec![(ViewId(0), a)]);
+        let mut acc = vec![
+            (ViewId(0), a),
+            (ViewId(1), ComputedView::new(vec![AttrId(1)], 1)),
+        ];
         let mut b = ComputedView::new(vec![AttrId(0)], 1);
         b.add(vec![Value::Int(1)], &[2.0]);
         let mut c = ComputedView::new(vec![AttrId(1)], 1);
         c.add(vec![Value::Int(9)], &[5.0]);
-        merge_results(&mut acc, vec![(ViewId(0), b), (ViewId(1), c)]);
+        merge_partials(&mut acc, vec![(ViewId(0), b), (ViewId(1), c)]);
         assert_eq!(acc.len(), 2);
-        assert_eq!(acc[&ViewId(0)].get(&[Value::Int(1)]).unwrap(), &[3.0]);
-        assert_eq!(acc[&ViewId(1)].get(&[Value::Int(9)]).unwrap(), &[5.0]);
+        assert_eq!(acc[0].1.get(&[Value::Int(1)]).unwrap(), &[3.0]);
+        assert_eq!(acc[1].1.get(&[Value::Int(9)]).unwrap(), &[5.0]);
     }
 
     #[test]
@@ -540,15 +214,5 @@ mod tests {
         merge_computed(&mut a, b);
         assert_eq!(a.get(&[Value::Int(1)]).unwrap(), &[11.0, 22.0]);
         assert_eq!(a.get(&[Value::Int(2)]).unwrap(), &[5.0, 5.0]);
-    }
-
-    #[test]
-    fn panic_messages_render_str_and_string_payloads() {
-        let s: Box<dyn std::any::Any + Send> = Box::new("boom");
-        assert_eq!(panic_message(s.as_ref()), "boom");
-        let owned: Box<dyn std::any::Any + Send> = Box::new(String::from("kaput"));
-        assert_eq!(panic_message(owned.as_ref()), "kaput");
-        let other: Box<dyn std::any::Any + Send> = Box::new(17usize);
-        assert!(panic_message(other.as_ref()).contains("non-string"));
     }
 }

@@ -65,7 +65,7 @@ pub struct PreparedBatch {
 }
 
 /// The immutable product of the optimizer layers, shared by every clone of a
-/// [`PreparedBatch`] (and retained by a [`crate::maintain::MaintainedBatch`]).
+/// [`PreparedBatch`] (and retained by a [`crate::snapshot::Maintainer`]).
 #[derive(Debug)]
 pub(crate) struct PreparedPlans {
     pub(crate) tree: JoinTree,
@@ -251,10 +251,9 @@ impl PreparedBatch {
 }
 
 /// Projects per-query results out of the computed (or maintained) output
-/// views — shared by [`PreparedBatch::execute`],
-/// [`crate::maintain::MaintainedBatch::results`] and the snapshot publication
+/// views — shared by [`PreparedBatch::execute`] and the snapshot publication
 /// in [`crate::snapshot`] (which keeps its views behind `Arc`s, hence the
-/// [`ViewSource`] bound instead of a concrete map).
+/// [`ViewSource`](crate::view::ViewSource) bound instead of a concrete map).
 pub(crate) fn project_results<V: crate::view::ViewSource>(
     inner: &PreparedPlans,
     computed: &V,
@@ -437,5 +436,39 @@ mod tests {
         // holds its own SharedDatabase handle.
         let result = prepared.execute(&DynamicRegistry::new()).unwrap();
         assert!(result.query("count").scalar()[0] > 0.0);
+    }
+
+    #[test]
+    fn a_panicking_worker_is_a_typed_error_and_the_batch_stays_usable() {
+        use lmfao_expr::{ProductTerm, ScalarFunction};
+
+        let (db, tree) = db_and_tree();
+        let x = db.schema().attr_id("x").unwrap();
+        let mut batch = batch(&db);
+        batch.push(
+            "dyn_x",
+            vec![],
+            vec![Aggregate::product(ProductTerm::single(
+                ScalarFunction::Dynamic {
+                    id: 0,
+                    attrs: vec![x],
+                },
+            ))],
+        );
+        let prepared = Engine::new(db, tree, EngineConfig::full(2))
+            .prepare(&batch)
+            .unwrap();
+        let mut panicking = DynamicRegistry::new();
+        panicking.register(|_| panic!("dynamic boom"));
+        let err = prepared.execute(&panicking).unwrap_err();
+        assert!(
+            matches!(err, EngineError::WorkerPanicked(ref msg) if msg.contains("dynamic boom")),
+            "{err:?}"
+        );
+        // Nothing of the failed run lingers: the same batch executes cleanly.
+        let mut benign = DynamicRegistry::new();
+        benign.register(|args| args[0].as_f64());
+        let result = prepared.execute(&benign).unwrap();
+        assert_eq!(result.query("count").scalar()[0], 20.0);
     }
 }

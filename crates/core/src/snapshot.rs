@@ -1,19 +1,20 @@
 //! Epoch-published snapshots: writers refresh, readers never block.
 //!
-//! [`crate::maintain::MaintainedBatch`] refreshes retained view state under
-//! [`Transaction`]s, but its `commit` takes `&mut self` — every refresh
-//! stalls every query. This module splits that one mutable object into the
-//! reader/writer separation a serving system needs:
+//! Committing a [`Transaction`](lmfao_data::Transaction) mutates retained
+//! view state, so a single mutable object would stall every query on every
+//! refresh. This module is the reader/writer separation a serving system
+//! needs — publication and generation GC; the write path itself
+//! ([`Maintainer::commit`]) lives in [`crate::maintain`]:
 //!
 //! * [`ViewSnapshot`] — one **immutable** generation of the world: the
 //!   database snapshot, every retained [`ComputedView`] and the projected
 //!   per-query results, all behind `Arc`s. Readers answer named-query
 //!   lookups straight from the projected results with zero scans and zero
 //!   locks held.
-//! * [`Maintainer`] — the single writer. It commits [`Transaction`]s —
-//!   atomic sets of [`TableDelta`](lmfao_data::TableDelta)s over one or more base relations —
-//!   against its private next-generation state, one DAG walk and one
-//!   published generation per transaction, each new generation an
+//! * [`Maintainer`] — the single writer. It commits transactions — atomic
+//!   sets of [`TableDelta`](lmfao_data::TableDelta)s over one or more base
+//!   relations — against its private next-generation state, one DAG walk and
+//!   one published generation per transaction, each new generation an
 //!   `Arc<ViewSnapshot>` swapped through the shared [`SnapshotHandle`].
 //! * [`SnapshotHandle`] — the publication cell readers clone into their
 //!   threads. [`SnapshotHandle::load`] returns the latest published
@@ -65,15 +66,12 @@
 //! report the writer-side footprint (pointer-deduplicated, so shared storage
 //! counts once).
 //!
-//! # The parallel frontier walk
+//! # One scheduler
 //!
-//! With `threads > 1` in the engine config, a commit refreshes independent
-//! groups of the affected frontier concurrently: a dependency-counted ready
-//! queue (the same discipline as the morsel executor in
-//! [`crate::parallel`]) runs each group's seed/propagation scans as soon as
-//! every upstream group's view delta is in, then folds the per-group
-//! outputs in topological order — so the published state, the certificate
-//! and the refresh stats are identical to the sequential walk's.
+//! Generation 0 is computed by [`crate::parallel::execute_all`] and every
+//! commit's frontier walk by [`Maintainer::commit`] — both clients of the
+//! crate's one DAG scheduler, deterministic at every thread count, so what
+//! is published here never depends on thread timing.
 //!
 //! Float caveat: refreshed sums may differ from a fresh build in the last
 //! ulp (float addition is not associative). The maintainer folds deltas with
@@ -84,22 +82,17 @@
 use crate::certificate::{emit_execute, encoded_totals};
 use crate::engine::{BatchResult, QueryResult};
 use crate::error::EngineError;
-use crate::exec::execute_group_scan;
-use crate::maintain::RefreshStats;
-use crate::parallel::{execute_all, scan_morsels};
-use crate::plan::{build_group_plan, DepthUpdate, GroupPlan};
+use crate::parallel::execute_all;
+use crate::plan::{build_group_plan, GroupPlan};
 use crate::prepared::{project_results, PreparedBatch, PreparedPlans};
-use crate::view::{ComputedView, ViewId, ViewSource};
+use crate::view::{ComputedView, ViewId};
 use crossbeam::hazard::HazardCell;
-use lmfao_certify::{
-    fingerprint, Certificate, MaintenanceCertificate, QueryTotals, RelationDeltaAccount,
-    ViewDeltaAccount, CERTIFICATE_VERSION,
-};
-use lmfao_data::{Database, DatabaseSnapshot, FxHashMap, FxHashSet, Relation, Transaction};
+use lmfao_certify::{fingerprint, Certificate};
+use lmfao_data::{Database, DatabaseSnapshot, FxHashMap, FxHashSet, Relation};
 use lmfao_expr::DynamicRegistry;
 use lmfao_jointree::JoinTree;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// Relative epsilon of the maintainer's residue snapping: after folding a
 /// view delta value `v` into an entry `e`, `e` is snapped to exact zero when
@@ -250,40 +243,37 @@ impl SnapshotHandle {
 /// private next-generation state and publishes each refreshed generation
 /// through its [`SnapshotHandle`].
 ///
-/// Built with [`PreparedBatch::into_serving`] (or unwrapped from a
-/// [`crate::maintain::MaintainedBatch`] via
-/// [`crate::maintain::MaintainedBatch::into_serving`]). The maintainer is
-/// deliberately not `Sync` to share — there is exactly one writer; readers
-/// hold clones of the handle, never the maintainer.
+/// Built with [`PreparedBatch::into_serving`]. One owner that both commits
+/// and reads can answer from [`Maintainer::snapshot`]; readers on other
+/// threads hold clones of the [`Maintainer::handle`], never the maintainer —
+/// it is deliberately not `Sync`, there is exactly one writer.
 #[derive(Debug)]
 pub struct Maintainer {
     /// Next-generation database state (copy-on-write against published
     /// generations).
-    db: DatabaseSnapshot,
+    pub(crate) db: DatabaseSnapshot,
     /// The plans the batch was prepared with.
-    inner: Arc<PreparedPlans>,
+    pub(crate) inner: Arc<PreparedPlans>,
     /// Physical plans for every group (built here when the batch was
     /// prepared with specialization off — maintenance always runs the
     /// specialized executor).
-    plans: Vec<GroupPlan>,
-    /// Cached topological order of the groups.
-    topo: Vec<usize>,
+    pub(crate) plans: Vec<GroupPlan>,
     /// Next-generation view state; `Arc::make_mut` clones exactly the views
     /// a refresh touches.
-    computed: FxHashMap<ViewId, Arc<ComputedView>>,
+    pub(crate) computed: FxHashMap<ViewId, Arc<ComputedView>>,
     /// The shadow ledger: per-view fixed-point aggregate totals carried
     /// exactly from generation to generation (`after = before + net`, in
     /// `i128`). Emitting certificate totals from this ledger — instead of
     /// re-encoding the merged `f64` state — is what makes the checker's
     /// accounting identities exact.
-    shadow: FxHashMap<ViewId, Vec<i128>>,
+    pub(crate) shadow: FxHashMap<ViewId, Vec<i128>>,
     /// Fingerprint of the last emitted certificate; the next maintenance
     /// certificate records it as `parent_hash`.
-    last_fingerprint: u64,
+    pub(crate) last_fingerprint: u64,
     /// Generation of the latest published snapshot.
-    generation: u64,
+    pub(crate) generation: u64,
     /// Number of transactions committed so far (the next commit is `txns+1`).
-    txns: u64,
+    pub(crate) txns: u64,
     /// The publication cell shared with every reader.
     handle: SnapshotHandle,
     /// Bounded history of recently published generations, oldest first (the
@@ -314,11 +304,10 @@ impl PreparedBatch {
         } else {
             inner.plans.clone()
         };
-        let topo = inner.grouping.topological_order();
 
-        // Initial full computation on the morsel scheduler. Its morsel-order
-        // merge is deterministic for any thread count, so the published
-        // generation 0 does not depend on thread timing.
+        // Initial full computation. Its morsel-order merge is deterministic
+        // for any thread count, so the published generation 0 does not depend
+        // on thread timing.
         let flat = execute_all(&db, &plans, &inner.grouping, dynamics, &inner.config)?;
         let computed: FxHashMap<ViewId, Arc<ComputedView>> =
             flat.into_iter().map(|(k, v)| (k, Arc::new(v))).collect();
@@ -353,7 +342,6 @@ impl PreparedBatch {
             db,
             inner,
             plans,
-            topo,
             computed,
             shadow,
             last_fingerprint,
@@ -422,9 +410,7 @@ impl Maintainer {
     /// as long as it holds the `Arc`.
     pub fn set_history_window(&mut self, window: usize) {
         self.history_window = window.max(1);
-        while self.history.len() > self.history_window {
-            self.history.pop_front();
-        }
+        self.retire();
     }
 
     /// Number of generations currently retained writer-side (bounded by the
@@ -460,270 +446,11 @@ impl Maintainer {
         bytes
     }
 
-    /// Commits a transaction: applies every per-relation delta atomically,
-    /// refreshes the **union** of the affected refresh frontiers in one
-    /// dependency-ordered DAG walk, and publishes exactly one generation.
-    /// A bare [`TableDelta`](lmfao_data::TableDelta) commits as a single-relation transaction via
-    /// `Into<Transaction>`.
-    ///
-    /// Published results match a full recompute over the updated database
-    /// (exactly for integer-valued aggregates; within float-addition
-    /// reassociation plus residue snapping otherwise — see the module docs).
-    /// Readers keep answering from previously published generations
-    /// throughout; they observe all of the transaction's effects or none.
-    ///
-    /// Typed failures, all before any state changes: an empty transaction is
-    /// [`EngineError::EmptyTransaction`] (a commit always publishes — an
-    /// empty one would publish a phantom generation), a transaction that
-    /// both inserts and deletes one row is
-    /// [`EngineError::ConflictingDelta`] (resolve ordered streams with
-    /// [`Transaction::coalesce`] or a [`crate::buffer::DeltaBuffer`] first),
-    /// and an unmatched delete in *any* delta fails the whole transaction.
-    pub fn commit(
-        &mut self,
-        txn: impl Into<Transaction>,
-        dynamics: &DynamicRegistry,
-    ) -> Result<RefreshStats, EngineError> {
-        self.commit_txn(txn.into(), dynamics)
-    }
-
-    fn commit_txn(
-        &mut self,
-        txn: Transaction,
-        dynamics: &DynamicRegistry,
-    ) -> Result<RefreshStats, EngineError> {
-        if txn.is_empty() {
-            return Err(EngineError::EmptyTransaction);
-        }
-        if let Some((relation, row)) = txn.conflict() {
-            return Err(EngineError::ConflictingDelta { relation, row });
-        }
-        let mut stats = RefreshStats {
-            delta_rows: txn.len(),
-            relations_changed: txn.num_relations(),
-            ..RefreshStats::default()
-        };
-
-        // Stage the database: every delta lands on a private copy-on-write
-        // clone, so an unmatched delete in any of them fails before the
-        // maintainer's own state changes — the transaction is atomic against
-        // the writer, not just against readers.
-        let mut staged_db = self.db.clone();
-        let mut relation_accounts = Vec::with_capacity(txn.num_relations());
-        for delta in txn.deltas() {
-            let rows_before = staged_db
-                .relation(delta.relation())
-                .map_err(|_| EngineError::UnknownRelation(delta.relation().to_string()))?
-                .len() as u64;
-            staged_db.apply(delta)?;
-            let rows_after = staged_db
-                .relation(delta.relation())
-                .map_err(|_| EngineError::UnknownRelation(delta.relation().to_string()))?
-                .len() as u64;
-            relation_accounts.push(RelationDeltaAccount {
-                relation: delta.relation().to_string(),
-                rows_inserted: delta.num_inserts() as u64,
-                rows_deleted: delta.num_deletes() as u64,
-                rows_before,
-                rows_after,
-            });
-        }
-
-        // Sort each relation's delta partitions into the trie order of the
-        // node that scans it, so the seed scans see valid tries (every group
-        // of one relation scans at the same node, hence one order suffices).
-        let mut partitions: FxHashMap<&str, (Relation, Relation)> = FxHashMap::default();
-        for delta in txn.deltas() {
-            let (mut inserts, mut deletes) = delta.partition();
-            if let Some(plan) = self.plans.iter().find(|p| p.relation == delta.relation()) {
-                inserts.sort_by_positions(&plan.attr_order_cols);
-                deletes.sort_by_positions(&plan.attr_order_cols);
-            }
-            partitions.insert(delta.relation(), (inserts, deletes));
-        }
-        let num_attrs = staged_db.schema().num_attributes();
-
-        // One walk over the groups in dependency order, accumulating signed
-        // view deltas. Each group's output change decomposes exactly (by
-        // linearity of the aggregates in each relation/view) as
-        //
-        //   ΔF = F(ΔR, V_old)                 — the *seed* contribution
-        //      + F(R_new, V_new) - F(R_new, V_old)   — the *propagation*
-        //
-        // so a group whose relation changed *and* whose incoming views
-        // changed (possible only for multi-relation transactions) is still
-        // visited exactly once. `changed` holds the delta (not the new
-        // value) of every view refreshed so far; `seed_split` the per-view
-        // insert/delete contribution split and `prop_split` the summed
-        // per-scan propagation totals, both in fixed point and captured
-        // before any merge — this is the `net == inserted - deleted +
-        // propagated` half of the certificate ("sums of encodings, never
-        // encodings of sums").
-        //
-        // The per-group work lives in `refresh_group`, which reads only the
-        // staged database, the retained (old) views and the upstream deltas
-        // — so with `threads > 1` independent groups of the frontier refresh
-        // concurrently under a dependency-counted ready queue, and the
-        // outputs fold here in topological order either way. Both modes
-        // produce identical state: every group sees exactly its producers'
-        // deltas, and the morsel scans themselves are thread-count
-        // deterministic.
-        let mut changed: FxHashMap<ViewId, Arc<ComputedView>> = FxHashMap::default();
-        let mut seed_split: FxHashMap<ViewId, (Vec<i128>, Vec<i128>)> = FxHashMap::default();
-        let mut prop_split: FxHashMap<ViewId, Vec<i128>> = FxHashMap::default();
-
-        // The affected set: seed groups plus transitive dependents, in
-        // refresh order. An over-approximation of the groups that actually
-        // run — a dependent still skips when every upstream delta cancelled
-        // to empty.
-        let seeds: Vec<usize> = self
-            .plans
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| partitions.contains_key(p.relation.as_str()))
-            .map(|(g, _)| g)
-            .collect();
-        let affected = self.inner.grouping.transitive_dependents(&seeds);
-        let threads = self.inner.config.threads.max(1);
-
-        if threads > 1 && affected.len() > 1 {
-            stats.skipped_groups += self.plans.len() - affected.len();
-            let outcomes = refresh_frontier_parallel(
-                &affected,
-                &self.plans,
-                &partitions,
-                num_attrs,
-                &staged_db,
-                &self.computed,
-                dynamics,
-                threads,
-            )?;
-            for (_, outcome) in outcomes {
-                match outcome {
-                    None => stats.skipped_groups += 1,
-                    Some(out) => fold_group_refresh(
-                        out,
-                        &mut stats,
-                        &mut changed,
-                        &mut seed_split,
-                        &mut prop_split,
-                    ),
-                }
-            }
-        } else {
-            for &gid in &self.topo {
-                let plan = &self.plans[gid];
-                let seed = partitions.get(plan.relation.as_str());
-                let propagate = plan
-                    .incoming
-                    .iter()
-                    .any(|inc| changed.contains_key(&inc.view));
-                if seed.is_none() && !propagate {
-                    stats.skipped_groups += 1;
-                    continue;
-                }
-                let out = refresh_group(
-                    plan,
-                    seed,
-                    num_attrs,
-                    &staged_db,
-                    &self.computed,
-                    &changed,
-                    dynamics,
-                    threads,
-                )?;
-                fold_group_refresh(
-                    out,
-                    &mut stats,
-                    &mut changed,
-                    &mut seed_split,
-                    &mut prop_split,
-                );
-            }
-        }
-
-        // Fold the signed deltas into the retained state. `Arc::make_mut`
-        // is the copy-on-write step: only views on the refresh frontier are
-        // cloned, and only when a published generation still pins them.
-        // Residues that are zero up to rounding snap to exact zero so the
-        // pruning below drops keys whose aggregates cancelled. Each fold
-        // also settles the view's certificate account: the exact encoded
-        // net moves the shadow ledger, never the re-encoded float state.
-        let mut accounts = Vec::with_capacity(changed.len());
-        for (vid, d) in changed {
-            stats.views_changed += 1;
-            let rows_before = self.computed.get(&vid).map_or(0, |cv| cv.len() as u64);
-            let entry = self.computed.entry(vid).or_insert_with(|| {
-                Arc::new(ComputedView::new(d.key_attrs.clone(), d.num_aggregates))
-            });
-            let cv = Arc::make_mut(entry);
-            cv.merge_signed_snapped(&d, 1.0, CANCELLATION_REL_EPS);
-            cv.prune_zero_entries();
-
-            let split = seed_split.remove(&vid);
-            let prop = prop_split.remove(&vid);
-            let (inserted, deleted, propagated, net) = match (split, prop) {
-                // Seeded views: net is defined as inserted - deleted (+ the
-                // propagated component when the same transaction also changed
-                // an incoming view), so the checker's signed identity holds
-                // exactly.
-                (Some((ins, del)), prop) => {
-                    let net: Vec<i128> = ins
-                        .iter()
-                        .zip(&del)
-                        .enumerate()
-                        .map(|(i, (a, b))| a - b + prop.as_ref().map_or(0, |p| p[i]))
-                        .collect();
-                    (Some(ins), Some(del), prop, net)
-                }
-                // Purely propagated views: the net is the sum of the encoded
-                // per-scan totals; the certificate carries no split.
-                (None, Some(p)) => (None, None, None, p),
-                // Unreachable (every changed view came from a scan above),
-                // but harmless: observe the net from the merged delta.
-                (None, None) => (None, None, None, encoded_totals(&d)),
-            };
-            let totals_before = self
-                .shadow
-                .get(&vid)
-                .cloned()
-                .unwrap_or_else(|| vec![0; net.len()]);
-            let totals_after: Vec<i128> =
-                totals_before.iter().zip(&net).map(|(a, b)| a + b).collect();
-            self.shadow.insert(vid, totals_after.clone());
-            accounts.push(ViewDeltaAccount {
-                view: vid.0 as u32,
-                rows_before,
-                rows_after: cv.len() as u64,
-                inserted,
-                deleted,
-                propagated,
-                net,
-                totals_before,
-                totals_after,
-            });
-        }
-        accounts.sort_by_key(|a| a.view);
-
-        // Publish: swap in the staged database, project the new results,
-        // emit the chained maintenance certificate and swap the handle's
-        // pointer. Everything above ran on private state; readers observe
-        // the new generation — one per transaction — atomically or not at
-        // all.
-        self.db = staged_db;
-        self.generation += 1;
-        self.txns += 1;
-        let results = project_results(&self.inner, &self.computed)?;
-        let certificate = Certificate::Maintenance(MaintenanceCertificate {
-            version: CERTIFICATE_VERSION,
-            generation: self.generation,
-            txn: self.txns,
-            parent_generation: self.generation - 1,
-            parent_hash: self.last_fingerprint,
-            relations: relation_accounts,
-            views: accounts,
-            queries: self.ledger_query_totals(),
-        });
+    /// Publishes the maintainer's current state — already advanced to the
+    /// next generation by [`Maintainer::commit`] — as one immutable snapshot:
+    /// swaps the handle's pointer, retains the generation writer-side and
+    /// retires the oldest past the history window.
+    pub(crate) fn publish(&mut self, results: BatchResult, certificate: Certificate) {
         self.last_fingerprint = fingerprint(&certificate);
         let snapshot = Arc::new(ViewSnapshot {
             generation: self.generation,
@@ -735,545 +462,17 @@ impl Maintainer {
             certificate: Arc::new(certificate),
         });
         self.handle.publish(Arc::clone(&snapshot));
-        // Generation GC: retain the new generation writer-side and retire
-        // the oldest past the window. Retiring only drops the writer's
-        // reference — pinned readers keep their own generation alive.
         self.history.push_back(snapshot);
+        self.retire();
+    }
+
+    /// Generation GC: drops the writer's reference to the generations past
+    /// the history window. Pinned readers keep their own generation alive.
+    fn retire(&mut self) {
         while self.history.len() > self.history_window {
             self.history.pop_front();
         }
-        Ok(stats)
     }
-
-    /// Per-query totals as of the maintainer's current state, read from the
-    /// shadow ledger (the chain checker verifies them against the state it
-    /// tracks independently from the execute root forward).
-    fn ledger_query_totals(&self) -> Vec<QueryTotals> {
-        self.inner
-            .queries
-            .iter()
-            .map(|pq| QueryTotals {
-                name: pq.name.clone(),
-                view: pq.view.0 as u32,
-                rows: self.computed.get(&pq.view).map_or(0, |cv| cv.len() as u64),
-                aggregate_indices: pq.aggregate_indices.iter().map(|&i| i as u32).collect(),
-                totals: pq
-                    .aggregate_indices
-                    .iter()
-                    .map(|&i| self.shadow.get(&pq.view).map_or(0, |t| t[i]))
-                    .collect(),
-            })
-            .collect()
-    }
-}
-
-/// Encoded (inserted, deleted) totals of one view's seed refresh — the two
-/// signed halves the maintenance certificate accounts separately.
-type SeedTotals = (Vec<i128>, Vec<i128>);
-
-/// The private output of one group's frontier refresh: everything the commit
-/// folds into shared state afterwards, so a group can run on any worker
-/// without touching the maintainer.
-struct GroupRefresh {
-    /// True when the group's own relation changed (a seed refresh), false
-    /// for a purely propagated one.
-    seeded: bool,
-    /// Delta scans the group executed.
-    scans: usize,
-    /// Merged signed output delta per view, in plan output order (empty
-    /// deltas included; the fold filters them).
-    deltas: Vec<(ViewId, Arc<ComputedView>)>,
-    /// Encoded (inserted, deleted) seed totals per view.
-    seed_split: Vec<(ViewId, SeedTotals)>,
-    /// Summed encoded propagation totals per view.
-    prop_split: Vec<(ViewId, Vec<i128>)>,
-}
-
-/// Refreshes one group of the frontier: the seed contribution of its
-/// relation's delta partitions plus the propagation of upstream view deltas,
-/// exactly as the sequential walk computes them. Pure with respect to the
-/// maintainer — reads the staged database, the retained (old) views, and the
-/// deltas of upstream views; returns everything it produced.
-#[allow(clippy::too_many_arguments)]
-fn refresh_group(
-    plan: &GroupPlan,
-    seed: Option<&(Relation, Relation)>,
-    num_attrs: usize,
-    staged_db: &DatabaseSnapshot,
-    computed: &FxHashMap<ViewId, Arc<ComputedView>>,
-    upstream: &FxHashMap<ViewId, Arc<ComputedView>>,
-    dynamics: &DynamicRegistry,
-    scan_threads: usize,
-) -> Result<GroupRefresh, EngineError> {
-    let changed_incoming: Vec<bool> = plan
-        .incoming
-        .iter()
-        .map(|inc| upstream.contains_key(&inc.view))
-        .collect();
-    let propagate = changed_incoming.iter().any(|&c| c);
-    let mut out = GroupRefresh {
-        seeded: seed.is_some(),
-        scans: 0,
-        deltas: Vec::new(),
-        seed_split: Vec::new(),
-        prop_split: Vec::new(),
-    };
-
-    // Seed contribution: the delta partitions scanned against the retained
-    // (old) incoming views.
-    let mut group_deltas: Option<Vec<(ViewId, ComputedView)>> = None;
-    if let Some((inserts, deletes)) = seed {
-        out.scans += [inserts, deletes]
-            .into_iter()
-            .filter(|p| !p.is_empty())
-            .count();
-        let mut acc = scan_partition(inserts, num_attrs, plan, computed, dynamics)?;
-        let neg = scan_partition(deletes, num_attrs, plan, computed, dynamics)?;
-        for ((vid, a), (nvid, d)) in acc.iter_mut().zip(&neg) {
-            debug_assert_eq!(vid, nvid);
-            out.seed_split
-                .push((*vid, (encoded_totals(a), encoded_totals(d))));
-            a.merge_signed(d, -1.0);
-        }
-        group_deltas = Some(acc);
-    }
-
-    // Propagation contribution: charge the incoming-view deltas against the
-    // *updated* relation.
-    if propagate {
-        let relation = staged_db
-            .relation(&plan.relation)
-            .map_err(|_| EngineError::UnknownRelation(plan.relation.clone()))?;
-        let scans: Vec<Vec<(ViewId, ComputedView)>> =
-            if multi_changed_terms(plan, &changed_incoming) {
-                // Some term multiplies two changed views together, so the output
-                // delta is not linear in any single view. Telescope: step t
-                // charges the t-th changed view's delta, with earlier changed
-                // views at their NEW state and later ones still OLD — the steps
-                // sum exactly to the total change. The NEW states are built
-                // locally from old + delta (recomputed per group; only the rare
-                // multi-changed-term shape pays this).
-                let steps: Vec<(usize, ViewId)> = plan
-                    .incoming
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, inc)| upstream.contains_key(&inc.view))
-                    .map(|(i, inc)| (i, inc.view))
-                    .collect();
-                let mut staged_views: FxHashMap<ViewId, ComputedView> = FxHashMap::default();
-                for &(_, vid) in &steps {
-                    staged_views.entry(vid).or_insert_with(|| {
-                        let d = &upstream[&vid];
-                        let mut nv = computed.get(&vid).map_or_else(
-                            || ComputedView::new(d.key_attrs.clone(), d.num_aggregates),
-                            |cv| (**cv).clone(),
-                        );
-                        nv.merge_signed(d, 1.0);
-                        nv.prune_zero_entries();
-                        nv
-                    });
-                }
-                let mut earlier: FxHashSet<ViewId> = FxHashSet::default();
-                let mut scans = Vec::with_capacity(steps.len());
-                for &(idx, vid) in &steps {
-                    let mut one_hot = vec![false; plan.incoming.len()];
-                    one_hot[idx] = true;
-                    let mask = active_slots(plan, &one_hot);
-                    let overlay = TelescopeOverlay {
-                        full: computed,
-                        staged: &staged_views,
-                        deltas: upstream,
-                        current: vid,
-                        earlier: &earlier,
-                    };
-                    scans.push(scan_morsels(
-                        relation,
-                        num_attrs,
-                        plan,
-                        &overlay,
-                        dynamics,
-                        Some(&mask),
-                        scan_threads,
-                    )?);
-                    earlier.insert(vid);
-                }
-                scans
-            } else {
-                // No term references two changed views, so the output delta is
-                // jointly linear in them: one combined scan with every changed
-                // view overlaid by its delta and every affected slot unmasked.
-                let mask = active_slots(plan, &changed_incoming);
-                let overlay = DeltaOverlay {
-                    full: computed,
-                    deltas: upstream,
-                };
-                vec![scan_morsels(
-                    relation,
-                    num_attrs,
-                    plan,
-                    &overlay,
-                    dynamics,
-                    Some(&mask),
-                    scan_threads,
-                )?]
-            };
-        out.scans += scans.len();
-        for scan in scans {
-            for (vid, d) in &scan {
-                let enc = encoded_totals(d);
-                match out.prop_split.iter_mut().find(|(v, _)| v == vid) {
-                    Some((_, totals)) => {
-                        for (t, e) in totals.iter_mut().zip(&enc) {
-                            *t += e;
-                        }
-                    }
-                    None => out.prop_split.push((*vid, enc)),
-                }
-            }
-            match &mut group_deltas {
-                Some(acc) => {
-                    for ((vid, a), (svid, d)) in acc.iter_mut().zip(&scan) {
-                        debug_assert_eq!(vid, svid);
-                        a.merge_signed(d, 1.0);
-                    }
-                }
-                None => group_deltas = Some(scan),
-            }
-        }
-    }
-
-    out.deltas = group_deltas
-        .unwrap_or_default()
-        .into_iter()
-        .map(|(vid, cv)| (vid, Arc::new(cv)))
-        .collect();
-    Ok(out)
-}
-
-/// Folds one group's private refresh output into the commit's shared
-/// accumulators, in the same order the sequential walk would.
-fn fold_group_refresh(
-    out: GroupRefresh,
-    stats: &mut RefreshStats,
-    changed: &mut FxHashMap<ViewId, Arc<ComputedView>>,
-    seed_split: &mut FxHashMap<ViewId, (Vec<i128>, Vec<i128>)>,
-    prop_split: &mut FxHashMap<ViewId, Vec<i128>>,
-) {
-    if out.seeded {
-        stats.seed_groups += 1;
-    } else {
-        stats.propagated_groups += 1;
-    }
-    stats.group_scans += out.scans;
-    for (vid, split) in out.seed_split {
-        seed_split.insert(vid, split);
-    }
-    for (vid, enc) in out.prop_split {
-        let totals = prop_split.entry(vid).or_insert_with(|| vec![0; enc.len()]);
-        for (t, e) in totals.iter_mut().zip(&enc) {
-            *t += e;
-        }
-    }
-    for (vid, cv) in out.deltas {
-        // An empty delta means the view did not change: leaving it out lets
-        // downstream groups skip entirely.
-        if !cv.is_empty() {
-            changed.insert(vid, cv);
-        }
-    }
-}
-
-/// Shared state of the parallel frontier walk — the commit-side analog of
-/// the executor's dependency-counted ready queue.
-struct FrontierSched {
-    ready: Vec<usize>,
-    indegree: FxHashMap<usize, usize>,
-    /// Published view deltas of completed groups (non-empty ones only, the
-    /// same contract as the sequential walk's `changed` map).
-    deltas: FxHashMap<ViewId, Arc<ComputedView>>,
-    outcomes: FxHashMap<usize, Option<GroupRefresh>>,
-    remaining: usize,
-    error: Option<EngineError>,
-}
-
-fn lock_sched(m: &Mutex<FrontierSched>) -> MutexGuard<'_, FrontierSched> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Refreshes the affected groups concurrently: a group becomes ready once
-/// every producer among `affected` has finished, runs its scans against a
-/// snapshot of the published deltas, and releases its dependents. Outer
-/// workers carry the parallelism, so each group's scans run single-threaded
-/// (no pool oversubscription). Returns one outcome per affected group in
-/// `affected` (topological) order — `None` for groups whose upstream deltas
-/// all cancelled away (skipped without a scan).
-///
-/// Deterministic by construction: a group's inputs are fixed at readiness
-/// (exactly its producers' deltas, regardless of worker schedule), the
-/// morsel scans are thread-count invariant, and the caller folds outcomes
-/// in topological order.
-#[allow(clippy::too_many_arguments)]
-fn refresh_frontier_parallel(
-    affected: &[usize],
-    plans: &[GroupPlan],
-    partitions: &FxHashMap<&str, (Relation, Relation)>,
-    num_attrs: usize,
-    staged_db: &DatabaseSnapshot,
-    computed: &FxHashMap<ViewId, Arc<ComputedView>>,
-    dynamics: &DynamicRegistry,
-    threads: usize,
-) -> Result<Vec<(usize, Option<GroupRefresh>)>, EngineError> {
-    // Producer edges among the affected groups: view -> the affected group
-    // producing it, then per-group dependency counts and dependent lists.
-    let in_set: FxHashSet<usize> = affected.iter().copied().collect();
-    let mut producer: FxHashMap<ViewId, usize> = FxHashMap::default();
-    for &gid in affected {
-        for output in &plans[gid].outputs {
-            producer.insert(output.view, gid);
-        }
-    }
-    let mut dependents: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-    let mut indegree: FxHashMap<usize, usize> = FxHashMap::default();
-    for &gid in affected {
-        let mut deps: Vec<usize> = plans[gid]
-            .incoming
-            .iter()
-            .filter_map(|inc| producer.get(&inc.view).copied())
-            .filter(|&p| p != gid && in_set.contains(&p))
-            .collect();
-        deps.sort_unstable();
-        deps.dedup();
-        indegree.insert(gid, deps.len());
-        for p in deps {
-            dependents.entry(p).or_default().push(gid);
-        }
-    }
-    let ready: Vec<usize> = affected
-        .iter()
-        .copied()
-        .filter(|g| indegree[g] == 0)
-        .collect();
-    let state = Mutex::new(FrontierSched {
-        ready,
-        indegree,
-        deltas: FxHashMap::default(),
-        outcomes: FxHashMap::default(),
-        remaining: affected.len(),
-        error: None,
-    });
-    let wake = Condvar::new();
-    let workers = threads.min(affected.len()).max(1);
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let (gid, upstream) = {
-                    let mut st = lock_sched(&state);
-                    loop {
-                        if st.error.is_some() || st.remaining == 0 {
-                            return;
-                        }
-                        if let Some(gid) = st.ready.pop() {
-                            // The delta snapshot is complete for this group:
-                            // readiness means every producer already
-                            // published. Cloning the map clones Arcs only.
-                            break (gid, st.deltas.clone());
-                        }
-                        st = wake.wait(st).unwrap_or_else(PoisonError::into_inner);
-                    }
-                };
-                let plan = &plans[gid];
-                let seed = partitions.get(plan.relation.as_str());
-                let propagate = plan
-                    .incoming
-                    .iter()
-                    .any(|inc| upstream.contains_key(&inc.view));
-                let outcome = if seed.is_none() && !propagate {
-                    Ok(None)
-                } else {
-                    refresh_group(
-                        plan, seed, num_attrs, staged_db, computed, &upstream, dynamics, 1,
-                    )
-                    .map(Some)
-                };
-                let mut st = lock_sched(&state);
-                match outcome {
-                    Err(e) => {
-                        st.error.get_or_insert(e);
-                        wake.notify_all();
-                        return;
-                    }
-                    Ok(res) => {
-                        if let Some(out) = &res {
-                            for (vid, cv) in &out.deltas {
-                                if !cv.is_empty() {
-                                    st.deltas.insert(*vid, Arc::clone(cv));
-                                }
-                            }
-                        }
-                        st.outcomes.insert(gid, res);
-                        st.remaining -= 1;
-                        if let Some(deps) = dependents.get(&gid) {
-                            for &dep in deps {
-                                let d = st.indegree.get_mut(&dep).expect("dependent is affected");
-                                *d -= 1;
-                                if *d == 0 {
-                                    st.ready.push(dep);
-                                }
-                            }
-                        }
-                        wake.notify_all();
-                    }
-                }
-            });
-        }
-    })
-    .expect("frontier worker panicked");
-    let mut st = state.into_inner().unwrap_or_else(PoisonError::into_inner);
-    if let Some(e) = st.error.take() {
-        return Err(e);
-    }
-    Ok(affected
-        .iter()
-        .map(|&gid| {
-            let outcome = st
-                .outcomes
-                .remove(&gid)
-                .expect("every affected group completed");
-            (gid, outcome)
-        })
-        .collect())
-}
-
-/// Resolves incoming views during a propagation scan: changed views resolve
-/// to their signed deltas, unchanged views to the retained full results.
-struct DeltaOverlay<'a> {
-    full: &'a FxHashMap<ViewId, Arc<ComputedView>>,
-    deltas: &'a FxHashMap<ViewId, Arc<ComputedView>>,
-}
-
-impl ViewSource for DeltaOverlay<'_> {
-    fn view_result(&self, id: ViewId) -> Option<&ComputedView> {
-        self.deltas
-            .get(&id)
-            .map(|cv| &**cv)
-            .or_else(|| self.full.view_result(id))
-    }
-}
-
-/// Resolves incoming views during one telescoped propagation step: the
-/// current view resolves to its signed delta, views charged in *earlier*
-/// steps to their staged NEW state, and everything else to the retained OLD
-/// state. Summing the steps telescopes exactly to the group's total change.
-struct TelescopeOverlay<'a> {
-    full: &'a FxHashMap<ViewId, Arc<ComputedView>>,
-    staged: &'a FxHashMap<ViewId, ComputedView>,
-    deltas: &'a FxHashMap<ViewId, Arc<ComputedView>>,
-    current: ViewId,
-    earlier: &'a FxHashSet<ViewId>,
-}
-
-impl ViewSource for TelescopeOverlay<'_> {
-    fn view_result(&self, id: ViewId) -> Option<&ComputedView> {
-        if id == self.current {
-            self.deltas.get(&id).map(|cv| &**cv)
-        } else if self.earlier.contains(&id) {
-            self.staged.get(&id)
-        } else {
-            self.full.view_result(id)
-        }
-    }
-}
-
-/// True if some term slot of `plan` multiplies together two *different*
-/// changed incoming views — the one shape whose output delta is not jointly
-/// linear in the changed views, forcing the telescoped propagation.
-fn multi_changed_terms(plan: &GroupPlan, changed_incoming: &[bool]) -> bool {
-    fn note(slot_ref: &mut [Option<usize>], slot: usize, inc: usize) -> bool {
-        match slot_ref[slot] {
-            Some(prev) => prev != inc,
-            None => {
-                slot_ref[slot] = Some(inc);
-                false
-            }
-        }
-    }
-    let mut slot_ref: Vec<Option<usize>> = vec![None; plan.num_slots];
-    for program in &plan.programs {
-        for update in program {
-            if let DepthUpdate::ScalarView { slot, incoming, .. } = update {
-                if changed_incoming[*incoming] && note(&mut slot_ref, *slot, *incoming) {
-                    return true;
-                }
-            }
-        }
-    }
-    for output in &plan.outputs {
-        for agg in &output.aggregates {
-            for term in &agg.terms {
-                for &(inc, _) in &term.extra_refs {
-                    if changed_incoming[inc] && note(&mut slot_ref, term.slot, inc) {
-                        return true;
-                    }
-                }
-            }
-        }
-    }
-    false
-}
-
-/// Runs a seed group's plan over one delta partition (already sorted into
-/// the plan's trie order), skipping the scan entirely for empty partitions.
-fn scan_partition<V: ViewSource>(
-    partition: &Relation,
-    num_attrs: usize,
-    plan: &GroupPlan,
-    computed: &V,
-    dynamics: &DynamicRegistry,
-) -> Result<Vec<(ViewId, ComputedView)>, EngineError> {
-    if partition.is_empty() {
-        return Ok(plan
-            .outputs
-            .iter()
-            .map(|o| {
-                (
-                    o.view,
-                    ComputedView::new(o.key_attrs.clone(), o.aggregates.len()),
-                )
-            })
-            .collect());
-    }
-    execute_group_scan(partition, num_attrs, plan, computed, dynamics, None, None)
-}
-
-/// The term slots of `plan` that reference at least one changed incoming
-/// view — the only terms that can contribute to the group's output delta
-/// when changed views are overlaid with their deltas. Everything else is
-/// masked to zero.
-fn active_slots(plan: &GroupPlan, changed_incoming: &[bool]) -> Vec<bool> {
-    let mut active = vec![false; plan.num_slots];
-    for program in &plan.programs {
-        for update in program {
-            if let DepthUpdate::ScalarView { slot, incoming, .. } = update {
-                if changed_incoming[*incoming] {
-                    active[*slot] = true;
-                }
-            }
-        }
-    }
-    for output in &plan.outputs {
-        for agg in &output.aggregates {
-            for term in &agg.terms {
-                if term
-                    .extra_refs
-                    .iter()
-                    .any(|&(inc, _)| changed_incoming[inc])
-                {
-                    active[term.slot] = true;
-                }
-            }
-        }
-    }
-    active
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! maintenance: the sufficient statistics of ridge linear regression are one
 //! aggregate batch, so keeping that batch maintained keeps the *model*
 //! trainable at any moment without touching the data again. A
-//! [`StreamingCovar`] owns a [`MaintainedBatch`] over the covar batch:
+//! [`StreamingCovar`] owns a [`Maintainer`] over the covar batch:
 //! [`StreamingCovar::apply`] absorbs a [`TableDelta`] with delta-sized work,
 //! [`StreamingCovar::matrix`] projects the current sufficient statistics,
 //! and [`StreamingCovar::train`] runs BGD over them (seconds of arithmetic
@@ -12,14 +12,14 @@
 
 use crate::covar::{assemble_covar_matrix, covar_batch, CovarBatch, CovarMatrix, CovarSpec};
 use crate::linreg::{train_linear_regression, LinRegConfig, LinearRegressionModel};
-use lmfao_core::{Engine, EngineError, MaintainedBatch, RefreshStats};
+use lmfao_core::{Engine, EngineError, Maintainer, RefreshStats};
 use lmfao_data::TableDelta;
 use lmfao_expr::DynamicRegistry;
 
 /// A covariance matrix kept fresh under base-relation updates.
 #[derive(Debug)]
 pub struct StreamingCovar {
-    maintained: MaintainedBatch,
+    maintained: Maintainer,
     cb: CovarBatch,
 }
 
@@ -30,7 +30,7 @@ impl StreamingCovar {
         let cb = covar_batch(spec);
         let maintained = engine
             .prepare(&cb.batch)?
-            .into_maintained(&DynamicRegistry::new())?;
+            .into_serving(&DynamicRegistry::new())?;
         Ok(StreamingCovar { maintained, cb })
     }
 
@@ -43,7 +43,10 @@ impl StreamingCovar {
     /// The current covariance matrix (continuous features + intercept),
     /// projected from the maintained views — no scan runs.
     pub fn matrix(&self) -> Result<CovarMatrix, EngineError> {
-        Ok(assemble_covar_matrix(&self.cb, &self.maintained.results()?))
+        Ok(assemble_covar_matrix(
+            &self.cb,
+            self.maintained.snapshot().results(),
+        ))
     }
 
     /// Trains ridge linear regression over the current sufficient statistics.
@@ -51,8 +54,8 @@ impl StreamingCovar {
         Ok(train_linear_regression(&self.matrix()?, config))
     }
 
-    /// The underlying maintained batch (database access, refresh stats…).
-    pub fn maintained(&self) -> &MaintainedBatch {
+    /// The underlying maintainer (database access, published snapshots…).
+    pub fn maintained(&self) -> &Maintainer {
         &self.maintained
     }
 }

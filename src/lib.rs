@@ -94,11 +94,12 @@
 //!
 //! When base relations receive updates, a prepared batch can be promoted to
 //! *live materialized state* with
-//! [`engine::PreparedBatch::into_maintained`]: the
-//! [`engine::MaintainedBatch`] retains every computed view and absorbs
-//! signed [`data::TableDelta`]s (inserts + deletes) with work proportional
-//! to the delta — only the groups that (transitively) depend on the changed
-//! relation are touched, and they re-scan the delta partition, not the data.
+//! [`engine::PreparedBatch::into_serving`]: the [`engine::Maintainer`]
+//! retains every computed view and absorbs signed [`data::TableDelta`]s
+//! (inserts + deletes) with work proportional to the delta — only the groups
+//! that (transitively) depend on the changed relation are touched, and they
+//! re-scan the delta partition, not the data. Results are read through
+//! [`engine::Maintainer::snapshot`], the latest published generation.
 //!
 //! ```
 //! use lmfao::prelude::*;
@@ -136,8 +137,8 @@
 //! // Same Sales ⋈ Items setup as above. Prepare once, go live:
 //! let engine = Engine::new(db, tree, EngineConfig::default());
 //! let dynamics = DynamicRegistry::new();
-//! let mut live = engine.prepare(&batch).unwrap().into_maintained(&dynamics).unwrap();
-//! assert_eq!(live.results().unwrap().query("revenue").scalar()[0], 80.0);
+//! let mut live = engine.prepare(&batch).unwrap().into_serving(&dynamics).unwrap();
+//! assert_eq!(live.snapshot().results().query("revenue").scalar()[0], 80.0);
 //!
 //! // A signed delta: one sale appended, one retracted.
 //! let mut delta = TableDelta::for_relation(live.database().relation("Sales").unwrap());
@@ -147,8 +148,8 @@
 //! assert!(stats.views_changed > 0);
 //!
 //! // Results refreshed without re-scanning the base data.
-//! assert_eq!(live.results().unwrap().query("count").scalar()[0], 2.0);
-//! assert_eq!(live.results().unwrap().query("revenue").scalar()[0], 70.0);
+//! assert_eq!(live.snapshot().results().query("count").scalar()[0], 2.0);
+//! assert_eq!(live.snapshot().results().query("revenue").scalar()[0], 70.0);
 //! ```
 //!
 //! `lmfao_ml::StreamingCovar` keeps a model's sufficient statistics
@@ -159,7 +160,7 @@
 //!
 //! ## Concurrent serving: writers never block readers
 //!
-//! A maintained batch can serve concurrent readers while it refreshes. Every
+//! A maintainer can serve concurrent readers while it refreshes. Every
 //! refresh **publishes** an immutable [`engine::ViewSnapshot`] — generation
 //! number, the database state, every computed view, the projected results —
 //! and readers pin whatever generation they [`engine::SnapshotHandle::load`]:
@@ -203,7 +204,7 @@
 //! // Same Sales ⋈ Items setup as above.
 //! let engine = Engine::new(db, tree, EngineConfig::default());
 //! let dynamics = DynamicRegistry::new();
-//! let mut live = engine.prepare(&batch).unwrap().into_maintained(&dynamics).unwrap();
+//! let mut live = engine.prepare(&batch).unwrap().into_serving(&dynamics).unwrap();
 //!
 //! // A reader pins generation 0. (Readers on other threads would clone
 //! // `live.handle()` and `load()` their own pins — no lock is held while
@@ -234,8 +235,7 @@
 //!
 //! Updates that belong together commit together. A [`data::Transaction`] is
 //! a set of [`data::TableDelta`]s over *multiple* relations, and
-//! [`engine::MaintainedBatch::commit`] (same name on
-//! [`engine::Maintainer`]) applies the whole set in **one** DAG walk: the
+//! [`engine::Maintainer::commit`] applies the whole set in **one** DAG walk: the
 //! refresh frontiers of every changed relation are unioned, each affected
 //! group is scanned once with the changed slots masked, and exactly one
 //! generation is published — readers never observe a state where one
@@ -286,7 +286,7 @@
 //! // Same Sales ⋈ Items setup as above. Prepare once, go live:
 //! let engine = Engine::new(db, tree, EngineConfig::default());
 //! let dynamics = DynamicRegistry::new();
-//! let mut live = engine.prepare(&batch).unwrap().into_maintained(&dynamics).unwrap();
+//! let mut live = engine.prepare(&batch).unwrap().into_serving(&dynamics).unwrap();
 //! let pinned = live.snapshot();
 //!
 //! // Buffer one business event: a sale lands AND its item reprices.
@@ -426,9 +426,9 @@ pub mod prelude {
     pub use lmfao_certify::{check_certificate, check_chain, CertError, Certificate, ChainSummary};
     pub use lmfao_core::{
         check_history, snapshot_digest, BatchResult, CommitEvent, DeltaBuffer, Engine,
-        EngineConfig, EngineError, EngineStats, History, IsoViolation, MaintainedBatch, Maintainer,
-        PreparedBatch, QueryResult, ReadEvent, RefreshStats, SharedDatabase, SnapshotHandle,
-        ViewSnapshot, DEFAULT_HISTORY_WINDOW,
+        EngineConfig, EngineError, EngineStats, History, IsoViolation, Maintainer, PreparedBatch,
+        QueryResult, ReadEvent, RefreshStats, SharedDatabase, SnapshotHandle, ViewSnapshot,
+        DEFAULT_HISTORY_WINDOW,
     };
     pub use lmfao_data::{
         AttrId, AttrType, Database, DatabaseSchema, DatabaseSnapshot, Relation, RelationSchema,

@@ -85,9 +85,9 @@ fn chain_for(ds: &Dataset, applies: usize) -> Vec<Certificate> {
     let mut live = engine_for(ds, EngineConfig::default())
         .prepare(&batch)
         .unwrap()
-        .into_maintained(&dynamics)
+        .into_serving(&dynamics)
         .unwrap();
-    let mut chain: Vec<Certificate> = vec![(*live.certificate()).clone()];
+    let mut chain: Vec<Certificate> = vec![(**live.snapshot().certificate()).clone()];
     let stream = update_stream(
         ds,
         fact_relation(&ds.name),
@@ -95,7 +95,7 @@ fn chain_for(ds: &Dataset, applies: usize) -> Vec<Certificate> {
     );
     for delta in &stream {
         live.commit(delta, &dynamics).unwrap();
-        chain.push((*live.certificate()).clone());
+        chain.push((**live.snapshot().certificate()).clone());
     }
     chain
 }
@@ -229,9 +229,9 @@ fn one_certificate_per_transaction_accounts_every_relation() {
     let mut live = engine_for(&ds, EngineConfig::default())
         .prepare(&workload(&ds))
         .unwrap()
-        .into_maintained(&dynamics)
+        .into_serving(&dynamics)
         .unwrap();
-    let mut chain: Vec<Certificate> = vec![(*live.certificate()).clone()];
+    let mut chain: Vec<Certificate> = vec![(**live.snapshot().certificate()).clone()];
 
     let relations = txn_relations(&ds.name);
     let txns = transaction_stream(&ds, &relations, &UpdateMix::balanced(4).seed(13));
@@ -239,7 +239,7 @@ fn one_certificate_per_transaction_accounts_every_relation() {
     for txn in &txns {
         let spanned = txn.num_relations();
         live.commit(txn.clone(), &dynamics).unwrap();
-        let cert = (*live.certificate()).clone();
+        let cert = (**live.snapshot().certificate()).clone();
         let Certificate::Maintenance(m) = &cert else {
             panic!("commits emit maintenance certificates");
         };

@@ -15,7 +15,7 @@
 //!
 //! Ladder thread counts resolve through `EngineConfig::env_threads`, so CI's
 //! thread-matrix job (`LMFAO_THREADS={1,4}`) runs these properties against
-//! both the sequential path and the morsel scheduler.
+//! the one-worker (inline) and the multi-worker run of the one scheduler.
 
 use lmfao::baseline::RecomputeReference;
 use lmfao::datagen::{self, fact_relation, update_stream, Scale, UpdateMix};
@@ -101,17 +101,17 @@ fn maintained_batches_match_recompute_on_all_datasets_across_the_ladder() {
             let mut maintained = engine
                 .prepare(&batch)
                 .unwrap()
-                .into_maintained(&dynamics)
+                .into_serving(&dynamics)
                 .unwrap();
             let mut reference =
                 RecomputeReference::new(ds.db.clone(), ds.tree.clone(), cfg, batch.clone());
             for (step, delta) in stream.iter().enumerate() {
                 maintained.commit(delta, &dynamics).unwrap();
                 reference.apply(delta).unwrap();
-                let got = maintained.results().unwrap();
+                let got = maintained.snapshot();
                 let want = reference.recompute().unwrap();
                 assert_agree(
-                    &got,
+                    got.results(),
                     &want,
                     false,
                     &format!("{}/{name} step {step}", ds.name),
@@ -141,14 +141,14 @@ fn dimension_streams_propagate_correctly() {
     let mut maintained = engine
         .prepare(&batch)
         .unwrap()
-        .into_maintained(&dynamics)
+        .into_serving(&dynamics)
         .unwrap();
     let mut reference = RecomputeReference::new(ds.db.clone(), ds.tree.clone(), cfg, batch);
     for (step, delta) in stream.iter().enumerate() {
         maintained.commit(delta, &dynamics).unwrap();
         reference.apply(delta).unwrap();
         assert_agree(
-            &maintained.results().unwrap(),
+            maintained.snapshot().results(),
             &reference.recompute().unwrap(),
             false,
             &format!("Item step {step}"),
@@ -212,7 +212,7 @@ fn integer_valued_streams_are_bit_identical_to_recompute() {
         let mut maintained = engine
             .prepare(&batch)
             .unwrap()
-            .into_maintained(&dynamics)
+            .into_serving(&dynamics)
             .unwrap();
         let mut reference = RecomputeReference::new(db.clone(), tree.clone(), cfg, batch.clone());
         // A deterministic mixed stream, deletes always hitting live rows.
@@ -238,7 +238,7 @@ fn integer_valued_streams_are_bit_identical_to_recompute() {
             maintained.commit(&delta, &dynamics).unwrap();
             reference.apply(&delta).unwrap();
             assert_agree(
-                &maintained.results().unwrap(),
+                maintained.snapshot().results(),
                 &reference.recompute().unwrap(),
                 true,
                 &format!("{name} step {step}"),
@@ -252,7 +252,9 @@ fn integer_valued_streams_are_bit_identical_to_recompute() {
 /// deltas committed one relation at a time, and both agree with a full
 /// recompute — on all four datasets, across the ablation ladder. The
 /// one-walk side publishes exactly one generation per transaction; the
-/// sequential side publishes one per delta.
+/// sequential side publishes one per delta. And the write path is one code
+/// path: thread counts 1, 2 and 4 produce equal stats, results and
+/// certificate fingerprints for the same stream.
 #[test]
 fn multi_relation_transactions_match_sequential_and_recompute() {
     use lmfao::datagen::{transaction_stream, txn_relations};
@@ -272,12 +274,12 @@ fn multi_relation_transactions_match_sequential_and_recompute() {
             let mut txn_side = engine
                 .prepare(&batch)
                 .unwrap()
-                .into_maintained(&dynamics)
+                .into_serving(&dynamics)
                 .unwrap();
             let mut seq_side = engine
                 .prepare(&batch)
                 .unwrap()
-                .into_maintained(&dynamics)
+                .into_serving(&dynamics)
                 .unwrap();
             let mut reference =
                 RecomputeReference::new(ds.db.clone(), ds.tree.clone(), cfg, batch.clone());
@@ -296,14 +298,15 @@ fn multi_relation_transactions_match_sequential_and_recompute() {
                 // sums within the documented reassociation slack (the
                 // bit-strict variant lives in `lmfao_core::maintain`'s unit
                 // tests over integer-valued data).
+                let published = txn_side.snapshot();
                 assert_agree(
-                    &txn_side.results().unwrap(),
-                    &seq_side.results().unwrap(),
+                    published.results(),
+                    seq_side.snapshot().results(),
                     false,
                     &context,
                 );
                 assert_agree(
-                    &txn_side.results().unwrap(),
+                    published.results(),
                     &reference.recompute().unwrap(),
                     false,
                     &context,
@@ -323,6 +326,43 @@ fn multi_relation_transactions_match_sequential_and_recompute() {
                 ds.name
             );
             assert!(deltas_applied > committed, "{}/{name}", ds.name);
+        }
+
+        // One write path at every thread count: the same transaction stream
+        // yields the same `RefreshStats` (all seven counters), bit-identical
+        // published results and the same certificate fingerprint, generation
+        // by generation, whether the frontier walk runs inline (1 thread) or
+        // on the scheduler's worker pool (2, 4).
+        let run = |threads: usize| {
+            let mut side = Engine::new(ds.db.clone(), ds.tree.clone(), EngineConfig::full(threads))
+                .prepare(&batch)
+                .unwrap()
+                .into_serving(&dynamics)
+                .unwrap();
+            txns.iter()
+                .map(|txn| {
+                    let stats = side.commit(txn.clone(), &dynamics).unwrap();
+                    let snap = side.snapshot();
+                    let print = lmfao::certify::fingerprint(snap.certificate());
+                    (stats, snap, print)
+                })
+                .collect::<Vec<_>>()
+        };
+        let inline = run(1);
+        assert!(
+            inline
+                .iter()
+                .any(|(stats, ..)| stats.seed_groups + stats.propagated_groups > 1),
+            "{}: the stream must produce multi-group frontiers",
+            ds.name
+        );
+        for threads in [2, 4] {
+            for (step, (pooled, inline)) in run(threads).iter().zip(&inline).enumerate() {
+                let context = format!("{} threads {threads} txn {step}", ds.name);
+                assert_eq!(pooled.0, inline.0, "{context}: RefreshStats");
+                assert_agree(pooled.1.results(), inline.1.results(), true, &context);
+                assert_eq!(pooled.2, inline.2, "{context}: certificate fingerprint");
+            }
         }
     }
 }
@@ -424,10 +464,10 @@ fn multi_morsel_scans_are_bit_identical_including_under_commit() {
         let mut maintained = engine
             .prepare(&batch)
             .unwrap()
-            .into_maintained(&dynamics)
+            .into_serving(&dynamics)
             .unwrap();
         maintained.commit(&delta, &dynamics).unwrap();
-        (fresh, maintained.results().unwrap())
+        (fresh, maintained.snapshot().results().clone())
     };
 
     let (fresh_1, after_1) = run(1);
@@ -456,9 +496,9 @@ fn fully_cancelling_buffer_publishes_zero_generations() {
     let mut live = engine
         .prepare(&batch)
         .unwrap()
-        .into_maintained(&dynamics)
+        .into_serving(&dynamics)
         .unwrap();
-    let before = live.results().unwrap();
+    let before = live.snapshot();
 
     // Every insert is followed by a delete of the same row, across two
     // relations; coalescing cancels the whole changeset.
@@ -482,5 +522,10 @@ fn fully_cancelling_buffer_publishes_zero_generations() {
         live.commit(txn, &dynamics).unwrap();
     }
     assert_eq!(live.snapshot().generation(), 0, "no generation published");
-    assert_agree(&live.results().unwrap(), &before, true, "unchanged state");
+    assert_agree(
+        live.snapshot().results(),
+        before.results(),
+        true,
+        "unchanged state",
+    );
 }
