@@ -8,7 +8,7 @@
 //! swapped between iterations. The `prepared` path calls `Engine::prepare`
 //! once and then only `PreparedBatch::execute`; the `replanned` path pays the
 //! full optimizer stack (roots → pushdown → merging → grouping → plans) on
-//! every iteration via `Engine::execute_with_dynamics`. The `prepare_only`
+//! every iteration by calling `Engine::prepare` again. The `prepare_only`
 //! entry shows the per-call planning cost the prepared API amortizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -157,7 +157,8 @@ fn bench_prepared_vs_replanned(c: &mut Criterion) {
                 for i in 0..ITERATIONS {
                     set_iteration_weight(&mut dynamics, i);
                     acc += engine
-                        .execute_with_dynamics(batch, &dynamics)
+                        .prepare(batch)
+                        .and_then(|prepared| prepared.execute(&dynamics))
                         .unwrap()
                         .query("w_count")
                         .scalar()[0];

@@ -3,8 +3,9 @@
 /// Configuration of the LMFAO engine.
 ///
 /// Each flag corresponds to one of the optimization layers evaluated in the
-/// paper's Figure 5. Turning everything off yields the AC/DC-style proxy
-/// (one interpreted pass per view); turning everything on is full LMFAO.
+/// paper's Figure 5. Turning everything off yields the unoptimized rung (one
+/// root, one scan per view, generic factor evaluation); turning everything on
+/// is full LMFAO. Every rung runs the same executor ([`crate::exec`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Use a different root of the join tree per query (the Find Roots
@@ -14,9 +15,12 @@ pub struct EngineConfig {
     /// (the Multi-Output Optimization layer). When disabled, each view is
     /// computed with its own scan.
     pub multi_output: bool,
-    /// Lower view groups into specialized register programs before execution
-    /// (the substitute for the paper's C++ code generation). When disabled,
-    /// views are evaluated by a straightforward tuple-at-a-time interpreter.
+    /// Lower each local factor of a scan against the relation's typed columns
+    /// once per scan (the substitute for the paper's C++ code generation).
+    /// When disabled, the same loop nest evaluates every factor per row
+    /// through a generic `Value` lookup and `ScalarFunction::evaluate`. The
+    /// results are bit-identical either way, and the flag holds on every
+    /// path: fresh execution, `into_serving` and `commit`.
     pub specialization: bool,
     /// Number of worker threads for task/domain parallelism. `1` disables
     /// the Parallelization layer.
@@ -45,8 +49,8 @@ impl EngineConfig {
         }
     }
 
-    /// The unoptimized proxy (Figure 5's leftmost bar): interpreted,
-    /// single-root, one scan per view, single-threaded.
+    /// The unoptimized rung (Figure 5's leftmost bar): generic factor
+    /// evaluation, single-root, one scan per view, single-threaded.
     pub fn unoptimized() -> Self {
         EngineConfig {
             multi_root: false,
@@ -56,7 +60,8 @@ impl EngineConfig {
         }
     }
 
-    /// Adds specialization only (Figure 5's second bar).
+    /// Adds specialization only — typed factor code in the same scans
+    /// (Figure 5's second bar).
     pub fn with_specialization() -> Self {
         EngineConfig {
             specialization: true,

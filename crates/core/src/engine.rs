@@ -186,12 +186,6 @@ impl Engine {
         &self.config
     }
 
-    /// Replaces the configuration (used by the ablation benchmarks). Batches
-    /// already prepared keep the configuration they were prepared under.
-    pub fn set_config(&mut self, config: EngineConfig) {
-        self.config = config;
-    }
-
     /// Runs every optimizer layer (roots, pushdown, merging, grouping,
     /// multi-output plans) over the batch once and returns the cached
     /// [`PreparedBatch`]. Planning statistics are available immediately via
@@ -208,17 +202,7 @@ impl Engine {
     /// `prepare + execute` convenience. Prefer [`Engine::prepare`] when the
     /// same batch is evaluated more than once.
     pub fn execute(&self, batch: &QueryBatch) -> Result<BatchResult, EngineError> {
-        self.execute_with_dynamics(batch, &DynamicRegistry::new())
-    }
-
-    /// Evaluates a batch once, resolving dynamic UDAFs through `dynamics`: a
-    /// thin `prepare + execute` convenience.
-    pub fn execute_with_dynamics(
-        &self,
-        batch: &QueryBatch,
-        dynamics: &DynamicRegistry,
-    ) -> Result<BatchResult, EngineError> {
-        self.prepare(batch)?.execute(dynamics)
+        self.prepare(batch)?.execute(&DynamicRegistry::new())
     }
 }
 
@@ -276,17 +260,6 @@ mod tests {
         (db, tree)
     }
 
-    /// Brute-force reference: materialize the join and aggregate directly.
-    fn reference_sum_product(db: &Database, a: AttrId, b: AttrId) -> f64 {
-        let rels: Vec<&Relation> = db.relations().iter().collect();
-        let join = natural_join(&rels, "J");
-        let pa = join.position(a).unwrap();
-        let pb = join.position(b).unwrap();
-        (0..join.len())
-            .map(|i| join.value(i, pa).as_f64() * join.value(i, pb).as_f64())
-            .sum()
-    }
-
     fn covar_batch(db: &Database) -> QueryBatch {
         let u = db.schema().attr_id("u").unwrap();
         let v = db.schema().attr_id("v").unwrap();
@@ -304,19 +277,63 @@ mod tests {
         batch
     }
 
+    /// Brute-force reference for [`covar_batch`]: the five query results
+    /// summed row by row over the materialized join, independent of `exec`.
+    fn reference_covar(db: &Database) -> Vec<FxHashMap<Vec<Value>, Vec<f64>>> {
+        let rels: Vec<&Relation> = db.relations().iter().collect();
+        let join = natural_join(&rels, "J");
+        let col = |name: &str| join.position(db.schema().attr_id(name).unwrap()).unwrap();
+        let (x1, u, v) = (col("x1"), col("u"), col("v"));
+        let mut scalars = [0.0f64; 4];
+        let mut per_x1: FxHashMap<Vec<Value>, Vec<f64>> = FxHashMap::default();
+        for i in 0..join.len() {
+            let (uf, vf) = (join.value(i, u).as_f64(), join.value(i, v).as_f64());
+            for (acc, term) in scalars.iter_mut().zip([1.0, uf * uf, uf * vf, vf * vf]) {
+                *acc += term;
+            }
+            let entry = per_x1
+                .entry(vec![join.value(i, x1)])
+                .or_insert_with(|| vec![0.0; 2]);
+            entry[0] += vf;
+            entry[1] += 1.0;
+        }
+        let mut expected: Vec<FxHashMap<Vec<Value>, Vec<f64>>> = scalars
+            .iter()
+            .map(|&s| std::iter::once((Vec::new(), vec![s])).collect())
+            .collect();
+        expected.push(per_x1);
+        expected
+    }
+
+    /// Asserts that `result` holds exactly the keys of `expected`, with
+    /// values within float-reassociation noise.
+    fn assert_matches_reference(
+        name: &str,
+        result: &QueryResult,
+        expected: &FxHashMap<Vec<Value>, Vec<f64>>,
+    ) {
+        assert_eq!(result.len(), expected.len(), "{name}: {}", result.name);
+        for (key, vals) in expected {
+            let got = result
+                .get(key)
+                .unwrap_or_else(|| panic!("{name}: missing {key:?}"));
+            for (g, w) in got.iter().zip(vals) {
+                assert!((g - w).abs() < 1e-9, "{name}: {key:?} {got:?} vs {vals:?}");
+            }
+        }
+    }
+
     #[test]
     fn all_configurations_agree_with_the_materialized_join() {
         let (db, tree) = chain_db();
-        let u = db.schema().attr_id("u").unwrap();
-        let v = db.schema().attr_id("v").unwrap();
-        let expected_uv = reference_sum_product(&db, u, v);
-        let expected_uu = reference_sum_product(&db, u, u);
+        let expected = reference_covar(&db);
+        let scalar = |q: usize| expected[q][&Vec::new()][0];
         let batch = covar_batch(&db);
         for (name, cfg) in EngineConfig::ablation_ladder(2) {
             let engine = Engine::new(db.clone(), tree.clone(), cfg);
             let result = engine.execute(&batch).unwrap();
-            assert_eq!(result.queries[1].scalar()[0], expected_uu, "{name}");
-            assert_eq!(result.queries[2].scalar()[0], expected_uv, "{name}");
+            assert_eq!(result.queries[1].scalar()[0], scalar(1), "{name}");
+            assert_eq!(result.queries[2].scalar()[0], scalar(2), "{name}");
             assert!(result.queries[0].scalar()[0] > 0.0, "{name}");
         }
     }
@@ -325,24 +342,12 @@ mod tests {
     fn group_by_results_are_identical_across_configurations() {
         let (db, tree) = chain_db();
         let batch = covar_batch(&db);
-        let reference = Engine::new(db.clone(), tree.clone(), EngineConfig::unoptimized())
-            .execute(&batch)
-            .unwrap();
-        for (name, cfg) in EngineConfig::ablation_ladder(2).into_iter().skip(1) {
+        let expected = reference_covar(&db);
+        for (name, cfg) in EngineConfig::ablation_ladder(2) {
             let result = Engine::new(db.clone(), tree.clone(), cfg)
                 .execute(&batch)
                 .unwrap();
-            let r = &result.queries[4];
-            let e = &reference.queries[4];
-            assert_eq!(r.len(), e.len(), "{name}");
-            for (key, vals) in e.iter() {
-                let got = r
-                    .get(key)
-                    .unwrap_or_else(|| panic!("{name}: missing {key:?}"));
-                for (g, w) in got.iter().zip(vals) {
-                    assert!((g - w).abs() < 1e-9, "{name}: {key:?} {got:?} vs {vals:?}");
-                }
-            }
+            assert_matches_reference(name, &result.queries[4], &expected[4]);
         }
     }
 
@@ -441,35 +446,27 @@ mod tests {
             first < second,
             "loosening the predicate must grow the count"
         );
-        // The one-shot convenience path agrees with the prepared path.
-        let one_shot = engine.execute_with_dynamics(&batch, &dynamics).unwrap();
-        assert_eq!(one_shot.query("dyn_count").scalar()[0], second);
+        // Preparing again plans the same batch: a fresh prepare + execute
+        // agrees with the cached plan.
+        let replanned = engine.prepare(&batch).unwrap().execute(&dynamics).unwrap();
+        assert_eq!(replanned.query("dyn_count").scalar()[0], second);
     }
 
     #[test]
     fn engines_share_a_prepared_database() {
         let (db, tree) = chain_db();
         let batch = covar_batch(&db);
+        let expected = reference_covar(&db);
         let shared = crate::shared::SharedDatabase::prepare(db, &tree);
-        let reference =
-            Engine::with_shared(shared.clone(), tree.clone(), EngineConfig::unoptimized())
-                .execute(&batch)
-                .unwrap();
-        for (name, cfg) in EngineConfig::ablation_ladder(2).into_iter().skip(1) {
+        for (name, cfg) in EngineConfig::ablation_ladder(2) {
             let engine = Engine::with_shared(shared.clone(), tree.clone(), cfg);
             assert!(crate::shared::SharedDatabase::same_storage(
                 &shared,
                 engine.shared_database()
             ));
             let result = engine.execute(&batch).unwrap();
-            for (r, e) in result.queries.iter().zip(&reference.queries) {
-                assert_eq!(r.len(), e.len(), "{name}");
-                for (key, vals) in e.iter() {
-                    let got = r.get(key).unwrap();
-                    for (g, w) in got.iter().zip(vals) {
-                        assert!((g - w).abs() < 1e-9, "{name}: {key:?}");
-                    }
-                }
+            for (r, e) in result.queries.iter().zip(&expected) {
+                assert_matches_reference(name, r, e);
             }
         }
     }

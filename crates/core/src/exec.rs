@@ -10,6 +10,21 @@
 //! views that carry extra key attributes. This mirrors the specialized C++
 //! code the paper generates (Figure 4), expressed as a register program
 //! instead of generated source.
+//!
+//! This is the engine's only executor, and its per-row loop (`row_product`)
+//! the only evaluator of a product of local factors.
+//! [`EngineConfig::specialization`](crate::config::EngineConfig) does not
+//! select another algorithm: it decides whether each local factor is lowered
+//! against the relation's typed columns once per scan (`compile_factor`) or
+//! stays `FastFactor::Slow` and goes through a generic [`Value`] lookup and
+//! [`ScalarFunction::evaluate`] on every row. Both produce the same bits.
+//!
+//! **Rejected rows contribute exactly 0.** A factor product is evaluated left
+//! to right with the indicator factors first, and is abandoned at the first
+//! exact zero. A row an indicator rejects therefore adds `0.0` to every sum
+//! whatever its other columns hold — a `NaN` or `±inf` measure on a rejected
+//! row never reaches the result — for every range length and with lowering
+//! on or off.
 
 use crate::error::EngineError;
 use crate::plan::{DepthUpdate, GroupPlan, IncomingPlan, KeySource, OutputPlan, TermPlan};
@@ -51,15 +66,15 @@ where
     }
 }
 
-/// A local-expression factor lowered against the scanned relation's typed
-/// columns. The innermost loops of the scan evaluate these directly on native
-/// slices — no [`Value`] is materialized per tuple. Every fast variant is
-/// bit-for-bit equivalent to evaluating the original [`ScalarFunction`]
-/// through the generic `Value` lookup (float comparisons use
-/// [`f64::total_cmp`], exactly like `Value::Double`'s total order); factors
-/// that do not fit a typed shape (dynamic functions, cross-variant indicator
-/// thresholds, attributes stored in [`Column::Mixed`]) keep the generic path
-/// via [`FastFactor::Slow`].
+/// A local-expression factor as the innermost loops evaluate it. The typed
+/// variants read native column slices — no [`Value`] is materialized per
+/// tuple — and each is bit-for-bit equivalent to evaluating the original
+/// [`ScalarFunction`] through the generic `Value` lookup (float comparisons
+/// use [`f64::total_cmp`], exactly like `Value::Double`'s total order).
+/// Factors that do not fit a typed shape (dynamic functions, cross-variant
+/// indicator thresholds, attributes stored in [`Column::Mixed`]), and every
+/// factor of a plan with [`GroupPlan::specialized`] off, are
+/// [`FastFactor::Slow`].
 enum FastFactor<'a> {
     /// `X` over a float column.
     FloatIdent(&'a [f64]),
@@ -75,294 +90,8 @@ enum FastFactor<'a> {
     IntCmp(&'a [i64], CmpOp, i64),
     /// `1[X op t]` over a dictionary column with a categorical threshold.
     DictCmp(&'a [u32], CmpOp, u32),
-    /// Fallback: generic evaluation through the `Value` lookup.
+    /// Generic evaluation through the `Value` lookup.
     Slow(&'a ScalarFunction),
-}
-
-impl FastFactor<'_> {
-    /// Whether the factor has a typed chunked kernel ([`run_kernel`]); only
-    /// [`FastFactor::Slow`] is excluded and keeps the per-row generic path.
-    fn is_kernel(&self) -> bool {
-        !matches!(self, FastFactor::Slow(_))
-    }
-
-    /// Whether the factor is a 0/1 selection mask. A mask's product
-    /// contribution is exactly `0.0` or `1.0`, so multiplying it in at any
-    /// position of the factor product is bit-exact — compilation hoists
-    /// masks to the front of each program, letting the fused kernels skip
-    /// value-factor work on rows the masks reject.
-    fn is_mask(&self) -> bool {
-        matches!(
-            self,
-            FastFactor::FloatCmp(..) | FastFactor::IntCmp(..) | FastFactor::DictCmp(..)
-        )
-    }
-}
-
-/// Rows per kernel chunk: the stack buffer the fused kernels write through.
-/// 1024 doubles (8 KiB) stay comfortably in L1 while amortizing the
-/// per-chunk dispatch to nothing.
-const KERNEL_CHUNK: usize = 1024;
-
-/// Fills the chunk with a 0/1 selection mask: `out[i] = pred(v[i])`.
-#[inline]
-fn mask_fill<T: Copy>(v: &[T], out: &mut [f64], pred: impl Fn(T) -> bool) {
-    for (o, &x) in out.iter_mut().zip(v) {
-        *o = pred(x) as u32 as f64;
-    }
-}
-
-/// Multiplies a 0/1 selection mask into the chunk: `out[i] *= pred(v[i])`.
-/// Branchless, exactly like the row-at-a-time `prod *= indicator`.
-#[inline]
-fn mask_product<T: Copy>(v: &[T], out: &mut [f64], pred: impl Fn(T) -> bool) {
-    for (o, &x) in out.iter_mut().zip(v) {
-        *o *= pred(x) as u32 as f64;
-    }
-}
-
-/// Lowers one comparison factor to a selection-mask kernel. The `op` match
-/// sits outside the loops (manual loop unswitching), so each arm is a tight
-/// branch-free loop over the typed slice; the comparison itself is the
-/// column's native total order — the same order the generic path uses.
-#[inline]
-fn cmp_kernel<T: Copy>(
-    v: &[T],
-    op: CmpOp,
-    out: &mut [f64],
-    first: bool,
-    cmp: impl Fn(T) -> Ordering + Copy,
-) {
-    #[inline]
-    fn go<T: Copy>(v: &[T], out: &mut [f64], first: bool, pred: impl Fn(T) -> bool) {
-        if first {
-            mask_fill(v, out, pred);
-        } else {
-            mask_product(v, out, pred);
-        }
-    }
-    match op {
-        CmpOp::Lt => go(v, out, first, |x| cmp(x) == Ordering::Less),
-        CmpOp::Le => go(v, out, first, |x| cmp(x) != Ordering::Greater),
-        CmpOp::Gt => go(v, out, first, |x| cmp(x) == Ordering::Greater),
-        CmpOp::Ge => go(v, out, first, |x| cmp(x) != Ordering::Less),
-        CmpOp::Eq => go(v, out, first, |x| cmp(x) == Ordering::Equal),
-        CmpOp::Ne => go(v, out, first, |x| cmp(x) != Ordering::Equal),
-    }
-}
-
-/// Runs one factor's chunk kernel for rows `start..start + out.len()`:
-/// the first factor of a product *fills* the buffer, later factors
-/// *multiply* into it. Every loop is over typed slices with no per-row
-/// dispatch — the shapes LLVM autovectorizes.
-fn run_kernel(f: &FastFactor<'_>, start: usize, out: &mut [f64], first: bool) {
-    let n = out.len();
-    match f {
-        FastFactor::FloatIdent(v) => {
-            let v = &v[start..start + n];
-            if first {
-                out.copy_from_slice(v);
-            } else {
-                for (o, &x) in out.iter_mut().zip(v) {
-                    *o *= x;
-                }
-            }
-        }
-        FastFactor::IntIdent(v) => {
-            let v = &v[start..start + n];
-            if first {
-                for (o, &x) in out.iter_mut().zip(v) {
-                    *o = x as f64;
-                }
-            } else {
-                for (o, &x) in out.iter_mut().zip(v) {
-                    *o *= x as f64;
-                }
-            }
-        }
-        FastFactor::FloatPow(v, e) => {
-            let v = &v[start..start + n];
-            if first {
-                for (o, &x) in out.iter_mut().zip(v) {
-                    *o = x.powi(*e);
-                }
-            } else {
-                for (o, &x) in out.iter_mut().zip(v) {
-                    *o *= x.powi(*e);
-                }
-            }
-        }
-        FastFactor::IntPow(v, e) => {
-            let v = &v[start..start + n];
-            if first {
-                for (o, &x) in out.iter_mut().zip(v) {
-                    *o = (x as f64).powi(*e);
-                }
-            } else {
-                for (o, &x) in out.iter_mut().zip(v) {
-                    *o *= (x as f64).powi(*e);
-                }
-            }
-        }
-        FastFactor::FloatCmp(v, op, t) => {
-            let t = *t;
-            cmp_kernel(&v[start..start + n], *op, out, first, move |x: f64| {
-                x.total_cmp(&t)
-            });
-        }
-        FastFactor::IntCmp(v, op, t) => {
-            let t = *t;
-            cmp_kernel(&v[start..start + n], *op, out, first, move |x: i64| {
-                x.cmp(&t)
-            });
-        }
-        FastFactor::DictCmp(v, op, t) => {
-            let t = *t;
-            cmp_kernel(&v[start..start + n], *op, out, first, move |x: u32| {
-                x.cmp(&t)
-            });
-        }
-        FastFactor::Slow(_) => unreachable!("slow factors take the per-row path"),
-    }
-}
-
-/// Evaluates one kernel factor at a single row — the scalar twin of
-/// [`run_kernel`], used on sparse chunks where the selection masks rejected
-/// most rows. Produces bit-identical values to the dense kernels.
-#[inline]
-fn kernel_value_at(f: &FastFactor<'_>, row: usize) -> f64 {
-    match f {
-        FastFactor::FloatIdent(v) => v[row],
-        FastFactor::IntIdent(v) => v[row] as f64,
-        FastFactor::FloatPow(v, e) => v[row].powi(*e),
-        FastFactor::IntPow(v, e) => (v[row] as f64).powi(*e),
-        FastFactor::FloatCmp(v, op, t) => cmp_holds(*op, v[row].total_cmp(t)) as u32 as f64,
-        FastFactor::IntCmp(v, op, t) => cmp_holds(*op, v[row].cmp(t)) as u32 as f64,
-        FastFactor::DictCmp(v, op, t) => cmp_holds(*op, v[row].cmp(t)) as u32 as f64,
-        FastFactor::Slow(_) => unreachable!("slow factors take the per-row path"),
-    }
-}
-
-/// Below `1/SPARSE_DENOM` of a chunk surviving the selection masks, the
-/// value factors switch from dense kernels to a per-survivor scalar loop —
-/// the vectorized kernels only win while they touch at least a quarter of
-/// the rows they load.
-const SPARSE_DENOM: usize = 4;
-
-/// Ranges shorter than this keep the per-row loop: the fixed per-call cost
-/// of the chunk machinery (kernel dispatch per factor, lane reduction) beats
-/// its vector win on the tiny innermost trie ranges high-cardinality join
-/// keys produce, where the scan visits millions of ranges of a few rows.
-const SMALL_RANGE: usize = 32;
-
-/// Applies the value factors of a program to the surviving rows of a chunk
-/// whose selection-mask product is already materialized in `chunk` (exactly
-/// `0.0`/`1.0` per row). Dense chunks multiply full kernels through; sparse
-/// chunks walk only the survivors. Either way every surviving row ends up
-/// holding the same bit-exact factor product (`1.0 * v_1 * … * v_k`), and
-/// rejected rows stay zero.
-#[inline]
-fn apply_value_factors(
-    values: &[FastFactor<'_>],
-    start: usize,
-    chunk: &mut [f64],
-    survivors: usize,
-) {
-    if survivors * SPARSE_DENOM < chunk.len() {
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            if *slot != 0.0 {
-                for f in values {
-                    *slot *= kernel_value_at(f, start + i);
-                }
-            }
-        }
-    } else {
-        for f in values {
-            run_kernel(f, start, chunk, false);
-        }
-    }
-}
-
-/// Sums a chunk through four independent accumulator lanes so the reduction
-/// has no loop-carried dependency chain of length n. The lane combination
-/// order is fixed, so the result is deterministic (and exact whenever the
-/// addends are integer-valued within 2⁵³).
-fn sum_lanes(v: &[f64]) -> f64 {
-    let mut lanes = [0.0f64; 4];
-    let mut quads = v.chunks_exact(4);
-    for q in &mut quads {
-        lanes[0] += q[0];
-        lanes[1] += q[1];
-        lanes[2] += q[2];
-        lanes[3] += q[3];
-    }
-    let mut acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    for &x in quads.remainder() {
-        acc += x;
-    }
-    acc
-}
-
-/// [`sum_lanes`] over an int column slice, converting per element — the
-/// no-copy path for `SUM(X)` local expressions over int columns.
-fn sum_lanes_i64(v: &[i64]) -> f64 {
-    let mut lanes = [0.0f64; 4];
-    let mut quads = v.chunks_exact(4);
-    for q in &mut quads {
-        lanes[0] += q[0] as f64;
-        lanes[1] += q[1] as f64;
-        lanes[2] += q[2] as f64;
-        lanes[3] += q[3] as f64;
-    }
-    let mut acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    for &x in quads.remainder() {
-        acc += x as f64;
-    }
-    acc
-}
-
-/// Chunked reduction of a fused factor product over `range`: each
-/// [`KERNEL_CHUNK`]-row block is materialized into a stack buffer (first
-/// factor fills, later factors multiply — comparisons as 0/1 selection
-/// masks) and reduced lane-wise. Requires every factor to pass
-/// [`FastFactor::is_kernel`].
-fn fused_product_sum(factors: &[FastFactor<'_>], range: Range<usize>) -> f64 {
-    debug_assert!(!factors.is_empty());
-    let n_masks = factors.iter().take_while(|f| f.is_mask()).count();
-    let values = &factors[n_masks..];
-    let mut acc = 0.0;
-    let mut buf = [0.0f64; KERNEL_CHUNK];
-    let mut start = range.start;
-    while start < range.end {
-        let n = KERNEL_CHUNK.min(range.end - start);
-        let chunk = &mut buf[..n];
-        run_kernel(&factors[0], start, chunk, true);
-        if n_masks == 0 {
-            // No selection: the whole program is dense value kernels.
-            for f in &factors[1..] {
-                run_kernel(f, start, chunk, false);
-            }
-            acc += sum_lanes(chunk);
-            start += n;
-            continue;
-        }
-        for f in &factors[1..n_masks] {
-            run_kernel(f, start, chunk, false);
-        }
-        // The mask product is exactly 0/1 per row, so its lane sum is the
-        // exact survivor count — rows the old per-row loop would have
-        // abandoned at the first zero indicator.
-        let survivors = sum_lanes(chunk) as usize;
-        if survivors == 0 || values.is_empty() {
-            acc += survivors as f64;
-            start += n;
-            continue;
-        }
-        apply_value_factors(values, start, chunk, survivors);
-        acc += sum_lanes(chunk);
-        start += n;
-    }
-    acc
 }
 
 /// Whether `op` holds for an ordering produced by the column's native total
@@ -422,38 +151,34 @@ fn compile_factor<'a>(
     }
 }
 
-/// Evaluates a lowered factor at `row`.
+/// The 0/1 value of an indicator.
 #[inline]
-fn eval_fast(f: &FastFactor<'_>, ctx: &Ctx<'_>, row: usize) -> f64 {
+fn indicator(holds: bool) -> f64 {
+    if holds {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+/// Evaluates a factor at `row` of `relation`.
+#[inline]
+fn eval_fast(
+    f: &FastFactor<'_>,
+    relation: &Relation,
+    col_of_attr: &[usize],
+    dynamics: &DynamicRegistry,
+    row: usize,
+) -> f64 {
     match f {
         FastFactor::FloatIdent(v) => v[row],
         FastFactor::IntIdent(v) => v[row] as f64,
         FastFactor::FloatPow(v, e) => v[row].powi(*e),
         FastFactor::IntPow(v, e) => (v[row] as f64).powi(*e),
-        FastFactor::FloatCmp(v, op, t) => {
-            if cmp_holds(*op, v[row].total_cmp(t)) {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        FastFactor::IntCmp(v, op, t) => {
-            if cmp_holds(*op, v[row].cmp(t)) {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        FastFactor::DictCmp(v, op, t) => {
-            if cmp_holds(*op, v[row].cmp(t)) {
-                1.0
-            } else {
-                0.0
-            }
-        }
+        FastFactor::FloatCmp(v, op, t) => indicator(cmp_holds(*op, v[row].total_cmp(t))),
+        FastFactor::IntCmp(v, op, t) => indicator(cmp_holds(*op, v[row].cmp(t))),
+        FastFactor::DictCmp(v, op, t) => indicator(cmp_holds(*op, v[row].cmp(t))),
         FastFactor::Slow(sf) => {
-            let relation = ctx.relation;
-            let col_of_attr = &ctx.col_of_attr;
             let lookup = |a: AttrId| {
                 let col = col_of_attr[a.index()];
                 if col == usize::MAX {
@@ -462,9 +187,23 @@ fn eval_fast(f: &FastFactor<'_>, ctx: &Ctx<'_>, row: usize) -> f64 {
                     relation.value(row, col)
                 }
             };
-            eval_factor(sf, &lookup, ctx.dynamics)
+            eval_factor(sf, &lookup, dynamics)
         }
     }
+}
+
+/// `init · f₁(row) · … · fₖ(row)`, left to right, abandoned at the first
+/// exact zero — the module's rejected-row rule.
+#[inline]
+fn row_product(factors: &[FastFactor<'_>], init: f64, ctx: &Ctx<'_>, row: usize) -> f64 {
+    let mut prod = init;
+    for f in factors {
+        prod *= eval_fast(f, ctx.relation, &ctx.col_of_attr, ctx.dynamics, row);
+        if prod == 0.0 {
+            break;
+        }
+    }
+    prod
 }
 
 /// Immutable execution context shared across the recursion.
@@ -477,8 +216,8 @@ struct Ctx<'a> {
     /// Column position of each attribute in the scanned relation (`usize::MAX`
     /// when the attribute is not a column of it).
     col_of_attr: Vec<usize>,
-    /// The group's local expressions with every factor lowered against the
-    /// relation's typed columns, in [`GroupPlan::local_exprs`] order.
+    /// The group's local expressions as factor programs (indicators first),
+    /// in [`GroupPlan::local_exprs`] order.
     local_programs: Vec<Vec<FastFactor<'a>>>,
 }
 
@@ -558,23 +297,29 @@ pub fn execute_group_scan<V: ViewSource>(
         col_of_attr[attr.index()] = pos;
     }
 
-    // Lower every local-expression factor against the typed columns once per
-    // scan; the innermost loops then run on native slices. Selection masks
-    // are hoisted to the front of each program (stable, so each class keeps
-    // its source order): their product is exactly 0/1, so the move is
-    // bit-exact, and the fused kernels use the materialized mask to skip
-    // value-factor work on rejected rows.
+    // One program per local expression, built once per scan: indicators
+    // first, each class in source order (exact — an indicator is 0 or 1, so
+    // its position in the product does not change a finite result), so
+    // `row_product` leaves a rejected row before touching its measures; each
+    // factor lowered against the typed columns, or left generic when the
+    // plan is not specialized.
+    let is_indicator = |f: &&ScalarFunction| matches!(f, ScalarFunction::Indicator { .. });
     let local_programs: Vec<Vec<FastFactor>> = plan
         .local_exprs
         .iter()
         .map(|e| {
-            let mut prog: Vec<FastFactor> = e
-                .factors
-                .iter()
-                .map(|f| compile_factor(f, relation, &col_of_attr))
-                .collect();
-            prog.sort_by_key(|f| !f.is_mask());
-            prog
+            let indicators = e.factors.iter().filter(is_indicator);
+            let measures = e.factors.iter().filter(|f| !is_indicator(f));
+            indicators
+                .chain(measures)
+                .map(|f| {
+                    if plan.specialized {
+                        compile_factor(f, relation, &col_of_attr)
+                    } else {
+                        FastFactor::Slow(f)
+                    }
+                })
+                .collect()
         })
         .collect();
 
@@ -775,45 +520,19 @@ fn recurse<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, depth: usize, range: Range<
     }
 }
 
-/// Computes the local-expression sums for the innermost range: one fused
-/// chunked kernel per expression over its compiled factors (the `α9`/`α10`
-/// local variables of Figure 4). Expressions whose factors all have typed
-/// kernels — the bulk of every covar/regression-tree batch — run through
-/// [`fused_product_sum`]; any [`FastFactor::Slow`] factor (dynamic
-/// functions, mixed columns) keeps the per-row generic fallback, as do
-/// ranges shorter than [`SMALL_RANGE`] where per-call chunk overhead would
-/// dominate.
+/// Computes the local-expression sums for the innermost range (the
+/// `α9`/`α10` local variables of Figure 4): per expression, the sum over the
+/// range's rows of its factor product. The empty product is the tuple count.
 fn compute_local_sums(ctx: &Ctx<'_>, state: &mut State<'_>, range: &Range<usize>) {
     for (i, factors) in ctx.local_programs.iter().enumerate() {
-        state.local_sums[i] = match factors.as_slice() {
-            [] => range.len() as f64,
-            // Plain sums read the column slice directly — no chunk copy.
-            [FastFactor::FloatIdent(v)] => sum_lanes(&v[range.clone()]),
-            [FastFactor::IntIdent(v)] => sum_lanes_i64(&v[range.clone()]),
-            fs if fs.iter().all(FastFactor::is_kernel) && range.len() >= SMALL_RANGE => {
-                fused_product_sum(fs, range.clone())
+        state.local_sums[i] = if factors.is_empty() {
+            range.len() as f64
+        } else {
+            let mut acc = 0.0;
+            for row in range.clone() {
+                acc += row_product(factors, 1.0, ctx, row);
             }
-            [single] => {
-                let mut acc = 0.0;
-                for row in range.clone() {
-                    acc += eval_fast(single, ctx, row);
-                }
-                acc
-            }
-            factors => {
-                let mut acc = 0.0;
-                for row in range.clone() {
-                    let mut prod = 1.0;
-                    for f in factors {
-                        prod *= eval_fast(f, ctx, row);
-                        if prod == 0.0 {
-                            break;
-                        }
-                    }
-                    acc += prod;
-                }
-                acc
-            }
+            acc
         };
     }
 }
@@ -970,66 +689,16 @@ fn emit_term(
     }
 
     if output.needs_row_loop {
-        // Per-row path: the key (and possibly the local factors) depend on
-        // non-join columns of the relation. When every factor has a typed
-        // kernel, the factor product is materialized chunk-wise (selection
-        // masks included) and only rows surviving the mask pay for key
-        // construction; otherwise the generic per-row loop runs.
+        // The key (and possibly the local factors) depend on non-join
+        // columns of the relation: one emit per surviving row.
         let factors = &ctx.local_programs[term.local_expr];
-        if !factors.is_empty()
-            && range.len() >= SMALL_RANGE
-            && factors.iter().all(FastFactor::is_kernel)
-        {
-            let n_masks = factors.iter().take_while(|f| f.is_mask()).count();
-            let values = &factors[n_masks..];
-            let mut buf = [0.0f64; KERNEL_CHUNK];
-            let mut start = range.start;
-            while start < range.end {
-                let n = KERNEL_CHUNK.min(range.end - start);
-                let chunk = &mut buf[..n];
-                run_kernel(&factors[0], start, chunk, true);
-                if n_masks == 0 {
-                    for f in &factors[1..] {
-                        run_kernel(f, start, chunk, false);
-                    }
-                } else {
-                    for f in &factors[1..n_masks] {
-                        run_kernel(f, start, chunk, false);
-                    }
-                    let survivors = sum_lanes(chunk) as usize;
-                    if survivors == 0 {
-                        start += n;
-                        continue;
-                    }
-                    if !values.is_empty() {
-                        apply_value_factors(values, start, chunk, survivors);
-                    }
-                }
-                for (i, &fv) in chunk.iter().enumerate() {
-                    let v = value * fv;
-                    if v == 0.0 {
-                        continue;
-                    }
-                    let key = build_key(ctx, state, output, Some(term), combo, Some(start + i));
-                    state.outputs[output_idx].add_single(key, agg_index, v);
-                }
-                start += n;
+        for row in range.clone() {
+            let v = row_product(factors, value, ctx, row);
+            if v == 0.0 {
+                continue;
             }
-        } else {
-            for row in range.clone() {
-                let mut v = value;
-                for f in factors {
-                    v *= eval_fast(f, ctx, row);
-                    if v == 0.0 {
-                        break;
-                    }
-                }
-                if v == 0.0 {
-                    continue;
-                }
-                let key = build_key(ctx, state, output, Some(term), combo, Some(row));
-                state.outputs[output_idx].add_single(key, agg_index, v);
-            }
+            let key = build_key(ctx, state, output, Some(term), combo, Some(row));
+            state.outputs[output_idx].add_single(key, agg_index, v);
         }
     } else {
         let contribution = value * state.local_sums[term.local_expr];
@@ -1050,6 +719,7 @@ fn emit_term(
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::engine::Engine;
     use crate::group::group_views;
     use crate::plan::{build_group_plan, prepare_database};
     use crate::pushdown::push_down_batch;
@@ -1116,7 +786,8 @@ mod tests {
         let dynamics = DynamicRegistry::new();
         let mut computed: FxHashMap<ViewId, ComputedView> = FxHashMap::default();
         for gid in grouping.topological_order() {
-            let plan = build_group_plan(db, tree, &pd.catalog, &grouping.groups[gid]).unwrap();
+            let mut plan = build_group_plan(db, tree, &pd.catalog, &grouping.groups[gid]).unwrap();
+            plan.specialized = cfg.specialization;
             for (vid, cv) in execute_group(db, &plan, &computed, &dynamics, None).unwrap() {
                 computed.insert(vid, cv);
             }
@@ -1320,5 +991,238 @@ mod tests {
             out.scalar().unwrap()[0],
             3.0 * 10.0 + 4.0 * 20.0 + 5.0 * 10.0
         );
+    }
+
+    /// R(a, b, x) ⋈ S(b, y):
+    ///   (1,1,2) (2,1,3) (3,2,4) ⋈ (1,10) (2,20)
+    /// Join: (1,1,2,10) (2,1,3,10) (3,2,4,20)
+    fn rs_db_and_tree() -> (Database, JoinTree) {
+        let mut schema = DatabaseSchema::new();
+        schema.add_relation_with_attrs(
+            "R",
+            &[
+                ("a", AttrType::Int),
+                ("b", AttrType::Int),
+                ("x", AttrType::Double),
+            ],
+        );
+        schema.add_relation_with_attrs("S", &[("b", AttrType::Int), ("y", AttrType::Double)]);
+        let a = schema.attr_id("a").unwrap();
+        let b = schema.attr_id("b").unwrap();
+        let x = schema.attr_id("x").unwrap();
+        let y = schema.attr_id("y").unwrap();
+        let r = Relation::from_rows(
+            RelationSchema::new("R", vec![a, b, x]),
+            vec![
+                vec![Value::Int(1), Value::Int(1), Value::Double(2.0)],
+                vec![Value::Int(2), Value::Int(1), Value::Double(3.0)],
+                vec![Value::Int(3), Value::Int(2), Value::Double(4.0)],
+            ],
+        )
+        .unwrap();
+        let s = Relation::from_rows(
+            RelationSchema::new("S", vec![b, y]),
+            vec![
+                vec![Value::Int(1), Value::Double(10.0)],
+                vec![Value::Int(2), Value::Double(20.0)],
+            ],
+        )
+        .unwrap();
+        let db = Database::new(schema.clone(), vec![r, s]).unwrap();
+        let tree = build_join_tree(&Hypergraph::from_schema(&schema)).unwrap();
+        (db, tree)
+    }
+
+    #[test]
+    fn unoptimized_execution_matches_hand_computation() {
+        let (mut db, tree) = rs_db_and_tree();
+        let x = db.schema().attr_id("x").unwrap();
+        let y = db.schema().attr_id("y").unwrap();
+        let a = db.schema().attr_id("a").unwrap();
+        let mut batch = QueryBatch::new();
+        batch.push("sum_xy", vec![], vec![Aggregate::sum_product(x, y)]);
+        batch.push("per_a", vec![a], vec![Aggregate::sum(y)]);
+        let results = run(&batch, &mut db, &tree, EngineConfig::unoptimized());
+        // Σ x·y = 20 + 30 + 80 = 130.
+        assert_eq!(results[0].scalar().unwrap()[0], 130.0);
+        // per a: a=1 → 10, a=2 → 10, a=3 → 20.
+        assert_eq!(results[1].get(&[Value::Int(1)]).unwrap()[0], 10.0);
+        assert_eq!(results[1].get(&[Value::Int(2)]).unwrap()[0], 10.0);
+        assert_eq!(results[1].get(&[Value::Int(3)]).unwrap()[0], 20.0);
+    }
+
+    #[test]
+    fn unoptimized_execution_drops_dangling_rows() {
+        let (mut db, tree) = rs_db_and_tree();
+        db.relation_mut("R")
+            .unwrap()
+            .push_row(&[Value::Int(9), Value::Int(99), Value::Double(100.0)])
+            .unwrap();
+        db.recompute_statistics();
+        let x = db.schema().attr_id("x").unwrap();
+        let mut batch = QueryBatch::new();
+        batch.push("sum_x", vec![], vec![Aggregate::sum(x)]);
+        let results = run(&batch, &mut db, &tree, EngineConfig::unoptimized());
+        assert_eq!(results[0].scalar().unwrap()[0], 9.0);
+    }
+
+    #[test]
+    fn lowered_factors_equal_generic_evaluation_bitwise() {
+        // One column per storage class: Float (with -0.0, NaN, ±inf), Int,
+        // Dict, and a Mixed column (an Int, a Double and a Null share it).
+        let (f, i, d, m) = (AttrId(0), AttrId(1), AttrId(2), AttrId(3));
+        let floats = [1.5, -0.0, 0.0, f64::NAN, f64::INFINITY, -2.25];
+        let mixed = [
+            Value::Int(1),
+            Value::Double(0.5),
+            Value::Null,
+            Value::Int(-3),
+            Value::Cat(2),
+            Value::Double(f64::NAN),
+        ];
+        let rows: Vec<Vec<Value>> = (0..floats.len())
+            .map(|r| {
+                vec![
+                    Value::Double(floats[r]),
+                    Value::Int(r as i64 - 2),
+                    Value::Cat(r as u32 % 3),
+                    mixed[r],
+                ]
+            })
+            .collect();
+        let relation =
+            Relation::from_rows(RelationSchema::new("T", vec![f, i, d, m]), rows).unwrap();
+        assert!(matches!(relation.column(0), Column::Float(_)));
+        assert!(matches!(relation.column(1), Column::Int(_)));
+        assert!(matches!(relation.column(2), Column::Dict { .. }));
+        assert!(matches!(relation.column(3), Column::Mixed(_)));
+        let col_of_attr = [0, 1, 2, 3];
+
+        // (factor, whether it must lower to a typed variant).
+        let mut cases: Vec<(ScalarFunction, bool)> = Vec::new();
+        for (attr, typed) in [(f, true), (i, true), (d, false), (m, false)] {
+            cases.push((ScalarFunction::Identity(attr), typed));
+            for exponent in 0..4 {
+                cases.push((ScalarFunction::Power { attr, exponent }, typed));
+            }
+        }
+        let double_thresholds = [1.5, -0.0, 0.0, f64::NAN, -f64::NAN, f64::NEG_INFINITY];
+        let ops = [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ];
+        for op in ops {
+            let mut indicator = |attr, threshold, typed| {
+                cases.push((
+                    ScalarFunction::Indicator {
+                        attr,
+                        op,
+                        threshold,
+                    },
+                    typed,
+                ));
+            };
+            for t in double_thresholds {
+                indicator(f, Value::Double(t), true);
+            }
+            for t in [-2, 0, 7] {
+                indicator(i, Value::Int(t), true);
+            }
+            // Code 99 is in no dictionary: it still orders as a plain code.
+            for t in [0, 1, 99] {
+                indicator(d, Value::Cat(t), true);
+            }
+            // Cross-variant thresholds compare by variant rank, which only
+            // the generic path knows; the Mixed column has no typed slice.
+            indicator(f, Value::Int(1), false);
+            indicator(i, Value::Double(0.0), false);
+            indicator(d, Value::Int(1), false);
+            indicator(d, Value::Null, false);
+            indicator(m, Value::Int(1), false);
+            indicator(m, Value::Double(0.5), false);
+        }
+
+        let dynamics = DynamicRegistry::new();
+        for (factor, typed) in &cases {
+            let lowered = compile_factor(factor, &relation, &col_of_attr);
+            assert_eq!(
+                !matches!(lowered, FastFactor::Slow(_)),
+                *typed,
+                "{factor:?}"
+            );
+            for row in 0..relation.len() {
+                let got = eval_fast(&lowered, &relation, &col_of_attr, &dynamics, row);
+                let want =
+                    factor.evaluate(&|a: AttrId| relation.value(row, col_of_attr[a.index()]));
+                assert_eq!(got.to_bits(), want.to_bits(), "{factor:?} at row {row}");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_rejected_by_an_indicator_contribute_exactly_zero() {
+        // One flat relation, so the whole relation is one innermost range:
+        // even rows (x = 1, t = 0) pass `t <= 0.5`, odd rows carry a
+        // non-finite measure and are rejected. The answer must not depend on
+        // the range length or on the rung.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for n in [64usize, 30] {
+                let mut schema = DatabaseSchema::new();
+                schema.add_relation_with_attrs(
+                    "T",
+                    &[
+                        ("g", AttrType::Int),
+                        ("x", AttrType::Double),
+                        ("t", AttrType::Double),
+                    ],
+                );
+                let g = schema.attr_id("g").unwrap();
+                let x = schema.attr_id("x").unwrap();
+                let t = schema.attr_id("t").unwrap();
+                let rows = (0..n)
+                    .map(|r| {
+                        let odd = r % 2 == 1;
+                        vec![
+                            Value::Int((r % 4 / 2) as i64),
+                            Value::Double(if odd { bad } else { 1.0 }),
+                            Value::Double(if odd { 1.0 } else { 0.0 }),
+                        ]
+                    })
+                    .collect();
+                let rel = Relation::from_rows(schema.relation("T").unwrap().clone(), rows).unwrap();
+                let db = Database::new(schema.clone(), vec![rel]).unwrap();
+                let tree = build_join_tree(&Hypergraph::from_schema(&schema)).unwrap();
+                // The measure comes first in the source order: the indicator
+                // must be hoisted in front of it.
+                let agg = Aggregate::sum(x).times(ScalarFunction::Indicator {
+                    attr: t,
+                    op: CmpOp::Le,
+                    threshold: Value::Double(0.5),
+                });
+                let mut batch = QueryBatch::new();
+                batch.push("total", vec![], vec![agg.clone()]);
+                batch.push("per_g", vec![g], vec![agg]);
+                for (name, cfg) in EngineConfig::ablation_ladder(2) {
+                    let result = Engine::new(db.clone(), tree.clone(), cfg)
+                        .execute(&batch)
+                        .unwrap();
+                    let what = format!("{name}, {n} rows, rejected x = {bad}");
+                    assert_eq!(result.query("total").scalar()[0], (n / 2) as f64, "{what}");
+                    let per_g = result.query("per_g");
+                    let halves = [n.div_ceil(4), n / 4];
+                    for (key, want) in halves.iter().enumerate() {
+                        assert_eq!(
+                            per_g.get(&[Value::Int(key as i64)]).unwrap()[0],
+                            *want as f64,
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

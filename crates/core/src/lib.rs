@@ -10,7 +10,9 @@
 //! 3. [`pushdown`] — decomposition into directional views + view merging,
 //! 4. [`group`] — view groups and their dependency graph,
 //! 5. [`plan`] — multi-output physical plans (attribute orders, registers),
-//! 6. [`exec`] — specialized execution, [`interp`] — the unoptimized proxy,
+//! 6. [`exec`] — the one executor: a multi-way-join loop nest per view
+//!    group, its local factors lowered to typed column code or left generic
+//!    ([`EngineConfig::specialization`]),
 //! 7. [`parallel`] — task and domain parallelism (one DAG scheduler shared
 //!    by fresh execution, maintenance scans and the commit frontier walk),
 //! 8. [`engine`] — the façade tying everything together.
@@ -52,7 +54,6 @@ pub mod engine;
 pub mod error;
 pub mod exec;
 pub mod group;
-pub mod interp;
 pub mod isocheck;
 pub mod maintain;
 pub mod parallel;

@@ -218,10 +218,11 @@ impl Maintainer {
         // Sort each relation's delta partitions into the trie order of the
         // node that scans it, so the seed scans see valid tries (every group
         // of one relation scans at the same node, hence one order suffices).
+        let plans = &self.inner.plans;
         let mut partitions: FxHashMap<&str, (Relation, Relation)> = FxHashMap::default();
         for delta in txn.deltas() {
             let (mut inserts, mut deletes) = delta.partition();
-            if let Some(plan) = self.plans.iter().find(|p| p.relation == delta.relation()) {
+            if let Some(plan) = plans.iter().find(|p| p.relation == delta.relation()) {
                 inserts.sort_by_positions(&plan.attr_order_cols);
                 deletes.sort_by_positions(&plan.attr_order_cols);
             }
@@ -236,8 +237,8 @@ impl Maintainer {
         // the retained (old) views and its producers' published deltas, so
         // its output is the same on any worker and at any thread count.
         let grouping = &self.inner.grouping;
-        let seeds: Vec<usize> = (0..self.plans.len())
-            .filter(|&g| partitions.contains_key(self.plans[g].relation.as_str()))
+        let seeds: Vec<usize> = (0..plans.len())
+            .filter(|&g| partitions.contains_key(plans[g].relation.as_str()))
             .collect();
         let frontier = grouping.transitive_dependents(&seeds).len();
         let threads = self.inner.config.threads.max(1);
@@ -251,7 +252,7 @@ impl Maintainer {
             |_| 1,
             workers,
             |gid, _, _, done| {
-                let plan = &self.plans[gid];
+                let plan = &plans[gid];
                 refresh_group(
                     plan,
                     partitions.get(plan.relation.as_str()),

@@ -51,18 +51,12 @@ pub const MORSEL_ROWS: usize = 65_536;
 /// per output of the group's plan, in plan output order.
 type GroupOutput = Vec<(ViewId, ComputedView)>;
 
-/// Merges `other` into `acc` by element-wise addition, consuming `other` so
-/// key tuples move instead of being cloned.
-pub fn merge_computed(acc: &mut ComputedView, other: ComputedView) {
-    acc.merge_from(other);
-}
-
 /// Folds the next morsel's partial into the accumulated one, view by view
 /// (both are in plan output order).
 fn merge_partials(acc: &mut GroupOutput, next: GroupOutput) {
     for ((vid, a), (nvid, b)) in acc.iter_mut().zip(next) {
         debug_assert_eq!(*vid, nvid);
-        merge_computed(a, b);
+        a.merge_from(b);
     }
 }
 
@@ -202,17 +196,5 @@ mod tests {
         assert_eq!(acc.len(), 2);
         assert_eq!(acc[0].1.get(&[Value::Int(1)]).unwrap(), &[3.0]);
         assert_eq!(acc[1].1.get(&[Value::Int(9)]).unwrap(), &[5.0]);
-    }
-
-    #[test]
-    fn merge_computed_sums_payloads_and_moves_keys() {
-        let mut a = ComputedView::new(vec![AttrId(0)], 2);
-        a.add(vec![Value::Int(1)], &[1.0, 2.0]);
-        let mut b = ComputedView::new(vec![AttrId(0)], 2);
-        b.add(vec![Value::Int(1)], &[10.0, 20.0]);
-        b.add(vec![Value::Int(2)], &[5.0, 5.0]);
-        merge_computed(&mut a, b);
-        assert_eq!(a.get(&[Value::Int(1)]).unwrap(), &[11.0, 22.0]);
-        assert_eq!(a.get(&[Value::Int(2)]).unwrap(), &[5.0, 5.0]);
     }
 }

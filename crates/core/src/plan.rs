@@ -169,6 +169,12 @@ pub struct GroupPlan {
     pub programs: Vec<Vec<DepthUpdate>>,
     /// Total number of term slots.
     pub num_slots: usize,
+    /// Whether the scan lowers the local factors against the relation's typed
+    /// columns ([`EngineConfig::specialization`](crate::config::EngineConfig)).
+    /// [`build_group_plan`] leaves it on; preparing a batch copies the
+    /// configuration's flag here, so every scan of the plan — fresh,
+    /// serving, commit — evaluates its factors the same way.
+    pub(crate) specialized: bool,
 }
 
 impl GroupPlan {
@@ -235,6 +241,7 @@ pub fn build_group_plan(
         local_exprs: Vec::new(),
         programs: vec![Vec::new(); attr_order.len() + 1],
         num_slots: 0,
+        specialized: true,
     };
 
     // Collect the distinct incoming views across all views of the group.

@@ -20,7 +20,6 @@ use crate::config::EngineConfig;
 use crate::engine::{BatchResult, EngineStats, QueryResult};
 use crate::error::EngineError;
 use crate::group::{group_views, Grouping};
-use crate::interp::execute_view_interpreted;
 use crate::parallel::execute_all;
 use crate::plan::{build_group_plan, GroupPlan};
 use crate::pushdown::{push_down_batch, PushdownResult};
@@ -72,8 +71,8 @@ pub(crate) struct PreparedPlans {
     pub(crate) config: EngineConfig,
     pub(crate) pushdown: PushdownResult,
     pub(crate) grouping: Grouping,
-    /// Physical plans, one per group; empty when specialization is off (the
-    /// interpreted proxy works straight off the view catalog).
+    /// Physical plans, one per group, each carrying
+    /// `config.specialization` as [`GroupPlan::specialized`].
     pub(crate) plans: Vec<GroupPlan>,
     pub(crate) queries: Vec<PreparedQuery>,
     pub(crate) stats: EngineStats,
@@ -90,15 +89,15 @@ impl PreparedBatch {
         let roots = assign_roots(batch, &tree, &db, &config);
         let pushdown = push_down_batch(batch, &tree, &roots);
         let grouping = group_views(&pushdown.catalog, config.multi_output);
-        let plans: Vec<GroupPlan> = if config.specialization {
-            grouping
-                .groups
-                .iter()
-                .map(|g| build_group_plan(&db, &tree, &pushdown.catalog, g))
-                .collect::<Result<_, _>>()?
-        } else {
-            Vec::new()
-        };
+        let plans: Vec<GroupPlan> = grouping
+            .groups
+            .iter()
+            .map(|g| {
+                let mut plan = build_group_plan(&db, &tree, &pushdown.catalog, g)?;
+                plan.specialized = config.specialization;
+                Ok(plan)
+            })
+            .collect::<Result<_, EngineError>>()?;
 
         let queries: Vec<PreparedQuery> = batch
             .queries
@@ -227,26 +226,14 @@ impl PreparedBatch {
         &self,
         dynamics: &DynamicRegistry,
     ) -> Result<FxHashMap<ViewId, ComputedView>, EngineError> {
-        let db = self.db.database();
         let inner = &*self.inner;
-        if inner.config.specialization {
-            execute_all(db, &inner.plans, &inner.grouping, dynamics, &inner.config)
-        } else {
-            // Interpreted path: one scan per view, in dependency order.
-            let mut computed: FxHashMap<ViewId, ComputedView> = FxHashMap::default();
-            for vid in inner.pushdown.catalog.topological_order() {
-                let cv = execute_view_interpreted(
-                    db,
-                    &inner.tree,
-                    &inner.pushdown.catalog,
-                    vid,
-                    &computed,
-                    dynamics,
-                )?;
-                computed.insert(vid, cv);
-            }
-            Ok(computed)
-        }
+        execute_all(
+            self.db.database(),
+            &inner.plans,
+            &inner.grouping,
+            dynamics,
+            &inner.config,
+        )
     }
 }
 

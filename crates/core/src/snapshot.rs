@@ -83,7 +83,6 @@ use crate::certificate::{emit_execute, encoded_totals};
 use crate::engine::{BatchResult, QueryResult};
 use crate::error::EngineError;
 use crate::parallel::execute_all;
-use crate::plan::{build_group_plan, GroupPlan};
 use crate::prepared::{project_results, PreparedBatch, PreparedPlans};
 use crate::view::{ComputedView, ViewId};
 use crossbeam::hazard::HazardCell;
@@ -254,10 +253,6 @@ pub struct Maintainer {
     pub(crate) db: DatabaseSnapshot,
     /// The plans the batch was prepared with.
     pub(crate) inner: Arc<PreparedPlans>,
-    /// Physical plans for every group (built here when the batch was
-    /// prepared with specialization off — maintenance always runs the
-    /// specialized executor).
-    pub(crate) plans: Vec<GroupPlan>,
     /// Next-generation view state; `Arc::make_mut` clones exactly the views
     /// a refresh touches.
     pub(crate) computed: FxHashMap<ViewId, Arc<ComputedView>>,
@@ -294,21 +289,10 @@ impl PreparedBatch {
     pub fn into_serving(self, dynamics: &DynamicRegistry) -> Result<Maintainer, EngineError> {
         let db: Database = self.db.database().clone();
         let inner = Arc::clone(&self.inner);
-        let plans: Vec<GroupPlan> = if inner.plans.is_empty() {
-            inner
-                .grouping
-                .groups
-                .iter()
-                .map(|g| build_group_plan(&db, &inner.tree, &inner.pushdown.catalog, g))
-                .collect::<Result<_, _>>()?
-        } else {
-            inner.plans.clone()
-        };
-
         // Initial full computation. Its morsel-order merge is deterministic
         // for any thread count, so the published generation 0 does not depend
         // on thread timing.
-        let flat = execute_all(&db, &plans, &inner.grouping, dynamics, &inner.config)?;
+        let flat = execute_all(&db, &inner.plans, &inner.grouping, dynamics, &inner.config)?;
         let computed: FxHashMap<ViewId, Arc<ComputedView>> =
             flat.into_iter().map(|(k, v)| (k, Arc::new(v))).collect();
         let db: DatabaseSnapshot = db.into();
@@ -341,7 +325,6 @@ impl PreparedBatch {
         Ok(Maintainer {
             db,
             inner,
-            plans,
             computed,
             shadow,
             last_fingerprint,
@@ -384,6 +367,7 @@ impl Maintainer {
     /// transitive dependents), in refresh order.
     pub fn affected_groups(&self, relation: &str) -> Vec<usize> {
         let seeds: Vec<usize> = self
+            .inner
             .plans
             .iter()
             .enumerate()
@@ -671,6 +655,7 @@ mod tests {
         let after = maintainer.snapshot();
         assert!(stats.views_changed > 0);
         let items_plan_views: Vec<ViewId> = maintainer
+            .inner
             .plans
             .iter()
             .filter(|p| p.relation == "Items")

@@ -15,7 +15,8 @@
 //! * [`expr`] — the aggregate language (`Q(F; α) += R1, …, Rm`),
 //! * [`jointree`] — join-tree construction and hypertree decompositions,
 //! * [`engine`] — the layered engine (roots, pushdown, merging, grouping,
-//!   multi-output plans, parallelism),
+//!   multi-output plans, one executor whose factor code is specialized or
+//!   generic per [`engine::EngineConfig::specialization`], parallelism),
 //! * [`certify`] — the independent execution-certificate checker (shares no
 //!   execution code with the engine),
 //! * [`baseline`] — materialized-join baselines (the paper's competitors),

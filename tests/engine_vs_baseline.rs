@@ -175,28 +175,81 @@ fn all_ablation_configurations_agree_on_favorita() {
     // One sorted database backs every configuration of the ladder: engines
     // share it through the Arc-backed handle instead of cloning wholesale.
     let shared = SharedDatabase::prepare(dataset.db.clone(), &dataset.tree);
-    let reference = Engine::with_shared(
-        shared.clone(),
-        dataset.tree.clone(),
-        EngineConfig::unoptimized(),
-    )
-    .execute(&batch)
-    .unwrap();
-    assert!(reference.query("count").scalar()[0] > 0.0);
-    for (name, config) in EngineConfig::ablation_ladder(4).into_iter().skip(1) {
+    let baseline = MaterializedEngine::materialize(&dataset.db, &dataset.tree);
+    let expected = baseline.execute_batch(&batch, &DynamicRegistry::new());
+    assert!(expected[0].scalar(1)[0] > 0.0);
+    for (name, config) in EngineConfig::ablation_ladder(4) {
         let result = Engine::with_shared(shared.clone(), dataset.tree.clone(), config)
             .execute(&batch)
             .unwrap();
-        for (r, e) in result.queries.iter().zip(&reference.queries) {
-            assert_eq!(r.len(), e.len(), "{name}");
-            for (key, vals) in e.iter() {
-                let got = r
-                    .get(key)
-                    .unwrap_or_else(|| panic!("{name}: missing {key:?}"));
-                for (g, w) in got.iter().zip(vals) {
-                    assert!(relative_eq(*g, *w), "{name}: {key:?}");
-                }
-            }
+        for ((q, lm), bl) in batch.queries.iter().zip(&result.queries).zip(&expected) {
+            assert_agrees(&format!("{name}::{}", q.name), lm, bl);
+        }
+    }
+}
+
+/// The input shape with the longest innermost ranges: a single flat relation
+/// has no join attribute, so its attribute order is empty and the scan sees
+/// the whole relation as one range. Indicator × power × identity factors,
+/// summed and grouped by a non-join column, on every rung of the ladder.
+#[test]
+fn flat_relation_long_range_matches_baseline() {
+    let mut schema = DatabaseSchema::new();
+    schema.add_relation_with_attrs(
+        "T",
+        &[
+            ("g", AttrType::Int),
+            ("x", AttrType::Double),
+            ("y", AttrType::Int),
+            ("t", AttrType::Double),
+        ],
+    );
+    let [g, x, y, t] = ["g", "x", "y", "t"].map(|n| schema.attr_id(n).unwrap());
+    let rows = (0..5_000i64)
+        .map(|r| {
+            vec![
+                Value::Int(r % 7),
+                Value::Double((r % 13) as f64 * 0.25 - 1.0),
+                Value::Int(r % 5 - 2),
+                Value::Double((r * 37 % 101) as f64),
+            ]
+        })
+        .collect();
+    let relation = Relation::from_rows(schema.relation("T").unwrap().clone(), rows).unwrap();
+    let db = Database::new(schema.clone(), vec![relation]).unwrap();
+    let tree = build_join_tree(&Hypergraph::from_schema(&schema)).unwrap();
+
+    let product = ProductTerm::single(ScalarFunction::Identity(x))
+        .times(ScalarFunction::Power {
+            attr: y,
+            exponent: 2,
+        })
+        .times(ScalarFunction::Indicator {
+            attr: t,
+            op: CmpOp::Le,
+            threshold: Value::Double(40.0),
+        });
+    let mut batch = QueryBatch::new();
+    batch.push(
+        "total",
+        vec![],
+        vec![Aggregate::product(product.clone()), Aggregate::sum(x)],
+    );
+    batch.push(
+        "per_g",
+        vec![g],
+        vec![Aggregate::product(product), Aggregate::count()],
+    );
+
+    let baseline = MaterializedEngine::materialize(&db, &tree);
+    let expected = baseline.execute_batch(&batch, &DynamicRegistry::new());
+    assert_eq!(expected[1].data.len(), 7);
+    for (name, config) in EngineConfig::ablation_ladder(2) {
+        let result = Engine::new(db.clone(), tree.clone(), config)
+            .execute(&batch)
+            .unwrap();
+        for ((q, lm), bl) in batch.queries.iter().zip(&result.queries).zip(&expected) {
+            assert_agrees(&format!("flat/{name}::{}", q.name), lm, bl);
         }
     }
 }

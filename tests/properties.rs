@@ -3,9 +3,13 @@
 //! configuration, and core data-structure invariants must hold.
 
 use lmfao::baseline::MaterializedEngine;
+use lmfao::datagen::{self, fact_relation, update_stream, Scale, UpdateMix};
+use lmfao::engine::BatchResult;
 use lmfao::prelude::*;
+use lmfao_bench::WorkloadSpec;
 use lmfao_expr::DynamicRegistry;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Builds a three-relation chain database R(a,b,x) — S(b,c) — T(c,y) from
 /// generated tuples.
@@ -81,6 +85,73 @@ fn cell_value((sel, i, d, c): (u8, i64, f64, u32)) -> Value {
         1 => Value::Double(d),
         2 => Value::Cat(c),
         _ => Value::Null,
+    }
+}
+
+/// Every aggregate of every group of every query, as raw bits.
+fn result_bits(result: &BatchResult) -> BTreeMap<(String, Vec<Value>), Vec<u64>> {
+    result
+        .queries
+        .iter()
+        .flat_map(|q| {
+            q.iter().map(move |(key, vals)| {
+                let bits = vals.iter().map(|v| v.to_bits()).collect();
+                ((q.name.clone(), key.clone()), bits)
+            })
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// `specialization` only changes how a local factor is evaluated, never
+    /// its value: with the flag on and off the CM, RT and MI batches produce
+    /// the same bits on all four datasets — from a fresh execution, and from
+    /// the maintained state after commits.
+    #[test]
+    fn specialization_on_and_off_are_bit_identical(seed in 0u64..1_000) {
+        let dynamics = DynamicRegistry::new();
+        for ds in datagen::all_datasets(Scale::new(300, seed)) {
+            let spec = WorkloadSpec::for_dataset(&ds.name);
+            let stream = update_stream(
+                &ds,
+                fact_relation(&ds.name),
+                &UpdateMix::balanced(6).seed(seed),
+            );
+            let batches = [
+                ("CM", spec.covar_batch(&ds)),
+                ("RT", spec.rt_node_batch(&ds)),
+                ("MI", spec.mutual_info_batch(&ds)),
+            ];
+            for (workload, batch) in &batches {
+                for on in [EngineConfig::with_specialization(), EngineConfig::default()] {
+                    let off = EngineConfig { specialization: false, ..on };
+                    let [lowered, generic] = [on, off].map(|cfg| {
+                        Engine::new(ds.db.clone(), ds.tree.clone(), cfg)
+                            .prepare(batch)
+                            .unwrap()
+                    });
+                    let context = format!("{}/{workload} multi_output={}", ds.name, on.multi_output);
+                    prop_assert_eq!(
+                        result_bits(&lowered.execute(&dynamics).unwrap()),
+                        result_bits(&generic.execute(&dynamics).unwrap()),
+                        "{} fresh", context
+                    );
+                    let mut lowered = lowered.into_serving(&dynamics).unwrap();
+                    let mut generic = generic.into_serving(&dynamics).unwrap();
+                    for (step, delta) in stream.iter().enumerate() {
+                        lowered.commit(delta, &dynamics).unwrap();
+                        generic.commit(delta, &dynamics).unwrap();
+                        prop_assert_eq!(
+                            result_bits(lowered.snapshot().results()),
+                            result_bits(generic.snapshot().results()),
+                            "{} after commit {}", context, step
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
