@@ -14,6 +14,7 @@
 //! threads), `--seed S`. Scale comes from `LMFAO_SCALE` (default 5000).
 //! Progress is printed once per second; the process exits non-zero if any
 //! sampled read disagrees with a from-scratch recompute at its pinned
+//! generation, if the certificate checker rejects the chain up to a sampled
 //! generation, or if the writer errors.
 
 use lmfao_bench::serve::{run_serve, ServeConfig};

@@ -39,25 +39,9 @@ pub struct IsoConfig {
     pub seed: u64,
 }
 
-impl Default for IsoConfig {
-    fn default() -> Self {
-        IsoConfig {
-            readers: 4,
-            duration_secs: 3.0,
-            commits_per_sec: 200.0,
-            operations: 4096,
-            seed: 42,
-        }
-    }
-}
-
 /// The outcome of an isolation stress run.
 #[derive(Debug, Clone)]
 pub struct IsoReport {
-    /// Reader threads that ran.
-    pub readers: usize,
-    /// Actual wall-clock duration in seconds.
-    pub duration_secs: f64,
     /// Snapshot loads across all readers (recorded or not).
     pub total_reads: u64,
     /// Read events that entered the checked history.
@@ -76,33 +60,6 @@ impl IsoReport {
     /// True when the run completed with no violation and no writer error.
     pub fn ok(&self) -> bool {
         self.violations.is_empty() && self.writer_error.is_none()
-    }
-
-    /// Prints the report as aligned human-readable lines.
-    pub fn print(&self) {
-        println!(
-            "iso        readers {:>2}  {:>8} loads  {:>6} recorded reads  {:>5} commits ({} multi-relation)",
-            self.readers,
-            self.total_reads,
-            self.recorded_reads,
-            self.commits,
-            self.multi_relation_commits
-        );
-        match (&self.writer_error, self.violations.len()) {
-            (None, 0) => println!("checker    0 violations — snapshot isolation holds"),
-            (err, n) => {
-                println!(
-                    "checker    {n} VIOLATIONS{}",
-                    match err {
-                        Some(e) => format!("  WRITER ERROR: {e}"),
-                        None => String::new(),
-                    }
-                );
-                for v in self.violations.iter().take(8) {
-                    println!("           {v:?}");
-                }
-            }
-        }
     }
 }
 
@@ -238,8 +195,6 @@ pub fn run_iso(
     let violations = check_history(&history);
 
     Ok(IsoReport {
-        readers: config.readers.max(1),
-        duration_secs: started.elapsed().as_secs_f64(),
         total_reads,
         recorded_reads,
         commits,

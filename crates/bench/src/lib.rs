@@ -1,21 +1,22 @@
 //! # lmfao-bench
 //!
-//! The benchmark harness reproducing the LMFAO paper's evaluation:
+//! The reproducer of the LMFAO paper's evaluation, plus the two concurrent
+//! audit harnesses the tier-1 tests and CI run:
 //!
 //! * the `experiments` binary regenerates every table and figure
-//!   (`cargo run --release -p lmfao-bench --bin experiments -- all`),
-//! * the Criterion benches (`cargo bench -p lmfao-bench`) provide
-//!   statistically sound timings for the same workloads at a smaller scale,
+//!   (`cargo run --release -p lmfao-bench --bin experiments -- all`);
 //! * the `serve` binary and the [`serve`] module run the concurrent-serving
-//!   benchmark: reader threads answering query lookups from epoch-published
-//!   snapshots while a writer applies updates
-//!   (`cargo run --release -p lmfao-bench --bin serve`),
+//!   loop: reader threads answering query lookups from epoch-published
+//!   snapshots while a writer applies updates, audited afterwards against a
+//!   from-scratch recompute and the certificate checker
+//!   (`cargo run --release -p lmfao-bench --bin serve`);
 //! * the [`iso`] module runs the isolation stress harness: the same
 //!   reader/writer shape, but recording a black-box read/commit history that
-//!   the snapshot-isolation checker validates
-//!   (`cargo run --release -p lmfao-bench --bin experiments -- iso`).
+//!   the snapshot-isolation checker validates (`tests/isolation.rs`).
 //!
 //! The workload builders in this crate are shared between all of them.
+//! Performance is not measured here: that is `perfbench/`, a package outside
+//! the workspace.
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,4 @@
-//! Concurrent-serving benchmark: readers answering named-query lookups from
+//! Concurrent-serving harness: readers answering named-query lookups from
 //! epoch-published snapshots while one writer drains an update stream.
 //!
 //! [`run_serve`] builds a [`lmfao_core::Maintainer`] over a workload batch,
@@ -24,7 +24,7 @@
 //! the snapshot's own database state — and counts mismatches. A non-zero
 //! [`ServeReport::mismatches`] means a reader observed a value that full
 //! recomputation at its pinned generation cannot reproduce, which is the one
-//! thing this benchmark exists to rule out.
+//! thing this harness exists to rule out.
 //!
 //! Independently of the recompute audit, the writer retains every published
 //! [`lmfao_certify::Certificate`] (the generation-0 execute certificate plus
@@ -95,8 +95,6 @@ impl Default for ServeConfig {
 pub struct ServeReport {
     /// Reader threads that ran.
     pub readers: usize,
-    /// Actual wall-clock duration in seconds.
-    pub duration_secs: f64,
     /// Total completed reads across all readers.
     pub total_reads: u64,
     /// Reads per second across all readers.
@@ -117,9 +115,6 @@ pub struct ServeReport {
     /// target cadence regardless of commit speed, so `updates_offered -
     /// updates_applied` is the backlog a too-slow committer left behind.
     pub updates_offered: u64,
-    /// Offered rate (deltas per second) — the requested rate as actually
-    /// delivered by the pacer clock.
-    pub offered_updates_per_sec: f64,
     /// True when the committer applied less than 90% of what the pacer
     /// offered: the writer could not sustain the requested rate.
     pub rate_shortfall: bool,
@@ -352,7 +347,7 @@ fn results_match(got: &QueryResult, want: &QueryResult, rel_eps: f64) -> bool {
     })
 }
 
-/// Runs the serving benchmark for `batch` over `ds`.
+/// Runs the serving loop for `batch` over `ds`.
 ///
 /// Builds the maintainer on the calling thread, then spawns
 /// `config.readers` reader threads plus the pacer/committer writer pair and
@@ -642,7 +637,6 @@ pub fn run_serve(
 
     Ok(ServeReport {
         readers: config.readers.max(1),
-        duration_secs: elapsed,
         total_reads,
         queries_per_sec: total_reads as f64 / elapsed.max(1e-9),
         p50_us: hist.quantile_ns(0.50) as f64 / 1e3,
@@ -652,7 +646,6 @@ pub fn run_serve(
         updates_applied: writer_applied,
         updates_per_sec: writer_applied as f64 / elapsed.max(1e-9),
         updates_offered: offered,
-        offered_updates_per_sec: offered as f64 / elapsed.max(1e-9),
         rate_shortfall: offered > 0 && (writer_applied as f64) < 0.9 * offered as f64,
         target_updates_per_sec: config.updates_per_sec,
         generations: handle.generation(),

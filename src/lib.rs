@@ -229,8 +229,9 @@
 //! ```
 //!
 //! For an always-on serving loop (reader threads + one paced writer +
-//! latency quantiles + a recompute audit of sampled reads), see the `serve`
-//! binary and `serve` module of `lmfao-bench`.
+//! latency quantiles + a recompute and certificate-chain audit of sampled
+//! reads, which set the exit code), see the `serve` binary and `serve` module
+//! of `lmfao-bench`.
 //!
 //! ## Transactions & isolation
 //!
@@ -338,7 +339,7 @@
 //!
 //! The `iso` module of `lmfao-bench` stress-runs exactly this contract:
 //! concurrent reader threads and one transactional writer record a history
-//! while racing, and any violation fails the run.
+//! while racing, and `tests/isolation.rs` fails on any violation.
 //!
 //! ## Execution certificates: untrusted engine, trusted checker
 //!

@@ -14,6 +14,7 @@ use lmfao::certify::{
 use lmfao::datagen::{self, fact_relation, update_stream, Scale, UpdateMix};
 use lmfao::engine::EngineConfig;
 use lmfao::prelude::*;
+use lmfao_bench::{engine_for, WorkloadSpec};
 
 /// A representative batch per dataset: COUNT, a sum, a sum of squares, a
 /// sum-product and a group-by (the shapes the paper's workloads are made of).
@@ -38,40 +39,37 @@ fn spec(ds: &Dataset) -> (AttrId, AttrId) {
     }
 }
 
-fn engine_for(ds: &Dataset, config: EngineConfig) -> Engine {
-    Engine::new(ds.db.clone(), ds.tree.clone(), config)
-}
-
-/// Every dataset × every rung of the ablation ladder: the emitted execute
-/// certificate passes the checker, survives the canonical-JSON round trip
-/// bit-identically, and still passes afterwards.
+/// Every dataset × every rung of the ablation ladder, over the hand-built
+/// batch and the five Table-3 batches (Count, CM, RT, MI, DC): the emitted
+/// execute certificate passes the checker, survives the canonical-JSON round
+/// trip bit-identically, and still passes afterwards.
 #[test]
 fn execute_certificates_verify_across_datasets_and_ladder() {
     let dynamics = DynamicRegistry::new();
     for ds in datagen::all_datasets(Scale::small()) {
-        let batch = workload(&ds);
+        let spec = WorkloadSpec::for_dataset(&ds.name);
+        let mut batches = vec![("shapes", workload(&ds)), ("Count", spec.count_batch(&ds))];
+        batches.extend(spec.workloads(&ds));
         for (rung, config) in EngineConfig::ablation_ladder(2) {
-            let prepared = engine_for(&ds, config).prepare(&batch).unwrap();
-            let (result, cert) = prepared.execute_certified(&dynamics).unwrap();
-            assert!(
-                !result.queries.is_empty(),
-                "{}/{rung}: empty result",
-                ds.name
-            );
-            check_certificate(&cert)
-                .unwrap_or_else(|e| panic!("{}/{rung}: checker rejected: {e}", ds.name));
+            let engine = engine_for(&ds, config);
+            for (wl, batch) in &batches {
+                let at = format!("{}/{wl}/{rung}", ds.name);
+                let prepared = engine.prepare(batch).unwrap();
+                let (result, cert) = prepared.execute_certified(&dynamics).unwrap();
+                assert!(!result.queries.is_empty(), "{at}: empty result");
+                check_certificate(&cert).unwrap_or_else(|e| panic!("{at}: checker rejected: {e}"));
 
-            let json = to_json(&cert);
-            let parsed = parse_certificate(&json)
-                .unwrap_or_else(|e| panic!("{}/{rung}: parse failed: {e}", ds.name));
-            assert_eq!(parsed, cert, "{}/{rung}: round trip not identity", ds.name);
-            check_certificate(&parsed).unwrap();
-            assert_eq!(
-                certify::fingerprint(&parsed),
-                certify::fingerprint(&cert),
-                "{}/{rung}: fingerprint unstable under round trip",
-                ds.name
-            );
+                let json = to_json(&cert);
+                let parsed =
+                    parse_certificate(&json).unwrap_or_else(|e| panic!("{at}: parse failed: {e}"));
+                assert_eq!(parsed, cert, "{at}: round trip not identity");
+                check_certificate(&parsed).unwrap();
+                assert_eq!(
+                    certify::fingerprint(&parsed),
+                    certify::fingerprint(&cert),
+                    "{at}: fingerprint unstable under round trip"
+                );
+            }
         }
     }
 }
