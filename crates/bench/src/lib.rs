@@ -394,6 +394,41 @@ mod tests {
         }
     }
 
+    /// The plan `agg_scalar` spends its time in: on Retailer's RT batch the
+    /// Inventory group (attribute order locn, dateid, ksn) produces one view
+    /// keyed by `ksn` alone, bound at the deepest level and recurring under
+    /// every (locn, dateid). It must be accumulated in an output register
+    /// loaded once per ksn binding (depth 3), not per aggregate and range.
+    #[test]
+    fn rt_inventory_output_keyed_by_ksn_registers_at_depth_three() {
+        use lmfao_core::group::group_views;
+        use lmfao_core::plan::{build_group_plan, prepare_database, KeySource};
+        use lmfao_core::pushdown::push_down_batch;
+        use lmfao_core::roots::assign_roots;
+
+        let ds = lmfao_datagen::retailer::generate(Scale::small());
+        let batch = WorkloadSpec::for_dataset(&ds.name).rt_node_batch(&ds);
+        let mut db = ds.db.clone();
+        let roots = assign_roots(&batch, &ds.tree, &db, &EngineConfig::default());
+        let pushdown = push_down_batch(&batch, &ds.tree, &roots);
+        let grouping = group_views(&pushdown.catalog, true);
+        prepare_database(&mut db, &ds.tree);
+        let ksn = ds.attr("ksn");
+        let mut found = 0;
+        for group in &grouping.groups {
+            let plan = build_group_plan(&db, &ds.tree, &pushdown.catalog, group).unwrap();
+            for output in &plan.outputs {
+                if plan.relation == "Inventory" && output.key_attrs == [ksn] {
+                    assert_eq!(plan.attr_order.iter().position(|a| *a == ksn), Some(2));
+                    assert_eq!(output.key_sources, [KeySource::BoundDepth(2)]);
+                    assert_eq!(output.register_depth, Some(3));
+                    found += 1;
+                }
+            }
+        }
+        assert_eq!(found, 1);
+    }
+
     #[test]
     #[should_panic(expected = "no workload specification")]
     fn unknown_dataset_panics() {

@@ -11,6 +11,24 @@
 //! code the paper generates (Figure 4), expressed as a register program
 //! instead of generated source.
 //!
+//! **Output registers.** An output whose key parts are all bound join
+//! attributes ([`OutputPlan::register_depth`]) keeps one key for the whole
+//! binding of its register depth, so it is accumulated in a register row:
+//! on the first nonzero contribution under a binding the key is built once
+//! and the output's existing entry for it (or a zero row) is swapped into
+//! the register; every term then adds to `row[aggregate]`; when the binding
+//! ends (the child at that depth returns, or the scan ends for a scalar
+//! output) the row is swapped back, or inserted if the key was new. The
+//! entry receives the same float additions in the same order, starting from
+//! the same value, as a per-contribution hash update would give it — also
+//! for a key that recurs under other outer bindings — so the results are
+//! bit-identical to that, and the output map sees the same inserts in the
+//! same order. A keyed output gains an entry iff a nonzero contribution
+//! reached it; a scalar output gets none when its row ends all exactly 0.
+//! Keys with a [`KeySource::RowColumn`] or [`KeySource::Extra`] part change
+//! inside the innermost loop (per row, per entry combination) and are added
+//! entry by entry.
+//!
 //! This is the engine's only executor, and its per-row loop (`row_product`)
 //! the only evaluator of a product of local factors.
 //! [`EngineConfig::specialization`](crate::config::EngineConfig) does not
@@ -219,6 +237,8 @@ struct Ctx<'a> {
     /// The group's local expressions as factor programs (indicators first),
     /// in [`GroupPlan::local_exprs`] order.
     local_programs: Vec<Vec<FastFactor<'a>>>,
+    /// `registers_at[d]`: the outputs whose register depth is `d`.
+    registers_at: Vec<Vec<usize>>,
 }
 
 /// Mutable execution state.
@@ -233,10 +253,24 @@ struct State<'a> {
     local_sums: Vec<f64>,
     /// Accumulated outputs, one per output plan.
     outputs: Vec<ComputedView>,
-    /// Running totals for scalar outputs (no group-by attributes): these are
-    /// accumulated in plain registers and written to the output map once at
-    /// the end of the scan, avoiding a hash probe per innermost binding.
-    scalar_acc: Vec<Vec<f64>>,
+    /// One register row per output plan (used by those with a
+    /// [`OutputPlan::register_depth`]).
+    registers: Vec<Register>,
+    /// `apply_program`'s per-call cache of direct incoming-view probes,
+    /// reset on every call.
+    direct_cache: Vec<Option<Option<&'a [f64]>>>,
+}
+
+/// The register row of one output (the module's "output registers"): while
+/// `loaded`, `row` holds the output's entry for `key`, the key of the current
+/// binding of the output's register depth.
+struct Register {
+    /// Whether `row` holds the current binding's entry.
+    loaded: bool,
+    /// The key of the loaded entry; its buffer is reused across bindings.
+    key: Vec<Value>,
+    /// The entry's aggregate values.
+    row: Vec<f64>,
 }
 
 /// Executes a group plan over (a partition of) its relation, returning one
@@ -323,6 +357,13 @@ pub fn execute_group_scan<V: ViewSource>(
         })
         .collect();
 
+    let depth = plan.depth();
+    let mut registers_at = vec![Vec::new(); depth + 1];
+    for (oi, output) in plan.outputs.iter().enumerate() {
+        if let Some(d) = output.register_depth {
+            registers_at[d].push(oi);
+        }
+    }
     let ctx = Ctx {
         plan,
         relation,
@@ -331,9 +372,9 @@ pub fn execute_group_scan<V: ViewSource>(
         incoming: &incoming,
         col_of_attr,
         local_programs,
+        registers_at,
     };
 
-    let depth = plan.depth();
     let mut state = State {
         prefix: vec![vec![1.0; plan.num_slots]; depth + 1],
         bound: vec![Value::Null; depth],
@@ -344,11 +385,16 @@ pub fn execute_group_scan<V: ViewSource>(
             .iter()
             .map(|o| ComputedView::new(o.key_attrs.clone(), o.aggregates.len()))
             .collect(),
-        scalar_acc: plan
+        registers: plan
             .outputs
             .iter()
-            .map(|o| vec![0.0; o.aggregates.len()])
+            .map(|o| Register {
+                loaded: false,
+                key: Vec::with_capacity(o.key_sources.len()),
+                row: vec![0.0; o.aggregates.len()],
+            })
             .collect(),
+        direct_cache: vec![None; plan.incoming.len()],
     };
 
     // Depth-0 program: constants and incoming views with no bound keys, then
@@ -367,13 +413,7 @@ pub fn execute_group_scan<V: ViewSource>(
         recurse(&ctx, &mut state, 0, range);
     }
 
-    // Flush the scalar accumulators into their output views.
-    for (oi, output) in plan.outputs.iter().enumerate() {
-        if output.key_sources.is_empty() && state.scalar_acc[oi].iter().any(|v| *v != 0.0) {
-            let acc = state.scalar_acc[oi].clone();
-            state.outputs[oi].add(Vec::new(), &acc);
-        }
-    }
+    store_registers(&ctx, &mut state, 0);
 
     Ok(plan
         .outputs
@@ -461,7 +501,7 @@ fn apply_program<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, depth: usize) {
     }
 
     // Probe direct views once per view, then apply updates.
-    let mut direct_cache: Vec<Option<Option<&[f64]>>> = vec![None; ctx.plan.incoming.len()];
+    state.direct_cache.fill(None);
     for update in &ctx.plan.programs[depth] {
         match update {
             DepthUpdate::Constant { slot, value } => {
@@ -484,7 +524,7 @@ fn apply_program<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, depth: usize) {
                 incoming,
                 agg,
             } => {
-                if direct_cache[*incoming].is_none() {
+                if state.direct_cache[*incoming].is_none() {
                     let inc = &ctx.plan.incoming[*incoming];
                     let probed = match &ctx.incoming[*incoming] {
                         IncomingData::Direct(cv) => {
@@ -493,9 +533,9 @@ fn apply_program<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, depth: usize) {
                         }
                         _ => None,
                     };
-                    direct_cache[*incoming] = Some(probed);
+                    state.direct_cache[*incoming] = Some(probed);
                 }
-                match direct_cache[*incoming].unwrap() {
+                match state.direct_cache[*incoming].unwrap() {
                     Some(values) => state.prefix[depth][*slot] *= values[*agg],
                     None => state.prefix[depth][*slot] = 0.0,
                 }
@@ -509,14 +549,59 @@ fn recurse<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, depth: usize, range: Range<
         process_innermost(ctx, state, range);
         return;
     }
-    let groups: Vec<(Value, Range<usize>)> = ctx.trie.children(depth, range).collect();
-    for (value, child_range) in groups {
+    for (value, child_range) in ctx.trie.children(depth, range) {
         state.bound[depth] = value;
         apply_program(ctx, state, depth + 1);
         if all_zero(&state.prefix[depth + 1]) {
             continue;
         }
         recurse(ctx, state, depth + 1, child_range);
+        store_registers(ctx, state, depth + 1);
+    }
+}
+
+/// The register row of output `oi` under the current binding of its register
+/// depth, loaded on first use: the output's entry for the binding's key is
+/// swapped into the row, or the row is zeroed when the key has no entry yet.
+fn register_row<'s>(state: &'s mut State<'_>, output: &OutputPlan, oi: usize) -> &'s mut [f64] {
+    let reg = &mut state.registers[oi];
+    if !reg.loaded {
+        reg.loaded = true;
+        reg.key.clear();
+        reg.key
+            .extend(output.key_sources.iter().map(|src| match src {
+                KeySource::BoundDepth(d) => state.bound[*d],
+                KeySource::RowColumn(_) | KeySource::Extra(_) => {
+                    unreachable!("a register output is keyed by bound depths only")
+                }
+            }));
+        match state.outputs[oi].data.get_mut(reg.key.as_slice()) {
+            Some(entry) => std::mem::swap(entry, &mut reg.row),
+            None => reg.row.fill(0.0),
+        }
+    }
+    &mut reg.row
+}
+
+/// Stores back the loaded register rows of the outputs whose register depth
+/// is `depth`, whose binding is about to change (or, at depth 0, whose scan
+/// ended). An existing entry (its slot held the register's spare buffer
+/// meanwhile) gets its row swapped back; a new key is inserted, except a
+/// scalar output's all-zero row.
+fn store_registers(ctx: &Ctx<'_>, state: &mut State<'_>, depth: usize) {
+    for &oi in &ctx.registers_at[depth] {
+        let reg = &mut state.registers[oi];
+        if !std::mem::take(&mut reg.loaded) {
+            continue;
+        }
+        let data = &mut state.outputs[oi].data;
+        match data.get_mut(reg.key.as_slice()) {
+            Some(entry) => std::mem::swap(entry, &mut reg.row),
+            None if !reg.key.is_empty() || reg.row.iter().any(|v| *v != 0.0) => {
+                data.insert(reg.key.clone(), reg.row.clone());
+            }
+            None => {}
+        }
     }
 }
 
@@ -679,16 +764,12 @@ fn emit_term(
         }
     }
 
-    if output.key_sources.is_empty() {
-        // Scalar output: accumulate in a register, no key to build.
+    if output.register_depth.is_some() {
         let contribution = value * state.local_sums[term.local_expr];
         if contribution != 0.0 {
-            state.scalar_acc[output_idx][agg_index] += contribution;
+            register_row(state, output, output_idx)[agg_index] += contribution;
         }
-        return;
-    }
-
-    if output.needs_row_loop {
+    } else if output.needs_row_loop {
         // The key (and possibly the local factors) depend on non-join
         // columns of the relation: one emit per surviving row.
         let factors = &ctx.local_programs[term.local_expr];
@@ -701,6 +782,8 @@ fn emit_term(
             state.outputs[output_idx].add_single(key, agg_index, v);
         }
     } else {
+        // A key part carried by the entry combination: one entry update per
+        // contribution.
         let contribution = value * state.local_sums[term.local_expr];
         if contribution == 0.0 {
             return;
@@ -721,7 +804,7 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::engine::Engine;
     use crate::group::group_views;
-    use crate::plan::{build_group_plan, prepare_database};
+    use crate::plan::{build_group_plan, prepare_database, AggregatePlan, LocalExpr};
     use crate::pushdown::push_down_batch;
     use crate::roots::assign_roots;
     use lmfao_data::{AttrType, DatabaseSchema, RelationSchema};
@@ -1064,6 +1147,216 @@ mod tests {
         batch.push("sum_x", vec![], vec![Aggregate::sum(x)]);
         let results = run(&batch, &mut db, &tree, EngineConfig::unoptimized());
         assert_eq!(results[0].scalar().unwrap()[0], 9.0);
+    }
+
+    /// F(a, b, c, x), sorted by the attribute order (a, b, c). The innermost
+    /// ranges and their Σx: (1,1,1) → 5 over two rows, (1,1,2) → 5,
+    /// (1,2,1) → −7, (1,2,3) → 7, (2,1,1) → −4, (2,1,3) → −4, (2,2,2) → −2.
+    /// Σx over all rows is exactly 0, and so is Σx over (a, b) = (1, 2).
+    fn register_db() -> Database {
+        let mut schema = DatabaseSchema::new();
+        schema.add_relation_with_attrs(
+            "F",
+            &[
+                ("a", AttrType::Int),
+                ("b", AttrType::Int),
+                ("c", AttrType::Int),
+                ("x", AttrType::Double),
+            ],
+        );
+        let rows = [
+            (1, 1, 1, 2.0),
+            (1, 1, 1, 3.0),
+            (1, 1, 2, 5.0),
+            (1, 2, 1, -7.0),
+            (1, 2, 3, 7.0),
+            (2, 1, 1, -4.0),
+            (2, 1, 3, -4.0),
+            (2, 2, 2, -2.0),
+        ]
+        .map(|(a, b, c, x)| {
+            vec![
+                Value::Int(a),
+                Value::Int(b),
+                Value::Int(c),
+                Value::Double(x),
+            ]
+        });
+        let mut f =
+            Relation::from_rows(schema.relation("F").unwrap().clone(), rows.to_vec()).unwrap();
+        let order = ["a", "b", "c"].map(|n| schema.attr_id(n).unwrap());
+        f.sort_by_attrs(&order);
+        Database::new(schema, vec![f]).unwrap()
+    }
+
+    /// A hand-built plan over [`register_db`] with attribute order (a, b, c)
+    /// and one output per entry of `keys`: its key parts are attribute-order
+    /// depths, its aggregates Σx and, when the flag is set, COUNT. With
+    /// `registers` off every output takes the per-contribution path.
+    fn register_plan(db: &Database, keys: &[(&[usize], bool)], registers: bool) -> GroupPlan {
+        let attr = |n: &str| db.schema().attr_id(n).unwrap();
+        let attr_order = vec![attr("a"), attr("b"), attr("c")];
+        let mut plan = GroupPlan {
+            node: 0,
+            relation: "F".into(),
+            attr_order_cols: vec![0, 1, 2],
+            attr_order: attr_order.clone(),
+            incoming: vec![],
+            outputs: vec![],
+            local_exprs: vec![
+                LocalExpr {
+                    factors: vec![ScalarFunction::Identity(attr("x"))],
+                },
+                LocalExpr { factors: vec![] },
+            ],
+            programs: vec![vec![]; 4],
+            num_slots: 0,
+            specialized: true,
+        };
+        for (view, (depths, with_count)) in keys.iter().enumerate() {
+            let local_exprs: &[usize] = if *with_count { &[0, 1] } else { &[0] };
+            let aggregates = local_exprs
+                .iter()
+                .enumerate()
+                .map(|(index, &local_expr)| {
+                    plan.num_slots += 1;
+                    AggregatePlan {
+                        index,
+                        terms: vec![TermPlan {
+                            slot: plan.num_slots - 1,
+                            local_expr,
+                            extra_refs: vec![],
+                            extra_views: vec![],
+                            extra_factors: vec![],
+                        }],
+                    }
+                })
+                .collect();
+            plan.outputs.push(OutputPlan {
+                view: ViewId(view),
+                key_attrs: depths.iter().map(|&d| attr_order[d]).collect(),
+                key_sources: depths.iter().map(|&d| KeySource::BoundDepth(d)).collect(),
+                needs_row_loop: false,
+                register_depth: registers.then(|| depths.iter().map(|d| d + 1).max().unwrap_or(0)),
+                aggregates,
+            });
+        }
+        plan
+    }
+
+    fn int_key(values: &[i64]) -> Vec<Value> {
+        values.iter().map(|&v| Value::Int(v)).collect()
+    }
+
+    /// Every register shape yields the hand-computed entries, and the same
+    /// entries, bit for bit, as adding each contribution to its entry.
+    #[test]
+    fn register_shapes_match_hand_computation_and_per_contribution_updates() {
+        let db = register_db();
+        let dynamics = DynamicRegistry::new();
+        let empty: FxHashMap<ViewId, ComputedView> = FxHashMap::default();
+        // Scalar; a key equal to the prefix (a); the prefix (a, b); the
+        // deepest attribute c alone, whose values recur under different
+        // (a, b); and (c, a), bound at the deepest level and not a prefix.
+        let keys: [(&[usize], bool); 5] = [
+            (&[], true),
+            (&[0], true),
+            (&[0, 1], true),
+            (&[2], true),
+            (&[2, 0], true),
+        ];
+        let plan = register_plan(&db, &keys, true);
+        let registers: Vec<Option<usize>> = plan.outputs.iter().map(|o| o.register_depth).collect();
+        assert_eq!(registers, [Some(0), Some(1), Some(2), Some(3), Some(3)]);
+        let out = execute_group(&db, &plan, &empty, &dynamics, None).unwrap();
+
+        assert_eq!(out[0].1.len(), 1);
+        assert_eq!(out[0].1.scalar().unwrap(), &[0.0, 8.0]);
+        let expect: [&[(&[i64], [f64; 2])]; 4] = [
+            &[(&[1], [10.0, 5.0]), (&[2], [-10.0, 3.0])],
+            &[
+                (&[1, 1], [10.0, 3.0]),
+                (&[1, 2], [0.0, 2.0]),
+                (&[2, 1], [-8.0, 2.0]),
+                (&[2, 2], [-2.0, 1.0]),
+            ],
+            &[(&[1], [-6.0, 4.0]), (&[2], [3.0, 2.0]), (&[3], [3.0, 2.0])],
+            &[
+                (&[1, 1], [-2.0, 3.0]),
+                (&[1, 2], [-4.0, 1.0]),
+                (&[2, 1], [5.0, 1.0]),
+                (&[2, 2], [-2.0, 1.0]),
+                (&[3, 1], [7.0, 1.0]),
+                (&[3, 2], [-4.0, 1.0]),
+            ],
+        ];
+        for ((_, view), entries) in out[1..].iter().zip(expect) {
+            assert_eq!(view.len(), entries.len());
+            for (key, values) in entries {
+                assert_eq!(view.get(&int_key(key)), Some(&values[..]), "{key:?}");
+            }
+        }
+
+        let per_contribution = register_plan(&db, &keys[1..], false);
+        let reference = execute_group(&db, &per_contribution, &empty, &dynamics, None).unwrap();
+        for ((_, got), (_, want)) in out[1..].iter().zip(&reference) {
+            let bits = |v: &ComputedView| {
+                let mut entries: Vec<(Vec<Value>, Vec<u64>)> = v
+                    .iter()
+                    .map(|(k, a)| (k.clone(), a.iter().map(|x| x.to_bits()).collect()))
+                    .collect();
+                entries.sort();
+                entries
+            };
+            assert_eq!(bits(got), bits(want));
+        }
+    }
+
+    /// Partitions that split one key's subtree — inside the innermost range
+    /// (1,1,1) and inside a = 1 — merge to the unsplit result: each scan
+    /// loads and stores its own registers.
+    #[test]
+    fn register_rows_merge_across_a_split_key_subtree() {
+        let db = register_db();
+        let dynamics = DynamicRegistry::new();
+        let empty: FxHashMap<ViewId, ComputedView> = FxHashMap::default();
+        let keys: [(&[usize], bool); 4] =
+            [(&[], true), (&[0], true), (&[0, 1], true), (&[2], true)];
+        let plan = register_plan(&db, &keys, true);
+        let whole = execute_group(&db, &plan, &empty, &dynamics, None).unwrap();
+        let mut merged: Option<Vec<(ViewId, ComputedView)>> = None;
+        for part in [0..1, 1..3, 3..8] {
+            let next = execute_group(&db, &plan, &empty, &dynamics, Some(part)).unwrap();
+            match merged.as_mut() {
+                None => merged = Some(next),
+                Some(acc) => {
+                    for ((_, a), (_, b)) in acc.iter_mut().zip(next) {
+                        a.merge_from(b);
+                    }
+                }
+            }
+        }
+        for ((vid, got), (_, want)) in merged.unwrap().iter().zip(&whole) {
+            assert_eq!(got.data, want.data, "{vid:?}");
+        }
+    }
+
+    /// Exact cancellation: a scalar output whose contributions sum to 0 gets
+    /// no entry; a keyed output keeps the zero entry of a key that nonzero
+    /// contributions reached ((a, b) = (1, 2): −7 + 7).
+    #[test]
+    fn cancelled_scalar_has_no_entry_but_a_reached_key_keeps_its_zero() {
+        let db = register_db();
+        let dynamics = DynamicRegistry::new();
+        let empty: FxHashMap<ViewId, ComputedView> = FxHashMap::default();
+        let keys: [(&[usize], bool); 2] = [(&[], false), (&[0, 1], false)];
+        let plan = register_plan(&db, &keys, true);
+        let out = execute_group(&db, &plan, &empty, &dynamics, None).unwrap();
+        assert!(out[0].1.is_empty(), "Σx = 0: no scalar entry");
+        let per_ab = &out[1].1;
+        assert_eq!(per_ab.len(), 4);
+        assert_eq!(per_ab.get(&int_key(&[1, 2])), Some(&[0.0][..]));
+        assert_eq!(per_ab.get(&int_key(&[2, 1])), Some(&[-8.0][..]));
     }
 
     #[test]

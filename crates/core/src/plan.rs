@@ -15,7 +15,19 @@
 //!   expressions*, deduplicated across all aggregates of the group and summed
 //!   once per innermost binding (the `α9`/`α10` local variables of Figure 4),
 //! * references to incoming views that carry extra group-by attributes are
-//!   resolved in the innermost loop over that view's matching entries.
+//!   resolved in the innermost loop over that view's matching entries,
+//! * an output view whose key parts are all join attributes gets a
+//!   *register depth* (one more than the depth of its deepest key part; 0
+//!   for a scalar output): the scan accumulates it in an output register
+//!   row, the view-side `α`-registers of Figure 4. The row is loaded with
+//!   the view's existing entry for the key on the first nonzero contribution
+//!   under a binding of that depth and stored back when the binding ends, so
+//!   each entry sees the same additions in the same order as if every
+//!   contribution were added to it directly — bit-identical, with one key
+//!   built and two hash lookups per binding (plus an insert for a new key)
+//!   instead of a key and a lookup per term and range. Keys with a non-join
+//!   column or an extra attribute change inside the innermost loop and are
+//!   updated per contribution.
 //!
 //! This module only *builds* the plans; execution lives in [`crate::exec`].
 
@@ -104,6 +116,15 @@ pub struct OutputPlan {
     pub key_sources: Vec<KeySource>,
     /// True if any key component is a non-join relation column (per-row path).
     pub needs_row_loop: bool,
+    /// The depth whose binding fixes the output's key when every key part is
+    /// a [`KeySource::BoundDepth`]: `1 +` the deepest such part, `0` for a
+    /// scalar output. The scan then accumulates the output in a register row
+    /// that is loaded once per binding of this depth and stored back when
+    /// the binding ends. `None` when a key part is a
+    /// [`KeySource::RowColumn`] or [`KeySource::Extra`]: such keys change
+    /// inside the innermost loop, so each contribution is added to its entry
+    /// directly.
+    pub register_depth: Option<usize>,
     /// The aggregates to compute.
     pub aggregates: Vec<AggregatePlan>,
 }
@@ -357,11 +378,17 @@ fn lower_output(
         });
     }
 
+    let register_depth = key_sources.iter().try_fold(0, |deepest, src| match src {
+        KeySource::BoundDepth(d) => Some(deepest.max(d + 1)),
+        KeySource::RowColumn(_) | KeySource::Extra(_) => None,
+    });
+
     OutputPlan {
         view: def.id,
         key_attrs: def.group_by.clone(),
         key_sources,
         needs_row_loop,
+        register_depth,
         aggregates,
     }
 }
@@ -625,15 +652,48 @@ mod tests {
         // its key from the incoming Items view (Extra source).
         let sales = tree.node_of_relation("Sales").unwrap();
         if roots.root_of(0) == sales {
-            let has_extra_key = plans.iter().any(|p| {
-                p.outputs.iter().any(|o| {
+            let extra_keyed: Vec<&OutputPlan> = plans
+                .iter()
+                .flat_map(|p| &p.outputs)
+                .filter(|o| {
                     o.key_sources
                         .iter()
                         .any(|k| matches!(k, KeySource::Extra(a) if *a == price))
                 })
-            });
-            assert!(has_extra_key);
+                .collect();
+            assert!(!extra_keyed.is_empty());
+            // An extra key part changes inside the innermost loop: no
+            // output register.
+            assert!(extra_keyed.iter().all(|o| o.register_depth.is_none()));
         }
+    }
+
+    #[test]
+    fn register_depth_is_one_past_the_deepest_bound_key_part() {
+        let (mut db, tree) = db_and_tree();
+        let item = db.schema().attr_id("item").unwrap();
+        let units = db.schema().attr_id("units").unwrap();
+        let mut batch = QueryBatch::new();
+        batch.push("count", vec![], vec![Aggregate::count()]);
+        batch.push("per_item", vec![item], vec![Aggregate::sum(units)]);
+        batch.push("by_units", vec![units], vec![Aggregate::count()]);
+        let plans = plans_for(&batch, &mut db, &tree);
+        let outputs: Vec<&OutputPlan> = plans.iter().flat_map(|p| &p.outputs).collect();
+        let registers_of = |key: &[AttrId]| -> Vec<Option<usize>> {
+            outputs
+                .iter()
+                .filter(|o| o.key_attrs == key)
+                .map(|o| o.register_depth)
+                .collect()
+        };
+        // Scalar outputs: registers for the whole scan.
+        assert!(!registers_of(&[]).is_empty());
+        assert!(registers_of(&[]).iter().all(|d| *d == Some(0)));
+        // `item` is depth 0 of both relations' attribute order.
+        assert!(!registers_of(&[item]).is_empty());
+        assert!(registers_of(&[item]).iter().all(|d| *d == Some(1)));
+        // A non-join column of Sales is a row-column key: no register.
+        assert_eq!(registers_of(&[units]), [None]);
     }
 
     #[test]

@@ -102,6 +102,137 @@ fn result_bits(result: &BatchResult) -> BTreeMap<(String, Vec<Value>), Vec<u64>>
         .collect()
 }
 
+/// Folds `result_bits` into a running FNV-1a digest: query names, keys (by
+/// their `Debug` text) and every aggregate's bits, in `BTreeMap` order, so the
+/// digest pins the entry set and every bit of every value.
+fn fold_bits(digest: &mut u64, result: &BatchResult) {
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            *digest = (*digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for ((name, key), bits) in result_bits(result) {
+        eat(name.as_bytes());
+        eat(format!("{key:?}").as_bytes());
+        for b in bits {
+            eat(&b.to_le_bytes());
+        }
+    }
+}
+
+/// A two-relation database whose fact table spans three morsels, with
+/// non-integer measures so a change in float-addition order shows in the
+/// bits: F(k, c, m) ⋈ D(k, w), plus a batch with a scalar output, a
+/// join-key group-by, a fact-column group-by and a dimension group-by.
+fn multi_morsel_db_and_batch() -> (Database, JoinTree, QueryBatch) {
+    use lmfao_data::{AttrType, DatabaseSchema};
+    const ROWS: i64 = 140_000;
+    let mut schema = DatabaseSchema::new();
+    schema.add_relation_with_attrs(
+        "F",
+        &[
+            ("k", AttrType::Int),
+            ("c", AttrType::Int),
+            ("m", AttrType::Double),
+        ],
+    );
+    schema.add_relation_with_attrs("D", &[("k", AttrType::Int), ("w", AttrType::Double)]);
+    let id = |n: &str| schema.attr_id(n).unwrap();
+    let (k, c, m, w) = (id("k"), id("c"), id("m"), id("w"));
+    let f = Relation::from_rows(
+        RelationSchema::new("F", vec![k, c, m]),
+        (0..ROWS)
+            .map(|i| {
+                vec![
+                    Value::Int(i % 97),
+                    Value::Int(i % 5),
+                    Value::Double((i * 7919 % 1000) as f64 / 7.0),
+                ]
+            })
+            .collect(),
+    )
+    .unwrap();
+    let d = Relation::from_rows(
+        RelationSchema::new("D", vec![k, w]),
+        (0..97)
+            .map(|i| vec![Value::Int(i), Value::Double(i as f64 / 3.0)])
+            .collect(),
+    )
+    .unwrap();
+    let db = Database::new(schema.clone(), vec![f, d]).unwrap();
+    let tree = build_join_tree(&Hypergraph::from_schema(&schema)).unwrap();
+    let mut batch = QueryBatch::new();
+    batch.push("mw", vec![], vec![Aggregate::sum_product(m, w)]);
+    batch.push(
+        "per_k",
+        vec![k],
+        vec![Aggregate::sum(m), Aggregate::count()],
+    );
+    batch.push("per_c", vec![c], vec![Aggregate::sum_product(m, w)]);
+    batch.push("per_w", vec![w], vec![Aggregate::sum_square(m)]);
+    (db, tree, batch)
+}
+
+/// Result bits pinned as digests: the tree-node (RT), covar and MI batches on
+/// all four datasets at `Scale::small()`. Any change to the executor that is
+/// not bit-identical — a reassociated sum, a gained or lost zero entry —
+/// changes one of them. `fresh` is execution at 1 and 2 threads plus a scan
+/// that splits into morsels; `maintained` the published state after each of
+/// a few commits; `unoptimized` the bottom rung of the ladder.
+#[test]
+fn golden_result_bits_are_pinned() {
+    const FRESH: u64 = 0xe359_c12a_ab36_8163;
+    const MAINTAINED: u64 = 0x27fe_0780_6735_1bb6;
+    const UNOPTIMIZED: u64 = 0x5ce1_29ec_85d8_33f6;
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    let dynamics = DynamicRegistry::new();
+    let [mut fresh, mut maintained, mut unoptimized] = [FNV_OFFSET; 3];
+    for ds in datagen::all_datasets(Scale::small()) {
+        let spec = WorkloadSpec::for_dataset(&ds.name);
+        let stream = update_stream(
+            &ds,
+            fact_relation(&ds.name),
+            &UpdateMix::balanced(4).seed(7),
+        );
+        for batch in [
+            spec.rt_node_batch(&ds),
+            spec.covar_batch(&ds),
+            spec.mutual_info_batch(&ds),
+        ] {
+            let engine = |cfg| Engine::new(ds.db.clone(), ds.tree.clone(), cfg);
+            for threads in [1, 2] {
+                let result = engine(EngineConfig::full(threads)).execute(&batch);
+                fold_bits(&mut fresh, &result.unwrap());
+            }
+            let result = engine(EngineConfig::unoptimized()).execute(&batch);
+            fold_bits(&mut unoptimized, &result.unwrap());
+            let mut live = engine(EngineConfig::default())
+                .prepare(&batch)
+                .unwrap()
+                .into_serving(&dynamics)
+                .unwrap();
+            for delta in &stream {
+                live.commit(delta, &dynamics).unwrap();
+                fold_bits(&mut maintained, live.snapshot().results());
+            }
+        }
+    }
+    let (db, tree, batch) = multi_morsel_db_and_batch();
+    for threads in [1, 2] {
+        let result = Engine::new(db.clone(), tree.clone(), EngineConfig::full(threads))
+            .execute(&batch)
+            .unwrap();
+        fold_bits(&mut fresh, &result);
+    }
+    let got = [fresh, maintained, unoptimized].map(|d| format!("{d:#018x}"));
+    assert_eq!(
+        [FRESH, MAINTAINED, UNOPTIMIZED],
+        [fresh, maintained, unoptimized],
+        "digests (fresh, maintained, unoptimized): {got:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
