@@ -29,6 +29,19 @@
 //! inside the innermost loop (per row, per entry combination) and are added
 //! entry by entry.
 //!
+//! **The keyed path allocates per new entry only.** A row-column or
+//! extra-key output key is written into a scratch buffer of the scan and
+//! copied into the output map only when the key is new
+//! ([`ComputedView::add_single`]). An incoming view with extra key
+//! attributes is indexed by the bound part of its key over borrowed
+//! `(key, payload)` pairs of the view, so only a new bound key allocates.
+//! Probe keys and the odometer over a term's entry combinations live in
+//! scan scratch as well. None of this changes which float is added to which
+//! entry, or in what order: the map receives the same inserts in the same
+//! order as with a fresh key per update, and each index list keeps the
+//! view's iteration order, so combinations are visited as before and the
+//! results are bit-identical.
+//!
 //! This is the engine's only executor, and its per-row loop (`row_product`)
 //! the only evaluator of a product of local factors.
 //! [`EngineConfig::specialization`](crate::config::EngineConfig) does not
@@ -52,20 +65,24 @@ use lmfao_expr::{CmpOp, DynamicRegistry, ScalarFunction};
 use std::cmp::Ordering;
 use std::ops::Range;
 
-/// Entries of an indexed incoming view: extra key values plus payload.
-type IndexedEntries = Vec<(Vec<Value>, Vec<f64>)>;
+/// One entry of an incoming view, borrowed from it: its full key (in the
+/// view's canonical key order) and its aggregate payload.
+type Entry<'a> = (&'a [Value], &'a [f64]);
+
+/// Entries of an indexed incoming view that share one bound key.
+type IndexedEntries<'a> = Vec<Entry<'a>>;
 
 /// An incoming view's entries re-indexed by the bound part of its key.
-type BoundIndex = FxHashMap<Vec<Value>, IndexedEntries>;
+type BoundIndex<'a> = FxHashMap<Vec<Value>, IndexedEntries<'a>>;
 
 /// Runtime representation of an incoming view.
 enum IncomingData<'a> {
     /// The view has no extra key attributes: probe its result directly.
     Direct(&'a ComputedView),
-    /// The view carries extra key attributes: its entries are re-indexed by
-    /// the bound part of the key; each entry holds the extra key values and
-    /// the aggregate payload.
-    Indexed(BoundIndex),
+    /// The view carries extra key attributes: its entries, borrowed, are
+    /// re-indexed by the bound part of the key, in the view's iteration
+    /// order.
+    Indexed(BoundIndex<'a>),
 }
 
 /// Evaluates a scalar function under an attribute-value lookup, routing
@@ -248,7 +265,7 @@ struct State<'a> {
     /// Values bound at each depth of the attribute order.
     bound: Vec<Value>,
     /// Matching entry lists of indexed incoming views for the current path.
-    probed: Vec<Option<&'a IndexedEntries>>,
+    probed: Vec<Option<&'a IndexedEntries<'a>>>,
     /// Per-local-expression sums for the current innermost range.
     local_sums: Vec<f64>,
     /// Accumulated outputs, one per output plan.
@@ -259,6 +276,15 @@ struct State<'a> {
     /// `apply_program`'s per-call cache of direct incoming-view probes,
     /// reset on every call.
     direct_cache: Vec<Option<Option<&'a [f64]>>>,
+    /// The probe key of the incoming view being looked up.
+    probe_buf: Vec<Value>,
+    /// The key of the output entry being updated per contribution.
+    key_buf: Vec<Value>,
+    /// The innermost loop's odometer over a term's extra views: their entry
+    /// lists, the position in each, and the entries at those positions.
+    lists: Vec<&'a [Entry<'a>]>,
+    idx: Vec<usize>,
+    combo: Vec<Entry<'a>>,
 }
 
 /// The register row of one output (the module's "output registers"): while
@@ -395,6 +421,11 @@ pub fn execute_group_scan<V: ViewSource>(
             })
             .collect(),
         direct_cache: vec![None; plan.incoming.len()],
+        probe_buf: Vec::new(),
+        key_buf: Vec::new(),
+        lists: Vec::new(),
+        idx: Vec::new(),
+        combo: Vec::new(),
     };
 
     // Depth-0 program: constants and incoming views with no bound keys, then
@@ -434,13 +465,17 @@ fn prepare_incoming<'a, V: ViewSource>(
         return Ok(IncomingData::Direct(cv));
     }
     let mut index: BoundIndex = FxHashMap::default();
+    let mut bound_key = Vec::with_capacity(inc.bound_positions.len());
     for (key, aggs) in cv.iter() {
-        let bound_part: Vec<Value> = inc.bound_positions.iter().map(|&p| key[p]).collect();
-        let extra_part: Vec<Value> = inc.extras.iter().map(|&(_, p)| key[p]).collect();
-        index
-            .entry(bound_part)
-            .or_default()
-            .push((extra_part, aggs.clone()));
+        bound_key.clear();
+        bound_key.extend(inc.bound_positions.iter().map(|&p| key[p]));
+        let entry = (key.as_slice(), aggs.as_slice());
+        match index.get_mut(bound_key.as_slice()) {
+            Some(list) => list.push(entry),
+            None => {
+                index.insert(bound_key.clone(), vec![entry]);
+            }
+        }
     }
     Ok(IncomingData::Indexed(index))
 }
@@ -452,9 +487,9 @@ fn all_zero(v: &[f64]) -> bool {
 /// The value of `attr` in the current scan context: a bound join attribute,
 /// or a column of the relation read from `row` when available.
 #[inline]
-fn context_value(ctx: &Ctx<'_>, state: &State<'_>, attr: AttrId, row: Option<usize>) -> Value {
+fn context_value(ctx: &Ctx<'_>, bound: &[Value], attr: AttrId, row: Option<usize>) -> Value {
     if let Some(depth) = ctx.plan.attr_order.iter().position(|a| *a == attr) {
-        return state.bound[depth];
+        return bound[depth];
     }
     if let Some(r) = row {
         let col = ctx.col_of_attr[attr.index()];
@@ -465,17 +500,15 @@ fn context_value(ctx: &Ctx<'_>, state: &State<'_>, attr: AttrId, row: Option<usi
     Value::Null
 }
 
-/// Builds the probe key of an incoming view from the current bindings.
-fn probe_key(
-    ctx: &Ctx<'_>,
-    state: &State<'_>,
-    inc: &IncomingPlan,
-    row: Option<usize>,
-) -> Vec<Value> {
-    inc.bound
-        .iter()
-        .map(|&(attr, _col)| context_value(ctx, state, attr, row))
-        .collect()
+/// Writes the probe key of an incoming view, from the current bindings, into
+/// `state.probe_buf`.
+fn probe_key(ctx: &Ctx<'_>, state: &mut State<'_>, inc: &IncomingPlan) {
+    state.probe_buf.clear();
+    state.probe_buf.extend(
+        inc.bound
+            .iter()
+            .map(|&(attr, _col)| context_value(ctx, &state.bound, attr, None)),
+    );
 }
 
 /// Applies the register program of `depth` (copying the parent registers
@@ -495,8 +528,8 @@ fn apply_program<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, depth: usize) {
             continue;
         }
         if let IncomingData::Indexed(map) = &ctx.incoming[idx] {
-            let key = probe_key(ctx, state, inc, None);
-            state.probed[idx] = map.get(&key);
+            probe_key(ctx, state, inc);
+            state.probed[idx] = map.get(state.probe_buf.as_slice());
         }
     }
 
@@ -528,8 +561,8 @@ fn apply_program<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, depth: usize) {
                     let inc = &ctx.plan.incoming[*incoming];
                     let probed = match &ctx.incoming[*incoming] {
                         IncomingData::Direct(cv) => {
-                            let key = probe_key(ctx, state, inc, None);
-                            cv.get(&key)
+                            probe_key(ctx, state, inc);
+                            cv.get(state.probe_buf.as_slice())
                         }
                         _ => None,
                     };
@@ -626,48 +659,43 @@ fn compute_local_sums(ctx: &Ctx<'_>, state: &mut State<'_>, range: &Range<usize>
 /// falling back to the bound join attributes.
 fn combo_value(
     ctx: &Ctx<'_>,
-    state: &State<'_>,
+    bound: &[Value],
     term: &TermPlan,
-    combo: &[&(Vec<Value>, Vec<f64>)],
+    combo: &[Entry<'_>],
     attr: AttrId,
     row: Option<usize>,
 ) -> Value {
     for (pos, &inc_idx) in term.extra_views.iter().enumerate() {
         let inc = &ctx.plan.incoming[inc_idx];
-        if let Some(j) = inc.extras.iter().position(|&(a, _)| a == attr) {
-            return combo[pos].0[j];
+        if let Some(&(_, p)) = inc.extras.iter().find(|&&(a, _)| a == attr) {
+            return combo[pos].0[p];
         }
     }
-    context_value(ctx, state, attr, row)
+    context_value(ctx, bound, attr, row)
 }
 
-/// Builds an output key from the configured key sources.
+/// Writes an output key, from the configured key sources, into `key`.
 fn build_key(
     ctx: &Ctx<'_>,
-    state: &State<'_>,
+    bound: &[Value],
     output: &OutputPlan,
-    term: Option<&TermPlan>,
-    combo: &[&(Vec<Value>, Vec<f64>)],
+    term: &TermPlan,
+    combo: &[Entry<'_>],
     row: Option<usize>,
-) -> Vec<Value> {
-    output
-        .key_sources
-        .iter()
-        .map(|src| match src {
-            KeySource::BoundDepth(d) => state.bound[*d],
-            KeySource::RowColumn(col) => match row {
-                Some(r) => ctx.relation.value(r, *col),
-                None => Value::Null,
-            },
-            KeySource::Extra(attr) => match term {
-                Some(t) => combo_value(ctx, state, t, combo, *attr, row),
-                None => Value::Null,
-            },
-        })
-        .collect()
+    key: &mut Vec<Value>,
+) {
+    key.clear();
+    key.extend(output.key_sources.iter().map(|src| match src {
+        KeySource::BoundDepth(d) => bound[*d],
+        KeySource::RowColumn(col) => match row {
+            Some(r) => ctx.relation.value(r, *col),
+            None => Value::Null,
+        },
+        KeySource::Extra(attr) => combo_value(ctx, bound, term, combo, *attr, row),
+    }));
 }
 
-fn process_innermost(ctx: &Ctx<'_>, state: &mut State<'_>, range: Range<usize>) {
+fn process_innermost<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, range: Range<usize>) {
     compute_local_sums(ctx, state, &range);
     let deepest = ctx.plan.depth();
 
@@ -681,65 +709,82 @@ fn process_innermost(ctx: &Ctx<'_>, state: &mut State<'_>, range: Range<usize>) 
                 if term.extra_views.is_empty() {
                     emit_term(ctx, state, oi, output, agg.index, term, base, &[], &range);
                 } else {
-                    // Gather the matching entry lists; a missing list means no
-                    // joining tuples below, hence no contribution.
-                    let mut lists: Vec<&Vec<(Vec<Value>, Vec<f64>)>> =
-                        Vec::with_capacity(term.extra_views.len());
-                    let mut ok = true;
-                    for &iv in &term.extra_views {
-                        match state.probed[iv] {
-                            Some(list) if !list.is_empty() => lists.push(list),
-                            _ => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !ok {
-                        continue;
-                    }
-                    // Odometer over the cartesian product of the entry lists.
-                    let mut idx = vec![0usize; lists.len()];
-                    loop {
-                        let combo: Vec<&(Vec<Value>, Vec<f64>)> =
-                            lists.iter().zip(&idx).map(|(l, &i)| &l[i]).collect();
-                        let mut val = base;
-                        for &(inc_idx, agg_idx) in &term.extra_refs {
-                            let pos = term
-                                .extra_views
-                                .iter()
-                                .position(|&v| v == inc_idx)
-                                .expect("extra ref view must be an extra view");
-                            val *= combo[pos].1[agg_idx];
-                        }
-                        if val != 0.0 {
-                            emit_term(ctx, state, oi, output, agg.index, term, val, &combo, &range);
-                        }
-                        // advance odometer
-                        let mut k = lists.len();
-                        loop {
-                            if k == 0 {
-                                break;
-                            }
-                            k -= 1;
-                            idx[k] += 1;
-                            if idx[k] < lists[k].len() {
-                                break;
-                            }
-                            idx[k] = 0;
-                            if k == 0 {
-                                k = usize::MAX;
-                                break;
-                            }
-                        }
-                        if k == usize::MAX {
-                            break;
-                        }
-                    }
+                    emit_combinations(ctx, state, oi, output, agg.index, term, base, &range);
                 }
             }
         }
     }
+}
+
+/// Emits a term with extra views once per combination of their matching
+/// entries, walking the cartesian product of the entry lists with an
+/// odometer kept in `state`'s scratch vectors. Out of line, like
+/// [`emit_keyed`], so that the innermost loop stays small.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn emit_combinations<'a>(
+    ctx: &Ctx<'a>,
+    state: &mut State<'a>,
+    output_idx: usize,
+    output: &OutputPlan,
+    agg_index: usize,
+    term: &TermPlan,
+    base: f64,
+    range: &Range<usize>,
+) {
+    let mut lists = std::mem::take(&mut state.lists);
+    let mut idx = std::mem::take(&mut state.idx);
+    let mut combo = std::mem::take(&mut state.combo);
+    // Gather the matching entry lists; a missing list means no joining
+    // tuples below, hence no contribution.
+    lists.clear();
+    for &iv in &term.extra_views {
+        match state.probed[iv] {
+            Some(list) if !list.is_empty() => lists.push(list),
+            _ => break,
+        }
+    }
+    if lists.len() == term.extra_views.len() {
+        idx.clear();
+        idx.resize(lists.len(), 0);
+        loop {
+            combo.clear();
+            combo.extend(lists.iter().zip(&idx).map(|(l, &i)| l[i]));
+            let mut val = base;
+            for &(inc_idx, agg_idx) in &term.extra_refs {
+                let pos = term
+                    .extra_views
+                    .iter()
+                    .position(|&v| v == inc_idx)
+                    .expect("extra ref view must be an extra view");
+                val *= combo[pos].1[agg_idx];
+            }
+            if val != 0.0 {
+                emit_term(
+                    ctx, state, output_idx, output, agg_index, term, val, &combo, range,
+                );
+            }
+            if !advance(&mut idx, &lists) {
+                break;
+            }
+        }
+    }
+    state.lists = lists;
+    state.idx = idx;
+    state.combo = combo;
+}
+
+/// Steps the odometer `idx` over `lists`, the last position fastest; false
+/// once every combination has been visited.
+fn advance(idx: &mut [usize], lists: &[&[Entry<'_>]]) -> bool {
+    for (i, list) in idx.iter_mut().zip(lists).rev() {
+        *i += 1;
+        if *i < list.len() {
+            return true;
+        }
+        *i = 0;
+    }
+    false
 }
 
 /// Emits the contributions of one term under a fixed entry combination.
@@ -752,12 +797,12 @@ fn emit_term(
     agg_index: usize,
     term: &TermPlan,
     mut value: f64,
-    combo: &[&(Vec<Value>, Vec<f64>)],
+    combo: &[Entry<'_>],
     range: &Range<usize>,
 ) {
     // Factors over carried attributes (evaluated against the combination).
     for f in &term.extra_factors {
-        let lookup = |a: AttrId| combo_value(ctx, state, term, combo, a, None);
+        let lookup = |a: AttrId| combo_value(ctx, &state.bound, term, combo, a, None);
         value *= eval_factor(f, &lookup, ctx.dynamics);
         if value == 0.0 {
             return;
@@ -769,7 +814,31 @@ fn emit_term(
         if contribution != 0.0 {
             register_row(state, output, output_idx)[agg_index] += contribution;
         }
-    } else if output.needs_row_loop {
+    } else {
+        emit_keyed(
+            ctx, state, output_idx, output, agg_index, term, value, combo, range,
+        );
+    }
+}
+
+/// The part of [`emit_term`] for an output whose key has a
+/// [`KeySource::RowColumn`] or [`KeySource::Extra`] part: each contribution
+/// is added to its entry, the key written into `state.key_buf`. Out of line
+/// so that the register path through `emit_term` stays small.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn emit_keyed(
+    ctx: &Ctx<'_>,
+    state: &mut State<'_>,
+    output_idx: usize,
+    output: &OutputPlan,
+    agg_index: usize,
+    term: &TermPlan,
+    value: f64,
+    combo: &[Entry<'_>],
+    range: &Range<usize>,
+) {
+    if output.needs_row_loop {
         // The key (and possibly the local factors) depend on non-join
         // columns of the relation: one emit per surviving row.
         let factors = &ctx.local_programs[term.local_expr];
@@ -778,8 +847,16 @@ fn emit_term(
             if v == 0.0 {
                 continue;
             }
-            let key = build_key(ctx, state, output, Some(term), combo, Some(row));
-            state.outputs[output_idx].add_single(key, agg_index, v);
+            build_key(
+                ctx,
+                &state.bound,
+                output,
+                term,
+                combo,
+                Some(row),
+                &mut state.key_buf,
+            );
+            state.outputs[output_idx].add_single(&state.key_buf, agg_index, v);
         }
     } else {
         // A key part carried by the entry combination: one entry update per
@@ -788,13 +865,17 @@ fn emit_term(
         if contribution == 0.0 {
             return;
         }
-        let row = if range.is_empty() {
-            None
-        } else {
-            Some(range.start)
-        };
-        let key = build_key(ctx, state, output, Some(term), combo, row);
-        state.outputs[output_idx].add_single(key, agg_index, contribution);
+        let row = (!range.is_empty()).then_some(range.start);
+        build_key(
+            ctx,
+            &state.bound,
+            output,
+            term,
+            combo,
+            row,
+            &mut state.key_buf,
+        );
+        state.outputs[output_idx].add_single(&state.key_buf, agg_index, contribution);
     }
 }
 
@@ -1357,6 +1438,214 @@ mod tests {
         assert_eq!(per_ab.len(), 4);
         assert_eq!(per_ab.get(&int_key(&[1, 2])), Some(&[0.0][..]));
         assert_eq!(per_ab.get(&int_key(&[2, 1])), Some(&[-8.0][..]));
+    }
+
+    /// The star F(s, t, x) ⋈ S(a, s) ⋈ T(t, b), integers throughout. Every
+    /// dimension key carries two values of its extra attribute:
+    /// S: s = 1 → a ∈ {1, 2}, s = 2 → a ∈ {2, 3};
+    /// T: t = 1 → b ∈ {1, 2}, t = 2 → b ∈ {2, 3}.
+    /// F: (1, 1, 1), (1, 2, 2), (2, 1, 1), (2, 9, 5); no T tuple has t = 9.
+    /// `a` is declared before `s`, so a view of S keyed by (a, s) holds its
+    /// bound attribute `s` at key position 1: not a prefix.
+    fn star_db_and_tree() -> (Database, JoinTree) {
+        let mut schema = DatabaseSchema::new();
+        schema.add_relation_with_attrs("S", &[("a", AttrType::Int), ("s", AttrType::Int)]);
+        schema.add_relation_with_attrs("T", &[("t", AttrType::Int), ("b", AttrType::Int)]);
+        schema.add_relation_with_attrs(
+            "F",
+            &[
+                ("s", AttrType::Int),
+                ("t", AttrType::Int),
+                ("x", AttrType::Int),
+            ],
+        );
+        let relation = |name: &str, rows: &[&[i64]]| {
+            let rows = rows.iter().map(|r| int_key(r)).collect();
+            Relation::from_rows(schema.relation(name).unwrap().clone(), rows).unwrap()
+        };
+        let s = relation("S", &[&[1, 1], &[2, 1], &[2, 2], &[3, 2]]);
+        let t = relation("T", &[&[1, 1], &[1, 2], &[2, 2], &[2, 3]]);
+        let f = relation("F", &[&[1, 1, 1], &[1, 2, 2], &[2, 1, 1], &[2, 9, 5]]);
+        let db = Database::new(schema.clone(), vec![s, t, f]).unwrap();
+        let tree = build_join_tree(&Hypergraph::from_schema(&schema)).unwrap();
+        (db, tree)
+    }
+
+    /// Plans `batch` over the star with a single root — F, which the batch
+    /// must weigh heaviest — computes every group below it, and returns F's
+    /// group plan, the views it consumes and where each query's results go.
+    fn star_root(
+        db: &mut Database,
+        tree: &JoinTree,
+        batch: &QueryBatch,
+    ) -> (
+        GroupPlan,
+        FxHashMap<ViewId, ComputedView>,
+        crate::pushdown::PushdownResult,
+    ) {
+        let cfg = EngineConfig {
+            multi_root: false,
+            ..EngineConfig::default()
+        };
+        let roots = assign_roots(batch, tree, db, &cfg);
+        assert!(roots.roots.iter().all(|&r| tree.node(r).relation == "F"));
+        let pd = push_down_batch(batch, tree, &roots);
+        let grouping = group_views(&pd.catalog, cfg.multi_output);
+        prepare_database(db, tree);
+        let dynamics = DynamicRegistry::new();
+        let mut computed: FxHashMap<ViewId, ComputedView> = FxHashMap::default();
+        let mut root = None;
+        for gid in grouping.topological_order() {
+            let plan = build_group_plan(db, tree, &pd.catalog, &grouping.groups[gid]).unwrap();
+            if plan.relation == "F" {
+                assert!(root.replace(plan).is_none(), "one group scans F");
+                continue;
+            }
+            for (vid, cv) in execute_group(db, &plan, &computed, &dynamics, None).unwrap() {
+                computed.insert(vid, cv);
+            }
+        }
+        (root.expect("F is the root"), computed, pd)
+    }
+
+    /// The entries of output `view` restricted to `aggregates`, with integer
+    /// keys, in key order.
+    fn int_entries(
+        out: &[(ViewId, ComputedView)],
+        view: ViewId,
+        aggregates: &[usize],
+    ) -> Vec<(Vec<i64>, Vec<f64>)> {
+        let (_, cv) = out.iter().find(|(v, _)| *v == view).unwrap();
+        let mut entries: Vec<(Vec<i64>, Vec<f64>)> = cv
+            .iter()
+            .map(|(key, values)| {
+                let key = key
+                    .iter()
+                    .map(|v| match v {
+                        Value::Int(i) => *i,
+                        other => panic!("non-integer key part {other:?}"),
+                    })
+                    .collect();
+                (key, aggregates.iter().map(|&i| values[i]).collect())
+            })
+            .collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries
+    }
+
+    fn owned(entries: &[(&[i64], &[f64])]) -> Vec<(Vec<i64>, Vec<f64>)> {
+        entries
+            .iter()
+            .map(|(k, v)| (k.to_vec(), v.to_vec()))
+            .collect()
+    }
+
+    /// The extra-key paths against hand-computed join results: a key taking
+    /// extras from two incoming views (a 2 × 2 odometer per fact row), a
+    /// bound key absent from one index, an indicator on a carried attribute,
+    /// an index over a view whose bound attribute is not a key prefix, and a
+    /// row-column key recurring across innermost ranges.
+    #[test]
+    fn extra_key_shapes_match_hand_computation() {
+        let (mut db, tree) = star_db_and_tree();
+        let attr = |n: &str| db.schema().attr_id(n).unwrap();
+        let (a, b, x) = (attr("a"), attr("b"), attr("x"));
+        let mut batch = QueryBatch::new();
+        batch.push(
+            "by_ab",
+            vec![a, b],
+            vec![Aggregate::count(), Aggregate::sum(x)],
+        );
+        batch.push("by_x", vec![x], vec![Aggregate::count()]);
+        batch.push("by_ax", vec![a, x], vec![Aggregate::count()]);
+        let (mut plan, computed, pd) = star_root(&mut db, &tree, &batch);
+        let output_of = |q: usize| {
+            let o = &pd.outputs[q];
+            let oi = plan.outputs.iter().position(|p| p.view == o.view).unwrap();
+            (oi, o.view, o.aggregate_indices.clone())
+        };
+        let (by_ab, by_ab_view, by_ab_aggs) = output_of(0);
+        let (by_x, by_x_view, by_x_aggs) = output_of(1);
+        let (by_ax, by_ax_view, by_ax_aggs) = output_of(2);
+
+        // The shapes the plan must have for the test to mean anything.
+        let x_col = db.relation("F").unwrap().position(x).unwrap();
+        let ab = &plan.outputs[by_ab];
+        assert_eq!(ab.key_sources, [KeySource::Extra(a), KeySource::Extra(b)]);
+        assert!(ab
+            .aggregates
+            .iter()
+            .all(|g| g.terms[0].extra_views.len() == 2));
+        // S's view is keyed (a, s), T's (t, b): their bound attributes sit at
+        // key positions 1 and 0.
+        let bound_positions: Vec<(AttrId, &[usize])> = ab.aggregates[0].terms[0]
+            .extra_views
+            .iter()
+            .map(|&iv| &plan.incoming[iv])
+            .map(|inc| (inc.extras[0].0, inc.bound_positions.as_slice()))
+            .collect();
+        assert_eq!(bound_positions, [(a, &[1][..]), (b, &[0][..])]);
+        assert_eq!(
+            plan.outputs[by_x].key_sources,
+            [KeySource::RowColumn(x_col)]
+        );
+        assert_eq!(
+            plan.outputs[by_ax].key_sources,
+            [KeySource::Extra(a), KeySource::RowColumn(x_col)]
+        );
+
+        // A copy of `by_ab` whose terms also carry 1[a ≥ 2], an extra factor
+        // read from the S entry of the combination.
+        let filtered_view = ViewId(pd.catalog.len());
+        let mut filtered = plan.outputs[by_ab].clone();
+        filtered.view = filtered_view;
+        for term in filtered.aggregates.iter_mut().flat_map(|g| &mut g.terms) {
+            term.extra_factors.push(ScalarFunction::Indicator {
+                attr: a,
+                op: CmpOp::Ge,
+                threshold: Value::Int(2),
+            });
+        }
+        plan.outputs.push(filtered);
+
+        let out = execute_group(&db, &plan, &computed, &DynamicRegistry::new(), None).unwrap();
+        // Join tuples (a, b, x): F row (1, 1, 1) × a ∈ {1, 2} × b ∈ {1, 2};
+        // (1, 2, 2) × {1, 2} × {2, 3}; (2, 1, 1) × {2, 3} × {1, 2}; the row
+        // (2, 9, 5) finds s = 2 in S's index but no t = 9 in T's and adds
+        // nothing.
+        let ab_entries: [(&[i64], &[f64]); 8] = [
+            (&[1, 1], &[1.0, 1.0]),
+            (&[1, 2], &[2.0, 3.0]),
+            (&[1, 3], &[1.0, 2.0]),
+            (&[2, 1], &[2.0, 2.0]),
+            (&[2, 2], &[3.0, 4.0]),
+            (&[2, 3], &[1.0, 2.0]),
+            (&[3, 1], &[1.0, 1.0]),
+            (&[3, 2], &[1.0, 1.0]),
+        ];
+        assert_eq!(
+            int_entries(&out, by_ab_view, &by_ab_aggs),
+            owned(&ab_entries)
+        );
+        assert_eq!(
+            int_entries(&out, filtered_view, &by_ab_aggs),
+            owned(&ab_entries[3..])
+        );
+        // x = 1 recurs in the innermost ranges (1, 1) and (2, 1).
+        assert_eq!(
+            int_entries(&out, by_x_view, &by_x_aggs),
+            owned(&[(&[1], &[8.0]), (&[2], &[4.0])])
+        );
+        assert_eq!(
+            int_entries(&out, by_ax_view, &by_ax_aggs),
+            owned(&[
+                (&[1, 1], &[2.0]),
+                (&[1, 2], &[2.0]),
+                (&[2, 1], &[4.0]),
+                (&[2, 2], &[2.0]),
+                (&[3, 1], &[2.0]),
+            ])
+        );
     }
 
     #[test]

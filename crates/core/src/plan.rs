@@ -26,8 +26,9 @@
 //!   contribution were added to it directly — bit-identical, with one key
 //!   built and two hash lookups per binding (plus an insert for a new key)
 //!   instead of a key and a lookup per term and range. Keys with a non-join
-//!   column or an extra attribute change inside the innermost loop and are
-//!   updated per contribution.
+//!   column or an extra attribute change inside the innermost loop, so they
+//!   have no register depth and the scan adds each contribution to its
+//!   entry.
 //!
 //! This module only *builds* the plans; execution lives in [`crate::exec`].
 

@@ -251,13 +251,13 @@ where
         wake: Condvar::new(),
     };
 
-    crossbeam::scope(|scope| {
+    // `work` catches every job's panic, so none reaches the scope's join.
+    std::thread::scope(|scope| {
         for _ in 1..workers {
-            scope.spawn(|_| pool.work());
+            scope.spawn(|| pool.work());
         }
         pool.work();
-    })
-    .map_err(|payload| EngineError::WorkerPanicked(panic_message(payload.as_ref())))?;
+    });
 
     let state = pool
         .state

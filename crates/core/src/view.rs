@@ -281,11 +281,18 @@ impl ComputedView {
         }
     }
 
-    /// Adds a single aggregate value into the entry for `key`.
-    pub fn add_single(&mut self, key: Vec<Value>, agg_idx: usize, value: f64) {
-        let n = self.num_aggregates;
-        let entry = self.data.entry(key).or_insert_with(|| vec![0.0; n]);
-        entry[agg_idx] += value;
+    /// Adds a single aggregate value into the entry for `key`. The key is
+    /// copied only when it is new: the map sees the same inserts, in the same
+    /// order, as an `entry(key)` update would make.
+    pub fn add_single(&mut self, key: &[Value], agg_idx: usize, value: f64) {
+        match self.data.get_mut(key) {
+            Some(entry) => entry[agg_idx] += value,
+            None => {
+                let mut entry = vec![0.0; self.num_aggregates];
+                entry[agg_idx] += value;
+                self.data.insert(key.to_vec(), entry);
+            }
+        }
     }
 
     /// The aggregate values for a key, if present.
@@ -513,7 +520,7 @@ mod tests {
         cv.add(vec![Value::Int(1)], &[1.0, 2.0]);
         cv.add(vec![Value::Int(1)], &[3.0, 4.0]);
         cv.add(vec![Value::Int(2)], &[1.0, 1.0]);
-        cv.add_single(vec![Value::Int(2)], 1, 5.0);
+        cv.add_single(&[Value::Int(2)], 1, 5.0);
         assert_eq!(cv.len(), 2);
         assert_eq!(cv.get(&[Value::Int(1)]), Some(&[4.0, 6.0][..]));
         assert_eq!(cv.get(&[Value::Int(2)]), Some(&[1.0, 6.0][..]));
