@@ -333,9 +333,11 @@ pub fn execute_group<V: ViewSource>(
 /// slot whose flag is `false` before the scan starts, so those terms emit
 /// nothing. The maintenance layer uses this to suppress terms that reference
 /// no changed incoming view: when incoming views are overlaid with their
-/// signed deltas, only masked-in terms contribute to the output delta, and
-/// the all-zero register pruning skips whole subtrees whose probes miss the
-/// (small) delta keys.
+/// signed deltas, only masked-in terms contribute to the output delta. What
+/// makes such a propagation scan cheap is not the all-zero register pruning
+/// (it can only skip a subtree below a probe's depth, after the trie above
+/// it was walked) but the relation it is handed: only the rows whose keys
+/// hit a delta (the crate-internal `overlay` module).
 #[allow(clippy::too_many_arguments)]
 pub fn execute_group_scan<V: ViewSource>(
     relation: &Relation,

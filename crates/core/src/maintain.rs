@@ -27,14 +27,17 @@
 //!    incoming view's payload by its *delta* payload — while unchanged views
 //!    keep their retained results — computes exactly that term's output
 //!    delta. Terms that reference no changed view contribute nothing and are
-//!    masked out (their partial-product register is zeroed before the scan,
-//!    so the existing all-zero pruning skips subtrees that do not probe into
-//!    the delta's keys).
+//!    masked out (their partial-product register is zeroed before the scan),
+//!    and a row whose key misses every changed view's delta contributes
+//!    nothing either — so a downstream scan reads only the rows whose keys
+//!    hit a delta (the crate-internal `overlay` module has the argument).
 //!
 //! Propagation therefore walks the group-dependency DAG once per committed
 //! transaction: groups scanning a changed relation re-scan only that
-//! relation's delta partitions; groups downstream re-scan with
-//! delta-overlaid probes and masked terms; every other group is untouched
+//! relation's delta partitions; groups downstream scan, with delta-overlaid
+//! probes and masked terms, only the rows of their relation that join the
+//! changed keys (work Σ degree of the changed keys, reported as
+//! [`RefreshStats::rows_scanned`]); every other group is untouched
 //! ([`crate::group::Grouping::transitive_dependents`]). A transaction
 //! touching several relations unions the refresh frontiers and still visits
 //! each group **once**: a group's change splits exactly into a seed
@@ -74,7 +77,7 @@ use crate::overlay::{propagate, scan_partition};
 use crate::plan::GroupPlan;
 use crate::prepared::project_results;
 use crate::sched::{self, Done};
-use crate::snapshot::{Maintainer, CANCELLATION_REL_EPS};
+use crate::snapshot::Maintainer;
 use crate::view::{ComputedView, ViewId, ViewSource};
 use lmfao_certify::{
     Certificate, MaintenanceCertificate, QueryTotals, RelationDeltaAccount, ViewDeltaAccount,
@@ -105,6 +108,12 @@ pub struct RefreshStats {
     /// measurable: committing a multi-relation transaction runs strictly
     /// fewer scans than applying its deltas one at a time.
     pub group_scans: usize,
+    /// Rows fed to those scans: the delta partitions' rows plus, per
+    /// propagation scan, the rows whose keys hit a changed view's delta (the
+    /// whole relation only when a changed view has no key the relation
+    /// binds). The work a commit does, as a function of the delta and the
+    /// degree of its keys rather than of relation sizes.
+    pub rows_scanned: usize,
 }
 
 /// One output view's share of a group refresh.
@@ -130,6 +139,8 @@ struct GroupRefresh {
     seeded: bool,
     /// Delta scans the group executed.
     scans: usize,
+    /// Rows those scans read.
+    rows_scanned: usize,
     /// One entry per output view, in plan output order.
     views: Vec<ViewRefresh>,
 }
@@ -287,6 +298,7 @@ impl Maintainer {
                 stats.propagated_groups += 1;
             }
             stats.group_scans += group.scans;
+            stats.rows_scanned += group.rows_scanned;
             for ViewRefresh {
                 view,
                 delta,
@@ -306,8 +318,7 @@ impl Maintainer {
                     ))
                 });
                 let cv = Arc::make_mut(entry);
-                cv.merge_signed_snapped(&delta, 1.0, CANCELLATION_REL_EPS);
-                cv.prune_zero_entries();
+                cv.fold_delta(&delta);
 
                 let (inserted, deleted, propagated, net) = match seed {
                     // Seeded views: net is defined as inserted - deleted (+
@@ -427,6 +438,7 @@ fn refresh_group<D: ViewSource + Sync>(
     let mut out = GroupRefresh {
         seeded: seed.is_some(),
         scans: 0,
+        rows_scanned: 0,
         views: Vec::new(),
     };
 
@@ -437,6 +449,7 @@ fn refresh_group<D: ViewSource + Sync>(
             .into_iter()
             .filter(|p| !p.is_empty())
             .count();
+        out.rows_scanned += inserts.len() + deletes.len();
         let pos = scan_partition(inserts, num_attrs, plan, retained, dynamics)?;
         let neg = scan_partition(deletes, num_attrs, plan, retained, dynamics)?;
         out.views = pos
@@ -462,7 +475,7 @@ fn refresh_group<D: ViewSource + Sync>(
         let relation = staged_db
             .relation(&plan.relation)
             .map_err(|_| EngineError::UnknownRelation(plan.relation.clone()))?;
-        let scans = propagate(
+        let propagation = propagate(
             plan,
             &changed_incoming,
             relation,
@@ -472,8 +485,9 @@ fn refresh_group<D: ViewSource + Sync>(
             dynamics,
             scan_threads,
         )?;
-        out.scans += scans.len();
-        for scan in scans {
+        out.scans += propagation.scans.len();
+        out.rows_scanned += propagation.rows_scanned;
+        for scan in propagation.scans {
             if out.views.is_empty() {
                 out.views = scan
                     .into_iter()

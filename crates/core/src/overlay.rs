@@ -21,18 +21,39 @@
 //! `t` charges the `t`-th changed view's delta with earlier changed views at
 //! their NEW state and later ones still OLD, and the steps sum exactly to
 //! the total change.
+//!
+//! # What a propagation scan reads
+//!
+//! A scan's *charged* views are the incoming views it resolves to their
+//! signed deltas: every changed view for the combined scan, only the step's
+//! own view for a telescoped step. A row of the relation can contribute only
+//! if its key hits the delta of some charged view: every unmasked term
+//! references a charged view, a per-depth view probe that misses zeroes the
+//! term's register, and a view with extra keys whose entry list is missing
+//! emits nothing. Whether a row hits depends only on its values in the
+//! view's bound columns — join attributes fixed at or above the view's probe
+//! depth — so each innermost range of the trie is selected whole or not at
+//! all. The scan therefore runs over just the selected rows ([`select_rows`],
+//! a semi-join of the relation with the delta keys): the relation is sorted,
+//! the selection keeps trie order, and the same ranges are visited in the
+//! same order with the same additions into every output — bit-identical to
+//! scanning the whole relation, at a cost of one pass over the bound columns
+//! plus a scan of Σ degree(changed key) rows.
 
 use crate::error::EngineError;
 use crate::exec::execute_group_scan;
 use crate::parallel::scan_morsels;
 use crate::plan::{DepthUpdate, GroupPlan};
 use crate::view::{ComputedView, ViewId, ViewSource};
-use lmfao_data::{FxHashMap, FxHashSet, Relation};
+use lmfao_data::{FxHashMap, FxHashSet, Relation, Value};
 use lmfao_expr::DynamicRegistry;
 use std::sync::Arc;
 
 /// The retained (old) view state a refresh reads.
 type Retained = FxHashMap<ViewId, Arc<ComputedView>>;
+
+/// One group scan's outputs, in plan output order.
+type GroupOutput = Vec<(ViewId, ComputedView)>;
 
 /// Resolves incoming views during a propagation scan: changed views resolve
 /// to their signed deltas, unchanged views to the retained full results.
@@ -81,7 +102,7 @@ pub(crate) fn scan_partition<V: ViewSource>(
     plan: &GroupPlan,
     computed: &V,
     dynamics: &DynamicRegistry,
-) -> Result<Vec<(ViewId, ComputedView)>, EngineError> {
+) -> Result<GroupOutput, EngineError> {
     if partition.is_empty() {
         return Ok(plan
             .outputs
@@ -97,12 +118,21 @@ pub(crate) fn scan_partition<V: ViewSource>(
     execute_group_scan(partition, num_attrs, plan, computed, dynamics, None, None)
 }
 
+/// The propagation scans of one group: the outputs of every scan executed
+/// (their sum is the group's propagated change) and the rows they read.
+pub(crate) struct Propagation {
+    /// One output set per scan: a single combined scan, or one per
+    /// telescoped step.
+    pub scans: Vec<GroupOutput>,
+    /// Rows fed to the scans: each scan's selection, or the whole relation
+    /// when it could not be selected.
+    pub rows_scanned: usize,
+}
+
 /// The propagation scans of one group: charges the deltas of its changed
 /// incoming views (`changed_incoming[i]` flags `plan.incoming[i]`, `deltas`
-/// resolves a changed view to its signed delta) against the *updated*
-/// relation. Returns one output set per scan executed — a single combined
-/// scan, or one per telescoped step; their sum is the group's propagated
-/// change.
+/// resolves a changed view to its signed delta) against the rows of the
+/// *updated* relation that their keys hit.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn propagate<D: ViewSource + Sync>(
     plan: &GroupPlan,
@@ -113,30 +143,35 @@ pub(crate) fn propagate<D: ViewSource + Sync>(
     deltas: &D,
     dynamics: &DynamicRegistry,
     scan_threads: usize,
-) -> Result<Vec<Vec<(ViewId, ComputedView)>>, EngineError> {
+) -> Result<Propagation, EngineError> {
+    let mut out = Propagation {
+        scans: Vec::new(),
+        rows_scanned: 0,
+    };
     if !multi_changed_terms(plan, changed_incoming) {
         // No term references two changed views, so the output delta is
         // jointly linear in them: one combined scan with every changed view
         // overlaid by its delta and every affected slot unmasked.
-        let mask = active_slots(plan, changed_incoming);
         let overlay = DeltaOverlay {
             full: retained,
             deltas,
         };
-        return Ok(vec![scan_morsels(
+        scan_charged(
+            plan,
             relation,
             num_attrs,
-            plan,
             &overlay,
+            changed_incoming,
             dynamics,
-            Some(&mask),
             scan_threads,
-        )?]);
+            &mut out,
+        )?;
+        return Ok(out);
     }
 
-    // Telescope. The NEW states are built locally from old + delta
-    // (recomputed per group; only the rare multi-changed-term shape pays
-    // this).
+    // Telescope. The NEW states are built locally from old + delta, folded
+    // exactly as the commit folds the published state (recomputed per group;
+    // only the rare multi-changed-term shape pays this).
     let steps: Vec<(usize, ViewId)> = plan
         .incoming
         .iter()
@@ -152,17 +187,14 @@ pub(crate) fn propagate<D: ViewSource + Sync>(
                 || ComputedView::new(d.key_attrs.clone(), d.num_aggregates),
                 |cv| (**cv).clone(),
             );
-            nv.merge_signed(d, 1.0);
-            nv.prune_zero_entries();
+            nv.fold_delta(d);
             nv
         });
     }
     let mut earlier: FxHashSet<ViewId> = FxHashSet::default();
-    let mut scans = Vec::with_capacity(steps.len());
     for &(idx, vid) in &steps {
         let mut one_hot = vec![false; plan.incoming.len()];
         one_hot[idx] = true;
-        let mask = active_slots(plan, &one_hot);
         let overlay = TelescopeOverlay {
             full: retained,
             staged: &staged,
@@ -170,18 +202,89 @@ pub(crate) fn propagate<D: ViewSource + Sync>(
             current: vid,
             earlier: &earlier,
         };
-        scans.push(scan_morsels(
+        scan_charged(
+            plan,
             relation,
             num_attrs,
-            plan,
             &overlay,
+            &one_hot,
             dynamics,
-            Some(&mask),
             scan_threads,
-        )?);
+            &mut out,
+        )?;
         earlier.insert(vid);
     }
-    Ok(scans)
+    Ok(out)
+}
+
+/// One propagation scan whose charged views (`charged[i]` flags
+/// `plan.incoming[i]`) resolve through `overlay` to their deltas: every slot
+/// referencing no charged view is masked, and only the rows [`select_rows`]
+/// keeps are read. Appends the scan's outputs and row count to `out`.
+#[allow(clippy::too_many_arguments)]
+fn scan_charged<V: ViewSource + Sync>(
+    plan: &GroupPlan,
+    relation: &Relation,
+    num_attrs: usize,
+    overlay: &V,
+    charged: &[bool],
+    dynamics: &DynamicRegistry,
+    scan_threads: usize,
+    out: &mut Propagation,
+) -> Result<(), EngineError> {
+    let selected = select_rows(plan, relation, charged, overlay);
+    let rows = selected.as_ref().unwrap_or(relation);
+    let mask = active_slots(plan, charged);
+    out.scans.push(scan_morsels(
+        rows,
+        num_attrs,
+        plan,
+        overlay,
+        dynamics,
+        Some(&mask),
+        scan_threads,
+    )?);
+    out.rows_scanned += rows.len();
+    Ok(())
+}
+
+/// The rows of `relation` (sorted in `plan`'s trie order) whose key hits the
+/// delta of some charged view (`charged[i]` flags `plan.incoming[i]`;
+/// `deltas` resolves a charged view to its delta), gathered in order into a
+/// relation of the same schema — the only rows that can contribute to the
+/// scan (see the module docs). `None` means "scan the whole relation": a
+/// charged view has no bound key, or one outside the attribute order (rows of
+/// one innermost range could then split), or every row is selected.
+fn select_rows<V: ViewSource>(
+    plan: &GroupPlan,
+    relation: &Relation,
+    charged: &[bool],
+    deltas: &V,
+) -> Option<Relation> {
+    let mut hit_sets = Vec::new();
+    for (inc, _) in plan.incoming.iter().zip(charged).filter(|&(_, &c)| c) {
+        if inc.bound.is_empty() || inc.bound.iter().any(|(a, _)| !plan.attr_order.contains(a)) {
+            return None;
+        }
+        let hits: FxHashSet<Vec<Value>> = deltas
+            .view_result(inc.view)?
+            .iter()
+            .map(|(key, _)| inc.bound_positions.iter().map(|&p| key[p]).collect())
+            .collect();
+        hit_sets.push((&inc.bound, hits));
+    }
+    let mut key = Vec::new();
+    let rows: Vec<u32> = (0..relation.len())
+        .filter(|&row| {
+            hit_sets.iter().any(|(bound, hits)| {
+                key.clear();
+                key.extend(bound.iter().map(|&(_, col)| relation.value(row, col)));
+                hits.contains(key.as_slice())
+            })
+        })
+        .map(|row| row as u32)
+        .collect();
+    (rows.len() < relation.len()).then(|| relation.subset(&rows))
 }
 
 /// For every term slot of `plan`, the changed incoming views it references

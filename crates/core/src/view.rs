@@ -415,6 +415,19 @@ impl ComputedView {
         }
     }
 
+    /// Folds a signed delta into this maintained state: the snapped merge
+    /// (residues below [`CANCELLATION_REL_EPS`] of the delta become exact
+    /// zero) followed by pruning of all-zero entries. The one fold of the
+    /// write path — a commit publishes views folded this way, and telescoped
+    /// propagation stages the NEW state of a changed view the same way, so
+    /// later steps read exactly the state that is published.
+    ///
+    /// [`CANCELLATION_REL_EPS`]: crate::snapshot::CANCELLATION_REL_EPS
+    pub(crate) fn fold_delta(&mut self, delta: &ComputedView) {
+        self.merge_signed_snapped(delta, 1.0, crate::snapshot::CANCELLATION_REL_EPS);
+        self.prune_zero_entries();
+    }
+
     /// Drops entries whose aggregates are all exactly zero. After a signed
     /// merge this restores the invariant that keys without joining tuples are
     /// absent (absent keys already mean all-zero aggregates to every reader).
@@ -620,6 +633,26 @@ mod tests {
         cv.merge_signed_snapped(&one, -1.0, CANCELLATION_REL_EPS);
         cv.prune_zero_entries();
         assert!(cv.is_empty(), "exact cancellation prunes");
+    }
+
+    #[test]
+    fn fold_delta_drops_an_entry_cancelled_up_to_rounding() {
+        let entry = |v: f64| {
+            let mut cv = ComputedView::new(vec![AttrId(0)], 1);
+            cv.add(vec![Value::Int(1)], &[v]);
+            cv
+        };
+        // 0.1 + 0.2 - 0.3 leaves a residue of about 5.5e-17, not zero.
+        let mut cv = entry(0.1);
+        cv.merge_signed(&entry(0.2), 1.0);
+        cv.fold_delta(&entry(-0.3));
+        assert!(cv.is_empty(), "residue left a key: {:?}", cv.data);
+        // A plain signed merge keeps the residue, and with it the key.
+        let mut unsnapped = entry(0.1);
+        unsnapped.merge_signed(&entry(0.2), 1.0);
+        unsnapped.merge_signed(&entry(-0.3), 1.0);
+        unsnapped.prune_zero_entries();
+        assert_eq!(unsnapped.len(), 1);
     }
 
     #[test]

@@ -171,6 +171,20 @@ impl Relation {
         RowView { rel: self, row: i }
     }
 
+    /// The tuples at `rows` (strictly ascending) as a relation of the same
+    /// schema. Gathering in ascending order keeps the rows' relative order,
+    /// so the subset stays sorted by whatever this relation is sorted by.
+    pub fn subset(&self, rows: &[u32]) -> Relation {
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
+        Relation {
+            schema: self.schema.clone(),
+            columns: self.columns.iter().map(|c| c.gather(rows)).collect(),
+            num_rows: rows.len(),
+            arity: self.arity,
+            sorted_by: self.sorted_by.clone(),
+        }
+    }
+
     /// A single value, materialized from its typed column.
     #[inline]
     pub fn value(&self, row: usize, col: usize) -> Value {
@@ -651,6 +665,17 @@ mod tests {
         assert!(r.is_sorted_by(&[0]));
         assert!(r.is_sorted_by(&[0, 1]));
         assert!(!r.is_sorted_by(&[1]));
+    }
+
+    #[test]
+    fn subset_keeps_row_order_and_sort_order() {
+        let mut r = sample();
+        r.sort_by_positions(&[0, 1]);
+        let s = r.subset(&[1, 3]);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.row(0).to_vec(), r.row(1).to_vec());
+        assert_eq!(s.row(1).to_vec(), r.row(3).to_vec());
+        assert!(s.is_sorted_by(&[0, 1]));
     }
 
     #[test]

@@ -329,7 +329,7 @@ fn multi_relation_transactions_match_sequential_and_recompute() {
         }
 
         // One write path at every thread count: the same transaction stream
-        // yields the same `RefreshStats` (all seven counters), bit-identical
+        // yields the same `RefreshStats` (all eight counters), bit-identical
         // published results and the same certificate fingerprint, generation
         // by generation, whether the frontier walk runs inline (1 thread) or
         // on the scheduler's worker pool (2, 4).
@@ -527,5 +527,49 @@ fn fully_cancelling_buffer_publishes_zero_generations() {
         before.results(),
         true,
         "unchanged state",
+    );
+}
+
+/// Commit cost tracks the delta, not the relation: on a chain
+/// `S1(X1, X2) ⋈ S2(X2, X3)` with expected degree 10 per join key, a
+/// single-tuple insert into `S1` changes the `S1 → S2` view at one key, and
+/// the propagated group on `S2` reads only the rows carrying that key. The
+/// rows scanned are bounded by the delta (read once per seed group) plus the
+/// changed key's degree in `S2`, counted from the data, and stay flat while
+/// the relations grow 10×.
+#[test]
+fn propagation_reads_the_changed_keys_rows_not_the_relation() {
+    use lmfao::data::TableDelta;
+
+    let dynamics = DynamicRegistry::new();
+    let scanned = [2_000, 20_000].map(|tuples| {
+        let ds = datagen::chain::generate(3, tuples, tuples / 10, Scale::small());
+        let mut batch = QueryBatch::new();
+        for x in ["X1", "X2", "X3"] {
+            batch.push(x, vec![ds.attr(x)], vec![Aggregate::count()]);
+        }
+        let mut live = Engine::new(ds.db.clone(), ds.tree.clone(), EngineConfig::default())
+            .prepare(&batch)
+            .unwrap()
+            .into_serving(&dynamics)
+            .unwrap();
+        let s1 = ds.db.relation("S1").unwrap();
+        let row = s1.row(0).to_vec();
+        let mut delta = TableDelta::for_relation(s1);
+        delta.insert(&row).unwrap();
+        let stats = live.commit(&delta, &dynamics).unwrap();
+        let s2 = ds.db.relation("S2").unwrap();
+        let x2 = s2.position(ds.attr("X2")).unwrap();
+        let degree = s2.rows().filter(|r| r.value(x2) == row[1]).count();
+        assert!(stats.propagated_groups > 0, "{tuples}: {stats:?}");
+        assert!(
+            stats.rows_scanned <= stats.seed_groups * stats.delta_rows + degree,
+            "{tuples} tuples: {stats:?}, degree of the changed key {degree}"
+        );
+        stats.rows_scanned
+    });
+    assert!(
+        scanned[1] < 3 * scanned[0],
+        "rows scanned grew {scanned:?} over a 10x larger relation"
     );
 }

@@ -3,7 +3,9 @@
 //! configuration, and core data-structure invariants must hold.
 
 use lmfao::baseline::MaterializedEngine;
-use lmfao::datagen::{self, fact_relation, update_stream, Scale, UpdateMix};
+use lmfao::datagen::{
+    self, fact_relation, transaction_stream, txn_relations, update_stream, Scale, UpdateMix,
+};
 use lmfao::engine::BatchResult;
 use lmfao::prelude::*;
 use lmfao_bench::WorkloadSpec;
@@ -178,21 +180,32 @@ fn multi_morsel_db_and_batch() -> (Database, JoinTree, QueryBatch) {
 /// not bit-identical — a reassociated sum, a gained or lost zero entry —
 /// changes one of them. `fresh` is execution at 1 and 2 threads plus a scan
 /// that splits into morsels; `maintained` the published state after each of
-/// a few commits; `unoptimized` the bottom rung of the ladder.
+/// a few commits; `unoptimized` the bottom rung of the ladder;
+/// `transactions` the published state after each commit of a
+/// multi-relation transaction stream, which propagates several changed
+/// views through one group and so exercises the telescoped scans that
+/// single-relation fact streams never reach.
 #[test]
 fn golden_result_bits_are_pinned() {
     const FRESH: u64 = 0xe359_c12a_ab36_8163;
     const MAINTAINED: u64 = 0x27fe_0780_6735_1bb6;
     const UNOPTIMIZED: u64 = 0x5ce1_29ec_85d8_33f6;
+    const TRANSACTIONS: u64 = 0xb875_a61d_30e0_7d79;
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
     let dynamics = DynamicRegistry::new();
-    let [mut fresh, mut maintained, mut unoptimized] = [FNV_OFFSET; 3];
+    let [mut fresh, mut maintained, mut unoptimized, mut transactions] = [FNV_OFFSET; 4];
+    let mut telescoped = 0;
     for ds in datagen::all_datasets(Scale::small()) {
         let spec = WorkloadSpec::for_dataset(&ds.name);
         let stream = update_stream(
             &ds,
             fact_relation(&ds.name),
+            &UpdateMix::balanced(4).seed(7),
+        );
+        let txns = transaction_stream(
+            &ds,
+            &txn_relations(&ds.name),
             &UpdateMix::balanced(4).seed(7),
         );
         for batch in [
@@ -216,6 +229,25 @@ fn golden_result_bits_are_pinned() {
                 live.commit(delta, &dynamics).unwrap();
                 fold_bits(&mut maintained, live.snapshot().results());
             }
+            let mut live = engine(EngineConfig::full(1))
+                .prepare(&batch)
+                .unwrap()
+                .into_serving(&dynamics)
+                .unwrap();
+            for txn in &txns {
+                let stats = live.commit(txn.clone(), &dynamics).unwrap();
+                fold_bits(&mut transactions, live.snapshot().results());
+                // Without telescoping a group runs at most one scan per
+                // non-empty delta partition plus one propagation scan.
+                let partitions = txn
+                    .deltas()
+                    .iter()
+                    .map(|d| usize::from(d.num_inserts() > 0) + usize::from(d.num_deletes() > 0))
+                    .max()
+                    .unwrap_or(0);
+                let untelescoped = stats.seed_groups * (partitions + 1) + stats.propagated_groups;
+                telescoped += usize::from(stats.group_scans > untelescoped);
+            }
         }
     }
     let (db, tree, batch) = multi_morsel_db_and_batch();
@@ -225,11 +257,15 @@ fn golden_result_bits_are_pinned() {
             .unwrap();
         fold_bits(&mut fresh, &result);
     }
-    let got = [fresh, maintained, unoptimized].map(|d| format!("{d:#018x}"));
+    assert!(
+        telescoped > 0,
+        "no transaction ran a telescoped propagation"
+    );
+    let got = [fresh, maintained, unoptimized, transactions].map(|d| format!("{d:#018x}"));
     assert_eq!(
-        [FRESH, MAINTAINED, UNOPTIMIZED],
-        [fresh, maintained, unoptimized],
-        "digests (fresh, maintained, unoptimized): {got:?}"
+        [FRESH, MAINTAINED, UNOPTIMIZED, TRANSACTIONS],
+        [fresh, maintained, unoptimized, transactions],
+        "digests (fresh, maintained, unoptimized, transactions): {got:?}"
     );
 }
 
