@@ -14,6 +14,7 @@
 //!   `Maintainer` but answers by re-planning and re-scanning everything.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ml;
 pub mod naive;

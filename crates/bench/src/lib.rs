@@ -19,6 +19,7 @@
 //! the workspace.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod iso;
 pub mod serve;

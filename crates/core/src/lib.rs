@@ -43,6 +43,9 @@
 //! without sharing any execution code with this one.
 
 #![warn(missing_docs)]
+// The library code's one `unsafe` block is in `SnapshotHandle::load`, which
+// opts in with `#[allow(unsafe_code)]`; every other library crate forbids it.
+#![deny(unsafe_code)]
 
 mod certificate;
 mod overlay;

@@ -374,11 +374,6 @@ impl ComputedView {
         }
     }
 
-    /// Retracts `delta` from this view: `self -= delta`.
-    pub fn retract(&mut self, delta: &ComputedView) {
-        self.merge_signed(delta, -1.0);
-    }
-
     /// Like [`ComputedView::merge_signed`], but snaps results that are zero
     /// up to float rounding back to exact zero: after `e += sign · v`, if
     /// `|e| ≤ rel_eps · |v|` (and `e ≠ 0`), `e` is set to `0.0`.
@@ -574,7 +569,7 @@ mod tests {
         cv.merge_signed(&delta, 1.0);
         assert_eq!(cv.get(&[Value::Int(1)]), Some(&[5.0, 8.0][..]));
         assert_eq!(cv.get(&[Value::Int(2)]), Some(&[5.0, 0.0][..]));
-        cv.retract(&delta);
+        cv.merge_signed(&delta, -1.0);
         assert_eq!(cv.get(&[Value::Int(1)]), Some(&[4.0, 6.0][..]));
         assert_eq!(cv.get(&[Value::Int(2)]), Some(&[0.0, 0.0][..]));
         cv.prune_zero_entries();

@@ -11,6 +11,7 @@
 //! join itself.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod column;

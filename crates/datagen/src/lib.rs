@@ -8,6 +8,7 @@
 //! re-run end to end. See DESIGN.md for the substitution rationale.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chain;
 pub mod common;

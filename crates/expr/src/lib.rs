@@ -7,6 +7,7 @@
 //! join.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod aggregate;
 pub mod dynamic;

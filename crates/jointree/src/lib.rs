@@ -6,6 +6,7 @@
 //! natural-join materialization routine shared with the baseline engines.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod gyo;

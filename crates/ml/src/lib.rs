@@ -16,6 +16,7 @@
 //! database; the training dataset (the join) is never materialized.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chowliu;
 pub mod covar;

@@ -412,6 +412,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use lmfao_baseline as baseline;
 pub use lmfao_certify as certify;
