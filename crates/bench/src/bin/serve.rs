@@ -9,13 +9,14 @@
 //!
 //! Flags: `--dataset NAME` (Retailer | Favorita | Yelp | TPC-DS, default
 //! Retailer), `--readers N` (default 4), `--secs S` (default 30),
-//! `--updates-per-sec U` (default 200), `--history-window W` (snapshot
-//! generations retained for GC, default 8), `--threads N` (engine worker
-//! threads), `--seed S`. Scale comes from `LMFAO_SCALE` (default 5000).
-//! Progress is printed once per second; the process exits non-zero if any
-//! sampled read disagrees with a from-scratch recompute at its pinned
-//! generation, if the certificate checker rejects the chain up to a sampled
-//! generation, or if the writer errors.
+//! `--updates-per-sec U` (default 200), `--threads N` (engine worker
+//! threads), `--seed S`; any other flag exits 2. Scale comes from
+//! `LMFAO_SCALE` (default 5000). Progress is printed once per second; the
+//! process exits 1 if any sampled read disagrees with a from-scratch
+//! recompute at its pinned generation, if the certificate checker rejects
+//! the chain up to a sampled generation, if the writer errors, or if the
+//! publication cell owns more than one superseded generation per live
+//! handle.
 
 use lmfao_bench::serve::{run_serve, ServeConfig};
 use lmfao_bench::WorkloadSpec;
@@ -62,10 +63,6 @@ fn main() {
                 config.updates_per_sec = arg_value(&args, i, "--updates-per-sec");
                 i += 1;
             }
-            "--history-window" => {
-                config.history_window = arg_value::<usize>(&args, i, "--history-window").max(1);
-                i += 1;
-            }
             "--threads" => {
                 threads = arg_value::<usize>(&args, i, "--threads").max(1);
                 i += 1;
@@ -77,7 +74,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown flag `{other}`; use --dataset, --readers, --secs, \
-                     --updates-per-sec, --history-window, --threads, --seed"
+                     --updates-per-sec, --threads, --seed"
                 );
                 std::process::exit(2);
             }

@@ -12,9 +12,11 @@
 //! generation G+1 overlaps the enqueueing of its successors. Readers never
 //! block on a refresh: each read is `handle.load()` (pin the current
 //! generation, a lock-free hazard-pointer acquire) followed by a query lookup
-//! on the pinned, immutable snapshot. The maintainer's generation GC runs
-//! with a configurable [`ServeConfig::history_window`]; the report records
-//! the retained-generation count and approximate retained bytes.
+//! on the pinned, immutable snapshot. A superseded generation lives only
+//! while a reader pins it; the report records how many generations the
+//! publication cell still owns and their approximate bytes, and
+//! [`ServeReport::ok`] fails the run if the cell owns more than one
+//! superseded generation per live handle.
 //!
 //! Every reader records per-read latency into a log-bucketed
 //! [`LatencyHistogram`] and retains a capped set of *pinned samples*
@@ -37,7 +39,7 @@
 
 use lmfao_baseline::RecomputeReference;
 use lmfao_certify::{check_chain, Certificate};
-use lmfao_core::{DeltaBuffer, EngineConfig, QueryResult, ViewSnapshot, DEFAULT_HISTORY_WINDOW};
+use lmfao_core::{DeltaBuffer, EngineConfig, QueryResult, ViewSnapshot};
 use lmfao_datagen::{fact_relation, update_stream, Dataset, UpdateMix};
 use lmfao_expr::{DynamicRegistry, QueryBatch};
 use std::collections::BTreeMap;
@@ -53,6 +55,10 @@ pub const VERIFY_REL_EPS: f64 = 1e-9;
 /// How many pinned samples each reader retains for post-run verification.
 const SAMPLES_PER_READER: usize = 8;
 
+/// Snapshot handles [`run_serve`] holds besides the readers' own: its
+/// progress handle and the maintainer's.
+const HARNESS_HANDLES: usize = 2;
+
 /// Configuration of one serving run.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -67,10 +73,6 @@ pub struct ServeConfig {
     /// Cap on distinct sampled generations recomputed during verification
     /// (each one pays a full from-scratch batch execution).
     pub verify_generations: usize,
-    /// Generation-GC window of the maintainer: how many recently published
-    /// generations the writer retains (see
-    /// [`lmfao_core::Maintainer::set_history_window`]).
-    pub history_window: usize,
     /// Print a progress line roughly once per second while running.
     pub progress: bool,
 }
@@ -83,7 +85,6 @@ impl Default for ServeConfig {
             updates_per_sec: 200.0,
             seed: 42,
             verify_generations: 6,
-            history_window: DEFAULT_HISTORY_WINDOW,
             progress: false,
         }
     }
@@ -124,13 +125,12 @@ pub struct ServeReport {
     /// committer coalesces queued deltas into one commit when it falls
     /// behind the pacer.
     pub generations: u64,
-    /// The configured generation-GC window.
-    pub history_window: usize,
-    /// Generations retained writer-side at the end of the run (bounded by
-    /// `history_window`).
+    /// Generations the publication cell owns at the end of the run: the
+    /// current one plus the superseded ones a reader slot announced at the
+    /// last publication.
     pub retained_generations: usize,
-    /// Approximate bytes of relation + view storage reachable from the
-    /// retained history, deduplicated across generations.
+    /// Approximate bytes of relation + view storage reachable from those
+    /// generations, deduplicated across generations.
     pub retained_bytes: usize,
     /// Pinned samples retained by readers.
     pub sampled_reads: usize,
@@ -151,10 +151,15 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// True when the run completed with no writer error, no mismatch, and no
-    /// certificate rejection.
+    /// True when the run completed with no writer error, no mismatch, no
+    /// certificate rejection, and the publication cell owned at most one
+    /// superseded generation per handle alive at the last publication (the
+    /// readers' plus the harness's own).
     pub fn ok(&self) -> bool {
-        self.mismatches == 0 && self.certificate_failures == 0 && self.writer_error.is_none()
+        self.mismatches == 0
+            && self.certificate_failures == 0
+            && self.writer_error.is_none()
+            && self.retained_generations <= 1 + self.readers + HARNESS_HANDLES
     }
 
     /// Prints the report as aligned human-readable lines.
@@ -178,8 +183,7 @@ impl ServeReport {
             }
         );
         println!(
-            "gc         window {:>2}  retained {:>2} generations  ~{:.1} MiB",
-            self.history_window,
+            "gc         retained {:>2} generations  ~{:.1} MiB",
             self.retained_generations,
             self.retained_bytes as f64 / (1024.0 * 1024.0)
         );
@@ -366,7 +370,6 @@ pub fn run_serve(
     let dynamics = DynamicRegistry::new();
     let engine = crate::engine_for(ds, engine_config);
     let mut maintainer = engine.prepare(batch)?.into_serving(&dynamics)?;
-    maintainer.set_history_window(config.history_window);
     let handle = maintainer.handle();
 
     let names: Vec<String> = batch.queries.iter().map(|q| q.name.clone()).collect();
@@ -649,7 +652,6 @@ pub fn run_serve(
         rate_shortfall: offered > 0 && (writer_applied as f64) < 0.9 * offered as f64,
         target_updates_per_sec: config.updates_per_sec,
         generations: handle.generation(),
-        history_window: config.history_window,
         retained_generations: maintainer.retained_generations(),
         retained_bytes: maintainer.retained_bytes(),
         sampled_reads,
@@ -735,11 +737,10 @@ mod tests {
             updates_per_sec: 100.0,
             seed: 7,
             verify_generations: 3,
-            history_window: 4,
             progress: false,
         };
         let report = run_serve(&ds, &batch, EngineConfig::default(), &config).unwrap();
-        assert!(report.ok(), "writer error: {:?}", report.writer_error);
+        assert!(report.ok(), "{report:?}");
         assert!(report.total_reads > 0, "readers must make progress");
         assert!(report.updates_applied > 0, "writer must make progress");
         assert!(report.updates_offered >= report.updates_applied);
@@ -748,12 +749,6 @@ mod tests {
         assert!(report.generations > 0);
         assert!(report.generations <= report.updates_applied);
         assert!(report.retained_generations >= 1);
-        assert!(
-            report.retained_generations <= config.history_window,
-            "GC must bound the retained history: {} > {}",
-            report.retained_generations,
-            config.history_window
-        );
         assert!(report.retained_bytes > 0);
         assert_eq!(report.mismatches, 0);
         assert!(report.sampled_reads > 0, "verification must sample reads");

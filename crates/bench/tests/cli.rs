@@ -58,5 +58,7 @@ fn serve_exit_code_is_the_audit_verdict() {
     assert!(stdout.contains(" 0 mismatches"), "{stdout}");
     assert!(stdout.contains(" 0 rejected"), "{stdout}");
 
-    assert_eq!(run(serve, &["--quick"]).status.code(), Some(2));
+    for args in [&["--quick"][..], &["--history-window", "4"]] {
+        assert_eq!(run(serve, args).status.code(), Some(2), "{args:?}");
+    }
 }

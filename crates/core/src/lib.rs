@@ -29,12 +29,14 @@
 //! walk each ([`maintain`]), with work proportional to the deltas instead of
 //! recomputing. A [`DeltaBuffer`] ([`buffer`]) coalesces churny update
 //! streams into such transactions. Every commit publishes one immutable,
-//! epoch-published [`ViewSnapshot`] ([`snapshot`]): the writer reads its own
-//! results through [`Maintainer::snapshot`], and concurrent readers pin
-//! whatever generation they load through a [`SnapshotHandle`] and never
-//! block on a refresh — a contract the black-box snapshot-isolation checker
-//! ([`isocheck`]) validates from recorded read/commit histories. Planning
-//! and execution failures surface as typed [`EngineError`]s.
+//! epoch-published [`ViewSnapshot`] ([`snapshot`]), which becomes the
+//! maintainer's state: the writer reads it through [`Maintainer::snapshot`],
+//! and concurrent readers pin whatever generation they load through a
+//! [`SnapshotHandle`] and never block on a refresh — a contract the
+//! black-box snapshot-isolation checker ([`isocheck`]) validates from
+//! recorded read/commit histories. A superseded generation lives only while
+//! a reader pins it. Planning and execution failures surface as typed
+//! [`EngineError`]s.
 //!
 //! Trust: [`PreparedBatch::execute_certified`] and every published
 //! [`ViewSnapshot`] emit versioned, integer/fixed-point *execution
@@ -76,9 +78,7 @@ pub use isocheck::{check_history, snapshot_digest, CommitEvent, History, IsoViol
 pub use maintain::RefreshStats;
 pub use prepared::PreparedBatch;
 pub use shared::SharedDatabase;
-pub use snapshot::{
-    Maintainer, SnapshotHandle, ViewSnapshot, CANCELLATION_REL_EPS, DEFAULT_HISTORY_WINDOW,
-};
+pub use snapshot::{Maintainer, SnapshotHandle, ViewSnapshot, CANCELLATION_REL_EPS};
 pub use view::{ComputedView, ViewCatalog, ViewDef, ViewId, ViewSource};
 
 #[cfg(test)]

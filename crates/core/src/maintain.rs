@@ -77,7 +77,7 @@ use crate::overlay::{propagate, scan_partition};
 use crate::plan::GroupPlan;
 use crate::prepared::project_results;
 use crate::sched::{self, Done};
-use crate::snapshot::Maintainer;
+use crate::snapshot::{Maintainer, ViewSnapshot};
 use crate::view::{ComputedView, ViewId, ViewSource};
 use lmfao_certify::{
     Certificate, MaintenanceCertificate, QueryTotals, RelationDeltaAccount, ViewDeltaAccount,
@@ -202,10 +202,11 @@ impl Maintainer {
         };
 
         // Stage the database: every delta lands on a private copy-on-write
-        // clone, so an unmatched delete in any of them fails before the
-        // maintainer's own state changes — the transaction is atomic against
-        // the writer, not just against readers.
-        let mut staged_db = self.db.clone();
+        // clone of the current generation's, so an unmatched delete in any of
+        // them fails before the maintainer's own state changes — the
+        // transaction is atomic against the writer, not just against readers.
+        let current = &self.current;
+        let mut staged_db = current.db.clone();
         let mut relation_accounts = Vec::with_capacity(txn.num_relations());
         for delta in txn.deltas() {
             let rows_before = staged_db
@@ -269,7 +270,7 @@ impl Maintainer {
                     partitions.get(plan.relation.as_str()),
                     num_attrs,
                     &staged_db,
-                    &self.computed,
+                    &current.computed,
                     &UpstreamDeltas { grouping, done },
                     dynamics,
                     scan_threads,
@@ -278,14 +279,16 @@ impl Maintainer {
             |_, _| unreachable!("frontier nodes run as one part"),
         )?;
 
-        // Fold the signed deltas into the retained state, in group order.
-        // `Arc::make_mut` is the copy-on-write step: only views on the
-        // refresh frontier are cloned, and only when a published generation
-        // still pins them. Residues that are zero up to rounding snap to
-        // exact zero so the pruning below drops keys whose aggregates
+        // Fold the signed deltas into a staged copy of the current view map,
+        // in group order. `Arc::make_mut` is the copy-on-write step: only
+        // views on the refresh frontier are cloned, and only when a published
+        // generation still pins them. Residues that are zero up to rounding
+        // snap to exact zero so the pruning below drops keys whose aggregates
         // cancelled. Each fold also settles the view's certificate account:
-        // the exact encoded net moves the shadow ledger, never the
-        // re-encoded float state.
+        // the exact encoded net moves a staged copy of the shadow ledger,
+        // never the re-encoded float state.
+        let mut computed = current.computed.clone();
+        let mut shadow = self.shadow.clone();
         let mut accounts = Vec::new();
         for outcome in outcomes {
             let Some(group) = outcome else {
@@ -310,8 +313,8 @@ impl Maintainer {
                     continue;
                 }
                 stats.views_changed += 1;
-                let rows_before = self.computed.get(&view).map_or(0, |cv| cv.len() as u64);
-                let entry = self.computed.entry(view).or_insert_with(|| {
+                let rows_before = computed.get(&view).map_or(0, |cv| cv.len() as u64);
+                let entry = computed.entry(view).or_insert_with(|| {
                     Arc::new(ComputedView::new(
                         delta.key_attrs.clone(),
                         delta.num_aggregates,
@@ -342,14 +345,13 @@ impl Maintainer {
                         (None, None, None, net)
                     }
                 };
-                let totals_before = self
-                    .shadow
+                let totals_before = shadow
                     .get(&view)
                     .cloned()
                     .unwrap_or_else(|| vec![0; net.len()]);
                 let totals_after: Vec<i128> =
                     totals_before.iter().zip(&net).map(|(a, b)| a + b).collect();
-                self.shadow.insert(view, totals_after.clone());
+                shadow.insert(view, totals_after.clone());
                 accounts.push(ViewDeltaAccount {
                     view: view.0 as u32,
                     rows_before,
@@ -365,45 +367,56 @@ impl Maintainer {
         }
         accounts.sort_by_key(|a| a.view);
 
-        // Publish: swap in the staged database, project the new results,
-        // emit the chained maintenance certificate and hand the generation
-        // to the publication cell. Everything above ran on private state;
-        // readers observe the new generation — one per transaction —
-        // atomically or not at all.
-        self.db = staged_db;
-        self.generation += 1;
-        self.txns += 1;
-        let results = project_results(&self.inner, &self.computed)?;
+        // Project the new results (the last fallible step), emit the chained
+        // maintenance certificate and publish the staged state as the next
+        // generation. Everything up to here ran on private state; readers
+        // observe the new generation — one per transaction — atomically or
+        // not at all.
+        let results = project_results(&self.inner, &computed)?;
+        let (generation, txn) = (current.generation + 1, current.txn + 1);
         let certificate = Certificate::Maintenance(MaintenanceCertificate {
             version: CERTIFICATE_VERSION,
-            generation: self.generation,
-            txn: self.txns,
-            parent_generation: self.generation - 1,
+            generation,
+            txn,
+            parent_generation: current.generation,
             parent_hash: self.last_fingerprint,
             relations: relation_accounts,
             views: accounts,
-            queries: self.ledger_query_totals(),
+            queries: self.ledger_query_totals(&computed, &shadow),
         });
-        self.publish(results, certificate);
+        let next = ViewSnapshot {
+            generation,
+            txn,
+            db: staged_db,
+            computed,
+            results,
+            inner: Arc::clone(&self.inner),
+            certificate: Arc::new(certificate),
+        };
+        self.publish(next, shadow);
         Ok(stats)
     }
 
-    /// Per-query totals as of the maintainer's current state, read from the
-    /// shadow ledger (the chain checker verifies them against the state it
-    /// tracks independently from the execute root forward).
-    fn ledger_query_totals(&self) -> Vec<QueryTotals> {
+    /// Per-query totals of a staged view map, read from its staged shadow
+    /// ledger (the chain checker verifies them against the state it tracks
+    /// independently from the execute root forward).
+    fn ledger_query_totals(
+        &self,
+        computed: &FxHashMap<ViewId, Arc<ComputedView>>,
+        shadow: &FxHashMap<ViewId, Vec<i128>>,
+    ) -> Vec<QueryTotals> {
         self.inner
             .queries
             .iter()
             .map(|pq| QueryTotals {
                 name: pq.name.clone(),
                 view: pq.view.0 as u32,
-                rows: self.computed.get(&pq.view).map_or(0, |cv| cv.len() as u64),
+                rows: computed.get(&pq.view).map_or(0, |cv| cv.len() as u64),
                 aggregate_indices: pq.aggregate_indices.iter().map(|&i| i as u32).collect(),
                 totals: pq
                     .aggregate_indices
                     .iter()
-                    .map(|&i| self.shadow.get(&pq.view).map_or(0, |t| t[i]))
+                    .map(|&i| shadow.get(&pq.view).map_or(0, |t| t[i]))
                     .collect(),
             })
             .collect()

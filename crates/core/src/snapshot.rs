@@ -3,7 +3,7 @@
 //! Committing a [`Transaction`](lmfao_data::Transaction) mutates retained
 //! view state, so a single mutable object would stall every query on every
 //! refresh. This module is the reader/writer separation a serving system
-//! needs — publication and generation GC; the write path itself
+//! needs — publication and generation lifetime; the write path itself
 //! ([`Maintainer::commit`]) lives in [`crate::maintain`]:
 //!
 //! * [`ViewSnapshot`] — one **immutable** generation of the world: the
@@ -11,11 +11,13 @@
 //!   per-query results, all behind `Arc`s. Readers answer named-query
 //!   lookups straight from the projected results with zero scans and zero
 //!   locks held.
-//! * [`Maintainer`] — the single writer. It commits transactions — atomic
-//!   sets of [`TableDelta`](lmfao_data::TableDelta)s over one or more base
-//!   relations — against its private next-generation state, one DAG walk and
-//!   one published generation per transaction, each new generation an
-//!   `Arc<ViewSnapshot>` swapped through the shared [`SnapshotHandle`].
+//! * [`Maintainer`] — the single writer. Its state is its current
+//!   generation. It commits transactions — atomic sets of
+//!   [`TableDelta`](lmfao_data::TableDelta)s over one or more base relations
+//!   — by staging the next generation copy-on-write against the current one,
+//!   one DAG walk and one published generation per transaction, each new
+//!   generation an `Arc<ViewSnapshot>` swapped through the shared
+//!   [`SnapshotHandle`].
 //! * [`SnapshotHandle`] — the publication cell readers clone into their
 //!   threads. [`SnapshotHandle::load`] returns the latest published
 //!   generation; whatever a reader loaded stays valid (and immutable)
@@ -53,18 +55,21 @@
 //! `RwLock<Arc<ViewSnapshot>>` cell served about a quarter fewer reads per
 //! second at two and eight readers on two vCPUs.
 //!
-//! # Generation GC
+//! # Generation lifetime
 //!
-//! The maintainer keeps a bounded history of recently published generations
-//! (see [`Maintainer::set_history_window`], default
-//! [`DEFAULT_HISTORY_WINDOW`]). Generations beyond the window are retired
-//! from the writer side; since snapshots are plain `Arc`s, an unpinned
-//! generation frees immediately while a long-pinned reader keeps exactly its
-//! own generation alive — never the whole chain, because copy-on-write
-//! shares unchanged relations and views *forward* across generations.
+//! A published generation lives while it is current or some reader pins it
+//! — through an `Arc` it loaded, or through a slot announcing it mid-load.
+//! Nothing else keeps it alive: the maintainer's state *is* its current
+//! generation (the same `Arc` the cell publishes), and each publication
+//! drops the cell's reference to every superseded generation no slot
+//! announces. An unpinned generation is therefore freed by the next
+//! publication, and a long-pinned reader keeps exactly its own generation
+//! alive — never the whole chain, because copy-on-write shares unchanged
+//! relations and views *forward* across generations. The cell holds at most
+//! one superseded generation per live handle.
 //! [`Maintainer::retained_generations`] and [`Maintainer::retained_bytes`]
-//! report the writer-side footprint (pointer-deduplicated, so shared storage
-//! counts once).
+//! report what the cell owns (pointer-deduplicated, so shared storage counts
+//! once).
 //!
 //! # One scheduler
 //!
@@ -89,7 +94,6 @@ use lmfao_certify::{fingerprint, Certificate};
 use lmfao_data::{Database, DatabaseSnapshot, FxHashMap, FxHashSet, Relation};
 use lmfao_expr::DynamicRegistry;
 use lmfao_jointree::JoinTree;
-use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
 use std::ptr;
@@ -105,12 +109,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// layer guarantees for float aggregates.
 pub const CANCELLATION_REL_EPS: f64 = 1e-11;
 
-/// Default bound on the maintainer's generation history: how many recently
-/// published [`ViewSnapshot`]s stay retained writer-side for audits before
-/// being retired (readers' own pins are unaffected). See
-/// [`Maintainer::set_history_window`].
-pub const DEFAULT_HISTORY_WINDOW: usize = 8;
-
 /// One immutable, published generation of maintained state.
 ///
 /// Everything a reader needs lives here: the projected per-query results
@@ -120,13 +118,13 @@ pub const DEFAULT_HISTORY_WINDOW: usize = 8;
 /// long after the writer has moved on.
 #[derive(Debug)]
 pub struct ViewSnapshot {
-    generation: u64,
-    txn: u64,
-    db: DatabaseSnapshot,
-    computed: FxHashMap<ViewId, Arc<ComputedView>>,
-    results: BatchResult,
-    inner: Arc<PreparedPlans>,
-    certificate: Arc<Certificate>,
+    pub(crate) generation: u64,
+    pub(crate) txn: u64,
+    pub(crate) db: DatabaseSnapshot,
+    pub(crate) computed: FxHashMap<ViewId, Arc<ComputedView>>,
+    pub(crate) results: BatchResult,
+    pub(crate) inner: Arc<PreparedPlans>,
+    pub(crate) certificate: Arc<Certificate>,
 }
 
 impl ViewSnapshot {
@@ -374,9 +372,9 @@ impl fmt::Debug for SnapshotHandle {
     }
 }
 
-/// The single writer of a served batch: applies [`TableDelta`](lmfao_data::TableDelta)s against
-/// private next-generation state and publishes each refreshed generation
-/// through its [`SnapshotHandle`].
+/// The single writer of a served batch: stages each commit against its
+/// current generation and publishes the refreshed generation through its
+/// [`SnapshotHandle`].
 ///
 /// Built with [`PreparedBatch::into_serving`]. One owner that both commits
 /// and reads can answer from [`Maintainer::snapshot`]; readers on other
@@ -384,14 +382,12 @@ impl fmt::Debug for SnapshotHandle {
 /// it is deliberately not `Sync`, there is exactly one writer.
 #[derive(Debug)]
 pub struct Maintainer {
-    /// Next-generation database state (copy-on-write against published
-    /// generations).
-    pub(crate) db: DatabaseSnapshot,
     /// The plans the batch was prepared with.
     pub(crate) inner: Arc<PreparedPlans>,
-    /// Next-generation view state; `Arc::make_mut` clones exactly the views
-    /// a refresh touches.
-    pub(crate) computed: FxHashMap<ViewId, Arc<ComputedView>>,
+    /// The latest published generation — the same `Arc` the cell publishes.
+    /// Its database and view map are what the next commit stages against
+    /// copy-on-write; it changes only at publication.
+    pub(crate) current: Arc<ViewSnapshot>,
     /// The shadow ledger: per-view fixed-point aggregate totals carried
     /// exactly from generation to generation (`after = before + net`, in
     /// `i128`). Emitting certificate totals from this ledger — instead of
@@ -401,18 +397,8 @@ pub struct Maintainer {
     /// Fingerprint of the last emitted certificate; the next maintenance
     /// certificate records it as `parent_hash`.
     pub(crate) last_fingerprint: u64,
-    /// Generation of the latest published snapshot.
-    pub(crate) generation: u64,
-    /// Number of transactions committed so far (the next commit is `txns+1`).
-    pub(crate) txns: u64,
     /// The publication cell shared with every reader.
     handle: SnapshotHandle,
-    /// Bounded history of recently published generations, oldest first (the
-    /// back is always the current generation). Generations that fall out are
-    /// retired writer-side; readers' own pins keep theirs alive.
-    history: VecDeque<Arc<ViewSnapshot>>,
-    /// Maximum length of `history` (at least 1 — the current generation).
-    history_window: usize,
 }
 
 impl PreparedBatch {
@@ -449,26 +435,21 @@ impl PreparedBatch {
         )?;
         let last_fingerprint = fingerprint(&certificate);
 
-        let snapshot = Arc::new(ViewSnapshot {
+        let current = Arc::new(ViewSnapshot {
             generation: 0,
             txn: 0,
-            db: db.clone(),
-            computed: computed.clone(),
+            db,
+            computed,
             results,
             inner: Arc::clone(&inner),
             certificate: Arc::new(certificate),
         });
         Ok(Maintainer {
-            db,
             inner,
-            computed,
+            handle: SnapshotHandle::new(Arc::clone(&current)),
+            current,
             shadow,
             last_fingerprint,
-            generation: 0,
-            txns: 0,
-            handle: SnapshotHandle::new(Arc::clone(&snapshot)),
-            history: VecDeque::from([snapshot]),
-            history_window: DEFAULT_HISTORY_WINDOW,
         })
     }
 }
@@ -479,24 +460,26 @@ impl Maintainer {
         self.handle.clone()
     }
 
-    /// The latest published snapshot (same as `self.handle().load()`).
+    /// The latest published snapshot (the generation
+    /// `self.handle().load()` returns).
     pub fn snapshot(&self) -> Arc<ViewSnapshot> {
-        self.handle.load()
+        Arc::clone(&self.current)
     }
 
     /// Generation of the latest published snapshot.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.current.generation
     }
 
-    /// The maintainer's database state (reflects every applied delta).
+    /// The database state of the latest published generation (reflects
+    /// every committed delta).
     pub fn database(&self) -> &DatabaseSnapshot {
-        &self.db
+        &self.current.db
     }
 
     /// The retained result of a view, if it exists in the catalog.
     pub fn view_state(&self, id: ViewId) -> Option<&ComputedView> {
-        self.computed.get(&id).map(|cv| &**cv)
+        self.current.view_state(id)
     }
 
     /// The groups a delta against `relation` would touch (seed groups plus
@@ -513,45 +496,22 @@ impl Maintainer {
         self.inner.grouping.transitive_dependents(&seeds)
     }
 
-    /// Bound on the writer-side generation history. See
-    /// [`Maintainer::set_history_window`].
-    pub fn history_window(&self) -> usize {
-        self.history_window
-    }
-
-    /// Sets the generation-GC window: how many recently published
-    /// generations the maintainer retains (for audits and late readers)
-    /// before retiring them. Clamped to at least 1 — the current generation
-    /// is always retained. Shrinking the window retires immediately.
-    ///
-    /// Retiring drops the *writer's* reference only: an unpinned generation
-    /// frees at once, while a reader that pinned one through
-    /// [`SnapshotHandle::load`] keeps exactly its own generation alive for
-    /// as long as it holds the `Arc`.
-    pub fn set_history_window(&mut self, window: usize) {
-        self.history_window = window.max(1);
-        self.retire();
-    }
-
-    /// Number of generations currently retained writer-side (bounded by the
-    /// history window).
+    /// Number of generations the publication cell owns: the current one
+    /// plus the superseded ones some slot still announced at the last
+    /// publication (at most one per live handle).
     pub fn retained_generations(&self) -> usize {
-        self.history.len()
-    }
-
-    /// The retained generations, oldest first (the last is the current one).
-    pub fn retained_snapshots(&self) -> impl Iterator<Item = &Arc<ViewSnapshot>> {
-        self.history.iter()
+        1 + lock(&self.handle.cell.owned).retired.len()
     }
 
     /// Approximate bytes of relation and view storage reachable from the
-    /// retained history, deduplicated by storage pointer — copy-on-write
-    /// shares unchanged relations and views across generations, and shared
-    /// storage counts once.
+    /// generations the publication cell owns, deduplicated by storage
+    /// pointer — copy-on-write shares unchanged relations and views across
+    /// generations, and shared storage counts once.
     pub fn retained_bytes(&self) -> usize {
+        let owned = lock(&self.handle.cell.owned);
         let mut seen: FxHashSet<usize> = FxHashSet::default();
         let mut bytes = 0usize;
-        for snap in &self.history {
+        for snap in std::iter::once(&owned.current).chain(&owned.retired) {
             for rel in snap.db.relations() {
                 if seen.insert(rel as *const Relation as usize) {
                     bytes += rel.size_bytes();
@@ -566,32 +526,15 @@ impl Maintainer {
         bytes
     }
 
-    /// Publishes the maintainer's current state — already advanced to the
-    /// next generation by [`Maintainer::commit`] — as one immutable snapshot:
-    /// swaps the handle's pointer, retains the generation writer-side and
-    /// retires the oldest past the history window.
-    pub(crate) fn publish(&mut self, results: BatchResult, certificate: Certificate) {
-        self.last_fingerprint = fingerprint(&certificate);
-        let snapshot = Arc::new(ViewSnapshot {
-            generation: self.generation,
-            txn: self.txns,
-            db: self.db.clone(),
-            computed: self.computed.clone(),
-            results,
-            inner: Arc::clone(&self.inner),
-            certificate: Arc::new(certificate),
-        });
-        self.handle.publish(Arc::clone(&snapshot));
-        self.history.push_back(snapshot);
-        self.retire();
-    }
-
-    /// Generation GC: drops the writer's reference to the generations past
-    /// the history window. Pinned readers keep their own generation alive.
-    fn retire(&mut self) {
-        while self.history.len() > self.history_window {
-            self.history.pop_front();
-        }
+    /// Publishes `next` and its shadow ledger, both staged by
+    /// [`Maintainer::commit`], as the current generation. The only place the
+    /// maintainer's state changes, so a commit that fails earlier leaves it
+    /// untouched.
+    pub(crate) fn publish(&mut self, next: ViewSnapshot, shadow: FxHashMap<ViewId, Vec<i128>>) {
+        self.last_fingerprint = fingerprint(&next.certificate);
+        self.shadow = shadow;
+        self.current = Arc::new(next);
+        self.handle.publish(Arc::clone(&self.current));
     }
 }
 
@@ -719,7 +662,6 @@ mod tests {
     fn an_announced_generation_outlives_publications_until_its_slot_clears() {
         let (db, tree) = db_and_tree();
         let mut maintainer = serving(&db, &tree);
-        maintainer.set_history_window(1);
         let dynamics = DynamicRegistry::new();
         let reader = maintainer.handle();
         let gen0 = maintainer.snapshot();
@@ -737,8 +679,8 @@ mod tests {
                 .unwrap();
             weaks.push(Arc::downgrade(&maintainer.snapshot()));
         }
-        // Neither the history (window 1) nor any reader holds generation 0:
-        // only the cell's retired list keeps it for the announcing slot.
+        // Neither the maintainer nor any reader holds generation 0: only the
+        // cell's retired list keeps it for the announcing slot.
         assert!(weaks[0].upgrade().is_some(), "announced generation freed");
         assert!(weaks[1].upgrade().is_none(), "unannounced generation kept");
         reader

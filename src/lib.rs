@@ -431,7 +431,6 @@ pub mod prelude {
         check_history, snapshot_digest, BatchResult, CommitEvent, DeltaBuffer, Engine,
         EngineConfig, EngineError, EngineStats, History, IsoViolation, Maintainer, PreparedBatch,
         QueryResult, ReadEvent, RefreshStats, SharedDatabase, SnapshotHandle, ViewSnapshot,
-        DEFAULT_HISTORY_WINDOW,
     };
     pub use lmfao_data::{
         AttrId, AttrType, Database, DatabaseSchema, DatabaseSnapshot, Relation, RelationSchema,

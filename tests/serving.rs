@@ -138,14 +138,13 @@ fn pinned_readers_are_unaffected_by_a_concurrent_publication() {
     });
 }
 
-/// Generation GC: with a history window of 3, generations the writer
-/// retired are actually freed (their `Weak` handles die) — except a
-/// generation a reader deliberately keeps pinned, which stays alive, still
-/// answers its original results, and keeps exactly one strong reference
-/// (the reader's own).
+/// Generation lifetime: a published generation lives while it is current or
+/// a reader pins it. Every unpinned generation is freed (its `Weak` dies) by
+/// the next commit — except a generation a reader deliberately keeps pinned,
+/// which stays alive, still answers its original results, and keeps exactly
+/// one strong reference (the reader's own).
 #[test]
 fn gc_drops_unpinned_generations_but_never_a_pinned_reader() {
-    const WINDOW: usize = 3;
     const COMMITS: usize = 10;
     const PIN_AT: u64 = 2;
     let (db, tree, batch) = toy();
@@ -155,11 +154,9 @@ fn gc_drops_unpinned_generations_but_never_a_pinned_reader() {
         .unwrap()
         .into_serving(&dynamics)
         .unwrap();
-    writer.set_history_window(WINDOW);
-    assert_eq!(writer.history_window(), WINDOW);
     let handle = writer.handle();
 
-    let mut weaks: Vec<(u64, std::sync::Weak<ViewSnapshot>)> = Vec::new();
+    let mut weaks = vec![(0, Arc::downgrade(&handle.load()))];
     let mut pinned: Option<(Arc<ViewSnapshot>, BatchResult)> = None;
     for i in 0..COMMITS {
         let mut delta = TableDelta::for_relation(db.relation("Sales").unwrap());
@@ -171,6 +168,15 @@ fn gc_drops_unpinned_generations_but_never_a_pinned_reader() {
             ])
             .unwrap();
         writer.commit(&delta, &dynamics).unwrap();
+        for (generation, weak) in &weaks {
+            assert_eq!(
+                weak.upgrade().is_some(),
+                *generation == PIN_AT,
+                "generation {generation} after commit {}: only the pin may keep a \
+                 superseded generation alive",
+                i + 1
+            );
+        }
         let snap = handle.load();
         assert_eq!(snap.generation(), (i + 1) as u64);
         if snap.generation() == PIN_AT {
@@ -179,51 +185,23 @@ fn gc_drops_unpinned_generations_but_never_a_pinned_reader() {
         weaks.push((snap.generation(), Arc::downgrade(&snap)));
     }
 
-    // The writer-side history is bounded by the window...
-    assert_eq!(writer.retained_generations(), WINDOW);
-    let retained: Vec<u64> = writer
-        .retained_snapshots()
-        .map(|s| s.generation())
-        .collect();
-    assert_eq!(
-        retained,
-        ((COMMITS - WINDOW + 1) as u64..=COMMITS as u64).collect::<Vec<_>>(),
-        "history keeps the newest generations, oldest first"
-    );
+    // No slot announces anything: the cell owns the current generation only.
+    assert_eq!(writer.retained_generations(), 1);
     assert!(writer.retained_bytes() > 0);
+    let (_, newest) = weaks.last().unwrap();
+    assert!(
+        newest.upgrade().is_some(),
+        "the current generation is alive"
+    );
 
-    // ... and every generation outside it is genuinely freed — unless a
-    // reader still pins it.
-    let (pinned_snap, pinned_results) = pinned.expect("generation PIN_AT was published");
-    for (generation, weak) in &weaks {
-        let live = weak.upgrade().is_some();
-        let retired = *generation <= (COMMITS - WINDOW) as u64;
-        if *generation == PIN_AT {
-            assert!(live, "the pinned generation must survive GC");
-        } else if retired {
-            assert!(
-                !live,
-                "generation {generation} is past the window and unpinned: it must be dropped"
-            );
-        } else {
-            assert!(live, "generation {generation} is inside the window");
-        }
-    }
     // The pin holds the only strong reference left to its generation, and
     // the snapshot still answers exactly what it answered at publish time.
+    let (pinned_snap, pinned_results) = pinned.expect("generation PIN_AT was published");
     assert_eq!(Arc::strong_count(&pinned_snap), 1);
     assert_identical(
         pinned_snap.results(),
         &pinned_results,
         "pinned generation drifted after GC",
-    );
-
-    // Shrinking the window retires immediately.
-    writer.set_history_window(1);
-    assert_eq!(writer.retained_generations(), 1);
-    assert_eq!(
-        writer.retained_snapshots().next().unwrap().generation(),
-        COMMITS as u64
     );
 }
 
@@ -243,8 +221,14 @@ fn stress_eight_readers_produce_a_clean_isolation_history() {
         .unwrap()
         .into_serving(&dynamics)
         .unwrap();
-    writer.set_history_window(4);
     let handle = writer.handle();
+    // Handles alive while the writer publishes: the writer's own, `handle`
+    // and one clone per reader. The cell may keep at most one superseded
+    // generation per live handle, announced in its slot. The most it owned
+    // after any commit is asserted once the readers are told to stop, so a
+    // failure cannot leave them spinning.
+    let live_handles = 2 + READERS;
+    let mut most_retained = 0;
 
     let genesis = writer.snapshot();
     let mut writer_history = History::new();
@@ -302,6 +286,7 @@ fn stress_eight_readers_produce_a_clean_isolation_history() {
                 ])
                 .unwrap();
             writer.commit(&delta, &dynamics).unwrap();
+            most_retained = most_retained.max(writer.retained_generations());
             let snap = writer.snapshot();
             writer_history.add_commit(CommitEvent {
                 txn_id: snap.txn_id(),
@@ -309,9 +294,12 @@ fn stress_eight_readers_produce_a_clean_isolation_history() {
                 digest: snapshot_digest(&snap),
             });
         }
-        assert_eq!(writer.generation(), UPDATES as u64);
-        assert!(writer.retained_generations() <= 4);
         stop.store(true, Ordering::Relaxed);
+        assert_eq!(writer.generation(), UPDATES as u64);
+        assert!(
+            most_retained <= 1 + live_handles,
+            "the cell owned {most_retained} generations with {live_handles} live handles"
+        );
 
         let mut histories = vec![writer_history];
         for h in reader_handles {
