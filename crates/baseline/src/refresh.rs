@@ -37,14 +37,15 @@ impl RecomputeReference {
     }
 
     /// Creates a reference pinned to a published serving generation: the
-    /// database state is materialized from the snapshot's
-    /// [`lmfao_data::DatabaseSnapshot`], and the join tree and configuration
+    /// database is a clone of the snapshot's (sharing its relations until
+    /// the reference applies a delta), and the join tree and configuration
     /// are taken from the plans the snapshot was computed under. Recomputing
-    /// then audits exactly what readers of that generation were answered
-    /// from — however many generations the writer has published since.
+    /// re-derives statistics and sort order from the data, then audits
+    /// exactly what readers of that generation were answered from — however
+    /// many generations the writer has published since.
     pub fn for_snapshot(snapshot: &ViewSnapshot, batch: QueryBatch) -> Self {
         RecomputeReference::new(
-            snapshot.database().materialize(),
+            snapshot.database().clone(),
             snapshot.join_tree().clone(),
             *snapshot.config(),
             batch,
@@ -55,7 +56,7 @@ impl RecomputeReference {
     /// semantics as the maintained side — the updated relations are
     /// identical multisets).
     pub fn apply(&mut self, delta: &TableDelta) -> Result<(), EngineError> {
-        self.db.relation_mut(delta.relation())?.apply(delta)?;
+        self.db.apply(delta)?;
         Ok(())
     }
 

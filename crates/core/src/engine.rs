@@ -460,10 +460,9 @@ mod tests {
         let shared = crate::shared::SharedDatabase::prepare(db, &tree);
         for (name, cfg) in EngineConfig::ablation_ladder(2) {
             let engine = Engine::with_shared(shared.clone(), tree.clone(), cfg);
-            assert!(crate::shared::SharedDatabase::same_storage(
-                &shared,
-                engine.shared_database()
-            ));
+            for rel in ["S1", "S2", "S3"] {
+                assert!(shared.shares_relation_with(engine.database(), rel));
+            }
             let result = engine.execute(&batch).unwrap();
             for (r, e) in result.queries.iter().zip(&expected) {
                 assert_matches_reference(name, r, e);

@@ -19,7 +19,8 @@
 //!
 //! The public workflow is *prepare once, execute many*: [`Engine::prepare`]
 //! runs layers 2–5 once and caches the result as a [`PreparedBatch`] over a
-//! [`SharedDatabase`] handle; [`PreparedBatch::execute`] runs only the scans,
+//! [`SharedDatabase`] (the database sorted for the trie scans, its relations
+//! shared, not copied); [`PreparedBatch::execute`] runs only the scans,
 //! so batches with changing dynamic functions (decision-tree predicates,
 //! iteration weights) never pay for planning twice. When base relations
 //! receive updates, [`PreparedBatch::into_serving`] promotes the batch to

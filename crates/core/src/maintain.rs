@@ -83,7 +83,7 @@ use lmfao_certify::{
     Certificate, MaintenanceCertificate, QueryTotals, RelationDeltaAccount, ViewDeltaAccount,
     CERTIFICATE_VERSION,
 };
-use lmfao_data::{DatabaseSnapshot, FxHashMap, Relation, Transaction};
+use lmfao_data::{Database, FxHashMap, Relation, Transaction};
 use lmfao_expr::DynamicRegistry;
 use std::sync::Arc;
 
@@ -433,7 +433,7 @@ fn refresh_group<D: ViewSource + Sync>(
     plan: &GroupPlan,
     seed: Option<&(Relation, Relation)>,
     num_attrs: usize,
-    staged_db: &DatabaseSnapshot,
+    staged_db: &Database,
     retained: &FxHashMap<ViewId, Arc<ComputedView>>,
     upstream: &D,
     dynamics: &DynamicRegistry,
@@ -615,13 +615,8 @@ mod tests {
         }
     }
 
-    fn recompute(
-        db: &DatabaseSnapshot,
-        tree: &JoinTree,
-        cfg: EngineConfig,
-        b: &QueryBatch,
-    ) -> BatchResult {
-        Engine::new(db.materialize(), tree.clone(), cfg)
+    fn recompute(db: &Database, tree: &JoinTree, cfg: EngineConfig, b: &QueryBatch) -> BatchResult {
+        Engine::new(db.clone(), tree.clone(), cfg)
             .execute(b)
             .unwrap()
     }

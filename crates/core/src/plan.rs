@@ -221,10 +221,8 @@ pub fn attribute_order(db: &Database, tree: &JoinTree, node: usize) -> Vec<AttrI
 pub fn prepare_database(db: &mut Database, tree: &JoinTree) {
     for node in 0..tree.num_nodes() {
         let order = attribute_order(db, tree, node);
-        let name = tree.node(node).relation.clone();
-        if let Ok(rel) = db.relation_mut(&name) {
-            rel.sort_by_attrs(&order);
-        }
+        // A missing relation surfaces when the batch is planned.
+        let _ = db.sort_relation(&tree.node(node).relation, &order);
     }
 }
 

@@ -53,10 +53,10 @@ pub(crate) struct PreparedQuery {
 
 /// A fully optimized query batch, ready to be executed any number of times.
 ///
-/// Built by [`crate::engine::Engine::prepare`]. Holds a [`SharedDatabase`]
-/// handle, so it stays valid independently of the engine that created it, and
-/// all planned state lives behind an `Arc`: cloning is two reference-count
-/// bumps, never a copy of the plans or the data.
+/// Built by [`crate::engine::Engine::prepare`]. Holds a [`SharedDatabase`],
+/// so it stays valid independently of the engine that created it, and all
+/// planned state lives behind an `Arc`: cloning bumps reference counts (the
+/// plans' and each relation's), never copies the plans or the data.
 #[derive(Debug, Clone)]
 pub struct PreparedBatch {
     pub(crate) db: SharedDatabase,

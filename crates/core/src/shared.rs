@@ -1,34 +1,30 @@
-//! A shared, immutable handle to a prepared database.
+//! A database prepared for trie scans.
 //!
 //! The engine needs its relations sorted by the attribute orders of their
-//! join-tree nodes before any trie scan can run. That preparation mutates the
-//! database once; afterwards everything the engine does is read-only. A
-//! [`SharedDatabase`] captures exactly that lifecycle: [`SharedDatabase::prepare`]
-//! sorts and freezes the database behind an `Arc`, and every engine,
-//! [`crate::prepared::PreparedBatch`] and worker thread afterwards shares the
-//! same storage. Cloning a handle is a reference-count bump, not a copy of the
-//! relations — which is what lets the ablation ladder build five engines (and
-//! a serving process keep thousands of prepared batches) over one database.
+//! join-tree nodes before any trie scan can run. [`SharedDatabase::prepare`]
+//! does that once; afterwards everything the engine does is read-only. The
+//! relations themselves are shared by [`Database`]'s own `Arc`s, so cloning a
+//! handle is a reference-count bump per relation, not a copy — which is what
+//! lets the ablation ladder build five engines (and a serving process keep
+//! thousands of prepared batches) over one database.
 
 use crate::plan::prepare_database;
 use lmfao_data::Database;
 use lmfao_jointree::JoinTree;
 use std::ops::Deref;
-use std::sync::Arc;
 
-/// An immutable, reference-counted database prepared for trie scans.
+/// A [`Database`] whose relations are sorted for its join tree's trie scans.
 ///
 /// Obtained from [`SharedDatabase::prepare`]; cheap to clone and safe to share
 /// across threads. Dereferences to [`Database`] for read access.
 #[derive(Debug, Clone)]
-pub struct SharedDatabase {
-    db: Arc<Database>,
-}
+pub struct SharedDatabase(Database);
 
 impl SharedDatabase {
-    /// Refreshes statistics, sorts every relation by its join-tree node's
-    /// attribute order (the precondition of the trie scans) and freezes the
-    /// result behind an `Arc`.
+    /// Recomputes statistics and sorts every relation by its join-tree
+    /// node's attribute order (the precondition of the trie scans). Whether
+    /// a relation already is in that order is checked against its rows; an
+    /// already sorted relation stays shared with the database it came from.
     ///
     /// The attribute orders depend only on the join tree and the data — not on
     /// any [`crate::config::EngineConfig`] — so one prepared database serves
@@ -36,17 +32,12 @@ impl SharedDatabase {
     pub fn prepare(mut db: Database, tree: &JoinTree) -> Self {
         db.recompute_statistics();
         prepare_database(&mut db, tree);
-        SharedDatabase { db: Arc::new(db) }
+        SharedDatabase(db)
     }
 
     /// The underlying database (sorted by join attributes).
     pub fn database(&self) -> &Database {
-        &self.db
-    }
-
-    /// True if both handles point at the same underlying storage.
-    pub fn same_storage(a: &SharedDatabase, b: &SharedDatabase) -> bool {
-        Arc::ptr_eq(&a.db, &b.db)
+        &self.0
     }
 }
 
@@ -54,7 +45,7 @@ impl Deref for SharedDatabase {
     type Target = Database;
 
     fn deref(&self) -> &Database {
-        &self.db
+        &self.0
     }
 }
 
@@ -104,6 +95,10 @@ mod tests {
             let cols: Vec<usize> = order.iter().map(|x| rel.position(*x).unwrap()).collect();
             assert!(rel.is_sorted_by(&cols), "{name} not sorted");
         }
+        // Preparing again finds every relation in order and copies none.
+        let again = SharedDatabase::prepare(shared.database().clone(), &tree);
+        assert!(again.shares_relation_with(&shared, "R"));
+        assert!(again.shares_relation_with(&shared, "S"));
     }
 
     #[test]
@@ -111,7 +106,8 @@ mod tests {
         let (db, tree) = db_and_tree();
         let shared = SharedDatabase::prepare(db, &tree);
         let other = shared.clone();
-        assert!(SharedDatabase::same_storage(&shared, &other));
+        assert!(shared.shares_relation_with(&other, "R"));
+        assert!(shared.shares_relation_with(&other, "S"));
         assert_eq!(shared.relation("R").unwrap().len(), 10);
     }
 }

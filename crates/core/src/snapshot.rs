@@ -35,10 +35,11 @@
 //!   frontier (those whose state actually changed) are copied, and only when
 //!   a published snapshot still pins the old version. Views untouched by the
 //!   delta are shared by every generation that ever existed.
-//! * **Relations**: the base data lives in a [`DatabaseSnapshot`], which
-//!   applies deltas copy-on-write at relation granularity — a delta against
-//!   the fact table copies the fact table once and shares every dimension
-//!   table with all previous generations.
+//! * **Relations**: the base data is a [`Database`], whose relations sit
+//!   behind `Arc`s and take deltas copy-on-write at relation granularity — a
+//!   delta against the fact table copies the fact table once and shares
+//!   every dimension table with all previous generations and with the
+//!   [`PreparedBatch`] the maintainer was promoted from.
 //!
 //! # The publication cell
 //!
@@ -91,7 +92,7 @@ use crate::parallel::execute_all;
 use crate::prepared::{project_results, PreparedBatch, PreparedPlans};
 use crate::view::{ComputedView, ViewId};
 use lmfao_certify::{fingerprint, Certificate};
-use lmfao_data::{Database, DatabaseSnapshot, FxHashMap, FxHashSet, Relation};
+use lmfao_data::{Database, FxHashMap, FxHashSet, Relation};
 use lmfao_expr::DynamicRegistry;
 use lmfao_jointree::JoinTree;
 use std::fmt;
@@ -113,14 +114,14 @@ pub const CANCELLATION_REL_EPS: f64 = 1e-11;
 ///
 /// Everything a reader needs lives here: the projected per-query results
 /// (answered by [`ViewSnapshot::query`] with a hash lookup), the retained
-/// view state, and the [`DatabaseSnapshot`] the generation was computed
-/// over — which is what lets a recompute referee audit *this* generation
-/// long after the writer has moved on.
+/// view state, and the [`Database`] the generation was computed over — which
+/// is what lets a recompute referee audit *this* generation long after the
+/// writer has moved on.
 #[derive(Debug)]
 pub struct ViewSnapshot {
     pub(crate) generation: u64,
     pub(crate) txn: u64,
-    pub(crate) db: DatabaseSnapshot,
+    pub(crate) db: Database,
     pub(crate) computed: FxHashMap<ViewId, Arc<ComputedView>>,
     pub(crate) results: BatchResult,
     pub(crate) inner: Arc<PreparedPlans>,
@@ -157,7 +158,7 @@ impl ViewSnapshot {
     }
 
     /// The database state this generation was computed over.
-    pub fn database(&self) -> &DatabaseSnapshot {
+    pub fn database(&self) -> &Database {
         &self.db
     }
 
@@ -406,10 +407,10 @@ impl PreparedBatch {
     /// result as generation 0 and returns the [`Maintainer`] whose
     /// [`SnapshotHandle`] serves it.
     ///
-    /// This clones the shared database once — the maintainer needs its own
-    /// (copy-on-write) database state to apply deltas to.
+    /// Generation 0 shares every relation with the batch's database; a
+    /// commit copies only the relations it changes.
     pub fn into_serving(self, dynamics: &DynamicRegistry) -> Result<Maintainer, EngineError> {
-        let db: Database = self.db.database().clone();
+        let db = self.db.database().clone();
         let inner = Arc::clone(&self.inner);
         // Initial full computation. Its morsel-order merge is deterministic
         // for any thread count, so the published generation 0 does not depend
@@ -417,7 +418,6 @@ impl PreparedBatch {
         let flat = execute_all(&db, &inner.plans, &inner.grouping, dynamics, &inner.config)?;
         let computed: FxHashMap<ViewId, Arc<ComputedView>> =
             flat.into_iter().map(|(k, v)| (k, Arc::new(v))).collect();
-        let db: DatabaseSnapshot = db.into();
         let results = project_results(&inner, &computed)?;
 
         // Seed the shadow ledger and emit the chain root: an `Execute`
@@ -473,7 +473,7 @@ impl Maintainer {
 
     /// The database state of the latest published generation (reflects
     /// every committed delta).
-    pub fn database(&self) -> &DatabaseSnapshot {
+    pub fn database(&self) -> &Database {
         &self.current.db
     }
 
@@ -623,7 +623,18 @@ mod tests {
     #[test]
     fn generation_zero_is_published_on_build() {
         let (db, tree) = db_and_tree();
-        let maintainer = serving(&db, &tree);
+        let prepared = Engine::new(db.clone(), tree, EngineConfig::default())
+            .prepare(&batch(&db))
+            .unwrap();
+        let maintainer = prepared
+            .clone()
+            .into_serving(&DynamicRegistry::new())
+            .unwrap();
+        for rel in ["Sales", "Items"] {
+            assert!(maintainer
+                .database()
+                .shares_relation_with(prepared.database(), rel));
+        }
         let snap = maintainer.snapshot();
         assert_eq!(snap.generation(), 0);
         assert_eq!(maintainer.generation(), 0);
@@ -814,7 +825,7 @@ mod tests {
         for (g, snap) in pinned.iter().enumerate() {
             assert_eq!(snap.generation(), g as u64);
             let fresh = Engine::new(
-                snap.database().materialize(),
+                snap.database().clone(),
                 snap.join_tree().clone(),
                 *snap.config(),
             )

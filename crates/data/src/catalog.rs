@@ -6,6 +6,9 @@
 //! attribute domain sizes to pick attribute orders, and the execution layer
 //! needs the (sorted) relations themselves.
 
+use std::sync::Arc;
+
+use crate::delta::TableDelta;
 use crate::dictionary::DictionarySet;
 use crate::error::{DataError, Result};
 use crate::hash::FxHashMap;
@@ -38,12 +41,50 @@ impl Statistics {
 
 /// An in-memory database: schema, one [`Relation`] per schema relation,
 /// categorical dictionaries and cardinality statistics.
+///
+/// Relations and statistics live behind [`Arc`]s, so `Clone` costs one
+/// reference-count bump per relation: every serving generation, prepared
+/// batch and recompute referee shares one copy of the data. Mutation copies
+/// on write at relation granularity: [`Database::apply`],
+/// [`Database::relation_mut`] and [`Database::sort_relation`] duplicate the
+/// targeted relation only while another clone still shares it
+/// ([`Arc::make_mut`]). Columns keep sharing their dictionary handles, so
+/// even a copied relation shares its categorical vocabulary.
+///
+/// Statistics never describe data they were not computed from: `apply` and
+/// `relation_mut` drop the touched relation's entries, and
+/// [`Database::domain_size`] falls back to a scan where an entry is missing.
 #[derive(Debug, Clone)]
 pub struct Database {
     schema: DatabaseSchema,
-    relations: Vec<Relation>,
+    relations: Vec<Arc<Relation>>,
     dictionaries: DictionarySet,
-    statistics: Statistics,
+    statistics: Arc<Statistics>,
+}
+
+/// The relations of a [`Database`], in schema order. Iterates as
+/// `&Relation`; the `Arc`s that share them stay inside the database.
+#[derive(Debug, Clone, Copy)]
+pub struct Relations<'a>(&'a [Arc<Relation>]);
+
+/// Iterator over [`Relations`].
+pub type RelationIter<'a> =
+    std::iter::Map<std::slice::Iter<'a, Arc<Relation>>, fn(&Arc<Relation>) -> &Relation>;
+
+impl<'a> Relations<'a> {
+    /// Iterates over the relations.
+    pub fn iter(&self) -> RelationIter<'a> {
+        self.into_iter()
+    }
+}
+
+impl<'a> IntoIterator for Relations<'a> {
+    type Item = &'a Relation;
+    type IntoIter = RelationIter<'a>;
+
+    fn into_iter(self) -> RelationIter<'a> {
+        self.0.iter().map(Arc::as_ref)
+    }
 }
 
 impl Database {
@@ -59,9 +100,9 @@ impl Database {
         }
         let mut db = Database {
             schema,
-            relations,
+            relations: relations.into_iter().map(Arc::new).collect(),
             dictionaries: DictionarySet::new(),
-            statistics: Statistics::default(),
+            statistics: Arc::default(),
         };
         db.recompute_statistics();
         Ok(db)
@@ -77,23 +118,17 @@ impl Database {
         dictionaries: DictionarySet,
     ) -> Result<Self> {
         let mut db = Database::new(schema, relations)?;
-        db.dictionaries = dictionaries;
-        db.link_dictionaries();
-        Ok(db)
-    }
-
-    /// Attaches a shared handle of each attribute's dictionary to the
-    /// dictionary-encoded columns storing that attribute. Call again after
-    /// mutating the dictionaries through [`Database::dictionaries_mut`].
-    pub fn link_dictionaries(&mut self) {
-        for rel in &mut self.relations {
+        for rel in &mut db.relations {
+            let rel = Arc::make_mut(rel);
             let attrs = rel.schema().attrs.clone();
             for (pos, attr) in attrs.into_iter().enumerate() {
-                if let Some(dict) = self.dictionaries.shared(attr) {
+                if let Some(dict) = dictionaries.shared(attr) {
                     rel.column_mut(pos).attach_dictionary(dict);
                 }
             }
         }
+        db.dictionaries = dictionaries;
+        Ok(db)
     }
 
     /// The database schema.
@@ -102,14 +137,8 @@ impl Database {
     }
 
     /// All relations, in schema order.
-    pub fn relations(&self) -> &[Relation] {
-        &self.relations
-    }
-
-    /// Mutable access to all relations (used to sort them by join attributes
-    /// before execution).
-    pub fn relations_mut(&mut self) -> &mut [Relation] {
-        &mut self.relations
+    pub fn relations(&self) -> Relations<'_> {
+        Relations(&self.relations)
     }
 
     /// Relation by name.
@@ -118,10 +147,12 @@ impl Database {
         Ok(&self.relations[idx])
     }
 
-    /// Mutable relation by name.
+    /// Mutable relation by name, copied first if another clone shares it.
+    /// Drops the relation's statistics, which the caller may invalidate.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
         let idx = self.schema.relation_index(name)?;
-        Ok(&mut self.relations[idx])
+        self.forget_statistics(idx);
+        Ok(Arc::make_mut(&mut self.relations[idx]))
     }
 
     /// Relation by index.
@@ -129,14 +160,52 @@ impl Database {
         &self.relations[idx]
     }
 
+    /// Applies a signed delta to its target relation, with the semantics of
+    /// [`Relation::apply`]. The delta is resolved against the shared
+    /// relation first, so a failing delta (an unmatched delete, a wrong
+    /// arity) changes and copies nothing; a successful one copies the
+    /// relation only if another clone still shares it, and drops its
+    /// statistics.
+    pub fn apply(&mut self, delta: &TableDelta) -> Result<()> {
+        let idx = self.schema.relation_index(delta.relation())?;
+        let resolved = self.relations[idx].resolve(delta)?;
+        self.forget_statistics(idx);
+        Arc::make_mut(&mut self.relations[idx]).apply_resolved(resolved);
+        Ok(())
+    }
+
+    /// Sorts relation `name` by the attributes of `attrs` it has, in that
+    /// order (the trie scans need every relation sorted by its join
+    /// attributes). Whether the rows are already in order is decided from
+    /// the data, never from [`Relation::sorted_by`]; a relation whose rows
+    /// and recorded order already agree stays shared. Sorting keeps the
+    /// statistics.
+    pub fn sort_relation(&mut self, name: &str, attrs: &[AttrId]) -> Result<()> {
+        let idx = self.schema.relation_index(name)?;
+        let rel = &self.relations[idx];
+        let positions: Vec<usize> = attrs.iter().filter_map(|&a| rel.position(a)).collect();
+        let perm = rel.sort_permutation(&positions);
+        if perm.is_some() || rel.sorted_by() != positions {
+            Arc::make_mut(&mut self.relations[idx]).reorder(perm.as_deref(), &positions);
+        }
+        Ok(())
+    }
+
+    /// True if `self` and `other` share the storage of relation `name`:
+    /// neither side copied it since they diverged.
+    pub fn shares_relation_with(&self, other: &Database, name: &str) -> bool {
+        match (
+            self.schema.relation_index(name),
+            other.schema.relation_index(name),
+        ) {
+            (Ok(a), Ok(b)) => Arc::ptr_eq(&self.relations[a], &other.relations[b]),
+            _ => false,
+        }
+    }
+
     /// The categorical dictionaries.
     pub fn dictionaries(&self) -> &DictionarySet {
         &self.dictionaries
-    }
-
-    /// Mutable access to the dictionaries.
-    pub fn dictionaries_mut(&mut self) -> &mut DictionarySet {
-        &mut self.dictionaries
     }
 
     /// Cardinality statistics.
@@ -146,12 +215,12 @@ impl Database {
 
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.iter().map(Relation::len).sum()
+        self.relations().iter().map(Relation::len).sum()
     }
 
     /// Total payload size in bytes across all relations.
     pub fn total_size_bytes(&self) -> usize {
-        self.relations.iter().map(Relation::size_bytes).sum()
+        self.relations().iter().map(Relation::size_bytes).sum()
     }
 
     /// Attributes of the whole database, grouped by type.
@@ -164,18 +233,10 @@ impl Database {
             .collect()
     }
 
-    /// Decomposes the database into its parts (schema, relations in schema
-    /// order, dictionaries), consuming it without copying any column data.
-    /// Statistics are dropped — they are derived state, recomputed by
-    /// [`Database::new`] on reassembly.
-    pub fn into_parts(self) -> (DatabaseSchema, Vec<Relation>, DictionarySet) {
-        (self.schema, self.relations, self.dictionaries)
-    }
-
     /// Recomputes relation sizes and per-relation attribute domain sizes.
     pub fn recompute_statistics(&mut self) {
         let mut stats = Statistics::default();
-        for rel in &self.relations {
+        for rel in self.relations() {
             stats
                 .relation_sizes
                 .insert(rel.name().to_string(), rel.len());
@@ -185,16 +246,15 @@ impl Database {
                     .insert((rel.name().to_string(), attr), rel.distinct_count(pos));
             }
         }
-        self.statistics = stats;
+        self.statistics = Arc::new(stats);
     }
 
-    /// Sorts every relation by the given global attribute order (each relation
-    /// uses the attributes it contains, in the given order). LMFAO requires
-    /// relations sorted by their join attributes before execution.
-    pub fn sort_all(&mut self, attr_order: &[AttrId]) {
-        for rel in &mut self.relations {
-            rel.sort_by_attrs(attr_order);
-        }
+    /// Removes the statistics of relation `idx`.
+    fn forget_statistics(&mut self, idx: usize) {
+        let name = self.relations[idx].name();
+        let stats = Arc::make_mut(&mut self.statistics);
+        stats.relation_sizes.remove(name);
+        stats.domain_sizes.retain(|(r, _), _| r != name);
     }
 
     /// Domain size of an attribute in a relation (falls back to a fresh scan
@@ -276,6 +336,8 @@ mod tests {
         assert_eq!(db.relation("R").unwrap().len(), 3);
         assert!(db.relation("T").is_err());
         assert_eq!(db.relation_at(1).name(), "S");
+        let names: Vec<&str> = db.relations().iter().map(Relation::name).collect();
+        assert_eq!(names, ["R", "S"]);
     }
 
     #[test]
@@ -288,15 +350,86 @@ mod tests {
     }
 
     #[test]
-    fn sort_all_sorts_every_relation() {
+    fn sort_relation_checks_the_rows_and_shares_sorted_relations() {
         let mut db = tiny_db();
         let b = db.schema().attr_id("b").unwrap();
         let a = db.schema().attr_id("a").unwrap();
-        db.sort_all(&[b, a]);
-        let r = db.relation("R").unwrap();
-        assert!(r.is_sorted_by(&[1, 0]));
-        let s = db.relation("S").unwrap();
-        assert!(s.is_sorted_by(&[0]));
+        db.sort_relation("R", &[b, a]).unwrap();
+        assert!(db.relation("R").unwrap().is_sorted_by(&[1, 0]));
+        assert!(db.sort_relation("T", &[a]).is_err());
+        // Already in order by its rows and its recorded order: stays shared.
+        let mut again = db.clone();
+        again.sort_relation("R", &[b, a]).unwrap();
+        assert!(again.shares_relation_with(&db, "R"));
+        // In order by its rows but not recorded so: recorded on a copy.
+        again.sort_relation("S", &[b]).unwrap();
+        assert!(again.relation("S").unwrap().is_sorted_by(&[0]));
+        assert!(!db.relation("S").unwrap().is_sorted_by(&[0]));
+        assert_eq!(again.statistics().relation_size("S"), Some(2));
+    }
+
+    fn r_insert(db: &Database, a: i64, b: i64) -> TableDelta {
+        let mut delta = TableDelta::for_relation(db.relation("R").unwrap());
+        delta.insert(&[Value::Int(a), Value::Int(b)]).unwrap();
+        delta
+    }
+
+    #[test]
+    fn clone_shares_every_relation() {
+        let db = tiny_db();
+        let other = db.clone();
+        assert!(db.shares_relation_with(&other, "R"));
+        assert!(db.shares_relation_with(&other, "S"));
+        assert!(!db.shares_relation_with(&other, "T"));
+    }
+
+    #[test]
+    fn apply_copies_only_the_changed_relation() {
+        let db = tiny_db();
+        let mut next = db.clone();
+        next.apply(&r_insert(&db, 7, 30)).unwrap();
+        assert!(!next.shares_relation_with(&db, "R"), "R was copied");
+        assert!(next.shares_relation_with(&db, "S"), "S stays shared");
+        assert_eq!(db.relation("R").unwrap().len(), 3, "old clone unchanged");
+        assert_eq!(next.relation("R").unwrap().len(), 4);
+    }
+
+    #[test]
+    fn apply_without_other_pins_mutates_in_place() {
+        let mut db = tiny_db();
+        let before: *const Relation = db.relation("R").unwrap();
+        db.apply(&r_insert(&db, 7, 30)).unwrap();
+        let after: *const Relation = db.relation("R").unwrap();
+        assert_eq!(before, after, "sole owner: no copy");
+        assert_eq!(db.relation("R").unwrap().len(), 4);
+    }
+
+    #[test]
+    fn failed_apply_copies_nothing() {
+        let db = tiny_db();
+        let mut next = db.clone();
+        let mut delta = TableDelta::for_relation(db.relation("R").unwrap());
+        delta.delete(&[Value::Int(99), Value::Int(99)]).unwrap();
+        assert!(next.apply(&delta).is_err());
+        assert!(next.shares_relation_with(&db, "R"), "nothing was copied");
+        assert_eq!(next.relation("R").unwrap().len(), 3);
+        assert_eq!(next.statistics().relation_size("R"), Some(3));
+    }
+
+    #[test]
+    fn changed_relations_drop_their_statistics() {
+        let mut db = tiny_db();
+        let b = db.schema().attr_id("b").unwrap();
+        assert_eq!(db.domain_size("R", b), 2);
+        db.apply(&r_insert(&db, 7, 30)).unwrap();
+        assert_eq!(db.statistics().relation_size("R"), None);
+        assert_eq!(db.statistics().domain_size("R", b), None);
+        assert_eq!(db.domain_size("R", b), 3, "falls back to a scan");
+        assert_eq!(db.statistics().relation_size("S"), Some(2), "S kept");
+        db.relation_mut("S").unwrap();
+        assert_eq!(db.statistics().relation_size("S"), None);
+        db.recompute_statistics();
+        assert_eq!(db.statistics().relation_size("R"), Some(4));
     }
 
     #[test]

@@ -23,12 +23,11 @@ pub mod fixed;
 pub mod hash;
 pub mod relation;
 pub mod schema;
-pub mod snapshot;
 pub mod transaction;
 pub mod trie;
 pub mod value;
 
-pub use catalog::{Database, Statistics};
+pub use catalog::{Database, RelationIter, Relations, Statistics};
 pub use column::Column;
 pub use delta::TableDelta;
 pub use dictionary::{Dictionary, DictionarySet};
@@ -37,7 +36,6 @@ pub use fixed::{decode_fixed, encode_fixed, FIXED_POINT_BITS, FIXED_POINT_SCALE}
 pub use hash::{FxHashMap, FxHashSet};
 pub use relation::{Relation, RowView};
 pub use schema::{AttrId, Attribute, DatabaseSchema, RelationSchema};
-pub use snapshot::DatabaseSnapshot;
 pub use transaction::Transaction;
 pub use trie::TrieScan;
 pub use value::{AttrType, Value};

@@ -214,9 +214,16 @@ impl Relation {
     /// by comparing the typed key columns, then rebuilds every column with one
     /// contiguous gather ([`Column::permute`]) — no row-at-a-time moves.
     pub fn sort_by_positions(&mut self, positions: &[usize]) {
+        let perm = self.sort_permutation(positions);
+        self.reorder(perm.as_deref(), positions);
+    }
+
+    /// The row permutation that sorts the relation lexicographically by
+    /// `positions`, or `None` when the rows already are in that order.
+    /// Decided from the data, never from [`Relation::sorted_by`].
+    pub(crate) fn sort_permutation(&self, positions: &[usize]) -> Option<Vec<u32>> {
         if self.is_empty() || positions.is_empty() {
-            self.sorted_by = positions.to_vec();
-            return;
+            return None;
         }
         let keys: Vec<&Column> = positions.iter().map(|&p| &self.columns[p]).collect();
         let mut perm: Vec<u32> = (0..self.num_rows as u32).collect();
@@ -230,8 +237,14 @@ impl Relation {
             std::cmp::Ordering::Equal
         });
         let already_sorted = perm.windows(2).all(|w| w[0] < w[1]);
-        if !already_sorted {
-            self.columns = self.columns.iter().map(|c| c.permute(&perm)).collect();
+        (!already_sorted).then_some(perm)
+    }
+
+    /// Gathers every column through `perm`, if given, and records the
+    /// relation as sorted by `positions`.
+    pub(crate) fn reorder(&mut self, perm: Option<&[u32]>, positions: &[usize]) {
+        if let Some(perm) = perm {
+            self.columns = self.columns.iter().map(|c| c.permute(perm)).collect();
         }
         self.sorted_by = positions.to_vec();
     }
@@ -356,6 +369,14 @@ impl Relation {
     /// The call is atomic: an unmatched delete (or a delta targeting another
     /// relation) returns [`DataError::DeltaMismatch`] before any mutation.
     pub fn apply(&mut self, delta: &TableDelta) -> Result<()> {
+        let resolved = self.resolve(delta)?;
+        self.apply_resolved(resolved);
+        Ok(())
+    }
+
+    /// The read-only half of [`Relation::apply`]: checks the delta, cancels
+    /// its insert/delete pairs and matches its deletes against the rows.
+    pub(crate) fn resolve(&self, delta: &TableDelta) -> Result<Resolved> {
         if delta.relation() != self.name() {
             return Err(DataError::DeltaMismatch {
                 relation: self.name().to_string(),
@@ -444,6 +465,13 @@ impl Relation {
             }
             Some(keep)
         };
+        Ok(Resolved { keep, insert_rows })
+    }
+
+    /// The mutating half of [`Relation::apply`], for a delta
+    /// [`Relation::resolve`] accepted against these same rows.
+    pub(crate) fn apply_resolved(&mut self, resolved: Resolved) {
+        let Resolved { keep, insert_rows } = resolved;
         if let Some(keep) = keep {
             // `keep` is ascending, so compaction preserves the sort order.
             self.columns = self.columns.iter().map(|c| c.permute(&keep)).collect();
@@ -463,7 +491,6 @@ impl Relation {
                 self.sorted_by = sorted;
             }
         }
-        Ok(())
     }
 
     /// Restores the lexicographic sort by `positions` after rows
@@ -504,6 +531,14 @@ impl Relation {
             self.columns = self.columns.iter().map(|c| c.permute(&perm)).collect();
         }
     }
+}
+
+/// A [`TableDelta`] resolved against a relation by [`Relation::resolve`].
+pub(crate) struct Resolved {
+    /// The rows that survive the deletes, ascending; `None` if none delete.
+    keep: Option<Vec<u32>>,
+    /// The inserted tuples no delete of the same delta cancelled.
+    insert_rows: Vec<Vec<Value>>,
 }
 
 fn min_max_by<T: Copy>(values: &[T], cmp: impl Fn(&T, &T) -> std::cmp::Ordering) -> (T, T) {

@@ -261,8 +261,6 @@ mod tests {
             for delta in &stream {
                 inserted += delta.num_inserts() as isize - delta.num_deletes() as isize;
                 ds.db
-                    .relation_mut(relation)
-                    .unwrap()
                     .apply(delta)
                     .expect("stream deltas must apply in order");
             }
@@ -334,11 +332,7 @@ mod tests {
         let stream = update_stream(&ds, "Inventory", &mix);
         assert_eq!(stream.iter().map(TableDelta::len).sum::<usize>(), 40);
         for delta in &stream {
-            ds.db
-                .relation_mut("Inventory")
-                .unwrap()
-                .apply(delta)
-                .unwrap();
+            ds.db.apply(delta).unwrap();
         }
     }
 
@@ -352,9 +346,7 @@ mod tests {
             let mut db = ds.db.clone();
             let stream = update_stream(&ds, "Item", &UpdateMix::corrections(12).seed(seed));
             for delta in &stream {
-                db.relation_mut("Item")
-                    .unwrap()
-                    .apply(delta)
+                db.apply(delta)
                     .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             }
         }
@@ -395,8 +387,6 @@ mod tests {
                 );
                 for delta in txn.deltas() {
                     ds.db
-                        .relation_mut(delta.relation())
-                        .unwrap()
                         .apply(delta)
                         .expect("transaction deltas must apply in order");
                 }

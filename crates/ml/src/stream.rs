@@ -129,7 +129,7 @@ mod tests {
 
         // One-shot recompute over the updated database.
         let fresh = Engine::new(
-            stream.maintained().database().materialize(),
+            stream.maintained().database().clone(),
             tree,
             EngineConfig::default(),
         );

@@ -433,8 +433,8 @@ pub mod prelude {
         QueryResult, ReadEvent, RefreshStats, SharedDatabase, SnapshotHandle, ViewSnapshot,
     };
     pub use lmfao_data::{
-        AttrId, AttrType, Database, DatabaseSchema, DatabaseSnapshot, Relation, RelationSchema,
-        TableDelta, Transaction, Value,
+        AttrId, AttrType, Database, DatabaseSchema, Relation, RelationSchema, TableDelta,
+        Transaction, Value,
     };
     pub use lmfao_datagen::{Dataset, Scale};
     pub use lmfao_expr::{

@@ -413,9 +413,17 @@ fn stress_readers_always_match_a_recompute_at_their_pinned_generation() {
         .collect();
     for generation in audit {
         let snap = &pins[&generation];
-        let truth = RecomputeReference::for_snapshot(snap, batch.clone())
-            .recompute()
-            .unwrap();
+        let reference = RecomputeReference::for_snapshot(snap, batch.clone());
+        let tuples = snap.database().total_tuples();
+        let truth = reference.recompute().unwrap();
+        // Recomputing sorts the engine's own clone: the referee still shares
+        // every pinned relation, and the pinned snapshot is unchanged.
+        for rel in snap.database().relations() {
+            assert!(reference
+                .database()
+                .shares_relation_with(snap.database(), rel.name()));
+        }
+        assert_eq!(snap.database().total_tuples(), tuples);
         for (got, want) in snap.results().queries.iter().zip(&truth.queries) {
             assert_eq!(got.name, want.name);
             let exact = got.name == "count";
