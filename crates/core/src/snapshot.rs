@@ -646,6 +646,34 @@ mod tests {
     }
 
     #[test]
+    fn materialize_round_trips() {
+        // Taking a generation's database out as an owned `Database` (what
+        // the recompute referees do) keeps its rows and statistics and
+        // copies no relation.
+        let (db, tree) = db_and_tree();
+        let mut maintainer = serving(&db, &tree);
+        let gen0 = maintainer.snapshot();
+        let back = gen0.database().clone();
+        assert_eq!(back.total_tuples(), db.total_tuples());
+        assert_eq!(
+            back.statistics().relation_size("Sales"),
+            db.statistics().relation_size("Sales")
+        );
+        assert!(back.relation("T").is_err());
+        assert_eq!(back.relations().iter().count(), 2);
+        for rel in ["Sales", "Items"] {
+            assert!(back.shares_relation_with(gen0.database(), rel));
+        }
+        maintainer
+            .commit(sales_insert(&db, 1, 1, 2.0), &DynamicRegistry::new())
+            .unwrap();
+        let later = maintainer.snapshot().database().clone();
+        assert_eq!(later.total_tuples(), db.total_tuples() + 1);
+        assert_eq!(back.total_tuples(), db.total_tuples());
+        assert!(later.shares_relation_with(&back, "Items"));
+    }
+
+    #[test]
     fn generation_accessors_label_handle_and_pinned_snapshots() {
         let (db, tree) = db_and_tree();
         let mut maintainer = serving(&db, &tree);
