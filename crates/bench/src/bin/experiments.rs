@@ -9,7 +9,8 @@
 //!
 //! Available experiments: `table1`, `table2`, `table3`, `table4`, `table5`,
 //! `figure5`, `example33`, `all` (the default). The fact-table size is
-//! controlled with the `LMFAO_SCALE` environment variable (default 20000);
+//! controlled with the `LMFAO_SCALE` environment variable (default 20000; a
+//! value that is not a row count exits 2, as an unknown flag does);
 //! `--threads N` sets the engine's worker count (default: the available
 //! parallelism, capped at 8).
 //!
@@ -18,20 +19,12 @@
 //! change. Performance is measured by `perfbench/` (see its README).
 
 use lmfao_baseline::{self as baseline, DenseTask, MaterializedEngine};
-use lmfao_bench::{engine_for, WorkloadSpec};
+use lmfao_bench::{engine_for, scale_from_env, WorkloadSpec};
 use lmfao_core::EngineConfig;
 use lmfao_datagen::{all_datasets, Dataset, Scale};
 use lmfao_expr::{Aggregate, DynamicRegistry, QueryBatch};
 use lmfao_ml as ml;
 use std::time::Instant;
-
-fn scale() -> Scale {
-    let rows = std::env::var("LMFAO_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
-    Scale::new(rows, 42)
-}
 
 /// Worker-thread count: the `--threads N` flag wins, otherwise the available
 /// parallelism capped at 8.
@@ -378,7 +371,7 @@ fn main() {
         other => usage_error(&format!("unknown experiment `{other}`")),
     };
 
-    let sc = scale();
+    let sc = scale_from_env(20_000).unwrap_or_else(|e| usage_error(&e));
     println!(
         "LMFAO experiments — synthetic scale: {} fact tuples, {} threads",
         sc.fact_rows,

@@ -9,19 +9,20 @@
 //!
 //! Flags: `--dataset NAME` (Retailer | Favorita | Yelp | TPC-DS, default
 //! Retailer), `--readers N` (default 4), `--secs S` (default 30),
-//! `--updates-per-sec U` (default 200), `--threads N` (engine worker
-//! threads), `--seed S`; any other flag exits 2. Scale comes from
-//! `LMFAO_SCALE` (default 5000). Progress is printed once per second; the
-//! process exits 1 if any sampled read disagrees with a from-scratch
-//! recompute at its pinned generation, if the certificate checker rejects
-//! the chain up to a sampled generation, if the writer errors, or if the
-//! publication cell owns more than one superseded generation per live
-//! handle.
+//! `--updates-per-sec U` (default 200), `--threads N` (worker threads of
+//! execution, which builds generation 0; every commit runs on the writer's
+//! thread), `--seed S`; any other flag exits 2. Scale comes from
+//! `LMFAO_SCALE` (default 5000; a value that is not a row count exits 2).
+//! Progress is printed once per second; the process exits 1 if any sampled
+//! read disagrees with a from-scratch recompute at its pinned generation, if
+//! the certificate checker rejects the chain up to a sampled generation, if
+//! the writer errors, or if the publication cell owns more than one
+//! superseded generation per live handle.
 
 use lmfao_bench::serve::{run_serve, ServeConfig};
-use lmfao_bench::WorkloadSpec;
+use lmfao_bench::{scale_from_env, WorkloadSpec};
 use lmfao_core::EngineConfig;
-use lmfao_datagen::{all_datasets, Scale};
+use lmfao_datagen::all_datasets;
 
 fn arg_value<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
     args.get(i + 1)
@@ -82,13 +83,10 @@ fn main() {
         i += 1;
     }
 
-    let sc = Scale::new(
-        std::env::var("LMFAO_SCALE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(5_000),
-        42,
-    );
+    let sc = scale_from_env(5_000).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let datasets = all_datasets(sc);
     let ds = datasets
         .iter()

@@ -48,7 +48,7 @@ pub struct IsoReport {
     pub recorded_reads: usize,
     /// Commit events in the history (including the genesis generation).
     pub commits: usize,
-    /// Transactions that spanned more than one relation.
+    /// Committed transactions that spanned more than one relation.
     pub multi_relation_commits: usize,
     /// Every snapshot-isolation violation the checker found. Must be empty.
     pub violations: Vec<IsoViolation>,
@@ -81,7 +81,6 @@ pub fn run_iso(
     let relations = txn_relations(&ds.name);
     let mix = UpdateMix::balanced(config.operations).seed(config.seed);
     let stream = transaction_stream(ds, &relations, &mix);
-    let multi_relation_commits = stream.iter().filter(|t| t.num_relations() > 1).count();
 
     let stop = AtomicBool::new(false);
     let duration = Duration::from_secs_f64(config.duration_secs.max(0.1));
@@ -99,7 +98,7 @@ pub fn run_iso(
     drop(genesis);
 
     let started = Instant::now();
-    let (histories, total_reads, writer_history, writer_error) = std::thread::scope(|s| {
+    let (histories, total_reads, writer) = std::thread::scope(|s| {
         let reader_handles: Vec<_> = (0..config.readers.max(1))
             .map(|reader_id| {
                 let stop = &stop;
@@ -142,6 +141,7 @@ pub fn run_iso(
                 let start = Instant::now();
                 let mut next = start;
                 let mut error = None;
+                let mut multi_relation_commits = 0;
                 for txn in &stream {
                     if stop.load(Ordering::Relaxed) {
                         break;
@@ -149,6 +149,9 @@ pub fn run_iso(
                     if let Err(e) = maintainer.commit(txn.clone(), dynamics) {
                         error = Some(e.to_string());
                         break;
+                    }
+                    if txn.num_relations() > 1 {
+                        multi_relation_commits += 1;
                     }
                     let snap = maintainer.snapshot();
                     history.add_commit(CommitEvent {
@@ -166,7 +169,7 @@ pub fn run_iso(
                         std::thread::sleep(next - now);
                     }
                 }
-                (history, error)
+                (history, multi_relation_commits, error)
             })
         };
 
@@ -182,11 +185,11 @@ pub fn run_iso(
             histories.push(history);
             total_reads += reads;
         }
-        let (writer_history, writer_error) = writer_handle.join().expect("writer thread panicked");
-        (histories, total_reads, writer_history, writer_error)
+        let writer = writer_handle.join().expect("writer thread panicked");
+        (histories, total_reads, writer)
     });
 
-    let mut history = writer_history;
+    let (mut history, multi_relation_commits, writer_error) = writer;
     for h in histories {
         history.merge(h);
     }
@@ -198,7 +201,7 @@ pub fn run_iso(
         total_reads,
         recorded_reads,
         commits,
-        multi_relation_commits: multi_relation_commits.min(commits.saturating_sub(1)),
+        multi_relation_commits,
         violations,
         writer_error,
     })
@@ -234,5 +237,18 @@ mod tests {
         assert!(report.total_reads > 0, "readers must make progress");
         assert!(report.commits > 1, "writer must commit past genesis");
         assert!(report.recorded_reads > 0, "history must record reads");
+
+        // The writer commits a prefix of the stream (the genesis generation
+        // is no transaction), and only that prefix is counted.
+        let stream = transaction_stream(
+            &ds,
+            &txn_relations(&ds.name),
+            &UpdateMix::balanced(config.operations).seed(config.seed),
+        );
+        let committed = &stream[..report.commits - 1];
+        assert_eq!(
+            report.multi_relation_commits,
+            committed.iter().filter(|t| t.num_relations() > 1).count()
+        );
     }
 }

@@ -26,7 +26,7 @@ pub mod serve;
 
 use lmfao_core::{Engine, EngineConfig, SharedDatabase};
 use lmfao_data::AttrId;
-use lmfao_datagen::Dataset;
+use lmfao_datagen::{Dataset, Scale};
 use lmfao_expr::{Aggregate, QueryBatch};
 use lmfao_ml::{covar_batch, datacube_batch, mutual_info_batch, CovarSpec};
 
@@ -355,6 +355,21 @@ impl WorkloadSpec {
     }
 }
 
+/// The dataset scale of a run: `LMFAO_SCALE` fact rows when the variable is
+/// set, `default_rows` when it is not (seed 42 either way). A value that is
+/// set but is not a row count is an error; the binaries exit 2 on it, as on
+/// an unknown flag.
+pub fn scale_from_env(default_rows: usize) -> Result<Scale, String> {
+    let rows = match std::env::var_os("LMFAO_SCALE") {
+        None => default_rows,
+        Some(value) => value
+            .to_str()
+            .and_then(|v| v.trim().parse().ok())
+            .ok_or_else(|| format!("LMFAO_SCALE must be a number of fact rows, not {value:?}"))?,
+    };
+    Ok(Scale::new(rows, 42))
+}
+
 /// Builds an LMFAO engine for a dataset with the given configuration. When
 /// several engines over the same dataset are needed (the ablation ladder),
 /// prepare the database once with [`shared_for`] and use
@@ -379,7 +394,6 @@ pub fn engine_for_shared(db: &SharedDatabase, ds: &Dataset, config: EngineConfig
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmfao_datagen::Scale;
 
     #[test]
     fn workload_specs_resolve_for_all_datasets() {

@@ -4,9 +4,13 @@
 use std::process::{Command, Output};
 
 fn run(exe: &str, args: &[&str]) -> Output {
+    run_at_scale(exe, args, "500")
+}
+
+fn run_at_scale(exe: &str, args: &[&str], scale: &str) -> Output {
     Command::new(exe)
         .args(args)
-        .env("LMFAO_SCALE", "500")
+        .env("LMFAO_SCALE", scale)
         .output()
         .expect("the binary must start")
 }
@@ -60,5 +64,29 @@ fn serve_exit_code_is_the_audit_verdict() {
 
     for args in [&["--quick"][..], &["--history-window", "4"]] {
         assert_eq!(run(serve, args).status.code(), Some(2), "{args:?}");
+    }
+}
+
+/// A set but malformed `LMFAO_SCALE` exits 2 before any work in both
+/// binaries, as an unknown flag does, instead of running the default scale.
+#[test]
+fn a_malformed_scale_is_a_usage_error() {
+    for (exe, args) in [
+        (env!("CARGO_BIN_EXE_experiments"), &["table1"][..]),
+        (env!("CARGO_BIN_EXE_serve"), &["--secs", "0.5"]),
+    ] {
+        for scale in ["2k", "", "-5"] {
+            let out = run_at_scale(exe, args, scale);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{exe} at {scale:?}: {stderr}");
+            assert!(
+                out.stdout.is_empty(),
+                "{exe} at {scale:?}: rejected before any work"
+            );
+            assert!(
+                stderr.contains("LMFAO_SCALE"),
+                "{exe} at {scale:?}: {stderr}"
+            );
+        }
     }
 }

@@ -22,8 +22,11 @@ pub struct EngineConfig {
     /// results are bit-identical either way, and the flag holds on every
     /// path: fresh execution, `into_serving` and `commit`.
     pub specialization: bool,
-    /// Number of worker threads for task/domain parallelism. `1` disables
-    /// the Parallelization layer.
+    /// Number of worker threads for task/domain parallelism of execution,
+    /// generation 0 of [`PreparedBatch::into_serving`](crate::PreparedBatch::into_serving)
+    /// included. `1` disables the Parallelization layer.
+    /// [`Maintainer::commit`](crate::Maintainer::commit) runs on the
+    /// caller's thread whatever this is.
     pub threads: usize,
 }
 

@@ -41,10 +41,10 @@ pub enum EngineError {
         /// The conflicting row, debug-printed.
         row: String,
     },
-    /// A job of the DAG scheduler panicked — a group scan of an execution or
-    /// of a commit's frontier walk, at any thread count. The panic payload
-    /// (when it was a string) is carried here instead of aborting the whole
-    /// process out of `join().unwrap()`.
+    /// A group scan panicked — one of an execution, on any worker of the DAG
+    /// scheduler, or one of a commit's refresh, on the writer's thread — at
+    /// any thread count. The panic payload (when it was a string) is carried
+    /// here instead of aborting the whole process out of `join().unwrap()`.
     WorkerPanicked(String),
 }
 

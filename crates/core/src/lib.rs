@@ -13,8 +13,8 @@
 //! 6. [`exec`] — the one executor: a multi-way-join loop nest per view
 //!    group, its local factors lowered to typed column code or left generic
 //!    ([`EngineConfig::specialization`]),
-//! 7. [`parallel`] — task and domain parallelism (one DAG scheduler shared
-//!    by fresh execution, maintenance scans and the commit frontier walk),
+//! 7. [`parallel`] — task and domain parallelism of fresh execution (one DAG
+//!    scheduler; commits refresh on the writer's thread),
 //! 8. [`engine`] — the façade tying everything together.
 //!
 //! The public workflow is *prepare once, execute many*: [`Engine::prepare`]

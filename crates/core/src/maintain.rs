@@ -49,18 +49,18 @@
 //!
 //! # The frontier walk
 //!
-//! The walk is a client of the crate's one DAG scheduler (`sched`, the same
-//! one fresh execution runs on — see [`crate::parallel`]): nodes are the
-//! view groups, a group runs once every upstream group's view deltas are
-//! published, and a group nothing reached is skipped without a scan. With
-//! `threads > 1` independent groups of the affected frontier refresh
-//! concurrently (their scans single-threaded — the outer workers carry the
-//! parallelism; a single-group frontier hands every thread to its morsel
-//! scan instead); with `threads = 1` the same code is a topological walk on
-//! the writer's thread. Either way the per-group outputs fold in group
-//! order, so the published state, the certificate and the [`RefreshStats`]
-//! are identical at every thread count, and a panicking worker surfaces as
-//! [`EngineError::WorkerPanicked`] with nothing published.
+//! The walk is a plain loop on the writer's thread over the affected groups
+//! in topological order ([`crate::group::Grouping::transitive_dependents`]):
+//! a group reads the view deltas its upstream groups left behind, and a
+//! group nothing reached is skipped without a scan. The per-group outputs
+//! fold in group order once the walk is over. The work of a commit is
+//! bounded by the delta and the degree of its keys, not by parallel width,
+//! so the walk does not use the scheduler of fresh execution
+//! ([`crate::parallel`]): [`EngineConfig::threads`](crate::EngineConfig::threads)
+//! governs execution only. The published state, the certificate and the
+//! [`RefreshStats`] are therefore identical at every thread count, and a
+//! panic inside a refresh scan surfaces as [`EngineError::WorkerPanicked`]
+//! with nothing published.
 //!
 //! Floating-point caveat: refreshed sums are mathematically identical to a
 //! full recompute but may differ in the last ulp, because float addition is
@@ -76,7 +76,7 @@ use crate::group::Grouping;
 use crate::overlay::{propagate, scan_partition};
 use crate::plan::GroupPlan;
 use crate::prepared::project_results;
-use crate::sched::{self, Done};
+use crate::sched::panic_message;
 use crate::snapshot::{Maintainer, ViewSnapshot};
 use crate::view::{ComputedView, ViewId, ViewSource};
 use lmfao_certify::{
@@ -85,6 +85,7 @@ use lmfao_certify::{
 };
 use lmfao_data::{Database, FxHashMap, Relation, Transaction};
 use lmfao_expr::DynamicRegistry;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// What one [`Maintainer::commit`] call did.
@@ -132,7 +133,7 @@ struct ViewRefresh {
 }
 
 /// The private output of one group's refresh: everything the commit folds
-/// into the maintainer afterwards, so a group can run on any worker.
+/// into the maintainer once the walk is over.
 struct GroupRefresh {
     /// True when the group's own relation changed (a seed refresh), false
     /// for a purely propagated one.
@@ -145,18 +146,19 @@ struct GroupRefresh {
     views: Vec<ViewRefresh>,
 }
 
-/// Resolves a view to the non-empty signed delta its producing group
-/// published during this walk. An empty delta means the view did not change:
-/// reading it as absent lets downstream groups skip entirely.
+/// Resolves a view to the non-empty signed delta its producing group left
+/// during this walk. An empty delta means the view did not change: reading
+/// it as absent lets downstream groups skip entirely.
 struct UpstreamDeltas<'a> {
     grouping: &'a Grouping,
-    done: &'a Done<Option<GroupRefresh>>,
+    /// The walk's outcomes so far, indexed by group.
+    outcomes: &'a [Option<GroupRefresh>],
 }
 
 impl ViewSource for UpstreamDeltas<'_> {
     fn view_result(&self, id: ViewId) -> Option<&ComputedView> {
         let producer = *self.grouping.group_of_view.get(&id)?;
-        let refreshed = self.done.get(producer)?.as_ref()?;
+        let refreshed = self.outcomes.get(producer)?.as_ref()?;
         let delta = &refreshed.views.iter().find(|v| v.view == id)?.delta;
         (!delta.is_empty()).then_some(delta)
     }
@@ -182,7 +184,8 @@ impl Maintainer {
     /// [`EngineError::ConflictingDelta`] (resolve ordered streams with
     /// [`Transaction::coalesce`] or a [`crate::buffer::DeltaBuffer`] first),
     /// an unmatched delete in *any* delta fails the whole transaction, and a
-    /// panic inside a refresh scan is [`EngineError::WorkerPanicked`].
+    /// panic inside a refresh scan is [`EngineError::WorkerPanicked`]. The
+    /// refresh runs on the calling thread at every thread count.
     pub fn commit(
         &mut self,
         txn: impl Into<Transaction>,
@@ -242,42 +245,37 @@ impl Maintainer {
         }
         let num_attrs = staged_db.schema().num_attributes();
 
-        // The walk. Outer workers carry the parallelism across a multi-group
-        // frontier, so each group's scans run single-threaded (no pool
-        // oversubscription); a single-group frontier hands every thread to
-        // its morsel scan instead. A group reads only the staged database,
-        // the retained (old) views and its producers' published deltas, so
-        // its output is the same on any worker and at any thread count.
+        // The walk: the affected groups in topological order, on the calling
+        // thread. A group reads only the staged database, the retained (old)
+        // views and the deltas its producers left in `outcomes`; a group
+        // nothing reached stays `None` and is skipped without a scan. A
+        // panicking scan becomes a typed error before anything is published.
         let grouping = &self.inner.grouping;
         let seeds: Vec<usize> = (0..plans.len())
             .filter(|&g| partitions.contains_key(plans[g].relation.as_str()))
             .collect();
-        let frontier = grouping.transitive_dependents(&seeds).len();
-        let threads = self.inner.config.threads.max(1);
-        let (workers, scan_threads) = if frontier > 1 {
-            (threads.min(frontier), 1)
-        } else {
-            (1, threads)
-        };
-        let outcomes = sched::run(
-            &grouping.dependencies,
-            |_| 1,
-            workers,
-            |gid, _, _, done| {
+        let mut outcomes: Vec<Option<GroupRefresh>> = (0..plans.len()).map(|_| None).collect();
+        catch_unwind(AssertUnwindSafe(|| {
+            for gid in grouping.transitive_dependents(&seeds) {
                 let plan = &plans[gid];
-                refresh_group(
+                outcomes[gid] = refresh_group(
                     plan,
                     partitions.get(plan.relation.as_str()),
                     num_attrs,
                     &staged_db,
                     &current.computed,
-                    &UpstreamDeltas { grouping, done },
+                    &UpstreamDeltas {
+                        grouping,
+                        outcomes: &outcomes,
+                    },
                     dynamics,
-                    scan_threads,
-                )
-            },
-            |_, _| unreachable!("frontier nodes run as one part"),
-        )?;
+                )?;
+            }
+            Ok(())
+        }))
+        .unwrap_or_else(|payload| {
+            Err(EngineError::WorkerPanicked(panic_message(payload.as_ref())))
+        })?;
 
         // Fold the signed deltas into a staged copy of the current view map,
         // in group order. `Arc::make_mut` is the copy-on-write step: only
@@ -428,8 +426,7 @@ impl Maintainer {
 /// neither reaches it (the group is skipped without a scan). Pure with
 /// respect to the maintainer — reads the staged database, the retained (old)
 /// views, and the deltas of upstream views; returns everything it produced.
-#[allow(clippy::too_many_arguments)]
-fn refresh_group<D: ViewSource + Sync>(
+fn refresh_group<D: ViewSource>(
     plan: &GroupPlan,
     seed: Option<&(Relation, Relation)>,
     num_attrs: usize,
@@ -437,7 +434,6 @@ fn refresh_group<D: ViewSource + Sync>(
     retained: &FxHashMap<ViewId, Arc<ComputedView>>,
     upstream: &D,
     dynamics: &DynamicRegistry,
-    scan_threads: usize,
 ) -> Result<Option<GroupRefresh>, EngineError> {
     let changed_incoming: Vec<bool> = plan
         .incoming
@@ -496,7 +492,6 @@ fn refresh_group<D: ViewSource + Sync>(
             retained,
             upstream,
             dynamics,
-            scan_threads,
         )?;
         out.scans += propagation.scans.len();
         out.rows_scanned += propagation.rows_scanned;
@@ -1009,10 +1004,8 @@ mod tests {
         let mut panicking = DynamicRegistry::new();
         panicking.register(|_| panic!("dynamic boom"));
 
-        // Two threads over a two-relation transaction: a multi-group
-        // frontier, so the refresh runs on the scheduler's worker pool.
-        let engine = Engine::new(db.clone(), tree, EngineConfig::full(2));
-        let mut maintained = engine.prepare(&b).unwrap().into_serving(&benign).unwrap();
+        // A two-relation transaction: a multi-group frontier, refreshed on
+        // the writer's thread whatever the engine's thread count.
         let mut sales = TableDelta::for_relation(db.relation("Sales").unwrap());
         sales
             .insert(&[Value::Int(1), Value::Int(3), Value::Double(100.0)])
@@ -1021,30 +1014,34 @@ mod tests {
         items.delete(&[Value::Int(3), Value::Double(12.0)]).unwrap();
         items.insert(&[Value::Int(3), Value::Double(40.0)]).unwrap();
         let txn: Transaction = [sales, items].into_iter().collect();
-        assert!(maintained.affected_groups("Items").len() > 1);
+        for threads in [1, 2] {
+            let engine = Engine::new(db.clone(), tree.clone(), EngineConfig::full(threads));
+            let mut maintained = engine.prepare(&b).unwrap().into_serving(&benign).unwrap();
+            assert!(maintained.affected_groups("Items").len() > 1);
 
-        let gen0 = maintained.snapshot();
-        let ledger = maintained.shadow.clone();
-        let err = maintained.commit(txn.clone(), &panicking).unwrap_err();
-        assert!(
-            matches!(err, EngineError::WorkerPanicked(ref msg) if msg.contains("dynamic boom")),
-            "{err:?}"
-        );
-        assert_eq!(maintained.generation(), 0);
-        assert!(
-            Arc::ptr_eq(&gen0, &maintained.snapshot()),
-            "nothing published"
-        );
-        assert_eq!(maintained.shadow, ledger, "shadow ledger untouched");
-        assert_eq!(maintained.database().relation("Sales").unwrap().len(), 40);
+            let gen0 = maintained.snapshot();
+            let ledger = maintained.shadow.clone();
+            let err = maintained.commit(txn.clone(), &panicking).unwrap_err();
+            assert!(
+                matches!(err, EngineError::WorkerPanicked(ref msg) if msg.contains("dynamic boom")),
+                "threads {threads}: {err:?}"
+            );
+            assert_eq!(maintained.generation(), 0);
+            assert!(
+                Arc::ptr_eq(&gen0, &maintained.snapshot()),
+                "nothing published"
+            );
+            assert_eq!(maintained.shadow, ledger, "shadow ledger untouched");
+            assert_eq!(maintained.database().relation("Sales").unwrap().len(), 40);
 
-        // The next commit succeeds and chains straight onto generation 0.
-        maintained.commit(txn, &benign).unwrap();
-        let gen1 = maintained.snapshot();
-        assert_eq!(gen1.generation(), 1);
-        let summary =
-            lmfao_certify::check_chain([&**gen0.certificate(), &**gen1.certificate()]).unwrap();
-        assert_eq!(summary.certificates, 2);
-        assert_eq!(summary.final_generation, 1);
+            // The next commit succeeds and chains straight onto generation 0.
+            maintained.commit(txn.clone(), &benign).unwrap();
+            let gen1 = maintained.snapshot();
+            assert_eq!(gen1.generation(), 1);
+            let summary =
+                lmfao_certify::check_chain([&**gen0.certificate(), &**gen1.certificate()]).unwrap();
+            assert_eq!(summary.certificates, 2);
+            assert_eq!(summary.final_generation, 1);
+        }
     }
 }

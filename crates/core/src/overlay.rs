@@ -42,7 +42,6 @@
 
 use crate::error::EngineError;
 use crate::exec::execute_group_scan;
-use crate::parallel::scan_morsels;
 use crate::plan::{DepthUpdate, GroupPlan};
 use crate::view::{ComputedView, ViewId, ViewSource};
 use lmfao_data::{FxHashMap, FxHashSet, Relation, Value};
@@ -133,8 +132,7 @@ pub(crate) struct Propagation {
 /// incoming views (`changed_incoming[i]` flags `plan.incoming[i]`, `deltas`
 /// resolves a changed view to its signed delta) against the rows of the
 /// *updated* relation that their keys hit.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn propagate<D: ViewSource + Sync>(
+pub(crate) fn propagate<D: ViewSource>(
     plan: &GroupPlan,
     changed_incoming: &[bool],
     relation: &Relation,
@@ -142,7 +140,6 @@ pub(crate) fn propagate<D: ViewSource + Sync>(
     retained: &Retained,
     deltas: &D,
     dynamics: &DynamicRegistry,
-    scan_threads: usize,
 ) -> Result<Propagation, EngineError> {
     let mut out = Propagation {
         scans: Vec::new(),
@@ -163,7 +160,6 @@ pub(crate) fn propagate<D: ViewSource + Sync>(
             &overlay,
             changed_incoming,
             dynamics,
-            scan_threads,
             &mut out,
         )?;
         return Ok(out);
@@ -203,14 +199,7 @@ pub(crate) fn propagate<D: ViewSource + Sync>(
             earlier: &earlier,
         };
         scan_charged(
-            plan,
-            relation,
-            num_attrs,
-            &overlay,
-            &one_hot,
-            dynamics,
-            scan_threads,
-            &mut out,
+            plan, relation, num_attrs, &overlay, &one_hot, dynamics, &mut out,
         )?;
         earlier.insert(vid);
     }
@@ -221,28 +210,26 @@ pub(crate) fn propagate<D: ViewSource + Sync>(
 /// `plan.incoming[i]`) resolve through `overlay` to their deltas: every slot
 /// referencing no charged view is masked, and only the rows [`select_rows`]
 /// keeps are read. Appends the scan's outputs and row count to `out`.
-#[allow(clippy::too_many_arguments)]
-fn scan_charged<V: ViewSource + Sync>(
+fn scan_charged<V: ViewSource>(
     plan: &GroupPlan,
     relation: &Relation,
     num_attrs: usize,
     overlay: &V,
     charged: &[bool],
     dynamics: &DynamicRegistry,
-    scan_threads: usize,
     out: &mut Propagation,
 ) -> Result<(), EngineError> {
     let selected = select_rows(plan, relation, charged, overlay);
     let rows = selected.as_ref().unwrap_or(relation);
     let mask = active_slots(plan, charged);
-    out.scans.push(scan_morsels(
+    out.scans.push(execute_group_scan(
         rows,
         num_attrs,
         plan,
         overlay,
         dynamics,
+        None,
         Some(&mask),
-        scan_threads,
     )?);
     out.rows_scanned += rows.len();
     Ok(())

@@ -8,14 +8,15 @@
 //!
 //! Both axes are one scheduler, the crate-internal `sched` module: a
 //! dependency-counted ready queue over a DAG whose nodes split into indexed
-//! parts. It has three clients. [`execute_all`] runs the groups of a
+//! parts. [`execute_all`] is its one client: it runs the groups of a
 //! [`Grouping`] as nodes and the [`MORSEL_ROWS`]-row *morsels* of each
-//! group's scan as parts: a group becomes runnable the moment its last
+//! group's scan as parts. A group becomes runnable the moment its last
 //! dependency finishes — there is no inter-wave barrier — and workers stay
-//! busy on skewed groups instead of idling behind one long partition. The
-//! crate-internal `scan_morsels` runs one maintenance scan as a single node
-//! of morsels. The commit frontier walk of [`crate::maintain`] runs the
-//! affected groups as single-part nodes.
+//! busy on skewed groups instead of idling behind one long partition.
+//! [`EngineConfig::threads`] governs this execution only, generation 0 of
+//! [`PreparedBatch::into_serving`](crate::prepared::PreparedBatch::into_serving)
+//! included; a commit ([`crate::maintain`]) refreshes its groups one after
+//! another on the caller's thread.
 //!
 //! **Determinism.** The worker that finishes a group's last morsel folds the
 //! morsel partials in morsel-index order, and every view is produced by
@@ -29,11 +30,11 @@
 //!
 //! Worker panics surface as [`EngineError::WorkerPanicked`] instead of
 //! aborting the process; the first error (panic or typed) cancels the
-//! remaining queue — for every client alike.
+//! remaining queue.
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::exec::{execute_group, execute_group_scan};
+use crate::exec::execute_group;
 use crate::group::Grouping;
 use crate::plan::GroupPlan;
 use crate::sched::{self, Done};
@@ -116,37 +117,6 @@ pub fn execute_all(
         merge_partials,
     )?;
     Ok(outputs.into_iter().flatten().collect())
-}
-
-/// Morsel-parallel variant of [`execute_group_scan`] for the maintenance
-/// layer's full-relation propagation scans: one scheduler node whose parts
-/// are the scan's [`MORSEL_ROWS`]-row morsels, folded in morsel-index order
-/// (same determinism guarantee as [`execute_all`]). Single-morsel scans and
-/// `threads = 1` run unsplit on the calling thread.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_morsels<V: ViewSource + Sync>(
-    relation: &Relation,
-    num_attrs: usize,
-    plan: &GroupPlan,
-    computed: &V,
-    dynamics: &DynamicRegistry,
-    slot_mask: Option<&[bool]>,
-    threads: usize,
-) -> Result<GroupOutput, EngineError> {
-    let rows = relation.len();
-    let mut output = sched::run(
-        &[Vec::new()],
-        |_| morsel_count(rows),
-        threads,
-        |_, part, of, _| {
-            let range = morsel_range(rows, part, of);
-            execute_group_scan(
-                relation, num_attrs, plan, computed, dynamics, range, slot_mask,
-            )
-        },
-        merge_partials,
-    )?;
-    Ok(output.pop().expect("one node, one output"))
 }
 
 #[cfg(test)]

@@ -16,8 +16,9 @@
 //! worker nothing is spawned and no node is split, so the run is a plain
 //! topological walk on the caller's thread.
 //!
-//! Three clients: fresh execution and maintenance scans in
-//! [`crate::parallel`], and the commit frontier walk in [`crate::maintain`].
+//! One client: fresh execution, [`crate::parallel::execute_all`]. A commit
+//! walks its groups on the writer's thread and borrows only
+//! [`panic_message`], so its panics read the same.
 
 use crate::error::EngineError;
 use std::collections::VecDeque;
@@ -71,7 +72,7 @@ struct Pool<T, R, M> {
 }
 
 /// Renders a panic payload for [`EngineError::WorkerPanicked`].
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

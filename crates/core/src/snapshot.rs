@@ -74,10 +74,11 @@
 //!
 //! # One scheduler
 //!
-//! Generation 0 is computed by [`crate::parallel::execute_all`] and every
-//! commit's frontier walk by [`Maintainer::commit`] — both clients of the
-//! crate's one DAG scheduler, deterministic at every thread count, so what
-//! is published here never depends on thread timing.
+//! Generation 0 is computed by [`crate::parallel::execute_all`], the one
+//! client of the crate's DAG scheduler, deterministic at every thread count.
+//! Every later generation is refreshed by [`Maintainer::commit`] on the
+//! writer's thread. So what is published here never depends on thread
+//! timing.
 //!
 //! Float caveat: refreshed sums may differ from a fresh build in the last
 //! ulp (float addition is not associative). The maintainer folds deltas with

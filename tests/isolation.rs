@@ -43,7 +43,7 @@ fn concurrent_stress_run_has_zero_violations() {
     assert!(report.commits > 1, "the writer must commit past genesis");
     assert!(
         report.multi_relation_commits > 0,
-        "the stream must span multiple relations"
+        "the writer must commit multi-relation transactions"
     );
     assert!(report.recorded_reads > 0, "readers must record history");
 }

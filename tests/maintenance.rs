@@ -15,7 +15,8 @@
 //!
 //! Ladder thread counts resolve through `EngineConfig::env_threads`, so CI's
 //! thread-matrix job (`LMFAO_THREADS={1,4}`) runs these properties against
-//! the one-worker (inline) and the multi-worker run of the one scheduler.
+//! the one-worker (inline) and the multi-worker run of the one scheduler,
+//! which builds generation 0; commits run on the writer's thread either way.
 
 use lmfao::baseline::RecomputeReference;
 use lmfao::datagen::{self, fact_relation, update_stream, Scale, UpdateMix};
@@ -331,8 +332,9 @@ fn multi_relation_transactions_match_sequential_and_recompute() {
         // One write path at every thread count: the same transaction stream
         // yields the same `RefreshStats` (all eight counters), bit-identical
         // published results and the same certificate fingerprint, generation
-        // by generation, whether the frontier walk runs inline (1 thread) or
-        // on the scheduler's worker pool (2, 4).
+        // by generation, at 1, 2 and 4 threads. The thread count only picks
+        // how generation 0 is executed; every commit refreshes on the
+        // writer's thread.
         let run = |threads: usize| {
             let mut side = Engine::new(ds.db.clone(), ds.tree.clone(), EngineConfig::full(threads))
                 .prepare(&batch)
@@ -400,8 +402,9 @@ fn morsel_parallel_execution_is_bit_identical_to_sequential() {
 /// one morsel (65,536 rows) forces the scheduler to claim several morsels
 /// per scan and fold their partials in index order. Measures are
 /// integer-valued, so every sum is exact and parallel results must equal
-/// `threads = 1` bitwise — for fresh execution and after a dimension-side
-/// commit whose propagation rescans the big relation morsel by morsel.
+/// `threads = 1` bitwise — for fresh execution, and after a dimension-side
+/// commit whose propagation rescans the big relation in one scan on the
+/// writer's thread, starting from a generation 0 built on split scans.
 #[test]
 fn multi_morsel_scans_are_bit_identical_including_under_commit() {
     use lmfao::data::{AttrType, DatabaseSchema, RelationSchema, TableDelta, Value};
@@ -452,7 +455,7 @@ fn multi_morsel_scans_are_bit_identical_including_under_commit() {
     batch.push("per_c", vec![ids[2]], vec![Aggregate::sum(ids[1])]);
 
     // A dimension correction: its propagation rescans all of F (with the
-    // delta overlay and slot masks) through the morsel scheduler.
+    // delta overlay and slot masks) in one unsplit scan.
     let mut delta = TableDelta::for_relation(db.relation("D").unwrap());
     delta.delete(&[Value::Int(3), Value::Double(28.0)]).unwrap();
     delta.insert(&[Value::Int(3), Value::Double(35.0)]).unwrap();
