@@ -93,10 +93,7 @@ where
     F: Fn(AttrId) -> Value,
 {
     match f {
-        ScalarFunction::Dynamic { id, attrs } => {
-            let args: Vec<Value> = attrs.iter().map(|&a| lookup(a)).collect();
-            dynamics.evaluate(*id, &args)
-        }
+        ScalarFunction::Dynamic { id, attrs } => dynamics.evaluate_attrs(*id, attrs, lookup),
         other => other.evaluate(lookup),
     }
 }

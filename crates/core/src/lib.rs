@@ -21,8 +21,10 @@
 //! runs layers 2–5 once and caches the result as a [`PreparedBatch`] over a
 //! [`SharedDatabase`] (the database sorted for the trie scans, its relations
 //! shared, not copied); [`PreparedBatch::execute`] runs only the scans,
-//! so batches with changing dynamic functions (decision-tree predicates,
-//! iteration weights) never pay for planning twice. When base relations
+//! so batches with changing dynamic functions (iteration weights) never pay
+//! for planning twice, and [`PreparedBatch::restrict`] re-targets the same
+//! plans at a semi-join-reduced row selection of the database (a
+//! decision-tree node's rows). When base relations
 //! receive updates, [`PreparedBatch::into_serving`] promotes the batch to
 //! live materialized state: a [`Maintainer`] retains every computed view and
 //! commits [`lmfao_data::Transaction`]s — atomic sets of signed

@@ -7,8 +7,9 @@
 //! [`PreparedBatch`] is the cached product of running all those layers once:
 //! the root assignment, the consolidated view catalog and output projections,
 //! the view grouping, and the per-group physical plans. Executing it again
-//! with a different registry (a new decision-tree split predicate, the next
-//! gradient step's weight function) re-runs only the scans.
+//! with a different registry (the next gradient step's weight function) or
+//! over a restricted database ([`PreparedBatch::restrict`]: a decision-tree
+//! node's rows) re-runs only the scans.
 //!
 //! This is the reproduction of the paper's compile-once design: the generated
 //! C++ is compiled one time and only the *dynamic functions* are recompiled
@@ -27,9 +28,10 @@ use crate::roots::assign_roots;
 use crate::shared::SharedDatabase;
 use crate::view::{ComputedView, ViewId};
 use lmfao_certify::Certificate;
-use lmfao_data::{AttrId, FxHashMap, Value};
-use lmfao_expr::{DynamicRegistry, QueryBatch};
+use lmfao_data::{AttrId, Column, FxHashMap, FxHashSet, Relation, Value};
+use lmfao_expr::{DynamicRegistry, QueryBatch, ScalarFunction};
 use lmfao_jointree::JoinTree;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Everything needed to project one query's result out of its output view,
@@ -61,6 +63,11 @@ pub(crate) struct PreparedQuery {
 pub struct PreparedBatch {
     pub(crate) db: SharedDatabase,
     pub(crate) inner: Arc<PreparedPlans>,
+    /// True if `db` is semi-join reduced along the join tree (every row of
+    /// every relation joins with rows of all the others), as every
+    /// [`PreparedBatch::restrict`] leaves it. A further restriction then
+    /// needs only the semi-joins next to the relations it shrinks.
+    reduced: bool,
 }
 
 /// The immutable product of the optimizer layers, shared by every clone of a
@@ -143,6 +150,7 @@ impl PreparedBatch {
 
         Ok(PreparedBatch {
             db,
+            reduced: false,
             inner: Arc::new(PreparedPlans {
                 tree,
                 config,
@@ -186,6 +194,104 @@ impl PreparedBatch {
     /// The query names, in batch order.
     pub fn query_names(&self) -> impl Iterator<Item = &str> {
         self.inner.queries.iter().map(|q| q.name.as_str())
+    }
+
+    /// This batch over the part of its database that satisfies every one of
+    /// `conditions`: the same plans (shared, never re-planned) over a row
+    /// selection of the same database.
+    ///
+    /// Each condition must be an [`ScalarFunction::Indicator`] or
+    /// [`ScalarFunction::InSet`] on an attribute some relation holds; anything
+    /// else is [`EngineError::InvalidPlan`]. Every relation holding a
+    /// condition's attribute keeps the rows that satisfy it. A semi-join
+    /// reduction along the join tree follows — leaves to root, then root to
+    /// leaves (Yannakakis) — so every row left joins with rows of all the
+    /// other relations. A relation the selection leaves whole stays shared
+    /// with this batch's database; the others become row subsets in their
+    /// trie order. Restricting a restricted batch composes:
+    /// `b.restrict(c1)?.restrict(c2)` holds the rows of `b.restrict(c1 ∧ c2)`.
+    ///
+    /// A removed row contributes exactly 0 wherever the conditions'
+    /// indicators multiply every term: a failed indicator zeroes its product,
+    /// a dangling row meets no view entry, and the scans never add a zero
+    /// contribution. The rows that remain are scanned in the same order, so
+    /// the restricted batch computes the conditioned aggregates with the same
+    /// float additions — as long as no scanned relation spans more than one
+    /// morsel, whose partial sums would then merge at other boundaries.
+    pub fn restrict(&self, conditions: &[ScalarFunction]) -> Result<PreparedBatch, EngineError> {
+        let db = self.db.database();
+        let tree = &self.inner.tree;
+        // One relation per join-tree node: borrowed while whole, owned once
+        // the restriction removed rows from it.
+        let mut rels: Vec<Cow<'_, Relation>> = tree
+            .nodes()
+            .iter()
+            .map(|node| db.relation(&node.relation).map(Cow::Borrowed))
+            .collect::<Result<_, _>>()?;
+        for cond in conditions {
+            let attr = match cond {
+                ScalarFunction::Indicator { attr, .. } | ScalarFunction::InSet { attr, .. } => {
+                    *attr
+                }
+                other => {
+                    return Err(EngineError::InvalidPlan(format!(
+                        "restrict takes indicator or set conditions, not {other:?}"
+                    )))
+                }
+            };
+            let mut held = false;
+            for rel in &mut rels {
+                let Some(col) = rel.position(attr) else {
+                    continue;
+                };
+                held = true;
+                let keep: Vec<u32> = (0..rel.len() as u32)
+                    .filter(|&row| cond.evaluate(&|_| rel.value(row as usize, col)) != 0.0)
+                    .collect();
+                if keep.len() < rel.len() {
+                    *rel = Cow::Owned(rel.subset(&keep));
+                }
+            }
+            if !held {
+                return Err(EngineError::InvalidPlan(format!(
+                    "no relation holds the attribute of {cond:?}"
+                )));
+            }
+        }
+
+        // Over a reduced database a semi-join by a relation that kept all its
+        // rows removes nothing, so only the shrunk relations' semi-joins run.
+        let reduces = |rels: &[Cow<'_, Relation>], node: usize| {
+            !self.reduced || matches!(rels[node], Cow::Owned(_))
+        };
+        let order = tree.bfs_order(0);
+        let edges = order.iter().filter(|&&(_, parent)| parent != usize::MAX);
+        // Leaves to root: a parent keeps the rows that join its child.
+        for &(node, parent) in edges.clone().rev() {
+            if reduces(&rels, node) {
+                semi_join(&mut rels, parent, node, &tree.edge_join_attrs(node, parent));
+            }
+        }
+        // Root to leaves: a child keeps the rows that join its parent.
+        for &(node, parent) in edges {
+            if reduces(&rels, parent) {
+                semi_join(&mut rels, node, parent, &tree.edge_join_attrs(node, parent));
+            }
+        }
+
+        // The clone shares every relation; `relation_mut` copies a shared
+        // one before it is overwritten, and drops its statistics.
+        let mut restricted = db.clone();
+        for (node, rel) in tree.nodes().iter().zip(rels) {
+            if let Cow::Owned(rel) = rel {
+                *restricted.relation_mut(&node.relation)? = rel;
+            }
+        }
+        Ok(PreparedBatch {
+            db: SharedDatabase::from_sorted(restricted),
+            inner: Arc::clone(&self.inner),
+            reduced: true,
+        })
     }
 
     /// Executes the cached plans, resolving dynamic UDAFs through `dynamics`,
@@ -237,6 +343,71 @@ impl PreparedBatch {
     }
 }
 
+/// Keeps the rows of `rels[target]` whose values on `attrs` occur in some
+/// row of `rels[source]`.
+fn semi_join(rels: &mut [Cow<'_, Relation>], target: usize, source: usize, attrs: &[AttrId]) {
+    let (t, s) = (&*rels[target], &*rels[source]);
+    fn columns<'r>(rel: &'r Relation, attrs: &[AttrId]) -> Vec<&'r Column> {
+        attrs
+            .iter()
+            .map(|&a| {
+                rel.column(
+                    rel.position(a)
+                        .expect("both ends hold an edge's attributes"),
+                )
+            })
+            .collect()
+    }
+    let (tc, sc) = (columns(t, attrs), columns(s, attrs));
+    let keep: Vec<u32> = if attrs.len() <= 2 && tc.iter().zip(&sc).all(|(a, b)| alike(a, b)) {
+        let keys: FxHashSet<u128> = (0..s.len()).map(|row| packed(&sc, row)).collect();
+        (0..t.len() as u32)
+            .filter(|&row| keys.contains(&packed(&tc, row as usize)))
+            .collect()
+    } else {
+        let keys: FxHashSet<Vec<Value>> = (0..s.len())
+            .map(|row| sc.iter().map(|c| c.value(row)).collect())
+            .collect();
+        let mut key = Vec::with_capacity(attrs.len());
+        (0..t.len() as u32)
+            .filter(|&row| {
+                key.clear();
+                key.extend(tc.iter().map(|c| c.value(row as usize)));
+                keys.contains(&key)
+            })
+            .collect()
+    };
+    if keep.len() < t.len() {
+        rels[target] = Cow::Owned(t.subset(&keep));
+    }
+}
+
+/// True if two columns hold the same native type, so their values are equal
+/// exactly when their native bits are.
+fn alike(a: &Column, b: &Column) -> bool {
+    matches!(
+        (a, b),
+        (Column::Int(_), Column::Int(_))
+            | (Column::Float(_), Column::Float(_))
+            | (Column::Dict { .. }, Column::Dict { .. })
+    )
+}
+
+/// A row's key over at most two natively typed columns, each contributing
+/// the 64 bits of its value: equal keys are equal values, without a [`Value`]
+/// built per row.
+fn packed(columns: &[&Column], row: usize) -> u128 {
+    columns.iter().fold(0, |key, column| {
+        let bits = match column {
+            Column::Int(v) => v[row] as u64,
+            Column::Float(v) => v[row].to_bits(),
+            Column::Dict { codes, .. } => u64::from(codes[row]),
+            Column::Mixed(_) => unreachable!("mixed columns are keyed by value"),
+        };
+        key << 64 | u128::from(bits)
+    })
+}
+
 /// Projects per-query results out of the computed (or maintained) output
 /// views — shared by [`PreparedBatch::execute`] and the snapshot publication
 /// in [`crate::snapshot`] (which keeps its views behind `Arc`s, hence the
@@ -282,7 +453,7 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use lmfao_data::{AttrType, Database, DatabaseSchema, Relation, RelationSchema};
-    use lmfao_expr::Aggregate;
+    use lmfao_expr::{Aggregate, CmpOp};
     use lmfao_jointree::{build_join_tree, Hypergraph};
 
     fn db_and_tree() -> (Database, JoinTree) {
@@ -457,5 +628,236 @@ mod tests {
         benign.register(|args| args[0].as_f64());
         let result = prepared.execute(&benign).unwrap();
         assert_eq!(result.query("count").scalar()[0], 20.0);
+    }
+
+    /// A batch over a Retailer-shaped snowflake: Inventory(locn, ksn, units) joins
+    /// Location(locn, zip, area) and Item(ksn, price); Location joins
+    /// Census(zip, pop). Every item is stocked at every location, and
+    /// inventory rows with `locn = 9` match no location.
+    fn snowflake() -> PreparedBatch {
+        let mut schema = DatabaseSchema::new();
+        schema.add_relation_with_attrs(
+            "Inventory",
+            &[
+                ("locn", AttrType::Int),
+                ("ksn", AttrType::Int),
+                ("units", AttrType::Double),
+            ],
+        );
+        schema.add_relation_with_attrs(
+            "Location",
+            &[
+                ("locn", AttrType::Int),
+                ("zip", AttrType::Int),
+                ("area", AttrType::Double),
+            ],
+        );
+        schema.add_relation_with_attrs(
+            "Census",
+            &[("zip", AttrType::Int), ("pop", AttrType::Double)],
+        );
+        schema.add_relation_with_attrs(
+            "Item",
+            &[("ksn", AttrType::Int), ("price", AttrType::Double)],
+        );
+        let rel = |name: &str, rows: Vec<Vec<Value>>| {
+            Relation::from_rows(schema.relation(name).unwrap().clone(), rows).unwrap()
+        };
+        let mut inventory = Vec::new();
+        for locn in [0, 1, 2, 3, 9] {
+            for ksn in 0..3 {
+                inventory.push(vec![
+                    Value::Int(locn),
+                    Value::Int(ksn),
+                    Value::Double((locn * 3 + ksn) as f64 + 0.5),
+                ]);
+            }
+        }
+        let location = (0..4)
+            .map(|l| {
+                vec![
+                    Value::Int(l),
+                    Value::Int(l % 2),
+                    Value::Double(10.0 * l as f64),
+                ]
+            })
+            .collect();
+        let census = (0..2)
+            .map(|z| vec![Value::Int(z), Value::Double(100.0 + z as f64)])
+            .collect();
+        let item = (0..3)
+            .map(|k| vec![Value::Int(k), Value::Double(k as f64 + 1.25)])
+            .collect();
+        let relations = vec![
+            rel("Inventory", inventory),
+            rel("Location", location),
+            rel("Census", census),
+            rel("Item", item),
+        ];
+        let db = Database::new(schema.clone(), relations).unwrap();
+        let tree = build_join_tree(&Hypergraph::from_schema(&schema)).unwrap();
+        let attr = |n: &str| schema.attr_id(n).unwrap();
+        let mut batch = QueryBatch::new();
+        batch.push("count", vec![], vec![Aggregate::count()]);
+        batch.push(
+            "units_price",
+            vec![attr("zip")],
+            vec![Aggregate::sum_product(attr("units"), attr("price"))],
+        );
+        Engine::new(db, tree, EngineConfig::default())
+            .prepare(&batch)
+            .unwrap()
+    }
+
+    fn attr(batch: &PreparedBatch, name: &str) -> AttrId {
+        batch.database().schema().attr_id(name).unwrap()
+    }
+
+    fn indicator(batch: &PreparedBatch, name: &str, op: CmpOp, threshold: Value) -> ScalarFunction {
+        ScalarFunction::Indicator {
+            attr: attr(batch, name),
+            op,
+            threshold,
+        }
+    }
+
+    /// The rows of one relation of a batch's database, in order.
+    fn rows(batch: &PreparedBatch, name: &str) -> Vec<Vec<Value>> {
+        let rel = batch.database().relation(name).unwrap();
+        rel.rows().map(|r| r.to_vec()).collect()
+    }
+
+    #[test]
+    fn restrict_shares_the_relations_it_leaves_whole() {
+        let full = snowflake();
+        // Census keeps zip 1 only; its locations (1, 3) and their stock
+        // remain, and every item is still stocked there.
+        let pop = indicator(&full, "pop", CmpOp::Gt, Value::Double(100.5));
+        let part = full.restrict(&[pop]).unwrap();
+        assert!(Arc::ptr_eq(&part.inner, &full.inner), "plans are shared");
+        assert!(part
+            .database()
+            .shares_relation_with(full.database(), "Item"));
+        for name in ["Census", "Location", "Inventory"] {
+            assert!(!part.database().shares_relation_with(full.database(), name));
+        }
+        // Restricting a reduced batch by a condition every row meets
+        // copies nothing.
+        let all = indicator(&full, "price", CmpOp::Ge, Value::Double(0.0));
+        let again = part.restrict(&[all]).unwrap();
+        for name in ["Inventory", "Location", "Census", "Item"] {
+            assert!(again.database().shares_relation_with(part.database(), name));
+        }
+    }
+
+    #[test]
+    fn a_census_condition_reaches_inventory_through_location() {
+        let full = snowflake();
+        let pop = indicator(&full, "pop", CmpOp::Le, Value::Double(100.5));
+        let part = full.restrict(&[pop]).unwrap();
+        // Two hops: Census keeps zip 0, Location its locations 0 and 2, and
+        // Inventory only their stock.
+        assert_eq!(rows(&part, "Census").len(), 1);
+        let locations: Vec<Value> = rows(&part, "Location").iter().map(|r| r[0]).collect();
+        assert_eq!(locations, vec![Value::Int(0), Value::Int(2)]);
+        let inventory = rows(&part, "Inventory");
+        assert_eq!(inventory.len(), 6);
+        assert!(inventory.iter().all(|r| locations.contains(&r[0])));
+        // The restricted relations keep the trie order of the scans.
+        for name in ["Inventory", "Location", "Census"] {
+            let (p, f) = (&part.database(), &full.database());
+            assert_eq!(
+                p.relation(name).unwrap().sorted_by(),
+                f.relation(name).unwrap().sorted_by()
+            );
+        }
+        let result = part.execute(&DynamicRegistry::new()).unwrap();
+        assert_eq!(result.query("count").scalar()[0], 6.0);
+    }
+
+    #[test]
+    fn a_condition_and_its_negation_partition_the_fact_rows() {
+        let full = snowflake();
+        let area = indicator(&full, "area", CmpOp::Le, Value::Double(15.0));
+        let ScalarFunction::Indicator {
+            attr,
+            op,
+            threshold,
+        } = area.clone()
+        else {
+            unreachable!()
+        };
+        let negated = ScalarFunction::Indicator {
+            attr,
+            op: op.negate(),
+            threshold,
+        };
+        let left = rows(&full.restrict(&[area]).unwrap(), "Inventory");
+        let right = rows(&full.restrict(&[negated]).unwrap(), "Inventory");
+        assert!(left.iter().all(|r| !right.contains(r)), "disjoint");
+        // Together they hold every inventory row that joins a location: all
+        // but the three of the unknown location 9.
+        let mut both: Vec<Vec<Value>> = left.into_iter().chain(right).collect();
+        both.sort();
+        let mut joined: Vec<Vec<Value>> = rows(&full, "Inventory")
+            .into_iter()
+            .filter(|r| r[0] != Value::Int(9))
+            .collect();
+        joined.sort();
+        assert_eq!(both, joined);
+    }
+
+    #[test]
+    fn chained_restriction_equals_one_shot_restriction() {
+        let full = snowflake();
+        let area = indicator(&full, "area", CmpOp::Ge, Value::Double(10.0));
+        let price = ScalarFunction::InSet {
+            attr: attr(&full, "price"),
+            set: vec![Value::Double(1.25), Value::Double(3.25)],
+        };
+        let chained = full
+            .restrict(std::slice::from_ref(&area))
+            .unwrap()
+            .restrict(std::slice::from_ref(&price))
+            .unwrap();
+        let one_shot = full.restrict(&[area, price]).unwrap();
+        for name in ["Inventory", "Location", "Census", "Item"] {
+            assert_eq!(rows(&chained, name), rows(&one_shot, name), "{name}");
+        }
+        assert_eq!(rows(&one_shot, "Item").len(), 2);
+        // No condition still drops the dangling rows of an unreduced batch.
+        assert_eq!(rows(&full.restrict(&[]).unwrap(), "Inventory").len(), 12);
+        let dynamics = DynamicRegistry::new();
+        let (a, b) = (
+            chained.execute(&dynamics).unwrap(),
+            one_shot.execute(&dynamics).unwrap(),
+        );
+        for (x, y) in a.queries.iter().zip(&b.queries) {
+            assert_eq!(x.data, y.data);
+        }
+    }
+
+    #[test]
+    fn restrict_rejects_what_it_cannot_select_by() {
+        let full = snowflake();
+        let units = attr(&full, "units");
+        for bad in [
+            ScalarFunction::Identity(units),
+            ScalarFunction::Dynamic {
+                id: 0,
+                attrs: vec![units],
+            },
+            ScalarFunction::Indicator {
+                attr: AttrId(999),
+                op: CmpOp::Eq,
+                threshold: Value::Int(0),
+            },
+        ] {
+            let err = full.restrict(std::slice::from_ref(&bad)).unwrap_err();
+            assert!(
+                matches!(err, EngineError::InvalidPlan(_)),
+                "{bad:?}: {err:?}"
+            );
+        }
     }
 }

@@ -35,6 +35,12 @@ impl SharedDatabase {
         SharedDatabase(db)
     }
 
+    /// Wraps a database whose relations are already in the scans' trie
+    /// order: row subsets of a prepared database, which keep its order.
+    pub(crate) fn from_sorted(db: Database) -> Self {
+        SharedDatabase(db)
+    }
+
     /// The underlying database (sorted by join attributes).
     pub fn database(&self) -> &Database {
         &self.0

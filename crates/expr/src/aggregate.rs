@@ -62,8 +62,7 @@ impl ProductTerm {
         for f in &self.factors {
             let v = match f {
                 ScalarFunction::Dynamic { id, attrs } => {
-                    let args: Vec<Value> = attrs.iter().map(|&a| lookup(a)).collect();
-                    dynamics.evaluate(*id, &args)
+                    dynamics.evaluate_attrs(*id, attrs, lookup)
                 }
                 other => other.evaluate(lookup),
             };

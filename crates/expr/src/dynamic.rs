@@ -1,8 +1,9 @@
 //! Dynamic user-defined aggregate functions.
 //!
-//! Some applications (notably decision-tree learning) repeatedly evaluate the
-//! same aggregate batch with slightly different functions: each CART node adds
-//! one more split predicate. The paper tags these functions as *dynamic*; the
+//! Some applications repeatedly evaluate the same aggregate batch with
+//! slightly different functions: the paper's decision-tree learner adds one
+//! more split predicate per CART node, a gradient step changes a weight
+//! function. The paper tags these functions as *dynamic*; the
 //! generated code calls them through a separate compilation unit that is
 //! recompiled and dynamically linked between iterations, so the bulk of the
 //! specialized code does not need to be regenerated.
@@ -13,7 +14,7 @@
 //! between iterations changes the computed aggregates without re-planning —
 //! the same role dynamic linking plays in the paper.
 
-use lmfao_data::Value;
+use lmfao_data::{AttrId, Value};
 use std::sync::Arc;
 
 /// A dynamic scalar function: takes the values of its registered attributes
@@ -59,6 +60,27 @@ impl DynamicRegistry {
         match self.functions.get(id) {
             Some(f) => f(args),
             None => 1.0,
+        }
+    }
+
+    /// Evaluates the function `id` on the values `lookup` gives `attrs`, in
+    /// order. Up to four arguments are gathered on the stack, so the per-row
+    /// call of the scan loops allocates nothing in the common case.
+    #[inline]
+    pub fn evaluate_attrs<F>(&self, id: usize, attrs: &[AttrId], lookup: &F) -> f64
+    where
+        F: Fn(AttrId) -> Value,
+    {
+        const INLINE: usize = 4;
+        if attrs.len() <= INLINE {
+            let mut args = [Value::Null; INLINE];
+            for (arg, &attr) in args.iter_mut().zip(attrs) {
+                *arg = lookup(attr);
+            }
+            self.evaluate(id, &args[..attrs.len()])
+        } else {
+            let args: Vec<Value> = attrs.iter().map(|&a| lookup(a)).collect();
+            self.evaluate(id, &args)
         }
     }
 
@@ -110,6 +132,24 @@ mod tests {
         reg.replace(id, |_| 42.0);
         assert_eq!(reg.evaluate(id, &[]), 42.0);
         assert_eq!(reg.len(), 1);
+    }
+
+    #[test]
+    fn evaluate_attrs_passes_the_looked_up_values_in_order() {
+        let mut reg = DynamicRegistry::new();
+        let id = reg.register(|args: &[Value]| {
+            args.iter()
+                .enumerate()
+                .map(|(i, v)| (i + 1) as f64 * v.as_f64())
+                .sum()
+        });
+        let lookup = |a: AttrId| Value::Int(a.index() as i64 * 10);
+        // 1·10 + 2·20 + 3·30 on the stack; six arguments spill to the heap.
+        let three = [AttrId(1), AttrId(2), AttrId(3)];
+        assert_eq!(reg.evaluate_attrs(id, &three, &lookup), 140.0);
+        let six: Vec<AttrId> = (1..=6).map(AttrId).collect();
+        assert_eq!(reg.evaluate_attrs(id, &six, &lookup), 910.0);
+        assert_eq!(reg.evaluate_attrs(9, &three, &lookup), 1.0);
     }
 
     #[test]

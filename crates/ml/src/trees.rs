@@ -11,26 +11,32 @@
 //!   the per-class counts.
 //!
 //! All those restrictions are expressed as products of Kronecker-delta
-//! indicator functions, so the cost of every candidate split of a whole tree
-//! level is *one LMFAO batch* — the "RT" workload of Table 2. Nothing is ever
-//! materialized; each node issues a batch over the original join.
+//! indicator functions, so the cost of every candidate split of a node is
+//! *one LMFAO batch* — the "RT" workload of Table 2. Nothing is ever
+//! materialized.
 //!
 //! ## Plan once, split many
 //!
 //! The candidate set (thresholds per continuous feature, categories per
 //! categorical feature) is fixed for the whole tree; only the root-to-node
-//! path conditions differ between nodes. [`train_decision_tree`] therefore
-//! prepares **one** batch up front — the path restriction enters every
-//! aggregate as a per-feature *dynamic* function
-//! ([`ScalarFunction::Dynamic`]) — and every node of every level re-executes
-//! that same [`lmfao_core::PreparedBatch`] after swapping the dynamic
-//! closures, exactly the role dynamic linking plays in the paper's generated
-//! code. [`train_decision_tree_replanned`] keeps the naïve strategy (embed
-//! the path as static indicators and re-run the whole optimizer per node) as
-//! the reference the prepared path is validated against: both produce
-//! bit-identical trees.
+//! path conditions differ between nodes, and they only select rows.
+//! [`train_decision_tree`] therefore prepares **one** batch up front with no
+//! path condition in it — the node statistics and one indicator per
+//! candidate — and runs it at every node over that node's fragment of the
+//! database: a child's batch is its parent's restricted by the split's
+//! condition ([`PreparedBatch::restrict`]), which keeps the rows satisfying
+//! it and semi-join reduces the rest of the join tree (Yannakakis). A node at
+//! depth `d` thus scans about `1/2^d` of the fact rows, never the whole
+//! database, and the optimizer layers never run again.
+//!
+//! [`train_decision_tree_replanned`] keeps the naïve strategy (embed the
+//! path as static indicators and re-run the whole optimizer per node over
+//! the whole database) as the reference the prepared path is validated
+//! against. Both produce bit-identical trees: a row the restriction removes
+//! would have contributed an exact zero, and the remaining rows are scanned
+//! in the same order. [`DecisionTree::rows_scanned`] records what each read.
 
-use lmfao_core::{BatchResult, Engine, EngineError};
+use lmfao_core::{BatchResult, Engine, EngineError, PreparedBatch};
 use lmfao_data::{AttrId, Value};
 use lmfao_expr::{Aggregate, CmpOp, DynamicRegistry, ProductTerm, QueryBatch, ScalarFunction};
 
@@ -183,6 +189,9 @@ pub struct DecisionTree {
     pub label: AttrId,
     /// Total number of aggregate queries issued while learning.
     pub queries_issued: usize,
+    /// Rows scanned while learning: the sum over nodes of the tuples in the
+    /// database the node's batch executed over.
+    pub rows_scanned: usize,
 }
 
 impl DecisionTree {
@@ -280,21 +289,16 @@ fn gini_mass(class_counts: &[f64]) -> f64 {
     gini * n
 }
 
-/// A frontier node while growing the tree.
-struct FrontierNode {
-    conditions: Vec<SplitCondition>,
-    depth: usize,
-}
-
 /// Learns a decision tree over the engine's database. `features` are the
 /// attributes that may be split on; `label` is the response (continuous for
 /// regression, categorical for classification).
 ///
-/// The candidate-split batch is planned **once** ([`Engine::prepare`]); every
-/// node of the tree re-executes the same [`lmfao_core::PreparedBatch`] after
-/// swapping the per-feature dynamic path conditions, so the optimizer layers
-/// never run again during learning. The result is bit-identical to
-/// [`train_decision_tree_replanned`].
+/// The candidate-split batch is planned **once** ([`Engine::prepare`]), with
+/// no path condition in it. Each node executes that plan over its own rows:
+/// a child restricts its parent's batch by the split's condition
+/// ([`PreparedBatch::restrict`]), so a node scans only the rows that reach
+/// it and the optimizer layers never run again during learning. The result
+/// is bit-identical to [`train_decision_tree_replanned`].
 pub fn train_decision_tree(
     engine: &Engine,
     features: &[AttrId],
@@ -304,76 +308,62 @@ pub fn train_decision_tree(
     let schema = engine.database().schema().clone();
     let splits = candidate_splits(engine, &schema, features, config);
 
-    // One dynamic function per feature carries that feature's share of the
-    // root-to-node path restriction; it starts as the neutral 1.0.
-    let mut dynamics = DynamicRegistry::new();
-    let dynamic_ids: Vec<usize> = features
-        .iter()
-        .map(|_| dynamics.register(|_| 1.0))
-        .collect();
-    let path_factors: Vec<ScalarFunction> = features
-        .iter()
-        .zip(&dynamic_ids)
-        .map(|(&attr, &id)| ScalarFunction::Dynamic {
-            id,
-            attrs: vec![attr],
-        })
-        .collect();
-
-    // The single batch shared by every node: the parent statistics plus one
-    // query per candidate split, all restricted by the dynamic path product.
+    // The single batch shared by every node: the node statistics plus one
+    // query per candidate split, each over whatever rows the node holds.
     let mut batch = QueryBatch::new();
     let parent_query = push_node_query(
         &mut batch,
         "parent".to_string(),
         config.task,
         label,
-        ProductTerm::of(path_factors.clone()),
+        ProductTerm::one(),
     );
     let mut left_queries = Vec::with_capacity(splits.len());
     for split in &splits {
-        let alpha = ProductTerm::of(path_factors.clone()).times(split.to_indicator());
+        let alpha = ProductTerm::single(split.to_indicator());
         let name = format!("split_{}", batch.len());
         left_queries.push(push_node_query(&mut batch, name, config.task, label, alpha));
     }
 
     let prepared = engine.prepare(&batch)?;
-    let batch_len = batch.len();
+    let dynamics = DynamicRegistry::new();
     let is_classification = config.task == TreeTask::Classification;
-    let mut queries_issued = 0usize;
-    let mut evaluate = |conditions: &[SplitCondition]| {
-        set_path_conditions(&mut dynamics, features, &dynamic_ids, conditions);
-        queries_issued += batch_len;
-        // A successfully prepared batch executes over its own database and
-        // computes every view in dependency order; execution cannot fail.
-        let result = prepared
-            .execute(&dynamics)
-            .expect("prepared batch must execute");
-        evaluate_node(is_classification, parent_query, &left_queries, &result)
-    };
+    let (mut queries_issued, mut rows_scanned) = (0, 0);
     let root = grow(
-        &mut evaluate,
+        prepared,
+        0,
         &splits,
         config,
-        FrontierNode {
-            conditions: vec![],
-            depth: 0,
+        &mut |node: &PreparedBatch| {
+            queries_issued += batch.len();
+            rows_scanned += node.database().total_tuples();
+            let result = node.execute(&dynamics)?;
+            Ok(evaluate_node(
+                is_classification,
+                parent_query,
+                &left_queries,
+                &result,
+            ))
         },
-    );
+        &mut |parent: &PreparedBatch, condition: &SplitCondition| {
+            parent.restrict(&[condition.to_indicator()])
+        },
+    )?;
     Ok(DecisionTree {
         root,
         task: config.task,
         label,
         queries_issued,
+        rows_scanned,
     })
 }
 
 /// Learns a decision tree by re-running the whole optimizer for every node:
 /// the path conditions are embedded as static indicator factors and a fresh
-/// batch is planned and executed per node. This is the pre-prepared-batch
-/// strategy, kept as the reference implementation the prepared path is
-/// validated against (the two produce bit-identical trees) and as the
-/// baseline of the `prepared_vs_replanned` benchmark.
+/// batch is planned and executed per node over the whole database. This is
+/// the plan-per-node strategy, kept as the reference implementation the
+/// prepared path is validated against (the two produce bit-identical trees)
+/// and as the baseline of perfbench's `ml.prepared_speedup`.
 pub fn train_decision_tree_replanned(
     engine: &Engine,
     features: &[AttrId],
@@ -383,92 +373,82 @@ pub fn train_decision_tree_replanned(
     let schema = engine.database().schema().clone();
     let splits = candidate_splits(engine, &schema, features, config);
     let is_classification = config.task == TreeTask::Classification;
-    let mut queries_issued = 0usize;
-    let mut evaluate = |conditions: &[SplitCondition]| {
-        let mut batch = QueryBatch::new();
-        let parent_query = push_node_query(
-            &mut batch,
-            "parent".to_string(),
-            config.task,
-            label,
-            conditions_term(conditions),
-        );
-        let mut left_queries = Vec::with_capacity(splits.len());
-        for split in &splits {
-            let mut conds = conditions.to_vec();
-            conds.push(split.clone());
-            let name = format!("split_{}", batch.len());
-            left_queries.push(push_node_query(
-                &mut batch,
-                name,
-                config.task,
-                label,
-                conditions_term(&conds),
-            ));
-        }
-        queries_issued += batch.len();
-        let result = engine
-            .execute(&batch)
-            .expect("per-node batch must plan and execute");
-        evaluate_node(is_classification, parent_query, &left_queries, &result)
-    };
+    let (mut queries_issued, mut rows_scanned) = (0, 0);
     let root = grow(
-        &mut evaluate,
+        Vec::new(),
+        0,
         &splits,
         config,
-        FrontierNode {
-            conditions: vec![],
-            depth: 0,
+        &mut |conditions: &Vec<SplitCondition>| {
+            let mut batch = QueryBatch::new();
+            let parent_query = push_node_query(
+                &mut batch,
+                "parent".to_string(),
+                config.task,
+                label,
+                conditions_term(conditions),
+            );
+            let mut left_queries = Vec::with_capacity(splits.len());
+            for split in &splits {
+                let mut conds = conditions.clone();
+                conds.push(split.clone());
+                let name = format!("split_{}", batch.len());
+                left_queries.push(push_node_query(
+                    &mut batch,
+                    name,
+                    config.task,
+                    label,
+                    conditions_term(&conds),
+                ));
+            }
+            queries_issued += batch.len();
+            rows_scanned += engine.database().total_tuples();
+            let result = engine.execute(&batch)?;
+            Ok(evaluate_node(
+                is_classification,
+                parent_query,
+                &left_queries,
+                &result,
+            ))
         },
-    );
+        &mut |path: &Vec<SplitCondition>, condition: &SplitCondition| {
+            let mut path = path.clone();
+            path.push(condition.clone());
+            Ok(path)
+        },
+    )?;
     Ok(DecisionTree {
         root,
         task: config.task,
         label,
         queries_issued,
+        rows_scanned,
     })
 }
 
-/// Swaps the per-feature dynamic closures so the prepared batch computes the
-/// statistics of the node reached through `conditions`: each feature's
-/// closure evaluates the conjunction of the path conditions on that feature
-/// (1.0 when they all hold, 0.0 otherwise; features without conditions stay
-/// at the neutral 1.0).
-fn set_path_conditions(
-    dynamics: &mut DynamicRegistry,
-    features: &[AttrId],
-    dynamic_ids: &[usize],
-    conditions: &[SplitCondition],
-) {
-    for (&attr, &id) in features.iter().zip(dynamic_ids) {
-        let conds: Vec<SplitCondition> = conditions
-            .iter()
-            .filter(|c| c.attr == attr)
-            .cloned()
-            .collect();
-        dynamics.replace(id, move |args: &[Value]| {
-            if conds.iter().all(|c| c.op.apply(args[0], c.value)) {
-                1.0
-            } else {
-                0.0
-            }
-        });
-    }
-}
-
 /// Candidate thresholds of a continuous attribute: equi-width buckets between
-/// the attribute's min and max in its base relation.
+/// the attribute's min and max in its base relation, rounded down and
+/// deduplicated for an integer attribute.
 fn thresholds(engine: &Engine, attr: AttrId, buckets: usize) -> Vec<Value> {
     for rel in engine.database().relations() {
         if let Some(col) = rel.position(attr) {
             if let Some((lo, hi)) = rel.min_max(col) {
+                let ints = matches!((lo, hi), (Value::Int(_), Value::Int(_)));
                 let (lo, hi) = (lo.as_f64(), hi.as_f64());
                 if hi <= lo {
                     return vec![];
                 }
-                return (1..=buckets)
-                    .map(|b| Value::Double(lo + (hi - lo) * b as f64 / (buckets + 1) as f64))
-                    .collect();
+                let cuts = (1..=buckets).map(|b| lo + (hi - lo) * b as f64 / (buckets + 1) as f64);
+                // A threshold has the column's type: `Value`'s order ranks an
+                // `Int` below every `Double`, so `Int(x) <= Double(t)` would
+                // hold for every row.
+                return if ints {
+                    let mut cuts: Vec<Value> = cuts.map(|t| Value::Int(t.floor() as i64)).collect();
+                    cuts.dedup();
+                    cuts
+                } else {
+                    cuts.map(Value::Double).collect()
+                };
             }
         }
     }
@@ -537,30 +517,40 @@ fn evaluate_node(
     left_queries: &[usize],
     result: &BatchResult,
 ) -> NodeEval {
-    // Parent statistics.
-    let parent_by_class: Vec<(Vec<Value>, f64)> = if is_classification {
-        result.queries[parent_query]
+    // Parent statistics. Classes are read in value order, so the sums and a
+    // tie for the majority do not depend on the result map's layout.
+    let parent_result = &result.queries[parent_query];
+    let mut parent_by_class: Vec<(&[Value], f64)> = if is_classification {
+        parent_result
             .iter()
-            .map(|(k, v)| (k.clone(), v[0]))
+            .map(|(k, v)| (k.as_slice(), v[0]))
             .collect()
     } else {
         Vec::new()
     };
+    parent_by_class.sort_by(|a, b| a.0.cmp(b.0));
+    let parent = if is_classification {
+        Vec::new()
+    } else {
+        parent_result.scalar()
+    };
     let (parent_cost, parent_count, parent_prediction) = if is_classification {
         let counts: Vec<f64> = parent_by_class.iter().map(|(_, c)| *c).collect();
         let total: f64 = counts.iter().sum();
+        // `max_by` keeps the last of equal maxima; reversed, that is the
+        // smallest class.
         let majority = parent_by_class
             .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+            .rev()
+            .max_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(k, _)| k[0].as_f64())
             .unwrap_or(0.0);
         (gini_mass(&counts), total, majority)
     } else {
-        let s = result.queries[parent_query].scalar();
         let stats = NodeStats {
-            count: s[0],
-            sum: s[1],
-            sum_sq: s[2],
+            count: parent[0],
+            sum: parent[1],
+            sum_sq: parent[2],
         };
         (
             stats.variance(),
@@ -605,7 +595,6 @@ fn evaluate_node(
                 sum: s[1],
                 sum_sq: s[2],
             };
-            let parent = result.queries[parent_query].scalar();
             let right = NodeStats {
                 count: parent[0] - left.count,
                 sum: parent[1] - left.sum,
@@ -629,60 +618,43 @@ fn evaluate_node(
     }
 }
 
-/// Grows one node (and recursively its subtrees) using `evaluate` to obtain
-/// the node statistics for a given set of path conditions. The prepared and
-/// the re-planned trainers differ only in what `evaluate` does.
-fn grow<F>(
-    evaluate: &mut F,
+/// Grows one node at `depth` (and recursively its subtrees). A node is
+/// whatever state `S` a trainer keeps per node: `evaluate` computes its
+/// statistics, `child` derives the state of the child a split condition
+/// selects. The prepared and the re-planned trainers differ only in these.
+/// A child is derived only once its left sibling's subtree is grown, so only
+/// the states along the current path are alive.
+fn grow<S>(
+    node: S,
+    depth: usize,
     splits: &[SplitCondition],
     config: &TreeConfig,
-    node: FrontierNode,
-) -> TreeNode
-where
-    F: FnMut(&[SplitCondition]) -> NodeEval,
-{
-    let eval = evaluate(&node.conditions);
-    let make_leaf = || TreeNode::Leaf {
+    evaluate: &mut impl FnMut(&S) -> Result<NodeEval, EngineError>,
+    child: &mut impl FnMut(&S, &SplitCondition) -> Result<S, EngineError>,
+) -> Result<TreeNode, EngineError> {
+    let eval = evaluate(&node)?;
+    let leaf = TreeNode::Leaf {
         prediction: eval.parent_prediction,
         support: eval.parent_count,
     };
-
-    if node.depth >= config.max_depth || eval.parent_count < config.min_samples as f64 {
-        return make_leaf();
+    if depth >= config.max_depth || eval.parent_count < config.min_samples as f64 {
+        return Ok(leaf);
     }
-
     match eval.best {
         Some((cost, idx)) if cost < eval.parent_cost - 1e-9 => {
             let condition = splits[idx].clone();
-            let mut left_conditions = node.conditions.clone();
-            left_conditions.push(condition.clone());
-            let mut right_conditions = node.conditions;
-            right_conditions.push(condition.negate());
-            let left = grow(
-                evaluate,
-                splits,
-                config,
-                FrontierNode {
-                    conditions: left_conditions,
-                    depth: node.depth + 1,
-                },
-            );
-            let right = grow(
-                evaluate,
-                splits,
-                config,
-                FrontierNode {
-                    conditions: right_conditions,
-                    depth: node.depth + 1,
-                },
-            );
-            TreeNode::Split {
+            let left = child(&node, &condition)?;
+            let left = grow(left, depth + 1, splits, config, evaluate, child)?;
+            let right = child(&node, &condition.negate())?;
+            drop(node);
+            let right = grow(right, depth + 1, splits, config, evaluate, child)?;
+            Ok(TreeNode::Split {
                 condition,
                 left: Box::new(left),
                 right: Box::new(right),
-            }
+            })
         }
-        _ => make_leaf(),
+        _ => Ok(leaf),
     }
 }
 
@@ -749,6 +721,40 @@ mod tests {
         assert_eq!(tree.depth(), 2);
         assert_eq!(tree.predict(&|_| Value::Double(0.5)), 10.0);
         assert_eq!(tree.predict(&|_| Value::Double(3.0)), 20.0);
+    }
+
+    /// A parent result of one classification node: `counts[i]` rows of
+    /// class `Cat(classes[i])`.
+    fn class_counts(classes: &[u32], counts: &[f64]) -> BatchResult {
+        let data = classes
+            .iter()
+            .zip(counts)
+            .map(|(&c, &n)| (vec![Value::Cat(c)], vec![n]))
+            .collect();
+        BatchResult {
+            queries: vec![lmfao_core::QueryResult {
+                name: "parent".to_string(),
+                group_by: vec![AttrId(0)],
+                num_aggregates: 1,
+                data,
+            }],
+            stats: lmfao_core::EngineStats::default(),
+        }
+    }
+
+    #[test]
+    fn a_tied_majority_goes_to_the_smallest_class() {
+        for a in 0..8 {
+            for b in a + 1..8 {
+                let eval = evaluate_node(true, 0, &[], &class_counts(&[b, a], &[3.0, 3.0]));
+                assert_eq!(eval.parent_prediction, a as f64, "classes {a} and {b}");
+                let eval = evaluate_node(true, 0, &[], &class_counts(&[a, b], &[3.0, 4.0]));
+                assert_eq!(eval.parent_prediction, b as f64, "classes {a} and {b}");
+            }
+        }
+        let eval = evaluate_node(true, 0, &[], &class_counts(&[7, 2, 5], &[2.0, 1.0, 2.0]));
+        assert_eq!(eval.parent_prediction, 5.0);
+        assert_eq!(eval.parent_count, 5.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The executor's allocation budget: an execute allocates per result entry
 //! (a new output key, a new bound key of an incoming view's index), never per
-//! probe, per row or per entry combination.
+//! probe, per row, per entry combination or per dynamic-function call.
 //!
 //! A test binary of its own, holding one test, because it installs a
 //! counting global allocator: nothing else runs while it counts.
@@ -66,12 +66,16 @@ const FAVORITA_MUTUAL_INFO: &[&str] = &[
 /// by one: the entries of every view it computes, and the distinct bound
 /// keys of every incoming view that carries extra key attributes (the keys
 /// of the index a scan builds over it).
-fn entries_and_index_keys(shared: &SharedDatabase, tree: &JoinTree, batch: &QueryBatch) -> usize {
+fn entries_and_index_keys(
+    shared: &SharedDatabase,
+    tree: &JoinTree,
+    batch: &QueryBatch,
+    dynamics: &DynamicRegistry,
+) -> usize {
     let config = EngineConfig::full(1);
     let roots = assign_roots(batch, tree, shared, &config);
     let pushdown = push_down_batch(batch, tree, &roots);
     let grouping = group_views(&pushdown.catalog, config.multi_output);
-    let dynamics = DynamicRegistry::new();
     let mut computed: FxHashMap<ViewId, ComputedView> = FxHashMap::default();
     let (mut entries, mut index_keys) = (0, 0);
     for gid in grouping.topological_order() {
@@ -84,7 +88,7 @@ fn entries_and_index_keys(shared: &SharedDatabase, tree: &JoinTree, batch: &Quer
                 .collect();
             index_keys += bound_keys.len();
         }
-        for (vid, view) in execute_group(shared, &plan, &computed, &dynamics, None).unwrap() {
+        for (vid, view) in execute_group(shared, &plan, &computed, dynamics, None).unwrap() {
             entries += view.len();
             computed.insert(vid, view);
         }
@@ -92,27 +96,49 @@ fn entries_and_index_keys(shared: &SharedDatabase, tree: &JoinTree, batch: &Quer
     entries + index_keys
 }
 
+/// A batch whose one query multiplies a dynamic function of two fact
+/// attributes into its product, grouped by an item attribute: the scan calls
+/// the function once per fact row.
+fn dynamic_batch(ds: &Dataset) -> QueryBatch {
+    let mut batch = QueryBatch::new();
+    batch.push(
+        "dynamic",
+        vec![ds.attr("family")],
+        vec![Aggregate::product(ProductTerm::single(
+            ScalarFunction::Dynamic {
+                id: 0,
+                attrs: vec![ds.attr("units"), ds.attr("promo")],
+            },
+        ))],
+    );
+    batch
+}
+
 #[test]
 fn keyed_execute_allocates_per_result_entry() {
+    let mut dynamics = DynamicRegistry::new();
+    dynamics.register(|args| 1.0 + args[0].as_f64() * args[1].as_f64());
     for rows in [2_000, 20_000] {
         let ds = lmfao::datagen::favorita::generate(Scale::new(rows, 1));
         let attrs: Vec<AttrId> = FAVORITA_MUTUAL_INFO.iter().map(|n| ds.attr(n)).collect();
-        let batch = mutual_info_batch(&attrs).batch;
         let shared = SharedDatabase::prepare(ds.db.clone(), &ds.tree);
-        let budget = 3 * entries_and_index_keys(&shared, &ds.tree, &batch) + 1_000;
-
-        let engine = Engine::with_shared(shared, ds.tree.clone(), EngineConfig::full(1));
-        let prepared = engine.prepare(&batch).unwrap();
-        let dynamics = DynamicRegistry::new();
-        drop(prepared.execute(&dynamics).unwrap());
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let result = prepared.execute(&dynamics).unwrap();
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        drop(result);
-        eprintln!("{rows} fact rows: {allocations} allocations, budget {budget}");
-        assert!(
-            allocations <= budget as u64,
-            "{rows} fact rows: one execute made {allocations} allocations, budget {budget}"
-        );
+        let engine = Engine::with_shared(shared.clone(), ds.tree.clone(), EngineConfig::full(1));
+        for (name, batch) in [
+            ("mutual information", mutual_info_batch(&attrs).batch),
+            ("dynamic", dynamic_batch(&ds)),
+        ] {
+            let budget = 3 * entries_and_index_keys(&shared, &ds.tree, &batch, &dynamics) + 1_000;
+            let prepared = engine.prepare(&batch).unwrap();
+            drop(prepared.execute(&dynamics).unwrap());
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let result = prepared.execute(&dynamics).unwrap();
+            let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            drop(result);
+            eprintln!("{name}, {rows} fact rows: {allocations} allocations, budget {budget}");
+            assert!(
+                allocations <= budget as u64,
+                "{name}, {rows} fact rows: one execute made {allocations} allocations, budget {budget}"
+            );
+        }
     }
 }

@@ -392,3 +392,167 @@ fn lmfao_and_dense_baseline_learn_comparable_linear_models() {
     assert!(lmfao_rmse < 1.0, "lmfao rmse {lmfao_rmse}");
     assert!(baseline_rmse < 2.0, "baseline rmse {baseline_rmse}");
 }
+
+/// Trains the prepared and the plan-per-node learner on one engine and
+/// asserts they learn the same tree, bit for bit, with the same queries.
+fn assert_learners_agree(
+    engine: &Engine,
+    features: &[AttrId],
+    label: AttrId,
+    config: &TreeConfig,
+) -> (ml::DecisionTree, ml::DecisionTree) {
+    let prepared = train_decision_tree(engine, features, label, config).unwrap();
+    let replanned = ml::train_decision_tree_replanned(engine, features, label, config).unwrap();
+    assert_eq!(prepared.queries_issued, replanned.queries_issued);
+    assert_trees_bit_identical(&prepared.root, &replanned.root);
+    (prepared, replanned)
+}
+
+const SMALL_REGRESSION_TREE: TreeConfig = TreeConfig {
+    task: TreeTask::Regression,
+    max_depth: 3,
+    min_samples: 50,
+    buckets: 6,
+};
+
+#[test]
+fn prepared_tree_is_bit_identical_to_replanning_on_retailer_and_favorita() {
+    // Retailer: Census features reach the Inventory fact through Location
+    // (two hops), Weather and Item features through one.
+    let retailer = lmfao::datagen::retailer::generate(Scale::new(3_000, 5));
+    let features: Vec<AttrId> = ["population", "medianage", "avghhi", "maxtemp", "prices"]
+        .iter()
+        .map(|n| retailer.attr(n))
+        .collect();
+    let label = retailer.attr("inventoryunits");
+    for config in [EngineConfig::default(), EngineConfig::full(2)] {
+        let engine = Engine::new(retailer.db.clone(), retailer.tree.clone(), config);
+        let (prepared, _) =
+            assert_learners_agree(&engine, &features, label, &SMALL_REGRESSION_TREE);
+        assert!(prepared.size() > 1, "Retailer must split");
+    }
+
+    // Favorita: one feature per dimension, an integer one among them.
+    let favorita = lmfao::datagen::favorita::generate(Scale::new(3_000, 5));
+    let features: Vec<AttrId> = ["txns", "price", "cluster", "promo"]
+        .iter()
+        .map(|n| favorita.attr(n))
+        .collect();
+    let engine = Engine::new(
+        favorita.db.clone(),
+        favorita.tree.clone(),
+        EngineConfig::default(),
+    );
+    let (prepared, _) = assert_learners_agree(
+        &engine,
+        &features,
+        favorita.attr("units"),
+        &SMALL_REGRESSION_TREE,
+    );
+    assert!(prepared.size() > 1, "Favorita must split");
+}
+
+#[test]
+fn an_integer_feature_splits() {
+    // `birth_year` is an `Int` column: its thresholds must be `Int`s too, or
+    // every row compares below a `Double` threshold and no split separates.
+    let dataset = lmfao::datagen::tpcds::generate(Scale::new(3_000, 9));
+    let features = vec![dataset.attr("birth_year")];
+    let engine = Engine::new(
+        dataset.db.clone(),
+        dataset.tree.clone(),
+        EngineConfig::default(),
+    );
+    let config = TreeConfig {
+        task: TreeTask::Regression,
+        max_depth: 2,
+        min_samples: 10,
+        buckets: 8,
+    };
+    let (prepared, _) = assert_learners_agree(&engine, &features, dataset.attr("netpaid"), &config);
+    assert!(prepared.size() > 1, "birth_year never split");
+    let ml::TreeNode::Split { condition, .. } = &prepared.root else {
+        unreachable!()
+    };
+    assert!(matches!(condition.value, Value::Int(_)), "{condition:?}");
+}
+
+/// Every node of a learned tree with its depth and root-to-node conditions.
+fn node_paths(
+    node: &ml::TreeNode,
+    path: Vec<ScalarFunction>,
+    depth: usize,
+    out: &mut Vec<(usize, Vec<ScalarFunction>)>,
+) {
+    if let ml::TreeNode::Split {
+        condition,
+        left,
+        right,
+    } = node
+    {
+        for (branch, cond) in [(left, condition.clone()), (right, condition.negate())] {
+            let mut path = path.clone();
+            path.push(ScalarFunction::Indicator {
+                attr: cond.attr,
+                op: cond.op,
+                threshold: cond.value,
+            });
+            node_paths(branch, path, depth + 1, out);
+        }
+    }
+    out.push((depth, path));
+}
+
+#[test]
+fn tree_nodes_scan_only_their_own_rows() {
+    let dataset = lmfao::datagen::retailer::generate(Scale::new(3_000, 5));
+    let features: Vec<AttrId> = ["population", "maxtemp", "prices", "avghhi"]
+        .iter()
+        .map(|n| dataset.attr(n))
+        .collect();
+    let label = dataset.attr("inventoryunits");
+    let engine = Engine::new(
+        dataset.db.clone(),
+        dataset.tree.clone(),
+        EngineConfig::default(),
+    );
+    let (prepared, replanned) =
+        assert_learners_agree(&engine, &features, label, &SMALL_REGRESSION_TREE);
+    let total = engine.database().total_tuples();
+    assert_eq!(replanned.rows_scanned, prepared.size() * total);
+    assert!(
+        prepared.rows_scanned < replanned.rows_scanned,
+        "{} rows scanned, {} replanned",
+        prepared.rows_scanned,
+        replanned.rows_scanned
+    );
+
+    // The counter is the sum of the nodes' databases: the root scans the
+    // whole database, every other node its path's restriction.
+    let mut count = QueryBatch::new();
+    count.push("count", vec![], vec![Aggregate::count()]);
+    let batch = engine.prepare(&count).unwrap();
+    let mut nodes = Vec::new();
+    node_paths(&prepared.root, Vec::new(), 0, &mut nodes);
+    let mut scanned = 0;
+    let mut fact_rows_per_level = [0; SMALL_REGRESSION_TREE.max_depth + 1];
+    for (depth, path) in &nodes {
+        let node = if path.is_empty() {
+            batch.clone()
+        } else {
+            batch.restrict(path).unwrap()
+        };
+        scanned += node.database().total_tuples();
+        fact_rows_per_level[*depth] += node.database().relation("Inventory").unwrap().len();
+    }
+    assert_eq!(scanned, prepared.rows_scanned);
+    // The nodes of one level split the fact rows between them.
+    let fact = engine.database().relation("Inventory").unwrap().len();
+    for (depth, rows) in fact_rows_per_level.iter().enumerate() {
+        assert!(
+            *rows <= fact,
+            "level {depth} scans {rows} of {fact} fact rows"
+        );
+    }
+    assert!(fact_rows_per_level[1] > 0, "the tree must split");
+}

@@ -9,7 +9,7 @@ use lmfao::datagen::{
 use lmfao::engine::BatchResult;
 use lmfao::prelude::*;
 use lmfao_bench::WorkloadSpec;
-use lmfao_expr::DynamicRegistry;
+use lmfao_expr::{CmpOp, DynamicRegistry, ScalarFunction};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -87,6 +87,42 @@ fn cell_value((sel, i, d, c): (u8, i64, f64, u32)) -> Value {
         1 => Value::Double(d),
         2 => Value::Cat(c),
         _ => Value::Null,
+    }
+}
+
+/// One generated condition over the chain's attributes `a, b, x, c, y`
+/// (`attr` picks one): a set test on an integer attribute when `sel` is 6
+/// or 7, else the indicator `attr op t` with `sel` picking the operator and
+/// `t` of the attribute's type.
+fn chain_condition(
+    db: &Database,
+    (attr, sel, int, double, set): (usize, u8, i64, f64, Vec<i64>),
+) -> ScalarFunction {
+    let name = ["a", "b", "x", "c", "y"][attr];
+    let attr = db.schema().attr_id(name).unwrap();
+    let float = matches!(name, "x" | "y");
+    if sel >= 6 && !float {
+        return ScalarFunction::InSet {
+            attr,
+            set: set.into_iter().map(Value::Int).collect(),
+        };
+    }
+    let ops = [
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+        CmpOp::Eq,
+        CmpOp::Ne,
+    ];
+    ScalarFunction::Indicator {
+        attr,
+        op: ops[usize::from(sel) % ops.len()],
+        threshold: if float {
+            Value::Double(double)
+        } else {
+            Value::Int(int)
+        },
     }
 }
 
@@ -408,6 +444,61 @@ proptest! {
             for (p, q) in via_prepared.queries.iter().zip(&again.queries) {
                 prop_assert_eq!(&p.data, &q.data);
             }
+        }
+    }
+
+    /// Restricting a prepared batch by random conditions — on payload and
+    /// on join attributes — gives the bits of the same batch with the
+    /// conditions' indicators multiplied into every term, and restricting in
+    /// two steps gives the bits of one step.
+    #[test]
+    fn restrict_is_the_batch_times_its_indicators(
+        (r_rows, s_rows, t_rows) in tuple_strategy(),
+        specs in prop::collection::vec(
+            (0..5usize, 0..8u8, 0..5i64, -3.0..3.0f64, prop::collection::vec(0..5i64, 0..3)),
+            1..4,
+        )
+    ) {
+        let (db, tree) = chain_db(&r_rows, &s_rows, &t_rows);
+        let conditions: Vec<ScalarFunction> =
+            specs.into_iter().map(|spec| chain_condition(&db, spec)).collect();
+        let a = db.schema().attr_id("a").unwrap();
+        let x = db.schema().attr_id("x").unwrap();
+        let y = db.schema().attr_id("y").unwrap();
+        let c = db.schema().attr_id("c").unwrap();
+        let mut batch = QueryBatch::new();
+        batch.push("count", vec![], vec![Aggregate::count()]);
+        batch.push("sum_xy", vec![], vec![Aggregate::sum_product(x, y)]);
+        batch.push("per_a", vec![a], vec![Aggregate::sum(y), Aggregate::count()]);
+        batch.push("per_c", vec![c], vec![Aggregate::sum_square(x)]);
+        let mut conditioned = QueryBatch::new();
+        for q in &batch.queries {
+            let aggregates = q.aggregates.iter().map(|agg| {
+                Aggregate::sum_of(agg.terms.iter().map(|term| {
+                    conditions.iter().fold(term.clone(), |t, cond| t.times(cond.clone()))
+                }).collect())
+            }).collect();
+            conditioned.push(q.name.clone(), q.group_by.clone(), aggregates);
+        }
+
+        let dynamics = DynamicRegistry::new();
+        for config in [EngineConfig::default(), EngineConfig::full(2)] {
+            let engine = Engine::new(db.clone(), tree.clone(), config);
+            let prepared = engine.prepare(&batch).unwrap();
+            let restricted = prepared.restrict(&conditions).unwrap();
+            let expected = result_bits(&engine.prepare(&conditioned).unwrap().execute(&dynamics).unwrap());
+            prop_assert_eq!(
+                &result_bits(&restricted.execute(&dynamics).unwrap()),
+                &expected,
+                "{:?}", conditions
+            );
+            let (first, rest) = conditions.split_at(1);
+            let chained = prepared.restrict(first).unwrap().restrict(rest).unwrap();
+            prop_assert_eq!(
+                &result_bits(&chained.execute(&dynamics).unwrap()),
+                &expected,
+                "chained {:?}", conditions
+            );
         }
     }
 
