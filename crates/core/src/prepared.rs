@@ -63,11 +63,6 @@ pub(crate) struct PreparedQuery {
 pub struct PreparedBatch {
     pub(crate) db: SharedDatabase,
     pub(crate) inner: Arc<PreparedPlans>,
-    /// True if `db` is semi-join reduced along the join tree (every row of
-    /// every relation joins with rows of all the others), as every
-    /// [`PreparedBatch::restrict`] leaves it. A further restriction then
-    /// needs only the semi-joins next to the relations it shrinks.
-    reduced: bool,
 }
 
 /// The immutable product of the optimizer layers, shared by every clone of a
@@ -150,7 +145,6 @@ impl PreparedBatch {
 
         Ok(PreparedBatch {
             db,
-            reduced: false,
             inner: Arc::new(PreparedPlans {
                 tree,
                 config,
@@ -216,8 +210,9 @@ impl PreparedBatch {
     /// a dangling row meets no view entry, and the scans never add a zero
     /// contribution. The rows that remain are scanned in the same order, so
     /// the restricted batch computes the conditioned aggregates with the same
-    /// float additions — as long as no scanned relation spans more than one
-    /// morsel, whose partial sums would then merge at other boundaries.
+    /// float additions — at one thread, or as long as no scanned relation
+    /// spans more than one morsel (65 536 rows), whose partial sums would
+    /// then merge at other boundaries.
     pub fn restrict(&self, conditions: &[ScalarFunction]) -> Result<PreparedBatch, EngineError> {
         let db = self.db.database();
         let tree = &self.inner.tree;
@@ -259,38 +254,27 @@ impl PreparedBatch {
             }
         }
 
-        // Over a reduced database a semi-join by a relation that kept all its
-        // rows removes nothing, so only the shrunk relations' semi-joins run.
-        let reduces = |rels: &[Cow<'_, Relation>], node: usize| {
-            !self.reduced || matches!(rels[node], Cow::Owned(_))
-        };
         let order = tree.bfs_order(0);
         let edges = order.iter().filter(|&&(_, parent)| parent != usize::MAX);
         // Leaves to root: a parent keeps the rows that join its child.
         for &(node, parent) in edges.clone().rev() {
-            if reduces(&rels, node) {
-                semi_join(&mut rels, parent, node, &tree.edge_join_attrs(node, parent));
-            }
+            semi_join(&mut rels, parent, node, &tree.edge_join_attrs(node, parent));
         }
         // Root to leaves: a child keeps the rows that join its parent.
         for &(node, parent) in edges {
-            if reduces(&rels, parent) {
-                semi_join(&mut rels, node, parent, &tree.edge_join_attrs(node, parent));
-            }
+            semi_join(&mut rels, node, parent, &tree.edge_join_attrs(node, parent));
         }
 
-        // The clone shares every relation; `relation_mut` copies a shared
-        // one before it is overwritten, and drops its statistics.
+        // The clone shares every relation; the shrunk ones are swapped in.
         let mut restricted = db.clone();
-        for (node, rel) in tree.nodes().iter().zip(rels) {
+        for rel in rels {
             if let Cow::Owned(rel) = rel {
-                *restricted.relation_mut(&node.relation)? = rel;
+                restricted.replace_relation(rel)?;
             }
         }
         Ok(PreparedBatch {
             db: SharedDatabase::from_sorted(restricted),
             inner: Arc::clone(&self.inner),
-            reduced: true,
         })
     }
 
@@ -359,53 +343,20 @@ fn semi_join(rels: &mut [Cow<'_, Relation>], target: usize, source: usize, attrs
             .collect()
     }
     let (tc, sc) = (columns(t, attrs), columns(s, attrs));
-    let keep: Vec<u32> = if attrs.len() <= 2 && tc.iter().zip(&sc).all(|(a, b)| alike(a, b)) {
-        let keys: FxHashSet<u128> = (0..s.len()).map(|row| packed(&sc, row)).collect();
-        (0..t.len() as u32)
-            .filter(|&row| keys.contains(&packed(&tc, row as usize)))
-            .collect()
-    } else {
-        let keys: FxHashSet<Vec<Value>> = (0..s.len())
-            .map(|row| sc.iter().map(|c| c.value(row)).collect())
-            .collect();
-        let mut key = Vec::with_capacity(attrs.len());
-        (0..t.len() as u32)
-            .filter(|&row| {
-                key.clear();
-                key.extend(tc.iter().map(|c| c.value(row as usize)));
-                keys.contains(&key)
-            })
-            .collect()
-    };
+    let keys: FxHashSet<Vec<Value>> = (0..s.len())
+        .map(|row| sc.iter().map(|c| c.value(row)).collect())
+        .collect();
+    let mut key = Vec::with_capacity(attrs.len());
+    let keep: Vec<u32> = (0..t.len() as u32)
+        .filter(|&row| {
+            key.clear();
+            key.extend(tc.iter().map(|c| c.value(row as usize)));
+            keys.contains(&key)
+        })
+        .collect();
     if keep.len() < t.len() {
         rels[target] = Cow::Owned(t.subset(&keep));
     }
-}
-
-/// True if two columns hold the same native type, so their values are equal
-/// exactly when their native bits are.
-fn alike(a: &Column, b: &Column) -> bool {
-    matches!(
-        (a, b),
-        (Column::Int(_), Column::Int(_))
-            | (Column::Float(_), Column::Float(_))
-            | (Column::Dict { .. }, Column::Dict { .. })
-    )
-}
-
-/// A row's key over at most two natively typed columns, each contributing
-/// the 64 bits of its value: equal keys are equal values, without a [`Value`]
-/// built per row.
-fn packed(columns: &[&Column], row: usize) -> u128 {
-    columns.iter().fold(0, |key, column| {
-        let bits = match column {
-            Column::Int(v) => v[row] as u64,
-            Column::Float(v) => v[row].to_bits(),
-            Column::Dict { codes, .. } => u64::from(codes[row]),
-            Column::Mixed(_) => unreachable!("mixed columns are keyed by value"),
-        };
-        key << 64 | u128::from(bits)
-    })
 }
 
 /// Projects per-query results out of the computed (or maintained) output
@@ -741,7 +692,7 @@ mod tests {
         for name in ["Census", "Location", "Inventory"] {
             assert!(!part.database().shares_relation_with(full.database(), name));
         }
-        // Restricting a reduced batch by a condition every row meets
+        // Restricting a restricted batch by a condition every row meets
         // copies nothing.
         let all = indicator(&full, "price", CmpOp::Ge, Value::Double(0.0));
         let again = part.restrict(&[all]).unwrap();

@@ -51,9 +51,10 @@ impl Statistics {
 /// ([`Arc::make_mut`]). Columns keep sharing their dictionary handles, so
 /// even a copied relation shares its categorical vocabulary.
 ///
-/// Statistics never describe data they were not computed from: `apply` and
-/// `relation_mut` drop the touched relation's entries, and
-/// [`Database::domain_size`] falls back to a scan where an entry is missing.
+/// Statistics never describe data they were not computed from: `apply`,
+/// `relation_mut` and `replace_relation` drop the touched relation's entries,
+/// and [`Database::domain_size`] falls back to a scan where an entry is
+/// missing.
 #[derive(Debug, Clone)]
 pub struct Database {
     schema: DatabaseSchema,
@@ -153,6 +154,18 @@ impl Database {
         let idx = self.schema.relation_index(name)?;
         self.forget_statistics(idx);
         Ok(Arc::make_mut(&mut self.relations[idx]))
+    }
+
+    /// Replaces the relation of the same name by `relation`, which must hold
+    /// the same attributes in the same order (a [`Relation::subset`] of it,
+    /// say). Copies nothing: other clones keep sharing the old relation.
+    /// Drops the relation's statistics.
+    pub fn replace_relation(&mut self, relation: Relation) -> Result<()> {
+        let idx = self.schema.relation_index(relation.name())?;
+        debug_assert_eq!(relation.schema().attrs, self.relations[idx].schema().attrs);
+        self.forget_statistics(idx);
+        self.relations[idx] = Arc::new(relation);
+        Ok(())
     }
 
     /// Relation by index.
@@ -414,6 +427,34 @@ mod tests {
         assert!(next.shares_relation_with(&db, "R"), "nothing was copied");
         assert_eq!(next.relation("R").unwrap().len(), 3);
         assert_eq!(next.statistics().relation_size("R"), Some(3));
+    }
+
+    #[test]
+    fn replace_relation_swaps_in_one_relation() {
+        let db = tiny_db();
+        let mut next = db.clone();
+        next.replace_relation(db.relation("R").unwrap().subset(&[0, 2]))
+            .unwrap();
+        assert!(!next.shares_relation_with(&db, "R"));
+        assert!(next.shares_relation_with(&db, "S"), "S stays shared");
+        let rows: Vec<Vec<Value>> = next
+            .relation("R")
+            .unwrap()
+            .rows()
+            .map(|r| r.to_vec())
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                [Value::Int(1), Value::Int(10)],
+                [Value::Int(3), Value::Int(20)]
+            ]
+        );
+        assert_eq!(db.relation("R").unwrap().len(), 3, "old clone unchanged");
+        assert_eq!(next.statistics().relation_size("R"), None);
+        assert_eq!(next.statistics().relation_size("S"), Some(2));
+        let unknown = Relation::from_rows(RelationSchema::new("T", vec![]), vec![]).unwrap();
+        assert!(next.replace_relation(unknown).is_err());
     }
 
     #[test]

@@ -32,9 +32,13 @@
 //! [`train_decision_tree_replanned`] keeps the naïve strategy (embed the
 //! path as static indicators and re-run the whole optimizer per node over
 //! the whole database) as the reference the prepared path is validated
-//! against. Both produce bit-identical trees: a row the restriction removes
-//! would have contributed an exact zero, and the remaining rows are scanned
-//! in the same order. [`DecisionTree::rows_scanned`] records what each read.
+//! against. Both produce bit-identical trees at one thread, or while no
+//! scanned relation spans more than one morsel (65 536 rows): a row the
+//! restriction removes would have contributed an exact zero, and the
+//! remaining rows are scanned in the same order. Past one morsel at more
+//! threads, a restricted relation splits at other row boundaries than the
+//! whole one, so its float partial sums may differ in the last bits.
+//! [`DecisionTree::rows_scanned`] records what each read.
 
 use lmfao_core::{BatchResult, Engine, EngineError, PreparedBatch};
 use lmfao_data::{AttrId, Value};
@@ -298,7 +302,9 @@ fn gini_mass(class_counts: &[f64]) -> f64 {
 /// a child restricts its parent's batch by the split's condition
 /// ([`PreparedBatch::restrict`]), so a node scans only the rows that reach
 /// it and the optimizer layers never run again during learning. The result
-/// is bit-identical to [`train_decision_tree_replanned`].
+/// is bit-identical to [`train_decision_tree_replanned`] at one thread, or
+/// while no scanned relation spans more than one morsel (65 536 rows); see
+/// the module doc.
 pub fn train_decision_tree(
     engine: &Engine,
     features: &[AttrId],
@@ -362,8 +368,9 @@ pub fn train_decision_tree(
 /// the path conditions are embedded as static indicator factors and a fresh
 /// batch is planned and executed per node over the whole database. This is
 /// the plan-per-node strategy, kept as the reference implementation the
-/// prepared path is validated against (the two produce bit-identical trees)
-/// and as the baseline of perfbench's `ml.prepared_speedup`.
+/// prepared path is validated against (the two produce bit-identical trees
+/// under the condition of [`train_decision_tree`]) and as the baseline of
+/// perfbench's `ml.prepared_speedup`.
 pub fn train_decision_tree_replanned(
     engine: &Engine,
     features: &[AttrId],
