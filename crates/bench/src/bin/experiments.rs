@@ -190,6 +190,7 @@ fn tables45(datasets: &[Dataset]) {
     let mut lr_baseline = vec![];
     let mut rt_lmfao = vec![];
     let mut rt_baseline = vec![];
+    let mut rt_shapes = vec![];
     for name in ["Retailer", "Favorita"] {
         let ds = datasets.iter().find(|d| d.name == name).unwrap();
         let spec = WorkloadSpec::for_dataset(&ds.name);
@@ -224,7 +225,7 @@ fn tables45(datasets: &[Dataset]) {
             ml::train_linear_regression(&covar, &ml::LinRegConfig::default())
         });
         lr_lmfao.push(t_lr);
-        let (_, t_rt) = time(|| {
+        let (tree, t_rt) = time(|| {
             ml::train_decision_tree(
                 &engine,
                 &features,
@@ -238,6 +239,7 @@ fn tables45(datasets: &[Dataset]) {
             )
         });
         rt_lmfao.push(t_rt);
+        rt_shapes.push((name, tree_shape(&tree.unwrap(), t_rt)));
     }
     let row = |name: &str, vals: &[f64]| {
         println!("{:<26} {:>10.3} {:>10.3}", name, vals[0], vals[1]);
@@ -247,6 +249,9 @@ fn tables45(datasets: &[Dataset]) {
     row("Linear regression baseline", &lr_baseline);
     row("Regression tree LMFAO", &rt_lmfao);
     row("Regression tree baseline", &rt_baseline);
+    for (name, shape) in rt_shapes {
+        println!("(LMFAO regression tree, {name}: {shape})");
+    }
 
     println!("\n=== Table 5: classification tree over TPC-DS (seconds) ===");
     let ds = datasets.iter().find(|d| d.name == "TPC-DS").unwrap();
@@ -291,11 +296,18 @@ fn tables45(datasets: &[Dataset]) {
         "Classification tree baseline",
         t_join + t_export + t_ct_base
     );
-    println!(
-        "(LMFAO tree: {} nodes, {} aggregate queries issued)",
+    println!("(LMFAO classification tree: {})", tree_shape(&tree, t_ct));
+}
+
+/// A learned tree's batch shape: its nodes, the aggregate queries they
+/// issued, and the training's milliseconds per node.
+fn tree_shape(tree: &ml::DecisionTree, secs: f64) -> String {
+    format!(
+        "{} nodes, {} aggregate queries issued, {:.2} ms per node",
         tree.size(),
-        tree.queries_issued
-    );
+        tree.queries_issued,
+        secs * 1e3 / tree.size() as f64
+    )
 }
 
 /// Example 3.3: multi-root vs single-root evaluation over a chain schema.

@@ -6,41 +6,60 @@
 //! node's root-to-leaf path (Section 2, Eq. 8–10):
 //!
 //! * regression trees minimize the variance, which needs `COUNT`, `SUM(y)`
-//!   and `SUM(y²)` restricted by the path and candidate conditions;
-//! * classification trees minimize the Gini index (or entropy), which needs
-//!   the per-class counts.
+//!   and `SUM(y²)` over the candidate's side of the split;
+//! * classification trees minimize the Gini index, which needs the
+//!   per-class counts, `COUNT·1[label = c]` for every class `c`.
 //!
-//! All those restrictions are expressed as products of Kronecker-delta
-//! indicator functions, so the cost of every candidate split of a node is
-//! *one LMFAO batch* — the "RT" workload of Table 2. Nothing is ever
-//! materialized.
+//! These are the node's *measures*. The costs of every candidate split of a
+//! node are *one LMFAO batch* of group-by aggregates — the "RT" workload of
+//! Table 2. Nothing is ever materialized.
+//!
+//! ## One grouped query per feature
+//!
+//! The candidate set is fixed for the whole tree: equi-width thresholds
+//! `X ≤ t` per continuous feature, one `X = c` per category of a categorical
+//! one. A node's batch holds the node's measures (the parent query) and, per
+//! feature, one query `GROUP BY X` carrying the same measures. Walking its
+//! groups in value order with running sums gives every threshold's left side
+//! (a prefix) and every category's (its own group). The right side is the
+//! parent minus the left. The roots layer evaluates each grouped query at
+//! the relation that holds `X` (Section 3.3), so only the measures cross the
+//! fact scan. A feature without candidates (a constant column) asks nothing.
+//!
+//! A feature that is a column of the largest relation keeps one scalar query
+//! `measures · 1[X op t]` per candidate instead. There an indicator is a
+//! cheap local factor of the scan, while a group-by would hash and emit once
+//! per fact row (with almost as many groups as rows on a continuous fact
+//! column). On Retailer, whose features all live in dimensions, a node's
+//! batch is 12 queries for 110 candidates.
 //!
 //! ## Plan once, split many
 //!
-//! The candidate set (thresholds per continuous feature, categories per
-//! categorical feature) is fixed for the whole tree; only the root-to-node
-//! path conditions differ between nodes, and they only select rows.
-//! [`train_decision_tree`] therefore prepares **one** batch up front with no
-//! path condition in it — the node statistics and one indicator per
-//! candidate — and runs it at every node over that node's fragment of the
-//! database: a child's batch is its parent's restricted by the split's
-//! condition ([`PreparedBatch::restrict`]), which keeps the rows satisfying
-//! it and semi-join reduces the rest of the join tree (Yannakakis). A node at
-//! depth `d` thus scans about `1/2^d` of the fact rows, never the whole
-//! database, and the optimizer layers never run again.
+//! Only the root-to-node path conditions differ between nodes, and they
+//! only select rows. [`train_decision_tree`] therefore prepares **one** batch
+//! up front with no path condition in it and runs it at every node over that
+//! node's fragment of the database: a child's batch is its parent's
+//! restricted by the split's condition ([`PreparedBatch::restrict`]), which
+//! keeps the rows satisfying it and semi-join reduces the rest of the join
+//! tree (Yannakakis). A node at depth `d` thus scans about `1/2^d` of the
+//! fact rows, never the whole database, and the optimizer layers never run
+//! again.
 //!
 //! [`train_decision_tree_replanned`] keeps the naïve strategy (embed the
 //! path as static indicators and re-run the whole optimizer per node over
 //! the whole database) as the reference the prepared path is validated
-//! against. Both produce bit-identical trees at one thread, or while no
-//! scanned relation spans more than one morsel (65 536 rows): a row the
-//! restriction removes would have contributed an exact zero, and the
+//! against. Both build their batches and read their results through the same
+//! code and produce bit-identical trees at one thread, or while no scanned
+//! relation spans more than one morsel (65 536 rows): a row the restriction
+//! removes would have contributed an exact zero to its group, and the
 //! remaining rows are scanned in the same order. Past one morsel at more
 //! threads, a restricted relation splits at other row boundaries than the
 //! whole one, so its float partial sums may differ in the last bits.
 //! [`DecisionTree::rows_scanned`] records what each read.
 
-use lmfao_core::{BatchResult, Engine, EngineError, PreparedBatch};
+use std::ops::Range;
+
+use lmfao_core::{BatchResult, Engine, EngineError, PreparedBatch, QueryResult};
 use lmfao_data::{AttrId, Value};
 use lmfao_expr::{Aggregate, CmpOp, DynamicRegistry, ProductTerm, QueryBatch, ScalarFunction};
 
@@ -191,7 +210,9 @@ pub struct DecisionTree {
     pub task: TreeTask,
     /// The label attribute.
     pub label: AttrId,
-    /// Total number of aggregate queries issued while learning.
+    /// Total number of aggregate queries issued while learning: per node,
+    /// one for the node's measures, one per feature grouped by it, and one
+    /// per candidate of a feature that is a column of the largest relation.
     pub queries_issued: usize,
     /// Rows scanned while learning: the sum over nodes of the tuples in the
     /// database the node's batch executed over.
@@ -213,7 +234,7 @@ impl DecisionTree {
     }
 }
 
-/// Per-node statistics extracted from a batch result.
+/// Regression statistics of one side of a split (or of a node).
 #[derive(Debug, Clone, Copy)]
 struct NodeStats {
     count: f64,
@@ -222,6 +243,15 @@ struct NodeStats {
 }
 
 impl NodeStats {
+    /// Reads `[COUNT, SUM(y), SUM(y²)]`.
+    fn of(measures: &[f64]) -> Self {
+        NodeStats {
+            count: measures[0],
+            sum: measures[1],
+            sum_sq: measures[2],
+        }
+    }
+
     fn variance(&self) -> f64 {
         if self.count <= 0.0 {
             0.0
@@ -229,51 +259,6 @@ impl NodeStats {
             self.sum_sq - self.sum * self.sum / self.count
         }
     }
-}
-
-fn conditions_term(conditions: &[SplitCondition]) -> ProductTerm {
-    ProductTerm::of(
-        conditions
-            .iter()
-            .map(SplitCondition::to_indicator)
-            .collect(),
-    )
-}
-
-/// Builds the per-node measure aggregates restricted by the product `alpha`:
-/// `[COUNT·α, SUM(y)·α, SUM(y²)·α]` for regression (Eq. 8), the per-class
-/// count `Q(label; α)` for classification (Eq. 9).
-fn measure_aggregates(task: TreeTask, label: AttrId, alpha: ProductTerm) -> Vec<Aggregate> {
-    match task {
-        TreeTask::Regression => vec![
-            Aggregate::product(alpha.clone()),
-            Aggregate::product(alpha.clone().times(ScalarFunction::Identity(label))),
-            Aggregate::product(alpha.times(ScalarFunction::Power {
-                attr: label,
-                exponent: 2,
-            })),
-        ],
-        TreeTask::Classification => vec![Aggregate::product(alpha)],
-    }
-}
-
-/// Pushes one node query (parent or candidate) onto the batch and returns its
-/// position. Classification queries group by the label to obtain per-class
-/// counts.
-fn push_node_query(
-    batch: &mut QueryBatch,
-    name: String,
-    task: TreeTask,
-    label: AttrId,
-    alpha: ProductTerm,
-) -> usize {
-    let group_by = match task {
-        TreeTask::Regression => vec![],
-        TreeTask::Classification => vec![label],
-    };
-    batch
-        .push(name, group_by, measure_aggregates(task, label, alpha))
-        .0
 }
 
 /// Gini impurity mass (impurity × count) from per-class counts.
@@ -293,13 +278,181 @@ fn gini_mass(class_counts: &[f64]) -> f64 {
     gini * n
 }
 
+/// One feature's candidates, a range of the tree's candidate list, and how
+/// the batch asks for them.
+#[derive(Debug)]
+struct FeatureCandidates {
+    attr: AttrId,
+    splits: Range<usize>,
+    /// One `GROUP BY attr` query read by running sums, or (for a column of
+    /// the largest relation) one indicator query per candidate.
+    grouped: bool,
+}
+
+/// What a tree asks at every node: its candidate splits by feature and the
+/// measures every query carries. It depends only on the base relations,
+/// never on the node, which is what makes the one-prepared-batch design
+/// possible.
+#[derive(Debug)]
+struct CandidatePlan {
+    task: TreeTask,
+    label: AttrId,
+    /// The label's classes in value order (classification only).
+    classes: Vec<Value>,
+    /// Every candidate split, feature by feature; a feature's thresholds
+    /// ascend.
+    splits: Vec<SplitCondition>,
+    /// The features with at least one candidate, in the caller's order.
+    features: Vec<FeatureCandidates>,
+}
+
+impl CandidatePlan {
+    /// Equi-width thresholds per continuous feature and one equality per
+    /// category of a categorical feature. A feature is grouped unless the
+    /// database's largest relation holds it.
+    fn new(engine: &Engine, features: &[AttrId], label: AttrId, config: &TreeConfig) -> Self {
+        let db = engine.database();
+        let schema = db.schema();
+        let largest = db.relations().iter().max_by_key(|rel| rel.len());
+        let classes = match config.task {
+            TreeTask::Regression => Vec::new(),
+            TreeTask::Classification => categories(engine, label),
+        };
+        let mut plan = CandidatePlan {
+            task: config.task,
+            label,
+            classes,
+            splits: Vec::new(),
+            features: Vec::new(),
+        };
+        for &attr in features {
+            let (op, values) = if schema.attr_type(attr).is_categorical() {
+                (CmpOp::Eq, categories(engine, attr))
+            } else {
+                (CmpOp::Le, thresholds(engine, attr, config.buckets))
+            };
+            if values.is_empty() {
+                continue;
+            }
+            let start = plan.splits.len();
+            plan.splits.extend(
+                values
+                    .into_iter()
+                    .map(|value| SplitCondition { attr, op, value }),
+            );
+            plan.features.push(FeatureCandidates {
+                attr,
+                splits: start..plan.splits.len(),
+                grouped: largest.is_none_or(|rel| rel.position(attr).is_none()),
+            });
+        }
+        plan
+    }
+
+    /// The node's measures over the tuples `alpha` selects: `[COUNT·α,
+    /// SUM(y)·α, SUM(y²)·α]` for regression (Eq. 8), `COUNT·α·1[label = c]`
+    /// per class for classification (Eq. 9).
+    fn measures(&self, alpha: &ProductTerm) -> Vec<Aggregate> {
+        let label = self.label;
+        match self.task {
+            TreeTask::Regression => vec![
+                Aggregate::product(alpha.clone()),
+                Aggregate::product(alpha.clone().times(ScalarFunction::Identity(label))),
+                Aggregate::product(alpha.clone().times(ScalarFunction::Power {
+                    attr: label,
+                    exponent: 2,
+                })),
+            ],
+            TreeTask::Classification => self
+                .classes
+                .iter()
+                .map(|&class| {
+                    Aggregate::product(alpha.clone().times(ScalarFunction::Indicator {
+                        attr: label,
+                        op: CmpOp::Eq,
+                        threshold: class,
+                    }))
+                })
+                .collect(),
+        }
+    }
+
+    /// The batch of a node whose tuples `alpha` selects: the parent query,
+    /// then per feature its grouped query or its indicator queries.
+    fn batch(&self, alpha: &ProductTerm) -> QueryBatch {
+        let mut batch = QueryBatch::new();
+        batch.push("parent", vec![], self.measures(alpha));
+        for feature in &self.features {
+            if feature.grouped {
+                let name = format!("group_{}", batch.len());
+                batch.push(name, vec![feature.attr], self.measures(alpha));
+                continue;
+            }
+            for split in &self.splits[feature.splits.clone()] {
+                let alpha = alpha.clone().times(split.to_indicator());
+                let name = format!("split_{}", batch.len());
+                batch.push(name, vec![], self.measures(&alpha));
+            }
+        }
+        batch
+    }
+
+    /// Reads the node's measures and every candidate's left side from the
+    /// executed [`CandidatePlan::batch`].
+    fn statistics(&self, result: &BatchResult) -> NodeStatistics {
+        let mut queries = result.queries.iter();
+        let parent = queries.next().expect("the parent query").scalar();
+        let mut left = Vec::with_capacity(self.splits.len());
+        for feature in &self.features {
+            let splits = &self.splits[feature.splits.clone()];
+            if !feature.grouped {
+                left.extend(queries.by_ref().take(splits.len()).map(QueryResult::scalar));
+                continue;
+            }
+            let groups = queries.next().expect("one query per grouped feature");
+            let mut sorted: Vec<(Value, &[f64])> = groups
+                .iter()
+                .map(|(key, measures)| (key[0], measures.as_slice()))
+                .collect();
+            sorted.sort_unstable_by_key(|group| group.0);
+            let mut sorted = sorted.into_iter().peekable();
+            let mut prefix = vec![0.0; parent.len()];
+            for split in splits {
+                if split.op == CmpOp::Eq {
+                    let group = groups.get(&[split.value]);
+                    left.push(group.map_or_else(|| vec![0.0; parent.len()], <[f64]>::to_vec));
+                    continue;
+                }
+                // `Le` thresholds ascend: each one's prefix extends the last.
+                while let Some((_, measures)) = sorted.next_if(|(x, _)| *x <= split.value) {
+                    for (p, m) in prefix.iter_mut().zip(measures) {
+                        *p += m;
+                    }
+                }
+                left.push(prefix.clone());
+            }
+        }
+        NodeStatistics { parent, left }
+    }
+}
+
+/// A node's measures and the left side's measures of every candidate, in
+/// candidate order. The right side is the parent minus the left.
+#[derive(Debug)]
+struct NodeStatistics {
+    parent: Vec<f64>,
+    left: Vec<Vec<f64>>,
+}
+
 /// Learns a decision tree over the engine's database. `features` are the
 /// attributes that may be split on; `label` is the response (continuous for
 /// regression, categorical for classification).
 ///
-/// The candidate-split batch is planned **once** ([`Engine::prepare`]), with
-/// no path condition in it. Each node executes that plan over its own rows:
-/// a child restricts its parent's batch by the split's condition
+/// The candidate batch — the node's measures plus one `GROUP BY X` query per
+/// feature, or one indicator query per candidate for a column of the largest
+/// relation (see the module doc) — is planned **once** ([`Engine::prepare`]),
+/// with no path condition in it. Each node executes that plan over its own
+/// rows: a child restricts its parent's batch by the split's condition
 /// ([`PreparedBatch::restrict`]), so a node scans only the rows that reach
 /// it and the optimizer layers never run again during learning. The result
 /// is bit-identical to [`train_decision_tree_replanned`] at one thread, or
@@ -311,45 +464,21 @@ pub fn train_decision_tree(
     label: AttrId,
     config: &TreeConfig,
 ) -> Result<DecisionTree, EngineError> {
-    let schema = engine.database().schema().clone();
-    let splits = candidate_splits(engine, &schema, features, config);
-
-    // The single batch shared by every node: the node statistics plus one
-    // query per candidate split, each over whatever rows the node holds.
-    let mut batch = QueryBatch::new();
-    let parent_query = push_node_query(
-        &mut batch,
-        "parent".to_string(),
-        config.task,
-        label,
-        ProductTerm::one(),
-    );
-    let mut left_queries = Vec::with_capacity(splits.len());
-    for split in &splits {
-        let alpha = ProductTerm::single(split.to_indicator());
-        let name = format!("split_{}", batch.len());
-        left_queries.push(push_node_query(&mut batch, name, config.task, label, alpha));
-    }
-
+    let plan = CandidatePlan::new(engine, features, label, config);
+    let batch = plan.batch(&ProductTerm::one());
     let prepared = engine.prepare(&batch)?;
     let dynamics = DynamicRegistry::new();
-    let is_classification = config.task == TreeTask::Classification;
     let (mut queries_issued, mut rows_scanned) = (0, 0);
     let root = grow(
         prepared,
         0,
-        &splits,
+        &plan.splits,
         config,
         &mut |node: &PreparedBatch| {
             queries_issued += batch.len();
             rows_scanned += node.database().total_tuples();
             let result = node.execute(&dynamics)?;
-            Ok(evaluate_node(
-                is_classification,
-                parent_query,
-                &left_queries,
-                &result,
-            ))
+            Ok(evaluate_node(&plan, &plan.statistics(&result)))
         },
         &mut |parent: &PreparedBatch, condition: &SplitCondition| {
             parent.restrict(&[condition.to_indicator()])
@@ -377,51 +506,22 @@ pub fn train_decision_tree_replanned(
     label: AttrId,
     config: &TreeConfig,
 ) -> Result<DecisionTree, EngineError> {
-    let schema = engine.database().schema().clone();
-    let splits = candidate_splits(engine, &schema, features, config);
-    let is_classification = config.task == TreeTask::Classification;
+    let plan = CandidatePlan::new(engine, features, label, config);
     let (mut queries_issued, mut rows_scanned) = (0, 0);
     let root = grow(
-        Vec::new(),
+        ProductTerm::one(),
         0,
-        &splits,
+        &plan.splits,
         config,
-        &mut |conditions: &Vec<SplitCondition>| {
-            let mut batch = QueryBatch::new();
-            let parent_query = push_node_query(
-                &mut batch,
-                "parent".to_string(),
-                config.task,
-                label,
-                conditions_term(conditions),
-            );
-            let mut left_queries = Vec::with_capacity(splits.len());
-            for split in &splits {
-                let mut conds = conditions.clone();
-                conds.push(split.clone());
-                let name = format!("split_{}", batch.len());
-                left_queries.push(push_node_query(
-                    &mut batch,
-                    name,
-                    config.task,
-                    label,
-                    conditions_term(&conds),
-                ));
-            }
+        &mut |path: &ProductTerm| {
+            let batch = plan.batch(path);
             queries_issued += batch.len();
             rows_scanned += engine.database().total_tuples();
             let result = engine.execute(&batch)?;
-            Ok(evaluate_node(
-                is_classification,
-                parent_query,
-                &left_queries,
-                &result,
-            ))
+            Ok(evaluate_node(&plan, &plan.statistics(&result)))
         },
-        &mut |path: &Vec<SplitCondition>, condition: &SplitCondition| {
-            let mut path = path.clone();
-            path.push(condition.clone());
-            Ok(path)
+        &mut |path: &ProductTerm, condition: &SplitCondition| {
+            Ok(path.clone().times(condition.to_indicator()))
         },
     )?;
     Ok(DecisionTree {
@@ -433,9 +533,10 @@ pub fn train_decision_tree_replanned(
     })
 }
 
-/// Candidate thresholds of a continuous attribute: equi-width buckets between
-/// the attribute's min and max in its base relation, rounded down and
-/// deduplicated for an integer attribute.
+/// Candidate thresholds of a continuous attribute, in ascending order:
+/// equi-width buckets between the attribute's min and max in its base
+/// relation, rounded down and deduplicated for an integer attribute. A
+/// constant attribute has none.
 fn thresholds(engine: &Engine, attr: AttrId, buckets: usize) -> Vec<Value> {
     for rel in engine.database().relations() {
         if let Some(col) = rel.position(attr) {
@@ -462,7 +563,8 @@ fn thresholds(engine: &Engine, attr: AttrId, buckets: usize) -> Vec<Value> {
     vec![]
 }
 
-/// Categories of a categorical attribute (from its base relation).
+/// Categories of a categorical attribute (from its base relation), in value
+/// order.
 fn categories(engine: &Engine, attr: AttrId) -> Vec<Value> {
     for rel in engine.database().relations() {
         if let Some(col) = rel.position(attr) {
@@ -472,40 +574,6 @@ fn categories(engine: &Engine, attr: AttrId) -> Vec<Value> {
         }
     }
     vec![]
-}
-
-/// The fixed candidate set of the whole tree: equi-width thresholds per
-/// continuous feature, one equality condition per category of a categorical
-/// feature, in feature order. Candidates depend only on the base relations,
-/// never on the node, which is what makes the one-prepared-batch design
-/// possible.
-fn candidate_splits(
-    engine: &Engine,
-    schema: &lmfao_data::DatabaseSchema,
-    features: &[AttrId],
-    config: &TreeConfig,
-) -> Vec<SplitCondition> {
-    let mut out = Vec::new();
-    for &attr in features {
-        if schema.attr_type(attr).is_categorical() {
-            for value in categories(engine, attr) {
-                out.push(SplitCondition {
-                    attr,
-                    op: CmpOp::Eq,
-                    value,
-                });
-            }
-        } else {
-            for value in thresholds(engine, attr, config.buckets) {
-                out.push(SplitCondition {
-                    attr,
-                    op: CmpOp::Le,
-                    value,
-                });
-            }
-        }
-    }
-    out
 }
 
 /// Node statistics extracted from one executed batch: the parent's cost,
@@ -518,94 +586,53 @@ struct NodeEval {
     best: Option<(f64, usize)>,
 }
 
-fn evaluate_node(
-    is_classification: bool,
-    parent_query: usize,
-    left_queries: &[usize],
-    result: &BatchResult,
-) -> NodeEval {
-    // Parent statistics. Classes are read in value order, so the sums and a
-    // tie for the majority do not depend on the result map's layout.
-    let parent_result = &result.queries[parent_query];
-    let mut parent_by_class: Vec<(&[Value], f64)> = if is_classification {
-        parent_result
-            .iter()
-            .map(|(k, v)| (k.as_slice(), v[0]))
-            .collect()
-    } else {
-        Vec::new()
-    };
-    parent_by_class.sort_by(|a, b| a.0.cmp(b.0));
-    let parent = if is_classification {
-        Vec::new()
-    } else {
-        parent_result.scalar()
-    };
+fn evaluate_node(plan: &CandidatePlan, stats: &NodeStatistics) -> NodeEval {
+    let parent = &stats.parent;
+    let is_classification = plan.task == TreeTask::Classification;
     let (parent_cost, parent_count, parent_prediction) = if is_classification {
-        let counts: Vec<f64> = parent_by_class.iter().map(|(_, c)| *c).collect();
-        let total: f64 = counts.iter().sum();
-        // `max_by` keeps the last of equal maxima; reversed, that is the
-        // smallest class.
-        let majority = parent_by_class
+        // Classes are in value order. `max_by` keeps the last of equal
+        // maxima; reversed, that is the smallest class.
+        let majority = plan
+            .classes
             .iter()
+            .zip(parent)
             .rev()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(k, _)| k[0].as_f64())
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(class, _)| class.as_f64())
             .unwrap_or(0.0);
-        (gini_mass(&counts), total, majority)
+        (gini_mass(parent), parent.iter().sum(), majority)
     } else {
-        let stats = NodeStats {
-            count: parent[0],
-            sum: parent[1],
-            sum_sq: parent[2],
+        let stats = NodeStats::of(parent);
+        let mean = if stats.count > 0.0 {
+            stats.sum / stats.count
+        } else {
+            0.0
         };
-        (
-            stats.variance(),
-            stats.count,
-            if stats.count > 0.0 {
-                stats.sum / stats.count
-            } else {
-                0.0
-            },
-        )
+        (stats.variance(), stats.count, mean)
     };
 
     // Pick the candidate with the smallest total cost (left + right), where
     // the right side is obtained by subtracting the left from the parent.
     let mut best: Option<(f64, usize)> = None;
-    for (idx, &left_query) in left_queries.iter().enumerate() {
+    for (idx, left) in stats.left.iter().enumerate() {
         let cost = if is_classification {
-            let left_counts: Vec<f64> = parent_by_class
+            let right: Vec<f64> = parent
                 .iter()
-                .map(|(k, _)| {
-                    result.queries[left_query]
-                        .get(k)
-                        .map(|v| v[0])
-                        .unwrap_or(0.0)
-                })
+                .zip(left)
+                .map(|(p, l)| (p - l).max(0.0))
                 .collect();
-            let right_counts: Vec<f64> = parent_by_class
-                .iter()
-                .zip(&left_counts)
-                .map(|((_, p), l)| (p - l).max(0.0))
-                .collect();
-            let left_total: f64 = left_counts.iter().sum();
-            let right_total: f64 = right_counts.iter().sum();
+            let left_total: f64 = left.iter().sum();
+            let right_total: f64 = right.iter().sum();
             if left_total < 1.0 || right_total < 1.0 {
                 continue;
             }
-            gini_mass(&left_counts) + gini_mass(&right_counts)
+            gini_mass(left) + gini_mass(&right)
         } else {
-            let s = result.queries[left_query].scalar();
-            let left = NodeStats {
-                count: s[0],
-                sum: s[1],
-                sum_sq: s[2],
-            };
+            let (parent, left) = (NodeStats::of(parent), NodeStats::of(left));
             let right = NodeStats {
-                count: parent[0] - left.count,
-                sum: parent[1] - left.sum,
-                sum_sq: parent[2] - left.sum_sq,
+                count: parent.count - left.count,
+                sum: parent.sum - left.sum,
+                sum_sq: parent.sum_sq - left.sum_sq,
             };
             if left.count < 1.0 || right.count < 1.0 {
                 continue;
@@ -730,58 +757,282 @@ mod tests {
         assert_eq!(tree.predict(&|_| Value::Double(3.0)), 20.0);
     }
 
-    /// A parent result of one classification node: `counts[i]` rows of
-    /// class `Cat(classes[i])`.
-    fn class_counts(classes: &[u32], counts: &[f64]) -> BatchResult {
-        let data = classes
-            .iter()
-            .zip(counts)
-            .map(|(&c, &n)| (vec![Value::Cat(c)], vec![n]))
-            .collect();
-        BatchResult {
-            queries: vec![lmfao_core::QueryResult {
-                name: "parent".to_string(),
-                group_by: vec![AttrId(0)],
-                num_aggregates: 1,
-                data,
-            }],
-            stats: lmfao_core::EngineStats::default(),
+    /// A classification plan over the given classes, with no candidate.
+    fn class_plan(classes: &[u32]) -> CandidatePlan {
+        CandidatePlan {
+            task: TreeTask::Classification,
+            label: AttrId(0),
+            classes: classes.iter().map(|&c| Value::Cat(c)).collect(),
+            splits: Vec::new(),
+            features: Vec::new(),
         }
+    }
+
+    /// Evaluates a classification node holding `counts[i]` rows of the
+    /// `i`-th of `classes` (which ascend).
+    fn class_node(classes: &[u32], counts: &[f64]) -> NodeEval {
+        let stats = NodeStatistics {
+            parent: counts.to_vec(),
+            left: Vec::new(),
+        };
+        evaluate_node(&class_plan(classes), &stats)
     }
 
     #[test]
     fn a_tied_majority_goes_to_the_smallest_class() {
         for a in 0..8 {
             for b in a + 1..8 {
-                let eval = evaluate_node(true, 0, &[], &class_counts(&[b, a], &[3.0, 3.0]));
+                let eval = class_node(&[a, b], &[3.0, 3.0]);
                 assert_eq!(eval.parent_prediction, a as f64, "classes {a} and {b}");
-                let eval = evaluate_node(true, 0, &[], &class_counts(&[a, b], &[3.0, 4.0]));
+                let eval = class_node(&[a, b], &[3.0, 4.0]);
                 assert_eq!(eval.parent_prediction, b as f64, "classes {a} and {b}");
             }
         }
-        let eval = evaluate_node(true, 0, &[], &class_counts(&[7, 2, 5], &[2.0, 1.0, 2.0]));
+        let eval = class_node(&[2, 5, 7], &[1.0, 2.0, 2.0]);
         assert_eq!(eval.parent_prediction, 5.0);
         assert_eq!(eval.parent_count, 5.0);
     }
 
     #[test]
     fn regression_aggregates_have_three_entries() {
-        let aggs = measure_aggregates(TreeTask::Regression, AttrId(9), conditions_term(&[]));
+        let mut plan = class_plan(&[]);
+        plan.task = TreeTask::Regression;
+        plan.label = AttrId(9);
+        let aggs = plan.measures(&ProductTerm::one());
         assert_eq!(aggs.len(), 3);
-        let with_cond = measure_aggregates(
-            TreeTask::Regression,
-            AttrId(9),
-            conditions_term(&[SplitCondition {
-                attr: AttrId(1),
-                op: CmpOp::Le,
-                value: Value::Double(3.0),
-            }]),
-        );
+        let condition = SplitCondition {
+            attr: AttrId(1),
+            op: CmpOp::Le,
+            value: Value::Double(3.0),
+        };
+        let with_cond = plan.measures(&ProductTerm::single(condition.to_indicator()));
         // Each aggregate gains the indicator factor.
         assert_eq!(with_cond[0].terms[0].factors.len(), 1);
         assert_eq!(with_cond[1].terms[0].factors.len(), 2);
-        // Classification nodes only need the per-class count.
-        let class = measure_aggregates(TreeTask::Classification, AttrId(9), conditions_term(&[]));
-        assert_eq!(class.len(), 1);
+        // Classification nodes need one count per class.
+        let class = class_plan(&[0, 1, 2]).measures(&ProductTerm::one());
+        assert_eq!(class.len(), 3);
+        assert_eq!(class[2].terms[0].factors.len(), 1);
+    }
+
+    /// `Fact(key, y)` of 400 rows and `Dim(key, x, constant)` of 40, where
+    /// `constant` holds one value.
+    fn constant_column_engine() -> (Engine, AttrId, AttrId, AttrId) {
+        use lmfao_data::{AttrType, Database, DatabaseSchema, Relation};
+        use lmfao_jointree::{build_join_tree, Hypergraph};
+        let mut schema = DatabaseSchema::new();
+        schema.add_relation_with_attrs("Fact", &[("key", AttrType::Int), ("y", AttrType::Double)]);
+        schema.add_relation_with_attrs(
+            "Dim",
+            &[
+                ("key", AttrType::Int),
+                ("x", AttrType::Double),
+                ("constant", AttrType::Double),
+            ],
+        );
+        let attr = |name| schema.attr_id(name).unwrap();
+        let (x, constant, y) = (attr("x"), attr("constant"), attr("y"));
+        let dim_rows = (0..40)
+            .map(|k| {
+                vec![
+                    Value::Int(k),
+                    Value::Double((k % 7) as f64),
+                    Value::Double(1.0),
+                ]
+            })
+            .collect();
+        let fact_rows = (0..400)
+            .map(|i| vec![Value::Int(i % 40), Value::Double((i % 40 % 7 * 3) as f64)])
+            .collect();
+        let fact = Relation::from_rows(schema.relation("Fact").unwrap().clone(), fact_rows);
+        let dim = Relation::from_rows(schema.relation("Dim").unwrap().clone(), dim_rows);
+        let db = Database::new(schema.clone(), vec![fact.unwrap(), dim.unwrap()]).unwrap();
+        let tree = build_join_tree(&Hypergraph::from_schema(&schema)).unwrap();
+        let engine = Engine::new(db, tree, lmfao_core::EngineConfig::default());
+        (engine, x, constant, y)
+    }
+
+    #[test]
+    fn a_constant_feature_asks_nothing() {
+        let (engine, x, constant, y) = constant_column_engine();
+        let config = TreeConfig {
+            task: TreeTask::Regression,
+            max_depth: 2,
+            min_samples: 10,
+            buckets: 4,
+        };
+        assert!(thresholds(&engine, constant, config.buckets).is_empty());
+        let plan = CandidatePlan::new(&engine, &[constant, x], y, &config);
+        assert_eq!(plan.features.len(), 1);
+        assert_eq!(plan.features[0].attr, x);
+        assert!(plan.features[0].grouped, "Dim is not the largest relation");
+        assert_eq!(plan.batch(&ProductTerm::one()).len(), 2);
+
+        let alone = train_decision_tree(&engine, &[constant], y, &config).unwrap();
+        assert_eq!((alone.size(), alone.queries_issued), (1, 1));
+        let tree = train_decision_tree(&engine, &[constant, x], y, &config).unwrap();
+        assert!(tree.size() > 1, "x separates the labels");
+        assert_eq!(tree.queries_issued, tree.size() * 2);
+    }
+
+    /// The batch the learner asked before it grouped by feature, kept as the
+    /// oracle of [`CandidatePlan::statistics`]: the node's measures, then one
+    /// query per candidate carrying its indicator; a classification query
+    /// groups by the label.
+    fn per_candidate_batch(plan: &CandidatePlan) -> QueryBatch {
+        let label = plan.label;
+        let mut batch = QueryBatch::new();
+        for alpha in std::iter::once(ProductTerm::one()).chain(
+            plan.splits
+                .iter()
+                .map(|split| ProductTerm::single(split.to_indicator())),
+        ) {
+            let (group_by, aggregates) = match plan.task {
+                TreeTask::Regression => (
+                    vec![],
+                    vec![
+                        Aggregate::product(alpha.clone()),
+                        Aggregate::product(alpha.clone().times(ScalarFunction::Identity(label))),
+                        Aggregate::product(alpha.times(ScalarFunction::Power {
+                            attr: label,
+                            exponent: 2,
+                        })),
+                    ],
+                ),
+                TreeTask::Classification => (vec![label], vec![Aggregate::product(alpha)]),
+            };
+            batch.push(format!("q{}", batch.len()), group_by, aggregates);
+        }
+        batch
+    }
+
+    /// Asserts that the grouped batch and the per-candidate oracle, both
+    /// restricted to `path`, give every candidate bit-equal left measures.
+    fn assert_grouped_matches_oracle(
+        engine: &Engine,
+        plan: &CandidatePlan,
+        path: &[SplitCondition],
+    ) {
+        let conditions: Vec<ScalarFunction> =
+            path.iter().map(SplitCondition::to_indicator).collect();
+        let run = |batch: &QueryBatch| {
+            let node = engine
+                .prepare(batch)
+                .unwrap()
+                .restrict(&conditions)
+                .unwrap();
+            node.execute(&DynamicRegistry::new()).unwrap()
+        };
+        let stats = plan.statistics(&run(&plan.batch(&ProductTerm::one())));
+        let oracle = run(&per_candidate_batch(plan));
+        let measures = |query: &QueryResult| match plan.task {
+            TreeTask::Regression => query.scalar(),
+            TreeTask::Classification => plan
+                .classes
+                .iter()
+                .map(|&class| query.get(&[class]).map_or(0.0, |v| v[0]))
+                .collect(),
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&stats.parent), bits(&measures(&oracle.queries[0])));
+        assert!(stats.parent[0] > 0.0, "the node {path:?} holds rows");
+        assert_eq!(stats.left.len(), plan.splits.len());
+        for ((left, query), split) in stats
+            .left
+            .iter()
+            .zip(&oracle.queries[1..])
+            .zip(&plan.splits)
+        {
+            assert_eq!(
+                bits(left),
+                bits(&measures(query)),
+                "{split:?} under {path:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn grouped_statistics_equal_the_per_candidate_queries() {
+        use lmfao_datagen::{retailer, tpcds, Scale};
+        // Retailer's label is integer-valued, so every sum is exact and the
+        // running sums over groups equal the indicator queries bit for bit.
+        let ds = retailer::generate(Scale::new(3_000, 5));
+        let features: Vec<AttrId> = [
+            "avghhi",
+            "tot_area_sq_ft",
+            "sell_area_sq_ft",
+            "distance_comp",
+            "population",
+            "medianage",
+            "households",
+            "maxtemp",
+            "mintemp",
+            "meanwind",
+            "prices",
+        ]
+        .iter()
+        .map(|n| ds.attr(n))
+        .collect();
+        let label = ds.attr("inventoryunits");
+        let engine = Engine::new(
+            ds.db.clone(),
+            ds.tree.clone(),
+            lmfao_core::EngineConfig::default(),
+        );
+        let config = TreeConfig {
+            buckets: 10,
+            ..TreeConfig::regression()
+        };
+        let plan = CandidatePlan::new(&engine, &features, label, &config);
+        assert!(plan.features.iter().all(|f| f.grouped));
+        assert_eq!(plan.batch(&ProductTerm::one()).len(), 12);
+        // The root and the depth-2 node down the learned tree's left spine.
+        let tree = train_decision_tree(&engine, &features, label, &config).unwrap();
+        let TreeNode::Split {
+            condition, left, ..
+        } = &tree.root
+        else {
+            panic!("Retailer must split")
+        };
+        let TreeNode::Split {
+            condition: below, ..
+        } = left.as_ref()
+        else {
+            panic!("Retailer must split twice")
+        };
+        assert_grouped_matches_oracle(&engine, &plan, &[]);
+        assert_grouped_matches_oracle(&engine, &plan, &[condition.clone(), below.clone()]);
+
+        // TPC-DS: grouped dimension features, categorical ones among them,
+        // beside `quantity` of the fact relation, asked per candidate.
+        let ds = tpcds::generate(Scale::new(3_000, 9));
+        let features: Vec<AttrId> = [
+            "birth_year",
+            "purchase_estimate",
+            "gender",
+            "marital",
+            "quantity",
+        ]
+        .iter()
+        .map(|n| ds.attr(n))
+        .collect();
+        let engine = Engine::new(
+            ds.db.clone(),
+            ds.tree.clone(),
+            lmfao_core::EngineConfig::default(),
+        );
+        let config = TreeConfig {
+            buckets: 6,
+            ..TreeConfig::classification()
+        };
+        let plan = CandidatePlan::new(&engine, &features, ds.attr("preferred"), &config);
+        let grouped: Vec<bool> = plan.features.iter().map(|f| f.grouped).collect();
+        assert_eq!(grouped, [true, true, true, true, false]);
+        let path = [
+            plan.splits[plan.features[2].splits.start].clone(),
+            plan.splits[plan.features[0].splits.start + 2].negate(),
+        ];
+        assert_grouped_matches_oracle(&engine, &plan, &[]);
+        assert_grouped_matches_oracle(&engine, &plan, &path);
     }
 }

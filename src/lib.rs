@@ -29,8 +29,10 @@
 //! [`engine::Engine::prepare`] runs every optimizer layer (roots → pushdown →
 //! view merging → grouping → multi-output plans) exactly once, and the
 //! resulting [`engine::PreparedBatch`] is executed any number of times —
-//! with changing dynamic functions between executions, which is how the
-//! decision-tree learner evaluates every node of a tree from one plan.
+//! with changing dynamic functions between executions, or over a row
+//! selection of the database ([`engine::PreparedBatch::restrict`]), which is
+//! how the decision-tree learner evaluates every node of a tree from one
+//! plan.
 //! [`engine::Engine::execute`] remains as a one-shot `prepare + execute`
 //! convenience.
 //!

@@ -430,6 +430,11 @@ fn prepared_tree_is_bit_identical_to_replanning_on_retailer_and_favorita() {
         let (prepared, _) =
             assert_learners_agree(&engine, &features, label, &SMALL_REGRESSION_TREE);
         assert!(prepared.size() > 1, "Retailer must split");
+        // Every feature lives in a dimension: one grouped query each.
+        assert_eq!(
+            prepared.queries_issued,
+            prepared.size() * (1 + features.len())
+        );
     }
 
     // Favorita: one feature per dimension, an integer one among them.
@@ -438,18 +443,55 @@ fn prepared_tree_is_bit_identical_to_replanning_on_retailer_and_favorita() {
         .iter()
         .map(|n| favorita.attr(n))
         .collect();
-    let engine = Engine::new(
-        favorita.db.clone(),
-        favorita.tree.clone(),
-        EngineConfig::default(),
-    );
-    let (prepared, _) = assert_learners_agree(
-        &engine,
-        &features,
-        favorita.attr("units"),
-        &SMALL_REGRESSION_TREE,
-    );
-    assert!(prepared.size() > 1, "Favorita must split");
+    for config in [EngineConfig::default(), EngineConfig::full(2)] {
+        let engine = Engine::new(favorita.db.clone(), favorita.tree.clone(), config);
+        let (prepared, _) = assert_learners_agree(
+            &engine,
+            &features,
+            favorita.attr("units"),
+            &SMALL_REGRESSION_TREE,
+        );
+        assert!(prepared.size() > 1, "Favorita must split");
+    }
+}
+
+#[test]
+fn a_classification_tree_mixing_grouped_and_per_candidate_features_matches_replanning() {
+    // Table 5's features: six in dimensions (grouped, three of them
+    // categorical) and `quantity`, `salesprice` of the StoreSales fact
+    // relation, asked one indicator query per threshold.
+    let dataset = lmfao::datagen::tpcds::generate(Scale::new(3_000, 9));
+    let features: Vec<AttrId> = [
+        "birth_year",
+        "purchase_estimate",
+        "gender",
+        "marital",
+        "education",
+        "dep_count",
+        "quantity",
+        "salesprice",
+    ]
+    .iter()
+    .map(|n| dataset.attr(n))
+    .collect();
+    let config = TreeConfig {
+        task: TreeTask::Classification,
+        max_depth: 3,
+        min_samples: 50,
+        buckets: 8,
+    };
+    for engine_config in [EngineConfig::default(), EngineConfig::full(2)] {
+        let engine = Engine::new(dataset.db.clone(), dataset.tree.clone(), engine_config);
+        let (prepared, _) =
+            assert_learners_agree(&engine, &features, dataset.attr("preferred"), &config);
+        assert!(prepared.size() > 1, "TPC-DS must split");
+        // The node's measures, six grouped features, and one query per
+        // threshold of the two fact columns.
+        assert_eq!(
+            prepared.queries_issued,
+            prepared.size() * (1 + 6 + 2 * config.buckets)
+        );
+    }
 }
 
 #[test]
