@@ -68,11 +68,6 @@ impl MaterializedEngine {
         MaterializedEngine { join }
     }
 
-    /// Constructs the engine from an already materialized join.
-    pub fn from_join(join: Relation) -> Self {
-        MaterializedEngine { join }
-    }
-
     /// The materialized join.
     pub fn join(&self) -> &Relation {
         &self.join
@@ -113,21 +108,6 @@ impl MaterializedEngine {
                 .map(|a| (a, self.join.position(a)))
                 .collect(),
         }
-    }
-
-    /// Computes a single query by scanning the full join.
-    pub fn execute_query(&self, query: &Query, dynamics: &DynamicRegistry) -> BaselineResult {
-        let key_positions: Vec<Option<usize>> = query
-            .group_by
-            .iter()
-            .map(|a| self.join.position(*a))
-            .collect();
-        let attr_positions: FxHashMap<AttrId, Option<usize>> = query
-            .attrs()
-            .into_iter()
-            .map(|a| (a, self.join.position(a)))
-            .collect();
-        self.scan_query(query, &key_positions, &attr_positions, dynamics)
     }
 
     /// Computes every query of a batch, one at a time (no sharing).

@@ -5,7 +5,9 @@
 //! against a recompute referee, [`run_iso`] audits the *isolation contract*
 //! itself: it runs reader threads against a [`lmfao_core::SnapshotHandle`]
 //! while one writer drains a multi-relation
-//! [`lmfao_datagen::transaction_stream`], and every thread records what it
+//! [`lmfao_datagen::transaction_stream`] (through
+//! [`crate::readers_vs_writer`], the loop [`crate::serve`] runs too), and
+//! every thread records what it
 //! actually saw — the writer a [`CommitEvent`] per committed transaction
 //! (generation, transaction id, and a digest of the full published
 //! results), each reader a [`ReadEvent`] whenever the generation under its
@@ -17,11 +19,9 @@
 //! bit-for-bit, and generations never travel backwards on one handle. Any
 //! [`IsoViolation`] in [`IsoReport::violations`] fails the run.
 
-use lmfao_core::isocheck::snapshot_digest;
 use lmfao_core::{check_history, CommitEvent, EngineConfig, History, IsoViolation, ReadEvent};
 use lmfao_datagen::{transaction_stream, txn_relations, Dataset, UpdateMix};
 use lmfao_expr::{DynamicRegistry, QueryBatch};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Configuration of one isolation stress run.
@@ -82,116 +82,66 @@ pub fn run_iso(
     let mix = UpdateMix::balanced(config.operations).seed(config.seed);
     let stream = transaction_stream(ds, &relations, &mix);
 
-    let stop = AtomicBool::new(false);
     let duration = Duration::from_secs_f64(config.duration_secs.max(0.1));
     let interval = Duration::from_secs_f64(1.0 / config.commits_per_sec.max(1e-6));
 
-    // The genesis generation is a commit too (transaction 0): reads of the
-    // initial snapshot need a commit event to validate against.
-    let genesis = handle.load();
-    let mut writer_history = History::new();
-    writer_history.add_commit(CommitEvent {
-        txn_id: genesis.txn_id(),
-        generation: genesis.generation(),
-        digest: snapshot_digest(&genesis),
-    });
-    drop(genesis);
-
-    let started = Instant::now();
-    let (histories, total_reads, writer) = std::thread::scope(|s| {
-        let reader_handles: Vec<_> = (0..config.readers.max(1))
-            .map(|reader_id| {
-                let stop = &stop;
-                let handle = handle.clone();
-                s.spawn(move || {
-                    let mut history = History::new();
-                    let mut reads = 0u64;
-                    let mut seq = 0u64;
-                    let mut last_generation = u64::MAX;
-                    // Re-read (and re-record) an unchanged generation about
-                    // every 64 loads so steady states are validated too.
-                    let mut since_recorded = 0u32;
-                    while !stop.load(Ordering::Relaxed) {
-                        let snap = handle.load();
-                        reads += 1;
-                        since_recorded += 1;
-                        if snap.generation() != last_generation || since_recorded >= 64 {
-                            last_generation = snap.generation();
-                            since_recorded = 0;
-                            history.add_read(ReadEvent {
-                                reader: reader_id,
-                                seq,
-                                generation: snap.generation(),
-                                txn_id: snap.txn_id(),
-                                digest: snapshot_digest(&snap),
-                            });
-                            seq += 1;
-                        }
-                    }
-                    (history, reads)
-                })
-            })
-            .collect();
-
-        let writer_handle = {
-            let stop = &stop;
-            let dynamics = &dynamics;
-            let mut history = writer_history;
-            s.spawn(move || {
-                let start = Instant::now();
-                let mut next = start;
-                let mut error = None;
-                let mut multi_relation_commits = 0;
-                for txn in &stream {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Err(e) = maintainer.commit(txn.clone(), dynamics) {
-                        error = Some(e.to_string());
-                        break;
-                    }
-                    if txn.num_relations() > 1 {
-                        multi_relation_commits += 1;
-                    }
-                    let snap = maintainer.snapshot();
-                    history.add_commit(CommitEvent {
-                        txn_id: snap.txn_id(),
-                        generation: snap.generation(),
-                        digest: snapshot_digest(&snap),
-                    });
-                    // Fixed cadence: never reset `next` to "now", so a slow
-                    // commit borrows from the next slot instead of silently
-                    // stretching the whole schedule (same fix as the serve
-                    // bench's pacer).
-                    next += interval;
-                    let now = Instant::now();
-                    if next > now {
-                        std::thread::sleep(next - now);
-                    }
+    let (readers, writer) = crate::readers_vs_writer(
+        &handle,
+        config.readers.max(1),
+        |id| (id, History::new(), 0u64, u64::MAX, 0u32),
+        |(id, history, loads, last_generation, since_recorded), snap, _| {
+            *loads += 1;
+            // Re-read (and re-record) an unchanged generation about every 64
+            // loads so steady states are validated too.
+            *since_recorded += 1;
+            if snap.generation() != *last_generation || *since_recorded >= 64 {
+                *last_generation = snap.generation();
+                *since_recorded = 0;
+                let seq = history.reads.len() as u64;
+                history.add_read(ReadEvent::of(*id, seq, &snap));
+            }
+        },
+        || {
+            // The genesis generation is a commit too (transaction 0): reads
+            // of the initial snapshot need a commit event to validate against.
+            let mut history = History::new();
+            history.add_commit(CommitEvent::of(&maintainer.snapshot()));
+            let start = Instant::now();
+            let mut next = start;
+            let mut error = None;
+            let mut multi_relation_commits = 0;
+            for txn in &stream {
+                if start.elapsed() >= duration {
+                    break;
                 }
-                (history, multi_relation_commits, error)
-            })
-        };
-
-        while started.elapsed() < duration {
-            std::thread::sleep(Duration::from_millis(25).min(duration));
-        }
-        stop.store(true, Ordering::Relaxed);
-
-        let mut histories = Vec::new();
-        let mut total_reads = 0u64;
-        for h in reader_handles {
-            let (history, reads) = h.join().expect("reader thread panicked");
-            histories.push(history);
-            total_reads += reads;
-        }
-        let writer = writer_handle.join().expect("writer thread panicked");
-        (histories, total_reads, writer)
-    });
-
+                if let Err(e) = maintainer.commit(txn.clone(), &dynamics) {
+                    error = Some(e.to_string());
+                    break;
+                }
+                if txn.num_relations() > 1 {
+                    multi_relation_commits += 1;
+                }
+                history.add_commit(CommitEvent::of(&maintainer.snapshot()));
+                // Fixed cadence: never reset `next` to "now", so a slow
+                // commit borrows from the next slot instead of silently
+                // stretching the whole schedule (same fix as the serve
+                // bench's pacer).
+                next += interval;
+                let now = Instant::now();
+                if next > now {
+                    std::thread::sleep(next - now);
+                }
+            }
+            // The readers run the whole window, past the writer's last commit.
+            std::thread::sleep(duration.saturating_sub(start.elapsed()));
+            (history, multi_relation_commits, error)
+        },
+    );
     let (mut history, multi_relation_commits, writer_error) = writer;
-    for h in histories {
-        history.merge(h);
+    let mut total_reads = 0;
+    for (_, reader_history, loads, _, _) in readers {
+        total_reads += loads;
+        history.merge(reader_history);
     }
     let recorded_reads = history.reads.len();
     let commits = history.commits.len();

@@ -11,8 +11,8 @@
 //!   from-scratch recompute and the certificate checker
 //!   (`cargo run --release -p lmfao-bench --bin serve`);
 //! * the [`iso`] module runs the isolation stress harness: the same
-//!   reader/writer shape, but recording a black-box read/commit history that
-//!   the snapshot-isolation checker validates (`tests/isolation.rs`).
+//!   reader/writer loop ([`readers_vs_writer`]), but recording a black-box
+//!   read/commit history that the snapshot-isolation checker validates.
 //!
 //! The workload builders in this crate are shared between all of them.
 //! Performance is not measured here: that is `perfbench/`, a package outside
@@ -24,11 +24,15 @@
 pub mod iso;
 pub mod serve;
 
-use lmfao_core::{Engine, EngineConfig, SharedDatabase};
+use lmfao_core::{Engine, EngineConfig, SharedDatabase, SnapshotHandle, ViewSnapshot};
 use lmfao_data::AttrId;
 use lmfao_datagen::{Dataset, Scale};
 use lmfao_expr::{Aggregate, QueryBatch};
 use lmfao_ml::{covar_batch, datacube_batch, mutual_info_batch, CovarSpec};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// The per-dataset workload configuration used throughout the paper's
 /// experiments: which attributes participate in the covar matrix, the
@@ -368,6 +372,50 @@ pub fn scale_from_env(default_rows: usize) -> Result<Scale, String> {
             .ok_or_else(|| format!("LMFAO_SCALE must be a number of fact rows, not {value:?}"))?,
     };
     Ok(Scale::new(rows, 42))
+}
+
+/// Readers against one writer, the loop of every concurrent audit. Each of
+/// `readers` threads clones `handle`, makes its state with `init(reader)` and
+/// hands every snapshot it loads to `read`, with the instant the load began,
+/// until `writer` (run on this thread) returns or panics; then it loads and
+/// reads once more, so it sees the writer's last publication. Returns the
+/// readers' states in order and the writer's result.
+pub fn readers_vs_writer<S: Send, W>(
+    handle: &SnapshotHandle,
+    readers: usize,
+    init: impl Fn(usize) -> S + Sync,
+    read: impl Fn(&mut S, Arc<ViewSnapshot>, Instant) + Sync,
+    writer: impl FnOnce() -> W,
+) -> (Vec<S>, W) {
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let threads: Vec<_> = (0..readers)
+            .map(|reader| {
+                let (handle, stop, init, read) = (handle.clone(), &stop, &init, &read);
+                s.spawn(move || {
+                    let mut state = init(reader);
+                    loop {
+                        let done = stop.load(Ordering::Relaxed);
+                        let began = Instant::now();
+                        read(&mut state, handle.load(), began);
+                        if done {
+                            return state;
+                        }
+                    }
+                })
+            })
+            .collect();
+        let result = std::panic::catch_unwind(AssertUnwindSafe(writer));
+        stop.store(true, Ordering::Relaxed);
+        let states = threads
+            .into_iter()
+            .map(|t| t.join().expect("reader thread panicked"))
+            .collect();
+        (
+            states,
+            result.unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+        )
+    })
 }
 
 /// Builds an LMFAO engine for a dataset with the given configuration. When

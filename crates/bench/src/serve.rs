@@ -9,11 +9,12 @@
 //! fixed target cadence (a slow commit never resets the schedule — the
 //! shortfall is recorded, not silently absorbed), and a **committer** flushes
 //! the buffer into coalesced transactions and commits them, so the scan of
-//! generation G+1 overlaps the enqueueing of its successors. Readers never
-//! block on a refresh: each read is `handle.load()` (pin the current
-//! generation, a lock-free hazard-pointer acquire) followed by a query lookup
-//! on the pinned, immutable snapshot. A superseded generation lives only
-//! while a reader pins it; the report records how many generations the
+//! generation G+1 overlaps the enqueueing of its successors; both sit behind
+//! the writer closure of [`crate::readers_vs_writer`], the loop [`crate::iso`]
+//! runs too. Readers never block on a refresh: each read is `handle.load()`
+//! (pin the current generation, a lock-free hazard-pointer acquire) followed
+//! by a query lookup on the pinned, immutable snapshot. A superseded
+//! generation lives only while a reader pins it; the report records how many generations the
 //! publication cell still owns and their approximate bytes, and
 //! [`ServeReport::ok`] fails the run if the cell owns more than one
 //! superseded generation per live handle.
@@ -308,10 +309,14 @@ struct ReadSample {
     observed: QueryResult,
 }
 
-struct ReaderOutcome {
+/// One reader's state: its query picker, its latencies (one per read), the
+/// reads not yet added to the progress counter, and its samples.
+struct Reader {
+    rng: Xorshift,
     hist: LatencyHistogram,
-    reads: u64,
+    unflushed: u64,
     samples: Vec<ReadSample>,
+    next_sample: Instant,
 }
 
 /// Minimal xorshift64* generator so readers pick query names without pulling
@@ -353,9 +358,9 @@ fn results_match(got: &QueryResult, want: &QueryResult, rel_eps: f64) -> bool {
 
 /// Runs the serving loop for `batch` over `ds`.
 ///
-/// Builds the maintainer on the calling thread, then spawns
-/// `config.readers` reader threads plus the pacer/committer writer pair and
-/// lets them run for `config.duration_secs`. The pacer offers a
+/// Builds the maintainer on the calling thread, then runs `config.readers`
+/// reader threads against the pacer/committer writer pair
+/// ([`crate::readers_vs_writer`]) for `config.duration_secs`. The pacer offers a
 /// deterministic balanced update stream against the dataset's fact relation
 /// at the target cadence; the committer flushes it into coalesced
 /// transactions; readers hammer [`lmfao_core::SnapshotHandle::load`] + query
@@ -404,187 +409,158 @@ pub fn run_serve(
     let genesis = Arc::clone(handle.load().certificate());
 
     let started = Instant::now();
-    let (reader_outcomes, writer, offered) = std::thread::scope(|s| {
-        let reader_handles: Vec<_> = (0..config.readers.max(1))
-            .map(|reader_id| {
-                let stop = &stop;
-                let reads_ctr = &reads_ctr;
-                let handle = handle.clone();
-                let names = &names;
-                let seed = config.seed;
-                s.spawn(move || {
-                    let mut rng = Xorshift::new(seed ^ (reader_id as u64 + 1));
-                    let mut hist = LatencyHistogram::new();
-                    let mut reads = 0u64;
-                    let mut unflushed = 0u64;
-                    let mut samples: Vec<ReadSample> = Vec::new();
-                    // Pin samples spread across the window (not the first
-                    // reads, which would all land on generation 0).
-                    let sample_every = duration / (SAMPLES_PER_READER as u32 + 1);
-                    let mut next_sample = Instant::now();
-                    while !stop.load(Ordering::Relaxed) {
-                        let name = &names[(rng.next() % names.len() as u64) as usize];
-                        let t = Instant::now();
-                        let snap = handle.load();
-                        let result = snap
-                            .query(name)
-                            .expect("batch names always resolve in their own snapshot");
-                        // Touch the answer so the read is not optimized away.
-                        std::hint::black_box(result.data.values().next().and_then(|v| v.first()));
-                        hist.record(t.elapsed());
-                        reads += 1;
-                        unflushed += 1;
-                        if unflushed >= 1024 {
-                            reads_ctr.fetch_add(unflushed, Ordering::Relaxed);
-                            unflushed = 0;
+    // Pin samples spread across the window (not the first reads, which would
+    // all land on generation 0).
+    let sample_every = duration / (SAMPLES_PER_READER as u32 + 1);
+    let (readers, (offered, writer)) = crate::readers_vs_writer(
+        &handle,
+        config.readers.max(1),
+        |reader| Reader {
+            rng: Xorshift::new(config.seed ^ (reader as u64 + 1)),
+            hist: LatencyHistogram::new(),
+            unflushed: 0,
+            samples: Vec::new(),
+            next_sample: Instant::now(),
+        },
+        |reader, snap, began| {
+            let name = &names[(reader.rng.next() % names.len() as u64) as usize];
+            let result = snap
+                .query(name)
+                .expect("batch names always resolve in their own snapshot");
+            // Touch the answer so the read is not optimized away.
+            std::hint::black_box(result.data.values().next().and_then(|v| v.first()));
+            reader.hist.record(began.elapsed());
+            reader.unflushed += 1;
+            if reader.unflushed >= 1024 {
+                reads_ctr.fetch_add(reader.unflushed, Ordering::Relaxed);
+                reader.unflushed = 0;
+            }
+            if reader.samples.len() < SAMPLES_PER_READER && began >= reader.next_sample {
+                reader.next_sample = began + sample_every;
+                let observed = result.clone();
+                reader.samples.push(ReadSample {
+                    snapshot: snap,
+                    query: name.clone(),
+                    observed,
+                });
+            }
+        },
+        || {
+            std::thread::scope(|s| {
+                // Pacer: offers deltas at the target cadence. `next` advances
+                // by a fixed interval and is never reset to "now" — a slow
+                // committer cannot stretch the pacer's clock, so
+                // under-delivery shows up as an applied-vs-offered gap instead
+                // of being silently absorbed.
+                let pacer = s.spawn(|| {
+                    let mut next = Instant::now();
+                    let mut offered = 0u64;
+                    for delta in &stream {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
                         }
-                        if samples.len() < SAMPLES_PER_READER && t >= next_sample {
-                            next_sample = t + sample_every;
-                            let observed = result.clone();
-                            samples.push(ReadSample {
-                                snapshot: snap,
-                                query: name.clone(),
-                                observed,
-                            });
+                        lock_queue(&queue).push(delta.clone());
+                        wake.notify_one();
+                        offered += 1;
+                        next += interval;
+                        let now = Instant::now();
+                        if next > now {
+                            std::thread::sleep(next - now);
                         }
                     }
-                    reads_ctr.fetch_add(unflushed, Ordering::Relaxed);
-                    ReaderOutcome {
-                        hist,
-                        reads,
-                        samples,
-                    }
-                })
-            })
-            .collect();
+                    offered
+                });
 
-        // Pacer: offers deltas at the target cadence. `next` advances by a
-        // fixed interval and is never reset to "now" — a slow committer
-        // cannot stretch the pacer's clock, so under-delivery shows up as an
-        // applied-vs-offered gap instead of being silently absorbed.
-        let pacer_handle = {
-            let stop = &stop;
-            let queue = &queue;
-            let wake = &wake;
-            s.spawn(move || {
-                let mut next = Instant::now();
-                let mut offered = 0u64;
-                for delta in &stream {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    lock_queue(queue).push(delta.clone());
-                    wake.notify_one();
-                    offered += 1;
-                    next += interval;
-                    let now = Instant::now();
-                    if next > now {
-                        std::thread::sleep(next - now);
-                    }
-                }
-                offered
-            })
-        };
-
-        // Committer: owns the maintainer. Flushes the queue into one
-        // coalesced transaction per commit and publishes it, overlapping the
-        // refresh of one generation with the enqueueing of the next. Exits
-        // at stop; whatever is still queued is the recorded backlog.
-        let committer_handle = {
-            let stop = &stop;
-            let queue = &queue;
-            let wake = &wake;
-            let updates_ctr = &updates_ctr;
-            let dynamics = &dynamics;
-            s.spawn(move || {
-                let mut applied = 0u64;
-                let mut error = None;
-                let mut certs: Vec<Arc<Certificate>> = vec![genesis];
-                while error.is_none() {
-                    let flushed = {
-                        let mut q = lock_queue(queue);
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break None;
+                // Committer: owns the maintainer. Flushes the queue into one
+                // coalesced transaction per commit and publishes it,
+                // overlapping the refresh of one generation with the
+                // enqueueing of the next. Exits at stop; whatever is still
+                // queued is the recorded backlog.
+                let committer = s.spawn(|| {
+                    let mut applied = 0u64;
+                    let mut error = None;
+                    let mut certs: Vec<Arc<Certificate>> = vec![genesis];
+                    while error.is_none() {
+                        let flushed = {
+                            let mut q = lock_queue(&queue);
+                            loop {
+                                if stop.load(Ordering::Relaxed) {
+                                    break None;
+                                }
+                                if q.should_flush() {
+                                    break Some((q.pushes_since_flush(), q.flush()));
+                                }
+                                // Timed wait: the age-threshold flush must
+                                // fire even if no new push ever notifies.
+                                let (guard, _) = wake
+                                    .wait_timeout(q, Duration::from_millis(1))
+                                    .unwrap_or_else(PoisonError::into_inner);
+                                q = guard;
                             }
-                            if q.should_flush() {
-                                break Some((q.pushes_since_flush(), q.flush()));
-                            }
-                            // Timed wait: the age-threshold flush must fire
-                            // even if no new push ever notifies.
-                            let (guard, _) = wake
-                                .wait_timeout(q, Duration::from_millis(1))
-                                .unwrap_or_else(PoisonError::into_inner);
-                            q = guard;
-                        }
-                    };
-                    match flushed {
-                        None => break,
-                        // The whole batch cancelled to nothing: the deltas
-                        // are applied by definition, no generation needed.
-                        Some((deltas, None)) => {
-                            applied += deltas;
-                            updates_ctr.fetch_add(deltas, Ordering::Relaxed);
-                        }
-                        Some((deltas, Some(txn))) => match maintainer.commit(txn, dynamics) {
-                            Ok(_) => {
-                                certs.push(Arc::clone(maintainer.snapshot().certificate()));
+                        };
+                        match flushed {
+                            None => break,
+                            // The whole batch cancelled to nothing: the deltas
+                            // are applied by definition, no generation needed.
+                            Some((deltas, None)) => {
                                 applied += deltas;
                                 updates_ctr.fetch_add(deltas, Ordering::Relaxed);
                             }
-                            Err(e) => error = Some(e.to_string()),
-                        },
+                            Some((deltas, Some(txn))) => match maintainer.commit(txn, &dynamics) {
+                                Ok(_) => {
+                                    certs.push(Arc::clone(maintainer.snapshot().certificate()));
+                                    applied += deltas;
+                                    updates_ctr.fetch_add(deltas, Ordering::Relaxed);
+                                }
+                                Err(e) => error = Some(e.to_string()),
+                            },
+                        }
+                    }
+                    (applied, error, certs, maintainer)
+                });
+
+                // Timekeeper: this thread ends the run (and optionally
+                // narrates).
+                let mut last_reads = 0u64;
+                let mut last_updates = 0u64;
+                let mut last_tick = started;
+                while started.elapsed() < duration {
+                    std::thread::sleep(Duration::from_millis(50).min(duration));
+                    if config.progress && last_tick.elapsed() >= Duration::from_secs(1) {
+                        let r = reads_ctr.load(Ordering::Relaxed);
+                        let u = updates_ctr.load(Ordering::Relaxed);
+                        let dt = last_tick.elapsed().as_secs_f64();
+                        println!(
+                            "t={:>4.0}s  {:>10.0} q/s  {:>7.1} updates/s  generation {}",
+                            started.elapsed().as_secs_f64(),
+                            (r - last_reads) as f64 / dt,
+                            (u - last_updates) as f64 / dt,
+                            handle.generation()
+                        );
+                        last_reads = r;
+                        last_updates = u;
+                        last_tick = Instant::now();
                     }
                 }
-                (applied, error, certs, maintainer)
+                stop.store(true, Ordering::Relaxed);
+                wake.notify_one();
+                let offered = pacer.join().expect("pacer thread panicked");
+                let writer = committer.join().expect("committer thread panicked");
+                (offered, writer)
             })
-        };
-
-        // Timekeeper: the main thread ends the run (and optionally narrates).
-        let mut last_reads = 0u64;
-        let mut last_updates = 0u64;
-        let mut last_tick = started;
-        while started.elapsed() < duration {
-            std::thread::sleep(Duration::from_millis(50).min(duration));
-            if config.progress && last_tick.elapsed() >= Duration::from_secs(1) {
-                let r = reads_ctr.load(Ordering::Relaxed);
-                let u = updates_ctr.load(Ordering::Relaxed);
-                let dt = last_tick.elapsed().as_secs_f64();
-                println!(
-                    "t={:>4.0}s  {:>10.0} q/s  {:>7.1} updates/s  generation {}",
-                    started.elapsed().as_secs_f64(),
-                    (r - last_reads) as f64 / dt,
-                    (u - last_updates) as f64 / dt,
-                    handle.generation()
-                );
-                last_reads = r;
-                last_updates = u;
-                last_tick = Instant::now();
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        wake.notify_one();
-
-        let outcomes: Vec<ReaderOutcome> = reader_handles
-            .into_iter()
-            .map(|h| h.join().expect("reader thread panicked"))
-            .collect();
-        let offered = pacer_handle.join().expect("pacer thread panicked");
-        let writer = committer_handle.join().expect("committer thread panicked");
-        (outcomes, writer, offered)
-    });
+        },
+    );
     let (writer_applied, writer_error, certs, maintainer) = writer;
     let elapsed = started.elapsed().as_secs_f64();
 
     // Fold reader-side measurements.
     let mut hist = LatencyHistogram::new();
-    let mut total_reads = 0u64;
     let mut samples: Vec<ReadSample> = Vec::new();
-    for outcome in reader_outcomes {
-        hist.merge(&outcome.hist);
-        total_reads += outcome.reads;
-        samples.extend(outcome.samples);
+    for reader in readers {
+        hist.merge(&reader.hist);
+        samples.extend(reader.samples);
     }
+    let total_reads = hist.count();
 
     // Audit: group pinned samples by generation, recompute a bounded number
     // of distinct generations from scratch, compare every sample against the
@@ -669,8 +645,9 @@ fn lock_queue(m: &Mutex<DeltaBuffer>) -> std::sync::MutexGuard<'_, DeltaBuffer> 
 }
 
 /// Keeps at most `cap` elements of a sorted list, spread evenly across it
-/// (always keeping the first and last when possible).
-fn spread(keys: Vec<u64>, cap: usize) -> Vec<u64> {
+/// (always keeping the first and last when possible): the generations an
+/// audit recomputes.
+pub fn spread(keys: Vec<u64>, cap: usize) -> Vec<u64> {
     if keys.len() <= cap || cap == 0 {
         return keys;
     }

@@ -239,6 +239,7 @@ pub fn parse_certificate(input: &str) -> Result<Certificate, CertError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = p.parse_value()?;
     p.skip_ws();
@@ -263,9 +264,16 @@ enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// How deep arrays and objects may nest, so that hostile input cannot run the
+/// recursive descent off the stack. [`to_json`] nests six deep at most (root,
+/// `groups`, a group, `outputs`, an output, `totals`).
+const MAX_DEPTH: usize = 16;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -301,8 +309,22 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Json, CertError> {
         match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(malformed(format!(
+                        "nested deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             b'"' => Ok(Json::Str(self.parse_string()?)),
             b't' | b'f' => Err(malformed("booleans do not occur in certificates")),
             b'n' => self.parse_keyword("null", Json::Null),
@@ -679,4 +701,33 @@ fn query_from_json(value: &Json) -> Result<QueryTotals, CertError> {
     };
     f.finish()?;
     Ok(query)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    fn is_too_deep(result: Result<Certificate, CertError>) -> bool {
+        matches!(result, Err(CertError::Malformed(msg)) if msg.starts_with("nested deeper"))
+    }
+
+    #[test]
+    fn unbounded_nesting_is_malformed_not_a_stack_overflow() {
+        assert!(is_too_deep(parse_certificate(&"[".repeat(200_000))));
+        assert!(is_too_deep(parse_certificate(&"{\"a\":".repeat(200_000))));
+    }
+
+    #[test]
+    fn nesting_is_bounded_one_past_the_limit() {
+        // At the limit the parser reads the whole input; the schema then
+        // rejects an array where a certificate object belongs.
+        let at_limit = parse_certificate(&nested(MAX_DEPTH));
+        assert!(matches!(at_limit, Err(CertError::Malformed(_))));
+        assert!(!is_too_deep(at_limit));
+        assert!(is_too_deep(parse_certificate(&nested(MAX_DEPTH + 1))));
+    }
 }

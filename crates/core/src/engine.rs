@@ -171,11 +171,6 @@ impl Engine {
         self.db.database()
     }
 
-    /// The shared database handle (cheap to clone).
-    pub fn shared_database(&self) -> &SharedDatabase {
-        &self.db
-    }
-
     /// The join tree.
     pub fn tree(&self) -> &JoinTree {
         &self.tree

@@ -76,6 +76,30 @@ pub struct CommitEvent {
     pub digest: u64,
 }
 
+impl ReadEvent {
+    /// The `seq`-th recorded read of `reader`, which saw `snapshot`.
+    pub fn of(reader: usize, seq: u64, snapshot: &ViewSnapshot) -> ReadEvent {
+        ReadEvent {
+            reader,
+            seq,
+            generation: snapshot.generation(),
+            txn_id: snapshot.txn_id(),
+            digest: snapshot_digest(snapshot),
+        }
+    }
+}
+
+impl CommitEvent {
+    /// The commit that published `snapshot` (the genesis one for generation 0).
+    pub fn of(snapshot: &ViewSnapshot) -> CommitEvent {
+        CommitEvent {
+            txn_id: snapshot.txn_id(),
+            generation: snapshot.generation(),
+            digest: snapshot_digest(snapshot),
+        }
+    }
+}
+
 /// The merged record of a concurrent run: every commit the writer made and
 /// every read any reader made, in no particular order (the events carry
 /// their own ordering keys).

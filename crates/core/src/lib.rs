@@ -30,8 +30,10 @@
 //! commits [`lmfao_data::Transaction`]s — atomic sets of signed
 //! [`lmfao_data::TableDelta`]s over one or more relations — in a single DAG
 //! walk each ([`maintain`]), with work proportional to the deltas instead of
-//! recomputing. A [`DeltaBuffer`] ([`buffer`]) coalesces churny update
-//! streams into such transactions. Every commit publishes one immutable,
+//! recomputing. Both row selections, `restrict`'s reduction and the rows a
+//! commit's propagation scan reads, are one primitive:
+//! [`lmfao_data::Relation::semi_join`]. A [`DeltaBuffer`] ([`buffer`])
+//! coalesces churny update streams into such transactions. Every commit publishes one immutable,
 //! epoch-published [`ViewSnapshot`] ([`snapshot`]), which becomes the
 //! maintainer's state: the writer reads it through [`Maintainer::snapshot`],
 //! and concurrent readers pin whatever generation they load through a

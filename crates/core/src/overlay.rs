@@ -33,18 +33,21 @@
 //! emits nothing. Whether a row hits depends only on its values in the
 //! view's bound columns — join attributes fixed at or above the view's probe
 //! depth — so each innermost range of the trie is selected whole or not at
-//! all. The scan therefore runs over just the selected rows ([`select_rows`],
-//! a semi-join of the relation with the delta keys): the relation is sorted,
-//! the selection keeps trie order, and the same ranges are visited in the
-//! same order with the same additions into every output — bit-identical to
-//! scanning the whole relation, at a cost of one pass over the bound columns
-//! plus a scan of Σ degree(changed key) rows.
+//! all. The scan therefore runs over just the selected rows ([`select_rows`]):
+//! one [`Relation::semi_join`] of the relation with the charged deltas' keys,
+//! one probe per charged view, the same primitive
+//! [`PreparedBatch::restrict`](crate::PreparedBatch::restrict) reduces a join
+//! tree with. The relation is sorted, the selection keeps trie order, and the
+//! same ranges are visited in the same order with the same additions into
+//! every output — bit-identical to scanning the whole relation, at a cost of
+//! one pass over the bound columns plus a scan of Σ degree(changed key) rows,
+//! the per-update bound of Berkholz et al. (FO+MOD under updates).
 
 use crate::error::EngineError;
 use crate::exec::execute_group_scan;
 use crate::plan::{DepthUpdate, GroupPlan};
 use crate::view::{ComputedView, ViewId, ViewSource};
-use lmfao_data::{FxHashMap, FxHashSet, Relation, Value};
+use lmfao_data::{FxHashMap, FxHashSet, KeySet, Relation};
 use lmfao_expr::DynamicRegistry;
 use std::sync::Arc;
 
@@ -237,41 +240,31 @@ fn scan_charged<V: ViewSource>(
 
 /// The rows of `relation` (sorted in `plan`'s trie order) whose key hits the
 /// delta of some charged view (`charged[i]` flags `plan.incoming[i]`;
-/// `deltas` resolves a charged view to its delta), gathered in order into a
-/// relation of the same schema — the only rows that can contribute to the
-/// scan (see the module docs). `None` means "scan the whole relation": a
-/// charged view has no bound key, or one outside the attribute order (rows of
-/// one innermost range could then split), or every row is selected.
+/// `deltas` resolves a charged view to its delta): a [`Relation::semi_join`]
+/// with one probe per charged view, gathered in order into a relation of the
+/// same schema — the only rows that can contribute to the scan (see the
+/// module docs). `None` means "scan the whole relation": a charged view has
+/// no bound key, or one outside the attribute order (rows of one innermost
+/// range could then split), or every row is selected.
 fn select_rows<V: ViewSource>(
     plan: &GroupPlan,
     relation: &Relation,
     charged: &[bool],
     deltas: &V,
 ) -> Option<Relation> {
-    let mut hit_sets = Vec::new();
+    let mut probes = Vec::new();
     for (inc, _) in plan.incoming.iter().zip(charged).filter(|&(_, &c)| c) {
         if inc.bound.is_empty() || inc.bound.iter().any(|(a, _)| !plan.attr_order.contains(a)) {
             return None;
         }
-        let hits: FxHashSet<Vec<Value>> = deltas
+        let hits: KeySet = deltas
             .view_result(inc.view)?
             .iter()
             .map(|(key, _)| inc.bound_positions.iter().map(|&p| key[p]).collect())
             .collect();
-        hit_sets.push((&inc.bound, hits));
+        probes.push((inc.bound.iter().map(|&(_, col)| col).collect(), hits));
     }
-    let mut key = Vec::new();
-    let rows: Vec<u32> = (0..relation.len())
-        .filter(|&row| {
-            hit_sets.iter().any(|(bound, hits)| {
-                key.clear();
-                key.extend(bound.iter().map(|&(_, col)| relation.value(row, col)));
-                hits.contains(key.as_slice())
-            })
-        })
-        .map(|row| row as u32)
-        .collect();
-    (rows.len() < relation.len()).then(|| relation.subset(&rows))
+    relation.semi_join(&probes)
 }
 
 /// For every term slot of `plan`, the changed incoming views it references

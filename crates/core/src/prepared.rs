@@ -28,7 +28,7 @@ use crate::roots::assign_roots;
 use crate::shared::SharedDatabase;
 use crate::view::{ComputedView, ViewId};
 use lmfao_certify::Certificate;
-use lmfao_data::{AttrId, Column, FxHashMap, FxHashSet, Relation, Value};
+use lmfao_data::{AttrId, FxHashMap, Relation, Value};
 use lmfao_expr::{DynamicRegistry, QueryBatch, ScalarFunction};
 use lmfao_jointree::JoinTree;
 use std::borrow::Cow;
@@ -200,9 +200,10 @@ impl PreparedBatch {
     /// condition's attribute keeps the rows that satisfy it. A semi-join
     /// reduction along the join tree follows — leaves to root, then root to
     /// leaves (Yannakakis) — so every row left joins with rows of all the
-    /// other relations. A relation the selection leaves whole stays shared
-    /// with this batch's database; the others become row subsets in their
-    /// trie order. Restricting a restricted batch composes:
+    /// other relations. Each step is one [`Relation::semi_join`], the
+    /// primitive a commit's propagation scan selects its rows with too. A
+    /// relation the selection leaves whole stays shared with this batch's
+    /// database; the others become row subsets in their trie order. Restricting a restricted batch composes:
     /// `b.restrict(c1)?.restrict(c2)` holds the rows of `b.restrict(c1 ∧ c2)`.
     ///
     /// A removed row contributes exactly 0 wherever the conditions'
@@ -258,11 +259,11 @@ impl PreparedBatch {
         let edges = order.iter().filter(|&&(_, parent)| parent != usize::MAX);
         // Leaves to root: a parent keeps the rows that join its child.
         for &(node, parent) in edges.clone().rev() {
-            semi_join(&mut rels, parent, node, &tree.edge_join_attrs(node, parent));
+            reduce(&mut rels, parent, node, &tree.edge_join_attrs(node, parent));
         }
         // Root to leaves: a child keeps the rows that join its parent.
         for &(node, parent) in edges {
-            semi_join(&mut rels, node, parent, &tree.edge_join_attrs(node, parent));
+            reduce(&mut rels, node, parent, &tree.edge_join_attrs(node, parent));
         }
 
         // The clone shares every relation; the shrunk ones are swapped in.
@@ -328,34 +329,20 @@ impl PreparedBatch {
 }
 
 /// Keeps the rows of `rels[target]` whose values on `attrs` occur in some
-/// row of `rels[source]`.
-fn semi_join(rels: &mut [Cow<'_, Relation>], target: usize, source: usize, attrs: &[AttrId]) {
-    let (t, s) = (&*rels[target], &*rels[source]);
-    fn columns<'r>(rel: &'r Relation, attrs: &[AttrId]) -> Vec<&'r Column> {
+/// row of `rels[source]`: one [`Relation::semi_join`] along a join-tree edge.
+fn reduce(rels: &mut [Cow<'_, Relation>], target: usize, source: usize, attrs: &[AttrId]) {
+    let cols = |rel: &Relation| -> Vec<usize> {
         attrs
             .iter()
             .map(|&a| {
-                rel.column(
-                    rel.position(a)
-                        .expect("both ends hold an edge's attributes"),
-                )
+                rel.position(a)
+                    .expect("both ends hold an edge's attributes")
             })
             .collect()
-    }
-    let (tc, sc) = (columns(t, attrs), columns(s, attrs));
-    let keys: FxHashSet<Vec<Value>> = (0..s.len())
-        .map(|row| sc.iter().map(|c| c.value(row)).collect())
-        .collect();
-    let mut key = Vec::with_capacity(attrs.len());
-    let keep: Vec<u32> = (0..t.len() as u32)
-        .filter(|&row| {
-            key.clear();
-            key.extend(tc.iter().map(|c| c.value(row as usize)));
-            keys.contains(&key)
-        })
-        .collect();
-    if keep.len() < t.len() {
-        rels[target] = Cow::Owned(t.subset(&keep));
+    };
+    let keys = rels[source].keys(&cols(&rels[source]));
+    if let Some(kept) = rels[target].semi_join(&[(cols(&rels[target]), keys)]) {
+        rels[target] = Cow::Owned(kept);
     }
 }
 

@@ -34,7 +34,7 @@ pub use dictionary::{Dictionary, DictionarySet};
 pub use error::{DataError, Result};
 pub use fixed::{decode_fixed, encode_fixed, FIXED_POINT_BITS, FIXED_POINT_SCALE};
 pub use hash::{FxHashMap, FxHashSet};
-pub use relation::{Relation, RowView};
+pub use relation::{KeySet, Relation, RowView};
 pub use schema::{AttrId, Attribute, DatabaseSchema, RelationSchema};
 pub use transaction::Transaction;
 pub use trie::TrieScan;

@@ -22,9 +22,12 @@
 use crate::column::Column;
 use crate::delta::TableDelta;
 use crate::error::{DataError, Result};
-use crate::hash::{fx_hash_set, FxHashMap};
+use crate::hash::{fx_hash_set, FxHashMap, FxHashSet};
 use crate::schema::{AttrId, RelationSchema};
 use crate::value::Value;
+
+/// The distinct keys of some columns of a relation ([`Relation::keys`]).
+pub type KeySet = FxHashSet<Vec<Value>>;
 
 /// An in-memory relation: schema plus one typed column per attribute.
 #[derive(Debug, Clone)]
@@ -183,6 +186,44 @@ impl Relation {
             arity: self.arity,
             sorted_by: self.sorted_by.clone(),
         }
+    }
+
+    /// The distinct values of the columns `cols`: the build side of a
+    /// [`Relation::semi_join`] with this relation.
+    pub fn keys(&self, cols: &[usize]) -> KeySet {
+        let cols = self.columns_at(cols);
+        (0..self.num_rows)
+            .map(|row| cols.iter().map(|c| c.value(row)).collect())
+            .collect()
+    }
+
+    /// The semi-join of this relation with key sets, the engine's only one
+    /// (`restrict`'s Yannakakis reduction and a commit's propagation scan).
+    /// A row is kept if its values on some probe's `cols` are a key of that
+    /// probe's set, compared as [`Value`]s (doubles by bit pattern). The kept
+    /// rows stay in order ([`Relation::subset`]); `None` means all are kept.
+    pub fn semi_join(&self, probes: &[(Vec<usize>, KeySet)]) -> Option<Relation> {
+        let probes: Vec<_> = probes
+            .iter()
+            .map(|(cols, keys)| (self.columns_at(cols), keys))
+            .collect();
+        let mut key = Vec::new();
+        let rows: Vec<u32> = (0..self.num_rows)
+            .filter(|&row| {
+                probes.iter().any(|(cols, keys)| {
+                    key.clear();
+                    key.extend(cols.iter().map(|c| c.value(row)));
+                    keys.contains(&key)
+                })
+            })
+            .map(|row| row as u32)
+            .collect();
+        (rows.len() < self.num_rows).then(|| self.subset(&rows))
+    }
+
+    /// The columns at positions `cols`, resolved once for a row loop.
+    fn columns_at(&self, cols: &[usize]) -> Vec<&Column> {
+        cols.iter().map(|&c| &self.columns[c]).collect()
     }
 
     /// A single value, materialized from its typed column.

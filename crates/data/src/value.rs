@@ -94,12 +94,6 @@ impl Value {
         }
     }
 
-    /// True if this is [`Value::Null`].
-    #[inline]
-    pub fn is_null(self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// The [`AttrType`] this value naturally belongs to, if any.
     pub fn attr_type(self) -> Option<AttrType> {
         match self {

@@ -138,11 +138,6 @@ pub fn skewed_index<R: Rng>(rng: &mut R, n: usize) -> usize {
     ((x * n as f64) as usize).min(n - 1)
 }
 
-/// A uniformly random double in `[lo, hi)`.
-pub fn uniform<R: Rng>(rng: &mut R, lo: f64, hi: f64) -> f64 {
-    rng.gen_range(lo..hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -320,21 +320,9 @@
 //!
 //! // Record the history both sides experienced; the checker signs off.
 //! let mut history = History::new();
-//! for snap in [&pinned, &fresh] {
-//!     history.add_commit(CommitEvent {
-//!         txn_id: snap.txn_id(),
-//!         generation: snap.generation(),
-//!         digest: snapshot_digest(snap),
-//!     });
-//! }
 //! for (seq, snap) in [&pinned, &fresh].into_iter().enumerate() {
-//!     history.add_read(ReadEvent {
-//!         reader: 0,
-//!         seq: seq as u64,
-//!         generation: snap.generation(),
-//!         txn_id: snap.txn_id(),
-//!         digest: snapshot_digest(snap),
-//!     });
+//!     history.add_commit(CommitEvent::of(snap));
+//!     history.add_read(ReadEvent::of(0, seq as u64, snap));
 //! }
 //! assert!(check_history(&history).is_empty());
 //! ```

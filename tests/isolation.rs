@@ -70,18 +70,8 @@ fn torn_publication_is_detected() {
 
     let mut history = History::new();
     let genesis = handle.load();
-    history.add_commit(CommitEvent {
-        txn_id: genesis.txn_id(),
-        generation: genesis.generation(),
-        digest: snapshot_digest(&genesis),
-    });
-    history.add_read(ReadEvent {
-        reader: 0,
-        seq: 0,
-        generation: genesis.generation(),
-        txn_id: genesis.txn_id(),
-        digest: snapshot_digest(&genesis),
-    });
+    history.add_commit(CommitEvent::of(&genesis));
+    history.add_read(ReadEvent::of(0, 0, &genesis));
 
     // One logical transaction over two relations…
     let relations = txn_relations(&ds.name);
@@ -99,13 +89,7 @@ fn torn_publication_is_detected() {
     let mut deltas = deltas.into_iter();
     writer.commit(deltas.next().unwrap(), &dynamics).unwrap();
     let torn = handle.load();
-    history.add_read(ReadEvent {
-        reader: 0,
-        seq: 1,
-        generation: torn.generation(),
-        txn_id: torn.txn_id(),
-        digest: snapshot_digest(&torn),
-    });
+    history.add_read(ReadEvent::of(0, 1, &torn));
     for delta in deltas {
         writer.commit(delta, &dynamics).unwrap();
     }
@@ -118,13 +102,7 @@ fn torn_publication_is_detected() {
         generation: torn.generation(),
         digest: snapshot_digest(&last),
     });
-    history.add_read(ReadEvent {
-        reader: 0,
-        seq: 2,
-        generation: last.generation(),
-        txn_id: last.txn_id(),
-        digest: snapshot_digest(&last),
-    });
+    history.add_read(ReadEvent::of(0, 2, &last));
 
     let violations = check_history(&history);
     // The middle state the reader pinned matches no committed digest.

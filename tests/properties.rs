@@ -158,6 +158,70 @@ fn fold_bits(digest: &mut u64, result: &BatchResult) {
     }
 }
 
+/// The values a key column of one kind draws from, few enough that keys
+/// collide: kind 0 stays an `Int` column, 1 a `Float` column (a NaN, `0.0`
+/// and `-0.0`), 2 a `Dict` column, and 3 mixes variants and `Null` into a
+/// `Mixed` column where `Int(1)`, `Double(1.0)` and `Cat(1)` are three keys.
+fn key_value(kind: u8, pick: u8) -> Value {
+    let pool = match kind % 4 {
+        0 => [Value::Int(0), Value::Int(1), Value::Int(2), Value::Int(-1)],
+        1 => [
+            Value::Double(f64::NAN),
+            Value::Double(0.0),
+            Value::Double(-0.0),
+            Value::Double(1.5),
+        ],
+        2 => [Value::Cat(0), Value::Cat(1), Value::Cat(2), Value::Cat(7)],
+        _ => [
+            Value::Null,
+            Value::Int(1),
+            Value::Double(1.0),
+            Value::Cat(1),
+        ],
+    };
+    pool[pick as usize % 4]
+}
+
+/// A three-column relation whose column `j` holds values of `kinds[j]`, one
+/// row per three picks. With `reversed`, the columns are stored in reverse
+/// order, so a probe reads them at other positions than the target.
+fn key_relation(name: &str, kinds: &[u8], picks: &[u8], reversed: bool) -> Relation {
+    let attrs = if reversed { [2, 1, 0] } else { [0, 1, 2] };
+    Relation::from_rows(
+        RelationSchema::new(name, attrs.iter().map(|&a| AttrId(a)).collect()),
+        picks
+            .chunks_exact(3)
+            .map(|row| {
+                attrs
+                    .iter()
+                    .map(|&a| key_value(kinds[a as usize], row[a as usize]))
+                    .collect()
+            })
+            .collect(),
+    )
+    .unwrap()
+}
+
+/// The rows of `target` whose values on `cols` equal those of some row of
+/// some probe `(source, source_cols)`: a nested loop over every pair.
+fn naive_semi_join(
+    target: &Relation,
+    probes: &[(&Relation, Vec<usize>, Vec<usize>)],
+) -> Vec<Vec<Value>> {
+    (0..target.len())
+        .filter(|&t| {
+            probes.iter().any(|(source, cols, source_cols)| {
+                (0..source.len()).any(|s| {
+                    cols.iter()
+                        .zip(source_cols)
+                        .all(|(&c, &sc)| target.value(t, c) == source.value(s, sc))
+                })
+            })
+        })
+        .map(|t| target.row(t).to_vec())
+        .collect()
+}
+
 /// A two-relation database whose fact table spans three morsels, with
 /// non-integer measures so a change in float-addition order shows in the
 /// bits: F(k, c, m) ⋈ D(k, w), plus a batch with a scalar output, a
@@ -520,6 +584,59 @@ proptest! {
         let a_col = join.join().position(a);
         let distinct = a_col.map(|col| join.join().distinct_count(col)).unwrap_or(0);
         prop_assert_eq!(result.queries[1].len(), distinct);
+    }
+
+    /// `Relation::semi_join` keeps exactly the rows a nested-loop filter
+    /// keeps, in order, on `Int`, `Float` (NaN, `0.0`, `-0.0`), `Dict` and
+    /// `Mixed` key columns, with keys of one to three columns, empty sides,
+    /// and one or two probes at once; it returns `None` exactly when every
+    /// row is kept, and a probe by the target's own keys keeps every row.
+    #[test]
+    fn semi_join_matches_a_nested_loop_filter(
+        (kinds, widths, two_probes) in (
+            prop::collection::vec(0u8..4, 3..4),
+            (1usize..4, 1usize..4),
+            0u8..2,
+        ),
+        (target, first, second) in (
+            prop::collection::vec(0u8..4, 0..30),
+            prop::collection::vec(0u8..4, 0..30),
+            prop::collection::vec(0u8..4, 0..30),
+        )
+    ) {
+        let mut target = key_relation("T", &kinds, &target, false);
+        target.sort_by_positions(&[0, 1, 2]);
+        let sources = [
+            key_relation("S1", &kinds, &first, true),
+            key_relation("S2", &kinds, &second, false),
+        ];
+        // The first probe keys on the first `w1` target columns, which the
+        // reversed source holds at positions `2 - c`; the second on the last
+        // `w2` columns.
+        let (w1, w2) = widths;
+        let first_cols: Vec<usize> = (0..w1).collect();
+        let reversed: Vec<usize> = first_cols.iter().map(|c| 2 - c).collect();
+        let mut probes = vec![(&sources[0], first_cols.clone(), reversed)];
+        if two_probes == 1 {
+            probes.push((&sources[1], (3 - w2..3).collect(), (3 - w2..3).collect()));
+        }
+        let keyed: Vec<(Vec<usize>, lmfao_data::KeySet)> = probes
+            .iter()
+            .map(|(source, cols, source_cols)| (cols.clone(), source.keys(source_cols)))
+            .collect();
+        let want = naive_semi_join(&target, &probes);
+        match target.semi_join(&keyed) {
+            None => prop_assert_eq!(want.len(), target.len()),
+            Some(kept) => {
+                prop_assert!(want.len() < target.len());
+                prop_assert_eq!(kept.sorted_by(), target.sorted_by());
+                let got: Vec<Vec<Value>> = kept.rows().map(|r| r.to_vec()).collect();
+                prop_assert_eq!(got, want);
+            }
+        }
+        let own = target.keys(&first_cols);
+        prop_assert!(target.semi_join(&[(first_cols, own)]).is_none());
+        prop_assert_eq!(target.semi_join(&[]).map(|r| r.len()), (!target.is_empty()).then_some(0));
     }
 
     /// Relation sorting is a permutation: length, multiset of rows and

@@ -17,8 +17,9 @@
 use lmfao::baseline::RecomputeReference;
 use lmfao::datagen::{self, update_stream, Scale, UpdateMix};
 use lmfao::prelude::*;
+use lmfao_bench::readers_vs_writer;
+use lmfao_bench::serve::spread;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 /// Sales ⋈ Items toy database: 8 sales rows over 3 items.
@@ -225,91 +226,52 @@ fn stress_eight_readers_produce_a_clean_isolation_history() {
     // Handles alive while the writer publishes: the writer's own, `handle`
     // and one clone per reader. The cell may keep at most one superseded
     // generation per live handle, announced in its slot. The most it owned
-    // after any commit is asserted once the readers are told to stop, so a
-    // failure cannot leave them spinning.
+    // after any commit is asserted once the readers have stopped.
     let live_handles = 2 + READERS;
-    let mut most_retained = 0;
 
-    let genesis = writer.snapshot();
-    let mut writer_history = History::new();
-    writer_history.add_commit(CommitEvent {
-        txn_id: genesis.txn_id(),
-        generation: genesis.generation(),
-        digest: snapshot_digest(&genesis),
-    });
-    drop(genesis);
+    let (histories, (writer_history, most_retained)) = readers_vs_writer(
+        &handle,
+        READERS,
+        |reader| (reader, History::new(), 0u64),
+        |(reader, history, last_generation), snap, _| {
+            assert!(
+                snap.generation() >= *last_generation,
+                "reader {reader} went back in time"
+            );
+            if snap.generation() != *last_generation || history.reads.is_empty() {
+                *last_generation = snap.generation();
+                let seq = history.reads.len() as u64;
+                history.add_read(ReadEvent::of(*reader, seq, &snap));
+            }
+        },
+        || {
+            let mut history = History::new();
+            history.add_commit(CommitEvent::of(&writer.snapshot()));
+            let mut most_retained = 0;
+            for i in 0..UPDATES {
+                let mut delta = TableDelta::for_relation(db.relation("Sales").unwrap());
+                delta
+                    .insert(&[
+                        Value::Int(i as i64 % 4),
+                        Value::Int(i as i64 % 3),
+                        Value::Double((i % 7 + 1) as f64),
+                    ])
+                    .unwrap();
+                writer.commit(&delta, &dynamics).unwrap();
+                most_retained = most_retained.max(writer.retained_generations());
+                history.add_commit(CommitEvent::of(&writer.snapshot()));
+            }
+            (history, most_retained)
+        },
+    );
+    assert_eq!(writer.generation(), UPDATES as u64);
+    assert!(
+        most_retained <= 1 + live_handles,
+        "the cell owned {most_retained} generations with {live_handles} live handles"
+    );
 
-    let stop = AtomicBool::new(false);
-    let histories = std::thread::scope(|s| {
-        let reader_handles: Vec<_> = (0..READERS)
-            .map(|reader_id| {
-                let handle = handle.clone();
-                let stop = &stop;
-                s.spawn(move || {
-                    let mut history = History::new();
-                    let mut seq = 0u64;
-                    let mut last_generation = 0u64;
-                    loop {
-                        let done = stop.load(Ordering::Relaxed);
-                        let snap = handle.load();
-                        assert!(
-                            snap.generation() >= last_generation,
-                            "reader {reader_id} went back in time"
-                        );
-                        if snap.generation() != last_generation || seq == 0 {
-                            last_generation = snap.generation();
-                            history.add_read(ReadEvent {
-                                reader: reader_id,
-                                seq,
-                                generation: snap.generation(),
-                                txn_id: snap.txn_id(),
-                                digest: snapshot_digest(&snap),
-                            });
-                            seq += 1;
-                        }
-                        if done {
-                            break;
-                        }
-                    }
-                    history
-                })
-            })
-            .collect();
-
-        for i in 0..UPDATES {
-            let mut delta = TableDelta::for_relation(db.relation("Sales").unwrap());
-            delta
-                .insert(&[
-                    Value::Int(i as i64 % 4),
-                    Value::Int(i as i64 % 3),
-                    Value::Double((i % 7 + 1) as f64),
-                ])
-                .unwrap();
-            writer.commit(&delta, &dynamics).unwrap();
-            most_retained = most_retained.max(writer.retained_generations());
-            let snap = writer.snapshot();
-            writer_history.add_commit(CommitEvent {
-                txn_id: snap.txn_id(),
-                generation: snap.generation(),
-                digest: snapshot_digest(&snap),
-            });
-        }
-        stop.store(true, Ordering::Relaxed);
-        assert_eq!(writer.generation(), UPDATES as u64);
-        assert!(
-            most_retained <= 1 + live_handles,
-            "the cell owned {most_retained} generations with {live_handles} live handles"
-        );
-
-        let mut histories = vec![writer_history];
-        for h in reader_handles {
-            histories.push(h.join().expect("reader panicked"));
-        }
-        histories
-    });
-
-    let mut merged = History::new();
-    for h in histories {
+    let mut merged = writer_history;
+    for (_, h, _) in histories {
         merged.merge(h);
     }
     let violations = check_history(&merged);
@@ -344,59 +306,41 @@ fn stress_readers_always_match_a_recompute_at_their_pinned_generation() {
     let stream = update_stream(&ds, "Sales", &UpdateMix::balanced(UPDATES).seed(11));
     assert_eq!(stream.len(), UPDATES);
 
-    let stop = AtomicBool::new(false);
-    let pins = std::thread::scope(|s| {
-        let reader_handles: Vec<_> = (0..READERS)
-            .map(|_| {
-                let handle = handle.clone();
-                let stop = &stop;
-                s.spawn(move || {
-                    let mut pins: BTreeMap<u64, Arc<ViewSnapshot>> = BTreeMap::new();
-                    let mut last_generation = 0;
-                    loop {
-                        let done = stop.load(Ordering::Relaxed);
-                        let snap = handle.load();
-                        // Generations are published in order: a reader can
-                        // never travel back in time.
-                        assert!(
-                            snap.generation() >= last_generation,
-                            "generation went backwards: {} after {}",
-                            snap.generation(),
-                            last_generation
-                        );
-                        last_generation = snap.generation();
-                        pins.entry(snap.generation()).or_insert(snap);
-                        if done {
-                            break;
-                        }
-                    }
-                    pins
-                })
-            })
-            .collect();
-
-        for delta in &stream {
-            writer.commit(delta, &dynamics).unwrap();
-        }
-        assert_eq!(writer.generation(), UPDATES as u64);
-        stop.store(true, Ordering::Relaxed);
-
-        let mut pins: BTreeMap<u64, Arc<ViewSnapshot>> = BTreeMap::new();
-        for h in reader_handles {
-            for (generation, snap) in h.join().expect("reader panicked") {
-                // The same generation pinned by two readers is the same
-                // published snapshot, not a lookalike.
-                if let Some(other) = pins.get(&generation) {
-                    assert!(
-                        Arc::ptr_eq(other, &snap),
-                        "two distinct snapshots claim generation {generation}"
-                    );
-                }
-                pins.insert(generation, snap);
+    let (reader_pins, ()) = readers_vs_writer(
+        &handle,
+        READERS,
+        |_| (BTreeMap::<u64, Arc<ViewSnapshot>>::new(), 0),
+        |(pins, last_generation), snap, _| {
+            // Generations are published in order: a reader can never travel
+            // back in time.
+            assert!(
+                snap.generation() >= *last_generation,
+                "generation went backwards: {} after {}",
+                snap.generation(),
+                last_generation
+            );
+            *last_generation = snap.generation();
+            pins.entry(snap.generation()).or_insert(snap);
+        },
+        || {
+            for delta in &stream {
+                writer.commit(delta, &dynamics).unwrap();
             }
+        },
+    );
+    assert_eq!(writer.generation(), UPDATES as u64);
+    let mut pins: BTreeMap<u64, Arc<ViewSnapshot>> = BTreeMap::new();
+    for (generation, snap) in reader_pins.into_iter().flat_map(|(pins, _)| pins) {
+        // The same generation pinned by two readers is the same published
+        // snapshot, not a lookalike.
+        if let Some(other) = pins.get(&generation) {
+            assert!(
+                Arc::ptr_eq(other, &snap),
+                "two distinct snapshots claim generation {generation}"
+            );
         }
-        pins
-    });
+        pins.insert(generation, snap);
+    }
 
     assert!(
         pins.len() > 2,
@@ -406,12 +350,7 @@ fn stress_readers_always_match_a_recompute_at_their_pinned_generation() {
     // Audit a bounded, evenly spread subset of the observed generations
     // (always the first and the last), recomputing each from the snapshot's
     // own pinned database state.
-    let generations: Vec<u64> = pins.keys().copied().collect();
-    let cap = 25.min(generations.len());
-    let audit: Vec<u64> = (0..cap)
-        .map(|i| generations[i * (generations.len() - 1) / (cap - 1).max(1)])
-        .collect();
-    for generation in audit {
+    for generation in spread(pins.keys().copied().collect(), 25) {
         let snap = &pins[&generation];
         let reference = RecomputeReference::for_snapshot(snap, batch.clone());
         let tuples = snap.database().total_tuples();
