@@ -299,12 +299,14 @@ fn tables45(datasets: &[Dataset]) {
     println!("(LMFAO classification tree: {})", tree_shape(&tree, t_ct));
 }
 
-/// A learned tree's batch shape: its nodes, the aggregate queries they
-/// issued, and the training's milliseconds per node.
+/// A learned tree's batch shape: its nodes, the nodes whose batch executed
+/// (the others are settled from their parent's statistics), the aggregate
+/// queries those issued, and the training's milliseconds per tree node.
 fn tree_shape(tree: &ml::DecisionTree, secs: f64) -> String {
     format!(
-        "{} nodes, {} aggregate queries issued, {:.2} ms per node",
+        "{} nodes, {} executed, {} aggregate queries issued, {:.2} ms per node",
         tree.size(),
+        tree.nodes_executed,
         tree.queries_issued,
         secs * 1e3 / tree.size() as f64
     )

@@ -37,25 +37,47 @@
 //!
 //! Only the root-to-node path conditions differ between nodes, and they
 //! only select rows. [`train_decision_tree`] therefore prepares **one** batch
-//! up front with no path condition in it and runs it at every node over that
-//! node's fragment of the database: a child's batch is its parent's
-//! restricted by the split's condition ([`PreparedBatch::restrict`]), which
-//! keeps the rows satisfying it and semi-join reduces the rest of the join
-//! tree (Yannakakis). A node at depth `d` thus scans about `1/2^d` of the
-//! fact rows, never the whole database, and the optimizer layers never run
-//! again.
+//! up front with no path condition in it and runs it over a node's fragment
+//! of the database whenever a node has to execute: a child's batch is its
+//! parent's restricted by the split's condition ([`PreparedBatch::restrict`]),
+//! which keeps the rows satisfying it and semi-join reduces the rest of the
+//! join tree (Yannakakis). A node at depth `d` thus scans about `1/2^d` of
+//! the fact rows, never the whole database, and the optimizer layers never
+//! run again. A batch is restricted only when its node or one of that node's
+//! children executes.
+//!
+//! ## Settled without a scan
+//!
+//! A split partitions its node's tuples, and every measure is a sum over
+//! them, so a child's statistics are mostly known before it runs:
+//!
+//! * a child that is bound to be a leaf (it sits at `max_depth`, or holds
+//!   fewer than `min_samples` tuples) takes its support and prediction from
+//!   the chosen candidate: the left side for the left child, the parent
+//!   minus the left side for the right one. It is never restricted or
+//!   executed;
+//! * of two children that may split, only the one with fewer tuples (the
+//!   left one on a tie) executes. The other one's measures and every
+//!   candidate's left side are the parent's minus its sibling's.
+//!
+//! So at most one node per split executes besides the root, and never a
+//! node at `max_depth`: depth-4 Retailer trees of 15–27 nodes (20 000 fact
+//! rows) execute 5 to 8 of them ([`DecisionTree::nodes_executed`]). The differences are exact for an
+//! integer label and for class counts; for a float label they may differ
+//! from a direct sum in the last bits.
 //!
 //! [`train_decision_tree_replanned`] keeps the naïve strategy (embed the
-//! path as static indicators and re-run the whole optimizer per node over
-//! the whole database) as the reference the prepared path is validated
-//! against. Both build their batches and read their results through the same
-//! code and produce bit-identical trees at one thread, or while no scanned
-//! relation spans more than one morsel (65 536 rows): a row the restriction
-//! removes would have contributed an exact zero to its group, and the
-//! remaining rows are scanned in the same order. Past one morsel at more
-//! threads, a restricted relation splits at other row boundaries than the
-//! whole one, so its float partial sums may differ in the last bits.
-//! [`DecisionTree::rows_scanned`] records what each read.
+//! path as static indicators and re-run the whole optimizer per executed
+//! node over the whole database) as the reference the prepared path is
+//! validated against. Both settle children alike, build their batches and
+//! read their results through the same code and produce bit-identical trees
+//! at one thread, or while no scanned relation spans more than one morsel
+//! (65 536 rows): a row the restriction removes would have contributed an
+//! exact zero to its group, and the remaining rows are scanned in the same
+//! order. Past one morsel at more threads, a restricted relation splits at
+//! other row boundaries than the whole one, so its float partial sums may
+//! differ in the last bits. [`DecisionTree::rows_scanned`] records what each
+//! read.
 
 use std::ops::Range;
 
@@ -210,12 +232,19 @@ pub struct DecisionTree {
     pub task: TreeTask,
     /// The label attribute.
     pub label: AttrId,
-    /// Total number of aggregate queries issued while learning: per node,
-    /// one for the node's measures, one per feature grouped by it, and one
-    /// per candidate of a feature that is a column of the largest relation.
+    /// Nodes whose batch executed while learning: the root, and of the
+    /// children of a split those its statistics did not settle (see the
+    /// module doc). At most one per split plus the root, and never a node at
+    /// `max_depth`.
+    pub nodes_executed: usize,
+    /// Total number of aggregate queries issued while learning:
+    /// [`nodes_executed`](Self::nodes_executed) times the batch length, which
+    /// is one query for the node's measures, one per feature grouped by it,
+    /// and one per candidate of a feature that is a column of the largest
+    /// relation.
     pub queries_issued: usize,
-    /// Rows scanned while learning: the sum over nodes of the tuples in the
-    /// database the node's batch executed over.
+    /// Rows scanned while learning: the sum over the executed nodes of the
+    /// tuples in the database the node's batch executed over.
     pub rows_scanned: usize,
 }
 
@@ -444,6 +473,24 @@ struct NodeStatistics {
     left: Vec<Vec<f64>>,
 }
 
+impl NodeStatistics {
+    /// `self − child`, element-wise over the measures and every candidate's
+    /// left side: the statistics of `child`'s sibling when `self` are its
+    /// parent's. Exact as far as the sums are, for every measure is a sum
+    /// over the node's tuples, which a split partitions.
+    fn minus(&self, child: &NodeStatistics) -> NodeStatistics {
+        NodeStatistics {
+            parent: minus(&self.parent, &child.parent),
+            left: self
+                .left
+                .iter()
+                .zip(&child.left)
+                .map(|(parent, child)| minus(parent, child))
+                .collect(),
+        }
+    }
+}
+
 /// Learns a decision tree over the engine's database. `features` are the
 /// attributes that may be split on; `label` is the response (continuous for
 /// regression, categorical for classification).
@@ -451,13 +498,15 @@ struct NodeStatistics {
 /// The candidate batch — the node's measures plus one `GROUP BY X` query per
 /// feature, or one indicator query per candidate for a column of the largest
 /// relation (see the module doc) — is planned **once** ([`Engine::prepare`]),
-/// with no path condition in it. Each node executes that plan over its own
-/// rows: a child restricts its parent's batch by the split's condition
+/// with no path condition in it. A node that executes runs that plan over its
+/// own rows: a child restricts its parent's batch by the split's condition
 /// ([`PreparedBatch::restrict`]), so a node scans only the rows that reach
-/// it and the optimizer layers never run again during learning. The result
-/// is bit-identical to [`train_decision_tree_replanned`] at one thread, or
-/// while no scanned relation spans more than one morsel (65 536 rows); see
-/// the module doc.
+/// it and the optimizer layers never run again during learning. Children are
+/// settled from their parent's statistics where they can be: a child bound
+/// to be a leaf never executes, and of two children that may split only the
+/// smaller one does. The result is bit-identical to
+/// [`train_decision_tree_replanned`] at one thread, or while no scanned
+/// relation spans more than one morsel (65 536 rows); see the module doc.
 pub fn train_decision_tree(
     engine: &Engine,
     features: &[AttrId],
@@ -468,34 +517,39 @@ pub fn train_decision_tree(
     let batch = plan.batch(&ProductTerm::one());
     let prepared = engine.prepare(&batch)?;
     let dynamics = DynamicRegistry::new();
-    let (mut queries_issued, mut rows_scanned) = (0, 0);
+    let (mut nodes_executed, mut rows_scanned) = (0, 0);
+    let mut evaluate = |node: &PreparedBatch| {
+        nodes_executed += 1;
+        rows_scanned += node.database().total_tuples();
+        Ok(plan.statistics(&node.execute(&dynamics)?))
+    };
+    let mut child = |parent: &PreparedBatch, condition: &SplitCondition| {
+        parent.restrict(&[condition.to_indicator()])
+    };
+    let stats = evaluate(&prepared)?;
     let root = grow(
-        prepared,
+        Node::Ready(prepared),
+        stats,
         0,
-        &plan.splits,
+        &plan,
         config,
-        &mut |node: &PreparedBatch| {
-            queries_issued += batch.len();
-            rows_scanned += node.database().total_tuples();
-            let result = node.execute(&dynamics)?;
-            Ok(evaluate_node(&plan, &plan.statistics(&result)))
-        },
-        &mut |parent: &PreparedBatch, condition: &SplitCondition| {
-            parent.restrict(&[condition.to_indicator()])
-        },
+        &mut evaluate,
+        &mut child,
     )?;
     Ok(DecisionTree {
         root,
         task: config.task,
         label,
-        queries_issued,
+        nodes_executed,
+        queries_issued: nodes_executed * batch.len(),
         rows_scanned,
     })
 }
 
-/// Learns a decision tree by re-running the whole optimizer for every node:
-/// the path conditions are embedded as static indicator factors and a fresh
-/// batch is planned and executed per node over the whole database. This is
+/// Learns a decision tree by re-running the whole optimizer for every node
+/// that executes: the path conditions are embedded as static indicator
+/// factors and a fresh batch is planned and executed per node over the whole
+/// database. Children are settled as in [`train_decision_tree`]. This is
 /// the plan-per-node strategy, kept as the reference implementation the
 /// prepared path is validated against (the two produce bit-identical trees
 /// under the condition of [`train_decision_tree`]) and as the baseline of
@@ -507,27 +561,33 @@ pub fn train_decision_tree_replanned(
     config: &TreeConfig,
 ) -> Result<DecisionTree, EngineError> {
     let plan = CandidatePlan::new(engine, features, label, config);
-    let (mut queries_issued, mut rows_scanned) = (0, 0);
+    let (mut nodes_executed, mut queries_issued, mut rows_scanned) = (0, 0, 0);
+    let mut evaluate = |path: &ProductTerm| {
+        let batch = plan.batch(path);
+        nodes_executed += 1;
+        queries_issued += batch.len();
+        rows_scanned += engine.database().total_tuples();
+        Ok(plan.statistics(&engine.execute(&batch)?))
+    };
+    let mut child = |path: &ProductTerm, condition: &SplitCondition| {
+        Ok(path.clone().times(condition.to_indicator()))
+    };
+    let root = ProductTerm::one();
+    let stats = evaluate(&root)?;
     let root = grow(
-        ProductTerm::one(),
+        Node::Ready(root),
+        stats,
         0,
-        &plan.splits,
+        &plan,
         config,
-        &mut |path: &ProductTerm| {
-            let batch = plan.batch(path);
-            queries_issued += batch.len();
-            rows_scanned += engine.database().total_tuples();
-            let result = engine.execute(&batch)?;
-            Ok(evaluate_node(&plan, &plan.statistics(&result)))
-        },
-        &mut |path: &ProductTerm, condition: &SplitCondition| {
-            Ok(path.clone().times(condition.to_indicator()))
-        },
+        &mut evaluate,
+        &mut child,
     )?;
     Ok(DecisionTree {
         root,
         task: config.task,
         label,
+        nodes_executed,
         queries_issued,
         rows_scanned,
     })
@@ -576,120 +636,212 @@ fn categories(engine: &Engine, attr: AttrId) -> Vec<Value> {
     vec![]
 }
 
-/// Node statistics extracted from one executed batch: the parent's cost,
-/// support and prediction plus the best candidate (cost, index into the
-/// candidate list), shared by the prepared and the re-planned paths.
-struct NodeEval {
-    parent_cost: f64,
-    parent_count: f64,
-    parent_prediction: f64,
-    best: Option<(f64, usize)>,
+/// What a node's measures say about it: its cost (the variance mass or the
+/// Gini mass), its support, and its prediction (the mean label or the
+/// majority class).
+struct Summary {
+    cost: f64,
+    count: f64,
+    prediction: f64,
 }
 
-fn evaluate_node(plan: &CandidatePlan, stats: &NodeStatistics) -> NodeEval {
-    let parent = &stats.parent;
-    let is_classification = plan.task == TreeTask::Classification;
-    let (parent_cost, parent_count, parent_prediction) = if is_classification {
-        // Classes are in value order. `max_by` keeps the last of equal
-        // maxima; reversed, that is the smallest class.
-        let majority = plan
-            .classes
-            .iter()
-            .zip(parent)
-            .rev()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(class, _)| class.as_f64())
-            .unwrap_or(0.0);
-        (gini_mass(parent), parent.iter().sum(), majority)
-    } else {
-        let stats = NodeStats::of(parent);
+impl Summary {
+    /// The leaf such a node becomes.
+    fn leaf(&self) -> TreeNode {
+        TreeNode::Leaf {
+            prediction: self.prediction,
+            support: self.count,
+        }
+    }
+}
+
+impl CandidatePlan {
+    fn summary(&self, measures: &[f64]) -> Summary {
+        if self.task == TreeTask::Classification {
+            // Classes are in value order. `max_by` keeps the last of equal
+            // maxima; reversed, that is the smallest class.
+            let majority = self
+                .classes
+                .iter()
+                .zip(measures)
+                .rev()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(class, _)| class.as_f64())
+                .unwrap_or(0.0);
+            return Summary {
+                cost: gini_mass(measures),
+                count: measures.iter().sum(),
+                prediction: majority,
+            };
+        }
+        let stats = NodeStats::of(measures);
         let mean = if stats.count > 0.0 {
             stats.sum / stats.count
         } else {
             0.0
         };
-        (stats.variance(), stats.count, mean)
-    };
-
-    // Pick the candidate with the smallest total cost (left + right), where
-    // the right side is obtained by subtracting the left from the parent.
-    let mut best: Option<(f64, usize)> = None;
-    for (idx, left) in stats.left.iter().enumerate() {
-        let cost = if is_classification {
-            let right: Vec<f64> = parent
-                .iter()
-                .zip(left)
-                .map(|(p, l)| (p - l).max(0.0))
-                .collect();
-            let left_total: f64 = left.iter().sum();
-            let right_total: f64 = right.iter().sum();
-            if left_total < 1.0 || right_total < 1.0 {
-                continue;
-            }
-            gini_mass(left) + gini_mass(&right)
-        } else {
-            let (parent, left) = (NodeStats::of(parent), NodeStats::of(left));
-            let right = NodeStats {
-                count: parent.count - left.count,
-                sum: parent.sum - left.sum,
-                sum_sq: parent.sum_sq - left.sum_sq,
-            };
-            if left.count < 1.0 || right.count < 1.0 {
-                continue;
-            }
-            left.variance() + right.variance()
-        };
-        if best.is_none_or(|(c, _)| cost < c) {
-            best = Some((cost, idx));
+        Summary {
+            cost: stats.variance(),
+            count: stats.count,
+            prediction: mean,
         }
     }
 
-    NodeEval {
-        parent_cost,
-        parent_count,
-        parent_prediction,
-        best,
+    /// The candidate with the smallest total cost (left + right, where the
+    /// right side is the parent minus the left) among those leaving a tuple
+    /// on each side, as `(cost, index into the candidate list)`.
+    fn best_split(&self, stats: &NodeStatistics) -> Option<(f64, usize)> {
+        let parent = &stats.parent;
+        let mut best: Option<(f64, usize)> = None;
+        for (idx, left) in stats.left.iter().enumerate() {
+            let cost = if self.task == TreeTask::Classification {
+                let right: Vec<f64> = parent
+                    .iter()
+                    .zip(left)
+                    .map(|(p, l)| (p - l).max(0.0))
+                    .collect();
+                let left_total: f64 = left.iter().sum();
+                let right_total: f64 = right.iter().sum();
+                if left_total < 1.0 || right_total < 1.0 {
+                    continue;
+                }
+                gini_mass(left) + gini_mass(&right)
+            } else {
+                let (parent, left) = (NodeStats::of(parent), NodeStats::of(left));
+                let right = NodeStats {
+                    count: parent.count - left.count,
+                    sum: parent.sum - left.sum,
+                    sum_sq: parent.sum_sq - left.sum_sq,
+                };
+                if left.count < 1.0 || right.count < 1.0 {
+                    continue;
+                }
+                left.variance() + right.variance()
+            };
+            if best.is_none_or(|(c, _)| cost < c) {
+                best = Some((cost, idx));
+            }
+        }
+        best
     }
 }
 
-/// Grows one node at `depth` (and recursively its subtrees). A node is
-/// whatever state `S` a trainer keeps per node: `evaluate` computes its
-/// statistics, `child` derives the state of the child a split condition
-/// selects. The prepared and the re-planned trainers differ only in these.
-/// A child is derived only once its left sibling's subtree is grown, so only
-/// the states along the current path are alive.
+impl TreeConfig {
+    /// Whether a node at `depth` holding `count` tuples is a leaf whatever
+    /// its candidates say.
+    fn is_leaf(&self, depth: usize, count: f64) -> bool {
+        depth >= self.max_depth || count < self.min_samples as f64
+    }
+}
+
+/// A node's state as [`grow`] receives it: ready, or still to be derived
+/// from its parent's by the condition that selects the node. It is derived
+/// only when the node or one of its children executes.
+enum Node<'a, S> {
+    Ready(S),
+    Derive(&'a S, SplitCondition),
+}
+
+impl<S> Node<'_, S> {
+    fn into_state(
+        self,
+        child: &mut impl FnMut(&S, &SplitCondition) -> Result<S, EngineError>,
+    ) -> Result<S, EngineError> {
+        match self {
+            Node::Ready(state) => Ok(state),
+            Node::Derive(parent, condition) => child(parent, &condition),
+        }
+    }
+}
+
+/// Grows the node `node` at `depth`, whose statistics are `stats`, and
+/// recursively its subtrees. A node is whatever state `S` a trainer keeps per
+/// node: `evaluate` executes a node's batch and reads its statistics, `child`
+/// derives the state of the child a split condition selects. The prepared
+/// and the re-planned trainers differ only in these.
+///
+/// A split settles its children from `stats` (see the module doc): a child
+/// that is bound to be a leaf takes its measures from the chosen candidate,
+/// and of two children that may split only the one with fewer tuples (the
+/// left one on a tie) executes, the other one's statistics being the
+/// parent's minus its sibling's. Only the statistics and states along the
+/// current path are alive.
 fn grow<S>(
-    node: S,
+    node: Node<'_, S>,
+    stats: NodeStatistics,
     depth: usize,
-    splits: &[SplitCondition],
+    plan: &CandidatePlan,
     config: &TreeConfig,
-    evaluate: &mut impl FnMut(&S) -> Result<NodeEval, EngineError>,
+    evaluate: &mut impl FnMut(&S) -> Result<NodeStatistics, EngineError>,
     child: &mut impl FnMut(&S, &SplitCondition) -> Result<S, EngineError>,
 ) -> Result<TreeNode, EngineError> {
-    let eval = evaluate(&node)?;
-    let leaf = TreeNode::Leaf {
-        prediction: eval.parent_prediction,
-        support: eval.parent_count,
+    let summary = plan.summary(&stats.parent);
+    if config.is_leaf(depth, summary.count) {
+        return Ok(summary.leaf());
+    }
+    let idx = match plan.best_split(&stats) {
+        Some((cost, idx)) if cost < summary.cost - 1e-9 => idx,
+        _ => return Ok(summary.leaf()),
     };
-    if depth >= config.max_depth || eval.parent_count < config.min_samples as f64 {
-        return Ok(leaf);
+    let condition = plan.splits[idx].clone();
+    let left = plan.summary(&stats.left[idx]);
+    let right = plan.summary(&minus(&stats.parent, &stats.left[idx]));
+    let (left_leaf, right_leaf) = (
+        config.is_leaf(depth + 1, left.count),
+        config.is_leaf(depth + 1, right.count),
+    );
+    if left_leaf && right_leaf {
+        return Ok(TreeNode::Split {
+            condition,
+            left: Box::new(left.leaf()),
+            right: Box::new(right.leaf()),
+        });
     }
-    match eval.best {
-        Some((cost, idx)) if cost < eval.parent_cost - 1e-9 => {
-            let condition = splits[idx].clone();
-            let left = child(&node, &condition)?;
-            let left = grow(left, depth + 1, splits, config, evaluate, child)?;
-            let right = child(&node, &condition.negate())?;
-            drop(node);
-            let right = grow(right, depth + 1, splits, config, evaluate, child)?;
-            Ok(TreeNode::Split {
-                condition,
-                left: Box::new(left),
-                right: Box::new(right),
-            })
-        }
-        _ => Ok(leaf),
-    }
+    let state = node.into_state(child)?;
+    // The child that executes: the only one that may split, or else the one
+    // with fewer tuples.
+    let run_left = right_leaf || (!left_leaf && left.count <= right.count);
+    let (run, other, other_leaf, other_summary) = if run_left {
+        (condition.clone(), condition.negate(), right_leaf, right)
+    } else {
+        (condition.negate(), condition.clone(), left_leaf, left)
+    };
+    let run_state = child(&state, &run)?;
+    let run_stats = evaluate(&run_state)?;
+    let other_stats = (!other_leaf).then(|| stats.minus(&run_stats));
+    drop(stats);
+    let run = grow(
+        Node::Ready(run_state),
+        run_stats,
+        depth + 1,
+        plan,
+        config,
+        evaluate,
+        child,
+    )?;
+    let other = match other_stats {
+        Some(other_stats) => grow(
+            Node::Derive(&state, other),
+            other_stats,
+            depth + 1,
+            plan,
+            config,
+            evaluate,
+            child,
+        )?,
+        None => other_summary.leaf(),
+    };
+    let (left, right) = if run_left { (run, other) } else { (other, run) };
+    Ok(TreeNode::Split {
+        condition,
+        left: Box::new(left),
+        right: Box::new(right),
+    })
+}
+
+/// `a − b`, element-wise.
+fn minus(a: &[f64], b: &[f64]) -> Vec<f64> {
+    a.iter().zip(b).map(|(a, b)| a - b).collect()
 }
 
 #[cfg(test)]
@@ -768,29 +920,25 @@ mod tests {
         }
     }
 
-    /// Evaluates a classification node holding `counts[i]` rows of the
+    /// Summarizes a classification node holding `counts[i]` rows of the
     /// `i`-th of `classes` (which ascend).
-    fn class_node(classes: &[u32], counts: &[f64]) -> NodeEval {
-        let stats = NodeStatistics {
-            parent: counts.to_vec(),
-            left: Vec::new(),
-        };
-        evaluate_node(&class_plan(classes), &stats)
+    fn class_node(classes: &[u32], counts: &[f64]) -> Summary {
+        class_plan(classes).summary(counts)
     }
 
     #[test]
     fn a_tied_majority_goes_to_the_smallest_class() {
         for a in 0..8 {
             for b in a + 1..8 {
-                let eval = class_node(&[a, b], &[3.0, 3.0]);
-                assert_eq!(eval.parent_prediction, a as f64, "classes {a} and {b}");
-                let eval = class_node(&[a, b], &[3.0, 4.0]);
-                assert_eq!(eval.parent_prediction, b as f64, "classes {a} and {b}");
+                let node = class_node(&[a, b], &[3.0, 3.0]);
+                assert_eq!(node.prediction, a as f64, "classes {a} and {b}");
+                let node = class_node(&[a, b], &[3.0, 4.0]);
+                assert_eq!(node.prediction, b as f64, "classes {a} and {b}");
             }
         }
-        let eval = class_node(&[2, 5, 7], &[1.0, 2.0, 2.0]);
-        assert_eq!(eval.parent_prediction, 5.0);
-        assert_eq!(eval.parent_count, 5.0);
+        let node = class_node(&[2, 5, 7], &[1.0, 2.0, 2.0]);
+        assert_eq!(node.prediction, 5.0);
+        assert_eq!(node.count, 5.0);
     }
 
     #[test]
@@ -869,10 +1017,20 @@ mod tests {
         assert_eq!(plan.batch(&ProductTerm::one()).len(), 2);
 
         let alone = train_decision_tree(&engine, &[constant], y, &config).unwrap();
-        assert_eq!((alone.size(), alone.queries_issued), (1, 1));
+        let shape = |tree: &DecisionTree| (tree.size(), tree.nodes_executed, tree.queries_issued);
+        assert_eq!(shape(&alone), (1, 1, 1));
         let tree = train_decision_tree(&engine, &[constant, x], y, &config).unwrap();
         assert!(tree.size() > 1, "x separates the labels");
-        assert_eq!(tree.queries_issued, tree.size() * 2);
+        assert_eq!(tree.queries_issued, tree.nodes_executed * 2);
+        assert!(tree.nodes_executed <= 1 + (tree.size() - 1) / 2);
+        // The root's children sit at `max_depth`: their statistics are the
+        // root's, so only the root executes.
+        let stump = TreeConfig {
+            max_depth: 1,
+            ..config
+        };
+        let stump = train_decision_tree(&engine, &[constant, x], y, &stump).unwrap();
+        assert_eq!(shape(&stump), (3, 1, 2));
     }
 
     /// The batch the learner asked before it grouped by feature, kept as the
@@ -1034,5 +1192,309 @@ mod tests {
         ];
         assert_grouped_matches_oracle(&engine, &plan, &[]);
         assert_grouped_matches_oracle(&engine, &plan, &path);
+    }
+
+    /// A tree learned the way [`train_decision_tree`] learns it, with the
+    /// path of every node that executed and of every node whose batch was
+    /// restricted, in the order the learner asked for them.
+    struct Recorded {
+        root: TreeNode,
+        executed: Vec<Vec<SplitCondition>>,
+        restricted: Vec<Vec<SplitCondition>>,
+    }
+
+    fn learn_recording(engine: &Engine, plan: &CandidatePlan, config: &TreeConfig) -> Recorded {
+        let prepared = engine.prepare(&plan.batch(&ProductTerm::one())).unwrap();
+        let (mut executed, mut restricted) = (Vec::new(), Vec::new());
+        let mut evaluate = |(node, path): &(PreparedBatch, Vec<SplitCondition>)| {
+            executed.push(path.clone());
+            Ok(plan.statistics(&node.execute(&DynamicRegistry::new())?))
+        };
+        let mut child = |(node, path): &(PreparedBatch, Vec<SplitCondition>),
+                         condition: &SplitCondition| {
+            let path = [path.as_slice(), std::slice::from_ref(condition)].concat();
+            restricted.push(path.clone());
+            Ok((node.restrict(&[condition.to_indicator()])?, path))
+        };
+        let root = (prepared, Vec::new());
+        let stats = evaluate(&root).unwrap();
+        let root = grow(
+            Node::Ready(root),
+            stats,
+            0,
+            plan,
+            config,
+            &mut evaluate,
+            &mut child,
+        )
+        .unwrap();
+        Recorded {
+            root,
+            executed,
+            restricted,
+        }
+    }
+
+    /// What walking a learned tree with the learner's rule found: the paths
+    /// the rule executes, the sure leaves, and how many larger siblings were
+    /// compared.
+    #[derive(Default)]
+    struct Walk {
+        executed: Vec<Vec<SplitCondition>>,
+        leaves: Vec<Vec<SplitCondition>>,
+        siblings: usize,
+    }
+
+    /// Walks the split `node` at `depth`, reached by `path`, whose statistics
+    /// the learner held as `stats`, and compares every child the learner
+    /// settled with a direct execution of the child's path: a sure leaf's
+    /// measures, and a larger sibling's measures and candidates' left sides.
+    #[allow(clippy::too_many_arguments)]
+    fn walk_settled(
+        plan: &CandidatePlan,
+        config: &TreeConfig,
+        direct: &impl Fn(&[SplitCondition]) -> NodeStatistics,
+        same: &impl Fn(&[f64], &[f64]) -> bool,
+        node: &TreeNode,
+        path: &[SplitCondition],
+        stats: &NodeStatistics,
+        depth: usize,
+        walk: &mut Walk,
+    ) {
+        let TreeNode::Split {
+            condition,
+            left,
+            right,
+        } = node
+        else {
+            return;
+        };
+        let idx = plan.splits.iter().position(|s| s == condition).unwrap();
+        let measures = [
+            stats.left[idx].clone(),
+            minus(&stats.parent, &stats.left[idx]),
+        ];
+        let children = [left.as_ref(), right.as_ref()];
+        let paths = [condition.clone(), condition.negate()].map(|c| [path, &[c]].concat());
+        let count = |side: usize| plan.summary(&measures[side]).count;
+        let leaf = [0, 1].map(|side| config.is_leaf(depth + 1, count(side)));
+        for side in [0, 1].into_iter().filter(|&side| leaf[side]) {
+            assert!(matches!(children[side], TreeNode::Leaf { .. }));
+            let direct = direct(&paths[side]).parent;
+            assert!(
+                same(&measures[side], &direct),
+                "leaf {:?}: {:?} derived, {direct:?} executed",
+                paths[side],
+                measures[side]
+            );
+            walk.leaves.push(paths[side].clone());
+        }
+        if leaf == [true, true] {
+            return;
+        }
+        let run = if leaf[1] || (!leaf[0] && count(0) <= count(1)) {
+            0
+        } else {
+            1
+        };
+        let run_stats = direct(&paths[run]);
+        walk.executed.push(paths[run].clone());
+        let (other, derived) = (1 - run, stats.minus(&run_stats));
+        walk_settled(
+            plan,
+            config,
+            direct,
+            same,
+            children[run],
+            &paths[run],
+            &run_stats,
+            depth + 1,
+            walk,
+        );
+        if leaf[other] {
+            return;
+        }
+        let executed = direct(&paths[other]);
+        assert!(
+            same(&derived.parent, &executed.parent),
+            "{:?}",
+            paths[other]
+        );
+        for ((derived, executed), split) in
+            derived.left.iter().zip(&executed.left).zip(&plan.splits)
+        {
+            assert!(
+                same(derived, executed),
+                "{split:?} under {:?}: {derived:?} derived, {executed:?} executed",
+                paths[other]
+            );
+        }
+        walk.siblings += 1;
+        walk_settled(
+            plan,
+            config,
+            direct,
+            same,
+            children[other],
+            &paths[other],
+            &derived,
+            depth + 1,
+            walk,
+        );
+    }
+
+    /// Learns a tree and checks every node the learner settled without
+    /// executing it against a direct execution of its path (`same` compares
+    /// two measure vectors), and that exactly the nodes the rule executes
+    /// executed, while no sure leaf was restricted.
+    fn assert_settled_nodes_match_execution(
+        engine: &Engine,
+        features: &[AttrId],
+        label: AttrId,
+        config: &TreeConfig,
+        same: impl Fn(&[f64], &[f64]) -> bool,
+    ) {
+        let plan = CandidatePlan::new(engine, features, label, config);
+        let recorded = learn_recording(engine, &plan, config);
+        let tree = train_decision_tree(engine, features, label, config).unwrap();
+        assert_eq!(format!("{:?}", recorded.root), format!("{:?}", tree.root));
+
+        let prepared = engine.prepare(&plan.batch(&ProductTerm::one())).unwrap();
+        let direct = |path: &[SplitCondition]| {
+            let conditions: Vec<ScalarFunction> =
+                path.iter().map(SplitCondition::to_indicator).collect();
+            let node = match path {
+                [] => prepared.clone(),
+                _ => prepared.restrict(&conditions).unwrap(),
+            };
+            plan.statistics(&node.execute(&DynamicRegistry::new()).unwrap())
+        };
+        let mut walk = Walk {
+            executed: vec![Vec::new()],
+            ..Walk::default()
+        };
+        let root = direct(&[]);
+        walk_settled(
+            &plan,
+            config,
+            &direct,
+            &same,
+            &tree.root,
+            &[],
+            &root,
+            0,
+            &mut walk,
+        );
+        assert!(
+            !walk.leaves.is_empty() && walk.siblings > 0,
+            "{} sure leaves and {} larger siblings settled: nothing to compare",
+            walk.leaves.len(),
+            walk.siblings
+        );
+
+        assert_eq!(recorded.executed, walk.executed);
+        assert_eq!(tree.nodes_executed, walk.executed.len());
+        assert!(tree.nodes_executed <= 1 + (tree.size() - 1) / 2);
+        assert!(walk
+            .executed
+            .iter()
+            .all(|path| path.len() < config.max_depth));
+        for leaf in &walk.leaves {
+            assert!(!recorded.restricted.contains(leaf), "{leaf:?} restricted");
+        }
+        // A node is restricted only when it or one of its children executes.
+        for path in &recorded.restricted {
+            assert!(
+                recorded
+                    .executed
+                    .iter()
+                    .any(|run| run.starts_with(path) && run.len() <= path.len() + 1),
+                "{path:?} restricted for nothing"
+            );
+        }
+    }
+
+    #[test]
+    fn settled_statistics_equal_a_direct_execution() {
+        use lmfao_datagen::{retailer, tpcds, Scale};
+        let bits = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        // Retailer's label `inventoryunits` is integer-valued: every sum, and
+        // so every difference of sums, is exact.
+        let ds = retailer::generate(Scale::new(3_000, 5));
+        let features: Vec<AttrId> = ["population", "medianage", "avghhi", "maxtemp", "prices"]
+            .iter()
+            .map(|n| ds.attr(n))
+            .collect();
+        let engine = Engine::new(
+            ds.db.clone(),
+            ds.tree.clone(),
+            lmfao_core::EngineConfig::default(),
+        );
+        let config = TreeConfig {
+            max_depth: 4,
+            min_samples: 200,
+            buckets: 8,
+            ..TreeConfig::regression()
+        };
+        assert_settled_nodes_match_execution(
+            &engine,
+            &features,
+            ds.attr("inventoryunits"),
+            &config,
+            bits,
+        );
+
+        // TPC-DS: class counts are exact too; `netpaid` is a float label, so
+        // a difference of sums agrees with a direct sum within the
+        // maintenance referee's tolerance.
+        let ds = tpcds::generate(Scale::new(3_000, 9));
+        let features: Vec<AttrId> = [
+            "birth_year",
+            "purchase_estimate",
+            "gender",
+            "marital",
+            "dep_count",
+            "quantity",
+        ]
+        .iter()
+        .map(|n| ds.attr(n))
+        .collect();
+        let engine = Engine::new(
+            ds.db.clone(),
+            ds.tree.clone(),
+            lmfao_core::EngineConfig::default(),
+        );
+        let config = TreeConfig {
+            max_depth: 4,
+            min_samples: 100,
+            buckets: 6,
+            ..TreeConfig::classification()
+        };
+        assert_settled_nodes_match_execution(
+            &engine,
+            &features,
+            ds.attr("preferred"),
+            &config,
+            bits,
+        );
+        let close = |a: &[f64], b: &[f64]| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(a, b)| (a - b).abs() <= 1e-9 * b.abs().max(1.0))
+        };
+        let config = TreeConfig {
+            task: TreeTask::Regression,
+            ..config
+        };
+        assert_settled_nodes_match_execution(
+            &engine,
+            &features,
+            ds.attr("netpaid"),
+            &config,
+            close,
+        );
     }
 }

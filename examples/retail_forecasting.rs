@@ -92,8 +92,9 @@ fn main() {
     };
     let tree = train_decision_tree(&engine, &features, label, &tree_config).unwrap();
     println!(
-        "\n[LMFAO] regression tree: {} nodes, {} aggregate queries issued, {:.3}s",
+        "\n[LMFAO] regression tree: {} nodes, {} executed, {} aggregate queries issued, {:.3}s",
         tree.size(),
+        tree.nodes_executed,
         tree.queries_issued,
         start.elapsed().as_secs_f64()
     );

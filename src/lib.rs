@@ -31,8 +31,8 @@
 //! resulting [`engine::PreparedBatch`] is executed any number of times —
 //! with changing dynamic functions between executions, or over a row
 //! selection of the database ([`engine::PreparedBatch::restrict`]), which is
-//! how the decision-tree learner evaluates every node of a tree from one
-//! plan.
+//! how the decision-tree learner evaluates every node it executes from one
+//! plan (the others it settles from their parent's statistics).
 //! [`engine::Engine::execute`] remains as a one-shot `prepare + execute`
 //! convenience.
 //!

@@ -403,8 +403,16 @@ fn assert_learners_agree(
 ) -> (ml::DecisionTree, ml::DecisionTree) {
     let prepared = train_decision_tree(engine, features, label, config).unwrap();
     let replanned = ml::train_decision_tree_replanned(engine, features, label, config).unwrap();
+    assert_eq!(prepared.nodes_executed, replanned.nodes_executed);
     assert_eq!(prepared.queries_issued, replanned.queries_issued);
     assert_trees_bit_identical(&prepared.root, &replanned.root);
+    // The root executes, and a split at most one of its children.
+    let splits = (prepared.size() - 1) / 2;
+    assert!(
+        prepared.nodes_executed <= 1 + splits,
+        "{} nodes executed for {splits} splits",
+        prepared.nodes_executed
+    );
     (prepared, replanned)
 }
 
@@ -433,7 +441,7 @@ fn prepared_tree_is_bit_identical_to_replanning_on_retailer_and_favorita() {
         // Every feature lives in a dimension: one grouped query each.
         assert_eq!(
             prepared.queries_issued,
-            prepared.size() * (1 + features.len())
+            prepared.nodes_executed * (1 + features.len())
         );
     }
 
@@ -489,7 +497,7 @@ fn a_classification_tree_mixing_grouped_and_per_candidate_features_matches_repla
         // threshold of the two fact columns.
         assert_eq!(
             prepared.queries_issued,
-            prepared.size() * (1 + 6 + 2 * config.buckets)
+            prepared.nodes_executed * (1 + 6 + 2 * config.buckets)
         );
     }
 }
@@ -519,12 +527,19 @@ fn an_integer_feature_splits() {
     assert!(matches!(condition.value, Value::Int(_)), "{condition:?}");
 }
 
-/// Every node of a learned tree with its depth and root-to-node conditions.
+/// Every node of a learned tree with its depth and root-to-node conditions,
+/// and whether the learner executes it: the root does, and of a split's
+/// children the one that is not bound to be a leaf (at `max_depth` or under
+/// `min_samples` tuples) or, if neither is, the one with fewer tuples (the
+/// left one on a tie). `support` counts the tuples on a path.
 fn node_paths(
     node: &ml::TreeNode,
     path: Vec<ScalarFunction>,
     depth: usize,
-    out: &mut Vec<(usize, Vec<ScalarFunction>)>,
+    executed: bool,
+    config: &TreeConfig,
+    support: &impl Fn(&[ScalarFunction]) -> f64,
+    out: &mut Vec<(usize, Vec<ScalarFunction>, bool)>,
 ) {
     if let ml::TreeNode::Split {
         condition,
@@ -532,17 +547,24 @@ fn node_paths(
         right,
     } = node
     {
-        for (branch, cond) in [(left, condition.clone()), (right, condition.negate())] {
+        let paths = [condition.clone(), condition.negate()].map(|cond| {
             let mut path = path.clone();
             path.push(ScalarFunction::Indicator {
                 attr: cond.attr,
                 op: cond.op,
                 threshold: cond.value,
             });
-            node_paths(branch, path, depth + 1, out);
+            path
+        });
+        let counts = paths.each_ref().map(|path| support(path));
+        let leaf = counts.map(|n| depth + 1 >= config.max_depth || n < config.min_samples as f64);
+        let run_left = !leaf[0] && (leaf[1] || counts[0] <= counts[1]);
+        let runs = [run_left, !leaf[1] && !run_left];
+        for ((branch, path), runs) in [left, right].into_iter().zip(paths).zip(runs) {
+            node_paths(branch, path, depth + 1, runs, config, support, out);
         }
     }
-    out.push((depth, path));
+    out.push((depth, path, executed));
 }
 
 #[test]
@@ -561,7 +583,7 @@ fn tree_nodes_scan_only_their_own_rows() {
     let (prepared, replanned) =
         assert_learners_agree(&engine, &features, label, &SMALL_REGRESSION_TREE);
     let total = engine.database().total_tuples();
-    assert_eq!(replanned.rows_scanned, prepared.size() * total);
+    assert_eq!(replanned.rows_scanned, prepared.nodes_executed * total);
     assert!(
         prepared.rows_scanned < replanned.rows_scanned,
         "{} rows scanned, {} replanned",
@@ -569,24 +591,42 @@ fn tree_nodes_scan_only_their_own_rows() {
         replanned.rows_scanned
     );
 
-    // The counter is the sum of the nodes' databases: the root scans the
-    // whole database, every other node its path's restriction.
+    // The counter is the sum of the executed nodes' databases: the root
+    // scans the whole database, every other executed node its path's
+    // restriction.
     let mut count = QueryBatch::new();
     count.push("count", vec![], vec![Aggregate::count()]);
     let batch = engine.prepare(&count).unwrap();
-    let mut nodes = Vec::new();
-    node_paths(&prepared.root, Vec::new(), 0, &mut nodes);
-    let mut scanned = 0;
-    let mut fact_rows_per_level = [0; SMALL_REGRESSION_TREE.max_depth + 1];
-    for (depth, path) in &nodes {
-        let node = if path.is_empty() {
+    let restrict = |path: &[ScalarFunction]| {
+        if path.is_empty() {
             batch.clone()
         } else {
             batch.restrict(path).unwrap()
-        };
-        scanned += node.database().total_tuples();
+        }
+    };
+    let support = |path: &[ScalarFunction]| {
+        let result = restrict(path).execute(&DynamicRegistry::new()).unwrap();
+        result.queries[0].scalar()[0]
+    };
+    let mut nodes = Vec::new();
+    let (root, config) = (&prepared.root, &SMALL_REGRESSION_TREE);
+    node_paths(root, Vec::new(), 0, true, config, &support, &mut nodes);
+    let (mut scanned, mut executed) = (0, 0);
+    let mut fact_rows_per_level = [0; SMALL_REGRESSION_TREE.max_depth + 1];
+    for (depth, path, runs) in &nodes {
+        let node = restrict(path);
+        if *runs {
+            assert!(
+                *depth < SMALL_REGRESSION_TREE.max_depth,
+                "{path:?} executed"
+            );
+            scanned += node.database().total_tuples();
+            executed += 1;
+        }
         fact_rows_per_level[*depth] += node.database().relation("Inventory").unwrap().len();
     }
+    assert_eq!(executed, prepared.nodes_executed);
+    assert!(executed < nodes.len(), "some node is settled");
     assert_eq!(scanned, prepared.rows_scanned);
     // The nodes of one level split the fact rows between them.
     let fact = engine.database().relation("Inventory").unwrap().len();
