@@ -95,16 +95,18 @@ impl EngineConfig {
     }
 
     /// Thread count from the `LMFAO_THREADS` environment variable, falling
-    /// back to `fallback` when unset or unparsable. CI's thread-matrix job
-    /// runs the whole test suite under `LMFAO_THREADS={1,4}`; tests that
-    /// exercise the parallel executor resolve their thread count through
-    /// this so the matrix actually varies the scheduler.
+    /// back to `fallback` when unset; `0` means one thread. CI's
+    /// thread-matrix job runs the whole test suite under
+    /// `LMFAO_THREADS={1,4}`; tests that exercise the parallel executor
+    /// resolve their thread count through this so the matrix actually varies
+    /// the scheduler.
+    ///
+    /// # Panics
+    ///
+    /// If `LMFAO_THREADS` is set but not a thread count, naming its value, so
+    /// that a typo never runs the wrong thread count.
     pub fn env_threads(fallback: usize) -> usize {
-        std::env::var("LMFAO_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .map(|t| t.max(1))
-            .unwrap_or_else(|| fallback.max(1))
+        parse_threads(std::env::var_os("LMFAO_THREADS").as_deref(), fallback)
     }
 
     /// The ablation ladder of Figure 5, in order.
@@ -119,9 +121,23 @@ impl EngineConfig {
     }
 }
 
+/// The thread count `value` (an `LMFAO_THREADS` setting) names, at least 1,
+/// or `fallback` (at least 1) when it is unset.
+fn parse_threads(value: Option<&std::ffi::OsStr>, fallback: usize) -> usize {
+    let Some(value) = value else {
+        return fallback.max(1);
+    };
+    value
+        .to_str()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .unwrap_or_else(|| panic!("LMFAO_THREADS must be a thread count, not {value:?}"))
+        .max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ffi::OsStr;
 
     #[test]
     fn default_is_full_single_threaded() {
@@ -145,15 +161,22 @@ mod tests {
     fn thread_count_never_zero() {
         assert_eq!(EngineConfig::full(0).threads, 1);
         assert_eq!(EngineConfig::default().threads(0).threads, 1);
-        // The test suite runs under a CI matrix that sets LMFAO_THREADS, so
-        // only the clamp is asserted here, not the exact resolved count.
         assert!(EngineConfig::env_threads(0) >= 1);
-        match std::env::var("LMFAO_THREADS") {
-            Err(_) => assert_eq!(EngineConfig::env_threads(0), 1),
-            Ok(v) => {
-                let expect = v.trim().parse::<usize>().map(|t| t.max(1)).unwrap_or(7);
-                assert_eq!(EngineConfig::env_threads(7), expect);
-            }
-        }
+        assert_eq!(parse_threads(None, 0), 1);
+        assert_eq!(parse_threads(None, 7), 7);
+        assert_eq!(parse_threads(Some(OsStr::new("0")), 7), 1);
+        assert_eq!(parse_threads(Some(OsStr::new(" 4\n")), 7), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "LMFAO_THREADS must be a thread count, not \"4x\"")]
+    fn a_malformed_thread_count_panics_and_names_the_value() {
+        parse_threads(Some(OsStr::new("4x")), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "LMFAO_THREADS must be a thread count, not \"\"")]
+    fn an_empty_thread_count_panics() {
+        parse_threads(Some(OsStr::new("")), 1);
     }
 }

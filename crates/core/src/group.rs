@@ -101,16 +101,6 @@ impl Grouping {
             .filter(|&g| reached[g])
             .collect()
     }
-
-    /// The groups whose scan reads the relation of join-tree node `node` —
-    /// the seed groups of a delta arriving at that node.
-    pub fn groups_at_node(&self, node: usize) -> Vec<usize> {
-        self.groups
-            .iter()
-            .filter(|g| g.node == node)
-            .map(|g| g.id)
-            .collect()
-    }
 }
 
 /// Groups the views of a catalog. When `multi_output` is false, every view
@@ -307,7 +297,12 @@ mod tests {
             unreachable!()
         };
         // A change at node 2 (relation C) seeds the groups scanning node 2.
-        let seeds = grouping.groups_at_node(2);
+        let seeds: Vec<usize> = grouping
+            .groups
+            .iter()
+            .filter(|g| g.node == 2)
+            .map(|g| g.id)
+            .collect();
         assert!(seeds.contains(&grouping.group_of_view[&c_to_b]));
         let frontier = grouping.transitive_dependents(&seeds);
         // Everything downstream of C→B must be in the frontier...

@@ -47,19 +47,6 @@ impl ViewTerm {
             child_refs: vec![],
         }
     }
-
-    /// All attributes read by the local factors of this term.
-    pub fn local_attrs(&self) -> Vec<AttrId> {
-        let mut out = Vec::new();
-        for f in &self.local {
-            for a in f.attrs() {
-                if !out.contains(&a) {
-                    out.push(a);
-                }
-            }
-        }
-        out
-    }
 }
 
 /// A view aggregate: a sum of [`ViewTerm`]s.
@@ -677,16 +664,6 @@ mod tests {
 
     #[test]
     fn view_term_helpers() {
-        let t = ViewTerm {
-            constant: 2.0,
-            local: vec![
-                ScalarFunction::Identity(AttrId(1)),
-                ScalarFunction::Identity(AttrId(1)),
-                ScalarFunction::Identity(AttrId(2)),
-            ],
-            child_refs: vec![],
-        };
-        assert_eq!(t.local_attrs(), vec![AttrId(1), AttrId(2)]);
         assert_eq!(ViewTerm::count().constant, 1.0);
         assert!(ViewAggregate::count().terms[0].local.is_empty());
     }

@@ -168,11 +168,6 @@ impl Database {
         Ok(())
     }
 
-    /// Relation by index.
-    pub fn relation_at(&self, idx: usize) -> &Relation {
-        &self.relations[idx]
-    }
-
     /// Applies a signed delta to its target relation, with the semantics of
     /// [`Relation::apply`]. The delta is resolved against the shared
     /// relation first, so a failing delta (an unmatched delete, a wrong
@@ -348,7 +343,6 @@ mod tests {
         let db = tiny_db();
         assert_eq!(db.relation("R").unwrap().len(), 3);
         assert!(db.relation("T").is_err());
-        assert_eq!(db.relation_at(1).name(), "S");
         let names: Vec<&str> = db.relations().iter().map(Relation::name).collect();
         assert_eq!(names, ["R", "S"]);
     }

@@ -79,16 +79,6 @@ impl Hasher for FxHasher {
     }
 }
 
-/// Convenience constructor for an empty [`FxHashMap`].
-pub fn fx_hash_map<K, V>() -> FxHashMap<K, V> {
-    FxHashMap::default()
-}
-
-/// Convenience constructor for an [`FxHashMap`] with a capacity hint.
-pub fn fx_hash_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(cap, BuildHasherDefault::default())
-}
-
 /// Convenience constructor for an empty [`FxHashSet`].
 pub fn fx_hash_set<T>() -> FxHashSet<T> {
     FxHashSet::default()
@@ -120,7 +110,7 @@ mod tests {
 
     #[test]
     fn works_as_map_hasher() {
-        let mut m: FxHashMap<Vec<Value>, f64> = fx_hash_map();
+        let mut m: FxHashMap<Vec<Value>, f64> = FxHashMap::default();
         m.insert(vec![Value::Int(1), Value::Cat(2)], 3.5);
         m.insert(vec![Value::Int(1), Value::Cat(3)], 4.5);
         assert_eq!(m.len(), 2);
@@ -142,11 +132,5 @@ mod tests {
         let a = fx_hash_of(&b"hello world".as_slice());
         let b = fx_hash_of(&b"hello worle".as_slice());
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn with_capacity_constructor() {
-        let m: FxHashMap<u64, u64> = fx_hash_map_with_capacity(100);
-        assert!(m.capacity() >= 100);
     }
 }

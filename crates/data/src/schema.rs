@@ -196,11 +196,6 @@ impl DatabaseSchema {
             .ok_or_else(|| DataError::UnknownRelation(name.to_string()))
     }
 
-    /// Relation schema by index.
-    pub fn relation_at(&self, idx: usize) -> &RelationSchema {
-        &self.relations[idx]
-    }
-
     /// Attributes that appear in more than one relation (the join attributes
     /// of the natural join of all relations).
     pub fn join_attributes(&self) -> Vec<AttrId> {

@@ -68,30 +68,6 @@ impl<'a> TrieScan<'a> {
             end: range.end,
         }
     }
-
-    /// Convenience: the distinct values at `level` within `range`.
-    pub fn distinct_at(&self, level: usize, range: Range<usize>) -> Vec<Value> {
-        self.children(level, range).map(|(v, _)| v).collect()
-    }
-
-    /// Total number of values a full trie traversal visits (the sum over all
-    /// levels of the number of groups at that level), used to compare the trie
-    /// organization against a plain row scan (`len * arity`).
-    pub fn visited_values(&self) -> usize {
-        let mut total = 0usize;
-        let mut ranges = vec![self.root()];
-        for level in 0..self.depth() {
-            let mut next = Vec::new();
-            for r in &ranges {
-                for (_, child) in self.children(level, r.clone()) {
-                    total += 1;
-                    next.push(child);
-                }
-            }
-            ranges = next;
-        }
-        total
-    }
 }
 
 /// Iterator over the `(value, row range)` groups of one trie level.
@@ -187,33 +163,12 @@ mod tests {
     }
 
     #[test]
-    fn distinct_at_level() {
-        let r = sorted_relation();
-        let t = TrieScan::new(&r, vec![0, 1]);
-        assert_eq!(
-            t.distinct_at(0, t.root()),
-            vec![Value::Int(1), Value::Int(2)]
-        );
-    }
-
-    #[test]
-    fn visited_values_fewer_than_row_scan() {
-        let r = sorted_relation();
-        let t = TrieScan::new(&r, vec![0, 1]);
-        // 2 groups at level 0 + 4 groups at level 1 = 6 visited values,
-        // versus 6 rows * 2 join columns = 12 for a row-based scan.
-        assert_eq!(t.visited_values(), 6);
-        assert!(t.visited_values() < r.len() * 2);
-    }
-
-    #[test]
     fn empty_relation_has_no_groups() {
         let schema = RelationSchema::new("E", vec![AttrId(0)]);
         let mut r = Relation::new(schema);
         r.sort_by_positions(&[0]);
         let t = TrieScan::new(&r, vec![0]);
         assert_eq!(t.children(0, t.root()).count(), 0);
-        assert_eq!(t.visited_values(), 0);
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl QueryBatch {
         Self::default()
     }
 
-    /// Creates a batch from queries.
-    pub fn from_queries(queries: Vec<Query>) -> Self {
-        QueryBatch { queries }
-    }
-
     /// Adds a query built from its parts, assigning the next id. Returns the
     /// assigned [`QueryId`].
     pub fn push(
@@ -204,12 +199,5 @@ mod tests {
         assert_eq!(b.num_aggregates(), 3);
         assert_eq!(b.attrs(), vec![AttrId(0), AttrId(1), AttrId(2)]);
         assert_eq!(b.iter().count(), 2);
-    }
-
-    #[test]
-    fn batch_from_queries() {
-        let b =
-            QueryBatch::from_queries(vec![Query::new(0, "x", vec![], vec![Aggregate::count()])]);
-        assert_eq!(b.len(), 1);
     }
 }

@@ -21,11 +21,6 @@ impl Hyperedge {
         }
     }
 
-    /// The attribute set of the edge.
-    pub fn attr_set(&self) -> FxHashSet<AttrId> {
-        self.attrs.iter().copied().collect()
-    }
-
     /// Whether the edge contains the attribute.
     pub fn contains(&self, attr: AttrId) -> bool {
         self.attrs.contains(&attr)
@@ -147,6 +142,5 @@ mod tests {
         let e = Hyperedge::new("R", vec![AttrId(0), AttrId(1)]);
         assert!(e.contains(AttrId(0)));
         assert!(!e.contains(AttrId(2)));
-        assert_eq!(e.attr_set().len(), 2);
     }
 }

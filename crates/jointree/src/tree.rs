@@ -22,11 +22,6 @@ pub struct JoinTreeNode {
 }
 
 impl JoinTreeNode {
-    /// The attribute set of the node.
-    pub fn attr_set(&self) -> FxHashSet<AttrId> {
-        self.attrs.iter().copied().collect()
-    }
-
     /// Whether the node's relation contains the attribute.
     pub fn contains(&self, attr: AttrId) -> bool {
         self.attrs.contains(&attr)
@@ -224,15 +219,6 @@ impl JoinTree {
         let mut set = FxHashSet::default();
         for n in self.subtree_nodes(child, parent) {
             set.extend(self.nodes[n].attrs.iter().copied());
-        }
-        set
-    }
-
-    /// Attributes of the whole tree.
-    pub fn all_attrs(&self) -> FxHashSet<AttrId> {
-        let mut set = FxHashSet::default();
-        for n in &self.nodes {
-            set.extend(n.attrs.iter().copied());
         }
         set
     }
@@ -458,11 +444,5 @@ mod tests {
         for (i, &(node, parent)) in order.iter().enumerate().skip(1) {
             assert!(order[..i].iter().any(|&(n, _)| n == parent), "node {node}");
         }
-    }
-
-    #[test]
-    fn all_attrs_union() {
-        let t = favorita_like();
-        assert_eq!(t.all_attrs().len(), 9);
     }
 }

@@ -38,13 +38,16 @@
 //! Only the root-to-node path conditions differ between nodes, and they
 //! only select rows. [`train_decision_tree`] therefore prepares **one** batch
 //! up front with no path condition in it and runs it over a node's fragment
-//! of the database whenever a node has to execute: a child's batch is its
-//! parent's restricted by the split's condition ([`PreparedBatch::restrict`]),
-//! which keeps the rows satisfying it and semi-join reduces the rest of the
-//! join tree (Yannakakis). A node at depth `d` thus scans about `1/2^d` of
-//! the fact rows, never the whole database, and the optimizer layers never
-//! run again. A batch is restricted only when its node or one of that node's
-//! children executes.
+//! of the database whenever a node has to execute: a node's batch is its
+//! nearest executed ancestor's restricted by the split conditions between
+//! the two ([`PreparedBatch::restrict`]), which keeps the rows satisfying
+//! them and semi-join reduces the rest of the join tree (Yannakakis). A
+//! restriction composes, so this holds the rows a chain of one restriction
+//! per split would, in the same order. A node at depth `d` thus scans about
+//! `1/2^d` of the fact rows, never the whole database, and the optimizer
+//! layers never run again. A batch exists only for a node that executes.
+//!
+//! [`PreparedBatch::restrict`]: lmfao_core::PreparedBatch::restrict
 //!
 //! ## Settled without a scan
 //!
@@ -69,8 +72,9 @@
 //! [`train_decision_tree_replanned`] keeps the naïve strategy (embed the
 //! path as static indicators and re-run the whole optimizer per executed
 //! node over the whole database) as the reference the prepared path is
-//! validated against. Both settle children alike, build their batches and
-//! read their results through the same code and produce bit-identical trees
+//! validated against. Both run one learner and differ only in what they keep
+//! per executed node and how they execute one (a restricted batch, or a
+//! path re-planned over the whole database). They produce bit-identical trees
 //! at one thread, or while no scanned relation spans more than one morsel
 //! (65 536 rows): a row the restriction removes would have contributed an
 //! exact zero to its group, and the remaining rows are scanned in the same
@@ -81,7 +85,7 @@
 
 use std::ops::Range;
 
-use lmfao_core::{BatchResult, Engine, EngineError, PreparedBatch, QueryResult};
+use lmfao_core::{BatchResult, Engine, EngineError, QueryResult};
 use lmfao_data::{AttrId, Value};
 use lmfao_expr::{Aggregate, CmpOp, DynamicRegistry, ProductTerm, QueryBatch, ScalarFunction};
 
@@ -499,14 +503,17 @@ impl NodeStatistics {
 /// feature, or one indicator query per candidate for a column of the largest
 /// relation (see the module doc) — is planned **once** ([`Engine::prepare`]),
 /// with no path condition in it. A node that executes runs that plan over its
-/// own rows: a child restricts its parent's batch by the split's condition
-/// ([`PreparedBatch::restrict`]), so a node scans only the rows that reach
-/// it and the optimizer layers never run again during learning. Children are
-/// settled from their parent's statistics where they can be: a child bound
-/// to be a leaf never executes, and of two children that may split only the
-/// smaller one does. The result is bit-identical to
+/// own rows: its nearest executed ancestor's batch restricted by the split
+/// conditions between the two ([`PreparedBatch::restrict`]), in one step, so
+/// a node scans only the rows that reach it and the optimizer layers never
+/// run again during learning. Children are settled from their parent's
+/// statistics where they can be: a child bound to be a leaf never executes,
+/// and of two children that may split only the smaller one does; a node that
+/// does not execute is never restricted. The result is bit-identical to
 /// [`train_decision_tree_replanned`] at one thread, or while no scanned
 /// relation spans more than one morsel (65 536 rows); see the module doc.
+///
+/// [`PreparedBatch::restrict`]: lmfao_core::PreparedBatch::restrict
 pub fn train_decision_tree(
     engine: &Engine,
     features: &[AttrId],
@@ -514,35 +521,16 @@ pub fn train_decision_tree(
     config: &TreeConfig,
 ) -> Result<DecisionTree, EngineError> {
     let plan = CandidatePlan::new(engine, features, label, config);
-    let batch = plan.batch(&ProductTerm::one());
-    let prepared = engine.prepare(&batch)?;
+    let prepared = engine.prepare(&plan.batch(&ProductTerm::one()))?;
     let dynamics = DynamicRegistry::new();
-    let (mut nodes_executed, mut rows_scanned) = (0, 0);
-    let mut evaluate = |node: &PreparedBatch| {
-        nodes_executed += 1;
-        rows_scanned += node.database().total_tuples();
-        Ok(plan.statistics(&node.execute(&dynamics)?))
-    };
-    let mut child = |parent: &PreparedBatch, condition: &SplitCondition| {
-        parent.restrict(&[condition.to_indicator()])
-    };
-    let stats = evaluate(&prepared)?;
-    let root = grow(
-        Node::Ready(prepared),
-        stats,
-        0,
-        &plan,
-        config,
-        &mut evaluate,
-        &mut child,
-    )?;
-    Ok(DecisionTree {
-        root,
-        task: config.task,
-        label,
-        nodes_executed,
-        queries_issued: nodes_executed * batch.len(),
-        rows_scanned,
+    learn(&plan, config, prepared, |anchor, conditions| {
+        let node = match conditions {
+            [] => anchor.clone(),
+            _ => anchor.restrict(&indicators(conditions))?,
+        };
+        let rows = node.database().total_tuples();
+        let stats = plan.statistics(&node.execute(&dynamics)?);
+        Ok((node, stats, rows))
     })
 }
 
@@ -561,36 +549,52 @@ pub fn train_decision_tree_replanned(
     config: &TreeConfig,
 ) -> Result<DecisionTree, EngineError> {
     let plan = CandidatePlan::new(engine, features, label, config);
-    let (mut nodes_executed, mut queries_issued, mut rows_scanned) = (0, 0, 0);
-    let mut evaluate = |path: &ProductTerm| {
-        let batch = plan.batch(path);
+    learn(&plan, config, ProductTerm::one(), |anchor, conditions| {
+        let path = indicators(conditions)
+            .into_iter()
+            .fold(anchor.clone(), ProductTerm::times);
+        let stats = plan.statistics(&engine.execute(&plan.batch(&path))?);
+        Ok((path, stats, engine.database().total_tuples()))
+    })
+}
+
+/// The learner both trainers share. They differ only in the state `S` they
+/// keep per executed node and in `execute`: it builds a node's state from its
+/// nearest executed ancestor's and the split conditions between the two (the
+/// root's from `root` and no condition), executes the node's batch over it,
+/// and returns the state, the node's statistics and the tuples of the
+/// database the batch read.
+fn learn<S>(
+    plan: &CandidatePlan,
+    config: &TreeConfig,
+    root: S,
+    mut execute: impl FnMut(&S, &[SplitCondition]) -> Result<(S, NodeStatistics, usize), EngineError>,
+) -> Result<DecisionTree, EngineError> {
+    let (mut nodes_executed, mut rows_scanned) = (0, 0);
+    let mut execute = |anchor: &S, conditions: &[SplitCondition]| {
+        let (node, stats, rows) = execute(anchor, conditions)?;
         nodes_executed += 1;
-        queries_issued += batch.len();
-        rows_scanned += engine.database().total_tuples();
-        Ok(plan.statistics(&engine.execute(&batch)?))
+        rows_scanned += rows;
+        Ok((node, stats))
     };
-    let mut child = |path: &ProductTerm, condition: &SplitCondition| {
-        Ok(path.clone().times(condition.to_indicator()))
-    };
-    let root = ProductTerm::one();
-    let stats = evaluate(&root)?;
-    let root = grow(
-        Node::Ready(root),
-        stats,
-        0,
-        &plan,
-        config,
-        &mut evaluate,
-        &mut child,
-    )?;
+    let (root, stats) = execute(&root, &[])?;
+    let tree = grow(&root, &[], stats, 0, plan, config, &mut execute)?;
     Ok(DecisionTree {
-        root,
+        root: tree,
         task: config.task,
-        label,
+        label: plan.label,
         nodes_executed,
-        queries_issued,
+        queries_issued: nodes_executed * plan.batch(&ProductTerm::one()).len(),
         rows_scanned,
     })
+}
+
+/// The indicators of `conditions`, in order.
+fn indicators(conditions: &[SplitCondition]) -> Vec<ScalarFunction> {
+    conditions
+        .iter()
+        .map(SplitCondition::to_indicator)
+        .collect()
 }
 
 /// Candidate thresholds of a continuous attribute, in ascending order:
@@ -734,46 +738,28 @@ impl TreeConfig {
     }
 }
 
-/// A node's state as [`grow`] receives it: ready, or still to be derived
-/// from its parent's by the condition that selects the node. It is derived
-/// only when the node or one of its children executes.
-enum Node<'a, S> {
-    Ready(S),
-    Derive(&'a S, SplitCondition),
-}
-
-impl<S> Node<'_, S> {
-    fn into_state(
-        self,
-        child: &mut impl FnMut(&S, &SplitCondition) -> Result<S, EngineError>,
-    ) -> Result<S, EngineError> {
-        match self {
-            Node::Ready(state) => Ok(state),
-            Node::Derive(parent, condition) => child(parent, &condition),
-        }
-    }
-}
-
-/// Grows the node `node` at `depth`, whose statistics are `stats`, and
-/// recursively its subtrees. A node is whatever state `S` a trainer keeps per
-/// node: `evaluate` executes a node's batch and reads its statistics, `child`
-/// derives the state of the child a split condition selects. The prepared
-/// and the re-planned trainers differ only in these.
+/// Grows the node at `depth`, whose statistics are `stats`, and recursively
+/// its subtrees. The node is reached from `anchor`, the state of its nearest
+/// executed ancestor (or its own, if it executed), by the split conditions
+/// `pending`. `execute` builds and executes the state of a node from such an
+/// anchor and conditions, and returns it with the node's statistics; the
+/// prepared and the re-planned trainers differ only in it.
 ///
 /// A split settles its children from `stats` (see the module doc): a child
 /// that is bound to be a leaf takes its measures from the chosen candidate,
 /// and of two children that may split only the one with fewer tuples (the
 /// left one on a tie) executes, the other one's statistics being the
-/// parent's minus its sibling's. Only the statistics and states along the
-/// current path are alive.
+/// parent's minus its sibling's. A node that does not execute gets no
+/// state: its children that execute start from its own `anchor`. Only the
+/// statistics and the executed states along the current path are alive.
 fn grow<S>(
-    node: Node<'_, S>,
+    anchor: &S,
+    pending: &[SplitCondition],
     stats: NodeStatistics,
     depth: usize,
     plan: &CandidatePlan,
     config: &TreeConfig,
-    evaluate: &mut impl FnMut(&S) -> Result<NodeStatistics, EngineError>,
-    child: &mut impl FnMut(&S, &SplitCondition) -> Result<S, EngineError>,
+    execute: &mut impl FnMut(&S, &[SplitCondition]) -> Result<(S, NodeStatistics), EngineError>,
 ) -> Result<TreeNode, EngineError> {
     let summary = plan.summary(&stats.parent);
     if config.is_leaf(depth, summary.count) {
@@ -797,7 +783,6 @@ fn grow<S>(
             right: Box::new(right.leaf()),
         });
     }
-    let state = node.into_state(child)?;
     // The child that executes: the only one that may split, or else the one
     // with fewer tuples.
     let run_left = right_leaf || (!left_leaf && left.count <= right.count);
@@ -806,28 +791,20 @@ fn grow<S>(
     } else {
         (condition.negate(), condition.clone(), left_leaf, left)
     };
-    let run_state = child(&state, &run)?;
-    let run_stats = evaluate(&run_state)?;
+    let (run_state, run_stats) = execute(anchor, &[pending, &[run]].concat())?;
     let other_stats = (!other_leaf).then(|| stats.minus(&run_stats));
     drop(stats);
-    let run = grow(
-        Node::Ready(run_state),
-        run_stats,
-        depth + 1,
-        plan,
-        config,
-        evaluate,
-        child,
-    )?;
+    let run = grow(&run_state, &[], run_stats, depth + 1, plan, config, execute)?;
+    drop(run_state);
     let other = match other_stats {
         Some(other_stats) => grow(
-            Node::Derive(&state, other),
+            anchor,
+            &[pending, &[other]].concat(),
             other_stats,
             depth + 1,
             plan,
             config,
-            evaluate,
-            child,
+            execute,
         )?,
         None => other_summary.leaf(),
     };
@@ -847,6 +824,7 @@ fn minus(a: &[f64], b: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lmfao_core::PreparedBatch;
 
     #[test]
     fn split_condition_negation_round_trips() {
@@ -1206,26 +1184,28 @@ mod tests {
     fn learn_recording(engine: &Engine, plan: &CandidatePlan, config: &TreeConfig) -> Recorded {
         let prepared = engine.prepare(&plan.batch(&ProductTerm::one())).unwrap();
         let (mut executed, mut restricted) = (Vec::new(), Vec::new());
-        let mut evaluate = |(node, path): &(PreparedBatch, Vec<SplitCondition>)| {
-            executed.push(path.clone());
-            Ok(plan.statistics(&node.execute(&DynamicRegistry::new())?))
+        let mut run = |node: &PreparedBatch, path: &[SplitCondition]| {
+            executed.push(path.to_vec());
+            plan.statistics(&node.execute(&DynamicRegistry::new()).unwrap())
         };
-        let mut child = |(node, path): &(PreparedBatch, Vec<SplitCondition>),
-                         condition: &SplitCondition| {
-            let path = [path.as_slice(), std::slice::from_ref(condition)].concat();
+        let stats = run(&prepared, &[]);
+        // One full path per call: the anchor's path, then the conditions.
+        let mut execute = |(anchor, path): &(PreparedBatch, Vec<SplitCondition>),
+                           conditions: &[SplitCondition]| {
+            let path = [path.as_slice(), conditions].concat();
             restricted.push(path.clone());
-            Ok((node.restrict(&[condition.to_indicator()])?, path))
+            let node = anchor.restrict(&indicators(conditions))?;
+            let stats = run(&node, &path);
+            Ok(((node, path), stats))
         };
-        let root = (prepared, Vec::new());
-        let stats = evaluate(&root).unwrap();
         let root = grow(
-            Node::Ready(root),
+            &(prepared, Vec::new()),
+            &[],
             stats,
             0,
             plan,
             config,
-            &mut evaluate,
-            &mut child,
+            &mut execute,
         )
         .unwrap();
         Recorded {
@@ -1402,16 +1382,15 @@ mod tests {
         for leaf in &walk.leaves {
             assert!(!recorded.restricted.contains(leaf), "{leaf:?} restricted");
         }
-        // A node is restricted only when it or one of its children executes.
-        for path in &recorded.restricted {
+        // A node is restricted exactly when it executes, and only once.
+        assert_eq!(recorded.restricted, recorded.executed[1..]);
+        for (i, path) in recorded.restricted.iter().enumerate() {
             assert!(
-                recorded
-                    .executed
-                    .iter()
-                    .any(|run| run.starts_with(path) && run.len() <= path.len() + 1),
-                "{path:?} restricted for nothing"
+                !recorded.restricted[..i].contains(path),
+                "{path:?} restricted twice"
             );
         }
+        assert_eq!(recorded.restricted.len(), tree.nodes_executed - 1);
     }
 
     #[test]
