@@ -483,7 +483,9 @@ mod tests {
             for output in &plan.outputs {
                 if plan.relation == "Inventory" && output.key_attrs == [ksn] {
                     assert_eq!(plan.attr_order.iter().position(|a| *a == ksn), Some(2));
-                    assert_eq!(output.key_sources, [KeySource::BoundDepth(2)]);
+                    for term in output.aggregates.iter().flat_map(|g| &g.terms) {
+                        assert_eq!(term.key, [KeySource::BoundDepth(2)]);
+                    }
                     assert_eq!(output.register_depth, Some(3));
                     found += 1;
                 }

@@ -11,6 +11,17 @@
 //! code the paper generates (Figure 4), expressed as a register program
 //! instead of generated source.
 //!
+//! **The plan says where every value comes from.** The scan maps no
+//! attribute to anything: every probe key, factor argument and output key
+//! part is a [`KeySource`] the planner resolved — a bound depth, a column of
+//! the scanned relation read at the current row, or a key position of an
+//! entry of the current combination — and a factor reads its `i`-th argument
+//! from the `i`-th source ([`ResolvedFactor`]). A term is emitted per row of
+//! the innermost range ([`TermPlan::per_row`]) when its key has a row-column
+//! part or when a factor spanning relations reads a row column
+//! ([`TermPlan::row_factors`]); both take the one per-row path of
+//! `emit_keyed`.
+//!
 //! **Output registers.** An output whose key parts are all bound join
 //! attributes ([`OutputPlan::register_depth`]) keeps one key for the whole
 //! binding of its register depth, so it is accumulated in a register row:
@@ -47,7 +58,7 @@
 //! [`EngineConfig::specialization`](crate::config::EngineConfig) does not
 //! select another algorithm: it decides whether each local factor is lowered
 //! against the relation's typed columns once per scan (`compile_factor`) or
-//! stays `FastFactor::Slow` and goes through a generic [`Value`] lookup and
+//! stays `FastFactor::Slow` and goes through a generic [`Value`] read and
 //! [`ScalarFunction::evaluate`] on every row. Both produce the same bits.
 //!
 //! **Rejected rows contribute exactly 0.** A factor product is evaluated left
@@ -58,7 +69,9 @@
 //! on or off.
 
 use crate::error::EngineError;
-use crate::plan::{DepthUpdate, GroupPlan, IncomingPlan, KeySource, OutputPlan, TermPlan};
+use crate::plan::{
+    DepthUpdate, GroupPlan, IncomingPlan, KeySource, OutputPlan, ResolvedFactor, TermPlan,
+};
 use crate::view::{ComputedView, ViewId, ViewSource};
 use lmfao_data::{AttrId, Column, Database, FxHashMap, Relation, TrieScan, Value};
 use lmfao_expr::{CmpOp, DynamicRegistry, ScalarFunction};
@@ -85,23 +98,25 @@ enum IncomingData<'a> {
     Indexed(BoundIndex<'a>),
 }
 
-/// Evaluates a scalar function under an attribute-value lookup, routing
+/// Evaluates a resolved factor whose `i`-th argument is `arg(i)`, routing
 /// dynamic functions through the registry.
 #[inline]
-fn eval_factor<F>(f: &ScalarFunction, lookup: &F, dynamics: &DynamicRegistry) -> f64
-where
-    F: Fn(AttrId) -> Value,
-{
-    match f {
-        ScalarFunction::Dynamic { id, attrs } => dynamics.evaluate_attrs(*id, attrs, lookup),
-        other => other.evaluate(lookup),
+fn eval_factor<S>(
+    f: &ResolvedFactor<S>,
+    arg: impl Fn(&S) -> Value,
+    dynamics: &DynamicRegistry,
+) -> f64 {
+    let lookup = |a: AttrId| arg(&f.args[a.index()]);
+    match &f.factor {
+        ScalarFunction::Dynamic { id, attrs } => dynamics.evaluate_attrs(*id, attrs, &lookup),
+        other => other.evaluate(&lookup),
     }
 }
 
 /// A local-expression factor as the innermost loops evaluate it. The typed
 /// variants read native column slices — no [`Value`] is materialized per
 /// tuple — and each is bit-for-bit equivalent to evaluating the original
-/// [`ScalarFunction`] through the generic `Value` lookup (float comparisons
+/// [`ScalarFunction`] through the generic `Value` read (float comparisons
 /// use [`f64::total_cmp`], exactly like `Value::Double`'s total order).
 /// Factors that do not fit a typed shape (dynamic functions, cross-variant
 /// indicator thresholds, attributes stored in [`Column::Mixed`]), and every
@@ -122,8 +137,8 @@ enum FastFactor<'a> {
     IntCmp(&'a [i64], CmpOp, i64),
     /// `1[X op t]` over a dictionary column with a categorical threshold.
     DictCmp(&'a [u32], CmpOp, u32),
-    /// Generic evaluation through the `Value` lookup.
-    Slow(&'a ScalarFunction),
+    /// Generic evaluation through the `Value` read of its columns.
+    Slow(&'a ResolvedFactor<usize>),
 }
 
 /// Whether `op` holds for an ordering produced by the column's native total
@@ -140,46 +155,33 @@ fn cmp_holds(op: CmpOp, ord: Ordering) -> bool {
     }
 }
 
-/// Lowers one factor against the relation's columns, falling back to the
-/// generic path when the factor shape or the column type does not allow a
-/// typed loop.
-fn compile_factor<'a>(
-    factor: &'a ScalarFunction,
-    relation: &'a Relation,
-    col_of_attr: &[usize],
-) -> FastFactor<'a> {
-    let column = |a: AttrId| {
-        let col = col_of_attr[a.index()];
-        if col == usize::MAX {
-            None
-        } else {
-            Some(relation.column(col))
-        }
-    };
-    match factor {
-        ScalarFunction::Identity(a) => match column(*a) {
-            Some(Column::Float(v)) => FastFactor::FloatIdent(v),
-            Some(Column::Int(v)) => FastFactor::IntIdent(v),
-            _ => FastFactor::Slow(factor),
+/// Lowers one local factor (its arguments are column positions) against the
+/// relation's columns, falling back to the generic path when the factor
+/// shape or the column type does not allow a typed loop.
+fn compile_factor<'a>(f: &'a ResolvedFactor<usize>, relation: &'a Relation) -> FastFactor<'a> {
+    let column = |a: &AttrId| relation.column(f.args[a.index()]);
+    match &f.factor {
+        ScalarFunction::Identity(a) => match column(a) {
+            Column::Float(v) => FastFactor::FloatIdent(v),
+            Column::Int(v) => FastFactor::IntIdent(v),
+            _ => FastFactor::Slow(f),
         },
-        ScalarFunction::Power { attr, exponent } => match column(*attr) {
-            Some(Column::Float(v)) => FastFactor::FloatPow(v, *exponent as i32),
-            Some(Column::Int(v)) => FastFactor::IntPow(v, *exponent as i32),
-            _ => FastFactor::Slow(factor),
+        ScalarFunction::Power { attr, exponent } => match column(attr) {
+            Column::Float(v) => FastFactor::FloatPow(v, *exponent as i32),
+            Column::Int(v) => FastFactor::IntPow(v, *exponent as i32),
+            _ => FastFactor::Slow(f),
         },
         ScalarFunction::Indicator {
             attr,
             op,
             threshold,
-        } => match (column(*attr), threshold) {
-            (Some(Column::Float(v)), Value::Double(t)) => FastFactor::FloatCmp(v, *op, *t),
-            (Some(Column::Int(v)), Value::Int(t)) => FastFactor::IntCmp(v, *op, *t),
-            (Some(Column::Dict { codes, .. }), Value::Cat(t)) => {
-                FastFactor::DictCmp(codes, *op, *t)
-            }
-            _ => FastFactor::Slow(factor),
+        } => match (column(attr), threshold) {
+            (Column::Float(v), Value::Double(t)) => FastFactor::FloatCmp(v, *op, *t),
+            (Column::Int(v), Value::Int(t)) => FastFactor::IntCmp(v, *op, *t),
+            (Column::Dict { codes, .. }, Value::Cat(t)) => FastFactor::DictCmp(codes, *op, *t),
+            _ => FastFactor::Slow(f),
         },
-        other => FastFactor::Slow(other),
+        _ => FastFactor::Slow(f),
     }
 }
 
@@ -198,7 +200,6 @@ fn indicator(holds: bool) -> f64 {
 fn eval_fast(
     f: &FastFactor<'_>,
     relation: &Relation,
-    col_of_attr: &[usize],
     dynamics: &DynamicRegistry,
     row: usize,
 ) -> f64 {
@@ -210,17 +211,7 @@ fn eval_fast(
         FastFactor::FloatCmp(v, op, t) => indicator(cmp_holds(*op, v[row].total_cmp(t))),
         FastFactor::IntCmp(v, op, t) => indicator(cmp_holds(*op, v[row].cmp(t))),
         FastFactor::DictCmp(v, op, t) => indicator(cmp_holds(*op, v[row].cmp(t))),
-        FastFactor::Slow(sf) => {
-            let lookup = |a: AttrId| {
-                let col = col_of_attr[a.index()];
-                if col == usize::MAX {
-                    Value::Null
-                } else {
-                    relation.value(row, col)
-                }
-            };
-            eval_factor(sf, &lookup, dynamics)
-        }
+        FastFactor::Slow(rf) => eval_factor(rf, |&col| relation.value(row, col), dynamics),
     }
 }
 
@@ -230,7 +221,7 @@ fn eval_fast(
 fn row_product(factors: &[FastFactor<'_>], init: f64, ctx: &Ctx<'_>, row: usize) -> f64 {
     let mut prod = init;
     for f in factors {
-        prod *= eval_fast(f, ctx.relation, &ctx.col_of_attr, ctx.dynamics, row);
+        prod *= eval_fast(f, ctx.relation, ctx.dynamics, row);
         if prod == 0.0 {
             break;
         }
@@ -245,14 +236,10 @@ struct Ctx<'a> {
     trie: TrieScan<'a>,
     dynamics: &'a DynamicRegistry,
     incoming: &'a [IncomingData<'a>],
-    /// Column position of each attribute in the scanned relation (`usize::MAX`
-    /// when the attribute is not a column of it).
-    col_of_attr: Vec<usize>,
-    /// The group's local expressions as factor programs (indicators first),
-    /// in [`GroupPlan::local_exprs`] order.
+    /// The group's local expressions as factor programs, in
+    /// [`GroupPlan::local_exprs`] order: the one part of the plan lowered
+    /// per scan, against the scanned relation's column slices.
     local_programs: Vec<Vec<FastFactor<'a>>>,
-    /// `registers_at[d]`: the outputs whose register depth is `d`.
-    registers_at: Vec<Vec<usize>>,
 }
 
 /// Mutable execution state.
@@ -310,15 +297,7 @@ pub fn execute_group<V: ViewSource>(
     let relation = db
         .relation(&plan.relation)
         .map_err(|_| EngineError::UnknownRelation(plan.relation.clone()))?;
-    execute_group_scan(
-        relation,
-        db.schema().num_attributes(),
-        plan,
-        computed,
-        dynamics,
-        partition,
-        None,
-    )
+    execute_group_scan(relation, plan, computed, dynamics, partition, None)
 }
 
 /// The restartable core of [`execute_group`]: runs a group plan over an
@@ -335,10 +314,8 @@ pub fn execute_group<V: ViewSource>(
 /// (it can only skip a subtree below a probe's depth, after the trie above
 /// it was walked) but the relation it is handed: only the rows whose keys
 /// hit a delta (the crate-internal `overlay` module).
-#[allow(clippy::too_many_arguments)]
 pub fn execute_group_scan<V: ViewSource>(
     relation: &Relation,
-    num_attributes: usize,
     plan: &GroupPlan,
     computed: &V,
     dynamics: &DynamicRegistry,
@@ -351,29 +328,17 @@ pub fn execute_group_scan<V: ViewSource>(
         .map(|inc| prepare_incoming(inc, computed))
         .collect::<Result<_, _>>()?;
 
-    let mut col_of_attr = vec![usize::MAX; num_attributes];
-    for (pos, &attr) in relation.schema().attrs.iter().enumerate() {
-        col_of_attr[attr.index()] = pos;
-    }
-
-    // One program per local expression, built once per scan: indicators
-    // first, each class in source order (exact — an indicator is 0 or 1, so
-    // its position in the product does not change a finite result), so
-    // `row_product` leaves a rejected row before touching its measures; each
-    // factor lowered against the typed columns, or left generic when the
-    // plan is not specialized.
-    let is_indicator = |f: &&ScalarFunction| matches!(f, ScalarFunction::Indicator { .. });
+    // Each local factor lowered against the typed columns, or left generic
+    // when the plan is not specialized.
     let local_programs: Vec<Vec<FastFactor>> = plan
         .local_exprs
         .iter()
         .map(|e| {
-            let indicators = e.factors.iter().filter(is_indicator);
-            let measures = e.factors.iter().filter(|f| !is_indicator(f));
-            indicators
-                .chain(measures)
+            e.factors
+                .iter()
                 .map(|f| {
                     if plan.specialized {
-                        compile_factor(f, relation, &col_of_attr)
+                        compile_factor(f, relation)
                     } else {
                         FastFactor::Slow(f)
                     }
@@ -383,21 +348,13 @@ pub fn execute_group_scan<V: ViewSource>(
         .collect();
 
     let depth = plan.depth();
-    let mut registers_at = vec![Vec::new(); depth + 1];
-    for (oi, output) in plan.outputs.iter().enumerate() {
-        if let Some(d) = output.register_depth {
-            registers_at[d].push(oi);
-        }
-    }
     let ctx = Ctx {
         plan,
         relation,
         trie: TrieScan::new(relation, plan.attr_order_cols.clone()),
         dynamics,
         incoming: &incoming,
-        col_of_attr,
         local_programs,
-        registers_at,
     };
 
     let mut state = State {
@@ -415,7 +372,7 @@ pub fn execute_group_scan<V: ViewSource>(
             .iter()
             .map(|o| Register {
                 loaded: false,
-                key: Vec::with_capacity(o.key_sources.len()),
+                key: Vec::with_capacity(o.key_attrs.len()),
                 row: vec![0.0; o.aggregates.len()],
             })
             .collect(),
@@ -483,31 +440,13 @@ fn all_zero(v: &[f64]) -> bool {
     !v.is_empty() && v.iter().all(|&x| x == 0.0)
 }
 
-/// The value of `attr` in the current scan context: a bound join attribute,
-/// or a column of the relation read from `row` when available.
-#[inline]
-fn context_value(ctx: &Ctx<'_>, bound: &[Value], attr: AttrId, row: Option<usize>) -> Value {
-    if let Some(depth) = ctx.plan.attr_order.iter().position(|a| *a == attr) {
-        return bound[depth];
-    }
-    if let Some(r) = row {
-        let col = ctx.col_of_attr[attr.index()];
-        if col != usize::MAX {
-            return ctx.relation.value(r, col);
-        }
-    }
-    Value::Null
-}
-
 /// Writes the probe key of an incoming view, from the current bindings, into
 /// `state.probe_buf`.
-fn probe_key(ctx: &Ctx<'_>, state: &mut State<'_>, inc: &IncomingPlan) {
+fn probe_key(state: &mut State<'_>, inc: &IncomingPlan) {
     state.probe_buf.clear();
-    state.probe_buf.extend(
-        inc.bound
-            .iter()
-            .map(|&(attr, _col)| context_value(ctx, &state.bound, attr, None)),
-    );
+    state
+        .probe_buf
+        .extend(inc.bound.iter().map(|&d| state.bound[d]));
 }
 
 /// Applies the register program of `depth` (copying the parent registers
@@ -518,16 +457,13 @@ fn apply_program<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, depth: usize) {
         rest[0].copy_from_slice(&parents[depth - 1]);
     }
 
-    // Resolve incoming views registered at this depth.
-    // A representative row of the current range is not available here; probe
-    // keys only use bound join attributes, which is guaranteed for the views
-    // produced by the pushdown layer.
+    // Resolve the indexed incoming views registered at this depth.
     for (idx, inc) in ctx.plan.incoming.iter().enumerate() {
         if inc.probe_depth != depth {
             continue;
         }
         if let IncomingData::Indexed(map) = &ctx.incoming[idx] {
-            probe_key(ctx, state, inc);
+            probe_key(state, inc);
             state.probed[idx] = map.get(state.probe_buf.as_slice());
         }
     }
@@ -541,15 +477,7 @@ fn apply_program<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, depth: usize) {
             }
             DepthUpdate::Factor { slot, factor } => {
                 let bound = &state.bound;
-                let order = &ctx.plan.attr_order;
-                let lookup = |a: AttrId| {
-                    order
-                        .iter()
-                        .position(|x| *x == a)
-                        .map(|p| bound[p])
-                        .unwrap_or(Value::Null)
-                };
-                state.prefix[depth][*slot] *= eval_factor(factor, &lookup, ctx.dynamics);
+                state.prefix[depth][*slot] *= eval_factor(factor, |&d| bound[d], ctx.dynamics);
             }
             DepthUpdate::ScalarView {
                 slot,
@@ -560,7 +488,7 @@ fn apply_program<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, depth: usize) {
                     let inc = &ctx.plan.incoming[*incoming];
                     let probed = match &ctx.incoming[*incoming] {
                         IncomingData::Direct(cv) => {
-                            probe_key(ctx, state, inc);
+                            probe_key(state, inc);
                             cv.get(state.probe_buf.as_slice())
                         }
                         _ => None,
@@ -593,20 +521,20 @@ fn recurse<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, depth: usize, range: Range<
 }
 
 /// The register row of output `oi` under the current binding of its register
-/// depth, loaded on first use: the output's entry for the binding's key is
-/// swapped into the row, or the row is zeroed when the key has no entry yet.
-fn register_row<'s>(state: &'s mut State<'_>, output: &OutputPlan, oi: usize) -> &'s mut [f64] {
+/// depth, loaded on first use: the output's entry for the binding's key (read
+/// through `key`, a register output's term key) is swapped into the row, or
+/// the row is zeroed when the key has no entry yet.
+fn register_row<'s>(state: &'s mut State<'_>, key: &[KeySource], oi: usize) -> &'s mut [f64] {
     let reg = &mut state.registers[oi];
     if !reg.loaded {
         reg.loaded = true;
         reg.key.clear();
-        reg.key
-            .extend(output.key_sources.iter().map(|src| match src {
-                KeySource::BoundDepth(d) => state.bound[*d],
-                KeySource::RowColumn(_) | KeySource::Extra(_) => {
-                    unreachable!("a register output is keyed by bound depths only")
-                }
-            }));
+        reg.key.extend(key.iter().map(|src| match src {
+            KeySource::BoundDepth(d) => state.bound[*d],
+            KeySource::RowColumn(_) | KeySource::Extra { .. } => {
+                unreachable!("a register output is keyed by bound depths only")
+            }
+        }));
         match state.outputs[oi].data.get_mut(reg.key.as_slice()) {
             Some(entry) => std::mem::swap(entry, &mut reg.row),
             None => reg.row.fill(0.0),
@@ -621,7 +549,7 @@ fn register_row<'s>(state: &'s mut State<'_>, output: &OutputPlan, oi: usize) ->
 /// meanwhile) gets its row swapped back; a new key is inserted, except a
 /// scalar output's all-zero row.
 fn store_registers(ctx: &Ctx<'_>, state: &mut State<'_>, depth: usize) {
-    for &oi in &ctx.registers_at[depth] {
+    for &oi in &ctx.plan.registers_at[depth] {
         let reg = &mut state.registers[oi];
         if !std::mem::take(&mut reg.loaded) {
             continue;
@@ -654,44 +582,35 @@ fn compute_local_sums(ctx: &Ctx<'_>, state: &mut State<'_>, range: &Range<usize>
     }
 }
 
-/// Looks up `attr` in the extra keys of the current combination entries,
-/// falling back to the bound join attributes.
-fn combo_value(
-    ctx: &Ctx<'_>,
-    bound: &[Value],
-    term: &TermPlan,
-    combo: &[Entry<'_>],
-    attr: AttrId,
-    row: Option<usize>,
-) -> Value {
-    for (pos, &inc_idx) in term.extra_views.iter().enumerate() {
-        let inc = &ctx.plan.incoming[inc_idx];
-        if let Some(&(_, p)) = inc.extras.iter().find(|&&(a, _)| a == attr) {
-            return combo[pos].0[p];
-        }
+/// The value `src` reads under the current bindings, entry combination and
+/// row (only a [`KeySource::RowColumn`] reads `row`).
+#[inline]
+fn read(ctx: &Ctx<'_>, bound: &[Value], combo: &[Entry<'_>], row: usize, src: KeySource) -> Value {
+    match src {
+        KeySource::BoundDepth(d) => bound[d],
+        KeySource::RowColumn(col) => ctx.relation.value(row, col),
+        KeySource::Extra { view, pos } => combo[view].0[pos],
     }
-    context_value(ctx, bound, attr, row)
 }
 
-/// Writes an output key, from the configured key sources, into `key`.
-fn build_key(
+/// `value · f₁ · … · fₖ` over `factors` read at `row`, left to right, stopped
+/// at the first exact zero (a zero `value` evaluates none of them).
+#[inline]
+fn times_factors(
     ctx: &Ctx<'_>,
     bound: &[Value],
-    output: &OutputPlan,
-    term: &TermPlan,
     combo: &[Entry<'_>],
-    row: Option<usize>,
-    key: &mut Vec<Value>,
-) {
-    key.clear();
-    key.extend(output.key_sources.iter().map(|src| match src {
-        KeySource::BoundDepth(d) => bound[*d],
-        KeySource::RowColumn(col) => match row {
-            Some(r) => ctx.relation.value(r, *col),
-            None => Value::Null,
-        },
-        KeySource::Extra(attr) => combo_value(ctx, bound, term, combo, *attr, row),
-    }));
+    row: usize,
+    factors: &[ResolvedFactor<KeySource>],
+    mut value: f64,
+) -> f64 {
+    for f in factors {
+        if value == 0.0 {
+            break;
+        }
+        value *= eval_factor(f, |&src| read(ctx, bound, combo, row, src), ctx.dynamics);
+    }
+    value
 }
 
 fn process_innermost<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, range: Range<usize>) {
@@ -750,13 +669,8 @@ fn emit_combinations<'a>(
             combo.clear();
             combo.extend(lists.iter().zip(&idx).map(|(l, &i)| l[i]));
             let mut val = base;
-            for &(inc_idx, agg_idx) in &term.extra_refs {
-                let pos = term
-                    .extra_views
-                    .iter()
-                    .position(|&v| v == inc_idx)
-                    .expect("extra ref view must be an extra view");
-                val *= combo[pos].1[agg_idx];
+            for &(view, agg) in &term.extra_refs {
+                val *= combo[view].1[agg];
             }
             if val != 0.0 {
                 emit_term(
@@ -795,23 +709,28 @@ fn emit_term(
     output: &OutputPlan,
     agg_index: usize,
     term: &TermPlan,
-    mut value: f64,
+    value: f64,
     combo: &[Entry<'_>],
     range: &Range<usize>,
 ) {
-    // Factors over carried attributes (evaluated against the combination).
-    for f in &term.extra_factors {
-        let lookup = |a: AttrId| combo_value(ctx, &state.bound, term, combo, a, None);
-        value *= eval_factor(f, &lookup, ctx.dynamics);
-        if value == 0.0 {
-            return;
-        }
+    // Factors over carried attributes, evaluated against the combination
+    // (they read no row).
+    let value = times_factors(
+        ctx,
+        &state.bound,
+        combo,
+        range.start,
+        &term.extra_factors,
+        value,
+    );
+    if value == 0.0 {
+        return;
     }
 
-    if output.register_depth.is_some() {
+    if output.register_depth.is_some() && !term.per_row {
         let contribution = value * state.local_sums[term.local_expr];
         if contribution != 0.0 {
-            register_row(state, output, output_idx)[agg_index] += contribution;
+            register_row(state, &term.key, output_idx)[agg_index] += contribution;
         }
     } else {
         emit_keyed(
@@ -820,10 +739,11 @@ fn emit_term(
     }
 }
 
-/// The part of [`emit_term`] for an output whose key has a
-/// [`KeySource::RowColumn`] or [`KeySource::Extra`] part: each contribution
-/// is added to its entry, the key written into `state.key_buf`. Out of line
-/// so that the register path through `emit_term` stays small.
+/// The part of [`emit_term`] that adds each contribution to its entry: one
+/// per row for a term emitted per row ([`TermPlan::per_row`]), its local
+/// factors (indicators first) before its row factors; else the range's one,
+/// for an output keyed by a [`KeySource::Extra`] part. Out of line so that
+/// the register path through `emit_term` stays small.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn emit_keyed(
@@ -837,44 +757,32 @@ fn emit_keyed(
     combo: &[Entry<'_>],
     range: &Range<usize>,
 ) {
-    if output.needs_row_loop {
-        // The key (and possibly the local factors) depend on non-join
-        // columns of the relation: one emit per surviving row.
-        let factors = &ctx.local_programs[term.local_expr];
-        for row in range.clone() {
-            let v = row_product(factors, value, ctx, row);
-            if v == 0.0 {
-                continue;
-            }
-            build_key(
-                ctx,
-                &state.bound,
-                output,
-                term,
-                combo,
-                Some(row),
-                &mut state.key_buf,
-            );
+    let rows = if term.per_row {
+        range.clone()
+    } else {
+        range.start..range.start + 1
+    };
+    for row in rows {
+        let v = if term.per_row {
+            let v = row_product(&ctx.local_programs[term.local_expr], value, ctx, row);
+            times_factors(ctx, &state.bound, combo, row, &term.row_factors, v)
+        } else {
+            value * state.local_sums[term.local_expr]
+        };
+        if v == 0.0 {
+            continue;
+        }
+        if output.register_depth.is_some() {
+            register_row(state, &term.key, output_idx)[agg_index] += v;
+        } else {
+            state.key_buf.clear();
+            let key = term.key.iter();
+            let bound = &state.bound;
+            state
+                .key_buf
+                .extend(key.map(|&src| read(ctx, bound, combo, row, src)));
             state.outputs[output_idx].add_single(&state.key_buf, agg_index, v);
         }
-    } else {
-        // A key part carried by the entry combination: one entry update per
-        // contribution.
-        let contribution = value * state.local_sums[term.local_expr];
-        if contribution == 0.0 {
-            return;
-        }
-        let row = (!range.is_empty()).then_some(range.start);
-        build_key(
-            ctx,
-            &state.bound,
-            output,
-            term,
-            combo,
-            row,
-            &mut state.key_buf,
-        );
-        state.outputs[output_idx].add_single(&state.key_buf, agg_index, contribution);
     }
 }
 
@@ -884,7 +792,7 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::engine::Engine;
     use crate::group::group_views;
-    use crate::plan::{build_group_plan, prepare_database, AggregatePlan, LocalExpr};
+    use crate::plan::{build_group_plan, prepare_database, resolve, AggregatePlan, LocalExpr};
     use crate::pushdown::push_down_batch;
     use crate::roots::assign_roots;
     use lmfao_data::{AttrType, DatabaseSchema, RelationSchema};
@@ -1285,11 +1193,16 @@ mod tests {
             outputs: vec![],
             local_exprs: vec![
                 LocalExpr {
-                    factors: vec![ScalarFunction::Identity(attr("x"))],
+                    // Σx: argument 0 is column 3.
+                    factors: vec![ResolvedFactor {
+                        factor: ScalarFunction::Identity(AttrId(0)),
+                        args: vec![3],
+                    }],
                 },
                 LocalExpr { factors: vec![] },
             ],
             programs: vec![vec![]; 4],
+            registers_at: vec![vec![]; 4],
             num_slots: 0,
             specialized: true,
         };
@@ -1307,17 +1220,22 @@ mod tests {
                             local_expr,
                             extra_refs: vec![],
                             extra_views: vec![],
+                            key: depths.iter().map(|&d| KeySource::BoundDepth(d)).collect(),
                             extra_factors: vec![],
+                            row_factors: vec![],
+                            per_row: false,
                         }],
                     }
                 })
                 .collect();
+            let register_depth = registers.then(|| depths.iter().map(|d| d + 1).max().unwrap_or(0));
+            if let Some(depth) = register_depth {
+                plan.registers_at[depth].push(view);
+            }
             plan.outputs.push(OutputPlan {
                 view: ViewId(view),
                 key_attrs: depths.iter().map(|&d| attr_order[d]).collect(),
-                key_sources: depths.iter().map(|&d| KeySource::BoundDepth(d)).collect(),
-                needs_row_loop: false,
-                register_depth: registers.then(|| depths.iter().map(|d| d + 1).max().unwrap_or(0)),
+                register_depth,
                 aggregates,
             });
         }
@@ -1570,7 +1488,6 @@ mod tests {
         // The shapes the plan must have for the test to mean anything.
         let x_col = db.relation("F").unwrap().position(x).unwrap();
         let ab = &plan.outputs[by_ab];
-        assert_eq!(ab.key_sources, [KeySource::Extra(a), KeySource::Extra(b)]);
         assert!(ab
             .aggregates
             .iter()
@@ -1584,13 +1501,20 @@ mod tests {
             .map(|inc| (inc.extras[0].0, inc.bound_positions.as_slice()))
             .collect();
         assert_eq!(bound_positions, [(a, &[1][..]), (b, &[0][..])]);
-        assert_eq!(
-            plan.outputs[by_x].key_sources,
-            [KeySource::RowColumn(x_col)]
+        // Every term reads `a` from its S entry and `b` from its T entry.
+        let keys = |oi: usize| -> Vec<(Vec<KeySource>, bool)> {
+            let terms = plan.outputs[oi].aggregates.iter().flat_map(|g| &g.terms);
+            terms.map(|t| (t.key.clone(), t.per_row)).collect()
+        };
+        let (from_s, from_t) = (
+            KeySource::Extra { view: 0, pos: 0 },
+            KeySource::Extra { view: 1, pos: 1 },
         );
+        assert_eq!(keys(by_ab), vec![(vec![from_s, from_t], false); 2]);
+        assert_eq!(keys(by_x), [(vec![KeySource::RowColumn(x_col)], true)]);
         assert_eq!(
-            plan.outputs[by_ax].key_sources,
-            [KeySource::Extra(a), KeySource::RowColumn(x_col)]
+            keys(by_ax),
+            [(vec![from_s, KeySource::RowColumn(x_col)], true)]
         );
 
         // A copy of `by_ab` whose terms also carry 1[a ≥ 2], an extra factor
@@ -1599,10 +1523,13 @@ mod tests {
         let mut filtered = plan.outputs[by_ab].clone();
         filtered.view = filtered_view;
         for term in filtered.aggregates.iter_mut().flat_map(|g| &mut g.terms) {
-            term.extra_factors.push(ScalarFunction::Indicator {
-                attr: a,
-                op: CmpOp::Ge,
-                threshold: Value::Int(2),
+            term.extra_factors.push(ResolvedFactor {
+                factor: ScalarFunction::Indicator {
+                    attr: AttrId(0),
+                    op: CmpOp::Ge,
+                    threshold: Value::Int(2),
+                },
+                args: vec![from_s],
             });
         }
         plan.outputs.push(filtered);
@@ -1677,7 +1604,8 @@ mod tests {
         assert!(matches!(relation.column(1), Column::Int(_)));
         assert!(matches!(relation.column(2), Column::Dict { .. }));
         assert!(matches!(relation.column(3), Column::Mixed(_)));
-        let col_of_attr = [0, 1, 2, 3];
+        // Attribute `k` is column `k`.
+        let col_of_attr = |a: AttrId| a.index();
 
         // (factor, whether it must lower to a typed variant).
         let mut cases: Vec<(ScalarFunction, bool)> = Vec::new();
@@ -1729,16 +1657,16 @@ mod tests {
 
         let dynamics = DynamicRegistry::new();
         for (factor, typed) in &cases {
-            let lowered = compile_factor(factor, &relation, &col_of_attr);
+            let resolved = resolve(factor, |a| Some(col_of_attr(a))).unwrap();
+            let lowered = compile_factor(&resolved, &relation);
             assert_eq!(
                 !matches!(lowered, FastFactor::Slow(_)),
                 *typed,
                 "{factor:?}"
             );
             for row in 0..relation.len() {
-                let got = eval_fast(&lowered, &relation, &col_of_attr, &dynamics, row);
-                let want =
-                    factor.evaluate(&|a: AttrId| relation.value(row, col_of_attr[a.index()]));
+                let got = eval_fast(&lowered, &relation, &dynamics, row);
+                let want = factor.evaluate(&|a: AttrId| relation.value(row, col_of_attr(a)));
                 assert_eq!(got.to_bits(), want.to_bits(), "{factor:?} at row {row}");
             }
         }

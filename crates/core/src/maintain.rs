@@ -243,7 +243,6 @@ impl Maintainer {
             }
             partitions.insert(delta.relation(), (inserts, deletes));
         }
-        let num_attrs = staged_db.schema().num_attributes();
 
         // The walk: the affected groups in topological order, on the calling
         // thread. A group reads only the staged database, the retained (old)
@@ -261,7 +260,6 @@ impl Maintainer {
                 outcomes[gid] = refresh_group(
                     plan,
                     partitions.get(plan.relation.as_str()),
-                    num_attrs,
                     &staged_db,
                     &current.computed,
                     &UpstreamDeltas {
@@ -429,7 +427,6 @@ impl Maintainer {
 fn refresh_group<D: ViewSource>(
     plan: &GroupPlan,
     seed: Option<&(Relation, Relation)>,
-    num_attrs: usize,
     staged_db: &Database,
     retained: &FxHashMap<ViewId, Arc<ComputedView>>,
     upstream: &D,
@@ -459,8 +456,8 @@ fn refresh_group<D: ViewSource>(
             .filter(|p| !p.is_empty())
             .count();
         out.rows_scanned += inserts.len() + deletes.len();
-        let pos = scan_partition(inserts, num_attrs, plan, retained, dynamics)?;
-        let neg = scan_partition(deletes, num_attrs, plan, retained, dynamics)?;
+        let pos = scan_partition(inserts, plan, retained, dynamics)?;
+        let neg = scan_partition(deletes, plan, retained, dynamics)?;
         out.views = pos
             .into_iter()
             .zip(neg)
@@ -488,7 +485,6 @@ fn refresh_group<D: ViewSource>(
             plan,
             &changed_incoming,
             relation,
-            num_attrs,
             retained,
             upstream,
             dynamics,

@@ -100,7 +100,6 @@ impl<D: ViewSource> ViewSource for TelescopeOverlay<'_, D> {
 /// the plan's trie order), skipping the scan entirely for empty partitions.
 pub(crate) fn scan_partition<V: ViewSource>(
     partition: &Relation,
-    num_attrs: usize,
     plan: &GroupPlan,
     computed: &V,
     dynamics: &DynamicRegistry,
@@ -117,7 +116,7 @@ pub(crate) fn scan_partition<V: ViewSource>(
             })
             .collect());
     }
-    execute_group_scan(partition, num_attrs, plan, computed, dynamics, None, None)
+    execute_group_scan(partition, plan, computed, dynamics, None, None)
 }
 
 /// The propagation scans of one group: the outputs of every scan executed
@@ -139,7 +138,6 @@ pub(crate) fn propagate<D: ViewSource>(
     plan: &GroupPlan,
     changed_incoming: &[bool],
     relation: &Relation,
-    num_attrs: usize,
     retained: &Retained,
     deltas: &D,
     dynamics: &DynamicRegistry,
@@ -159,7 +157,6 @@ pub(crate) fn propagate<D: ViewSource>(
         scan_charged(
             plan,
             relation,
-            num_attrs,
             &overlay,
             changed_incoming,
             dynamics,
@@ -201,9 +198,7 @@ pub(crate) fn propagate<D: ViewSource>(
             current: vid,
             earlier: &earlier,
         };
-        scan_charged(
-            plan, relation, num_attrs, &overlay, &one_hot, dynamics, &mut out,
-        )?;
+        scan_charged(plan, relation, &overlay, &one_hot, dynamics, &mut out)?;
         earlier.insert(vid);
     }
     Ok(out)
@@ -216,7 +211,6 @@ pub(crate) fn propagate<D: ViewSource>(
 fn scan_charged<V: ViewSource>(
     plan: &GroupPlan,
     relation: &Relation,
-    num_attrs: usize,
     overlay: &V,
     charged: &[bool],
     dynamics: &DynamicRegistry,
@@ -227,7 +221,6 @@ fn scan_charged<V: ViewSource>(
     let mask = active_slots(plan, charged);
     out.scans.push(execute_group_scan(
         rows,
-        num_attrs,
         plan,
         overlay,
         dynamics,
@@ -244,8 +237,7 @@ fn scan_charged<V: ViewSource>(
 /// with one probe per charged view, gathered in order into a relation of the
 /// same schema — the only rows that can contribute to the scan (see the
 /// module docs). `None` means "scan the whole relation": a charged view has
-/// no bound key, or one outside the attribute order (rows of one innermost
-/// range could then split), or every row is selected.
+/// no bound key, or every row is selected.
 fn select_rows<V: ViewSource>(
     plan: &GroupPlan,
     relation: &Relation,
@@ -254,7 +246,7 @@ fn select_rows<V: ViewSource>(
 ) -> Option<Relation> {
     let mut probes = Vec::new();
     for (inc, _) in plan.incoming.iter().zip(charged).filter(|&(_, &c)| c) {
-        if inc.bound.is_empty() || inc.bound.iter().any(|(a, _)| !plan.attr_order.contains(a)) {
+        if inc.bound.is_empty() {
             return None;
         }
         let hits: KeySet = deltas
@@ -262,7 +254,8 @@ fn select_rows<V: ViewSource>(
             .iter()
             .map(|(key, _)| inc.bound_positions.iter().map(|&p| key[p]).collect())
             .collect();
-        probes.push((inc.bound.iter().map(|&(_, col)| col).collect(), hits));
+        let cols = inc.bound.iter().map(|&d| plan.attr_order_cols[d]).collect();
+        probes.push((cols, hits));
     }
     relation.semi_join(&probes)
 }
@@ -288,7 +281,8 @@ fn changed_refs(
         .flat_map(|o| &o.aggregates)
         .flat_map(|a| &a.terms)
     {
-        for &(inc, _) in &term.extra_refs {
+        for &(view, _) in &term.extra_refs {
+            let inc = term.extra_views[view];
             if changed_incoming[inc] && note(term.slot, inc) {
                 return true;
             }

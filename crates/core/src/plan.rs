@@ -30,26 +30,90 @@
 //!   have no register depth and the scan adds each contribution to its
 //!   entry.
 //!
+//! **The plan resolves every attribute a scan reads.** Like the generated
+//! code of Figure 4, which reads each value from a fixed variable, the scan
+//! never looks an attribute up: [`build_group_plan`] decides once where each
+//! one comes from ([`KeySource`]) — a depth of the attribute order, a column
+//! of the scanned relation, or a key position of an incoming-view entry in
+//! the term's combination — for every view probe, factor and output key.
+//! Every factor evaluated outside the typed local loops is stored as a
+//! [`ResolvedFactor`], whose arguments are indices into that decision. A
+//! factor spanning relations ([`TermPlan::extra_factors`]) that reads a
+//! column of the scanned relation is evaluated per row of the innermost
+//! range ([`TermPlan::row_factors`]). A plan that would read an attribute
+//! from nowhere — an incoming view bound on a column outside the attribute
+//! order, or a key part or factor argument no view of the term carries — is
+//! [`EngineError::InvalidPlan`].
+//!
 //! This module only *builds* the plans; execution lives in [`crate::exec`].
 
 use crate::error::EngineError;
 use crate::group::ViewGroup;
-use crate::view::{ViewCatalog, ViewDef, ViewId};
+use crate::view::{ViewCatalog, ViewDef, ViewId, ViewTerm};
 use lmfao_data::{AttrId, Database, Relation};
 use lmfao_expr::ScalarFunction;
 use lmfao_jointree::JoinTree;
 
-/// Where a component of an output key comes from.
-#[derive(Debug, Clone, PartialEq)]
+/// Where a scan reads the value of an attribute: a part of an output key, or
+/// an argument of a factor of a term.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeySource {
     /// A join attribute of the scanned relation, bound at the given depth of
     /// the attribute order.
     BoundDepth(usize),
-    /// A non-join column of the scanned relation: requires the per-row path.
+    /// A non-join column of the scanned relation, read from the current row:
+    /// a term that reads one is emitted per row ([`TermPlan::per_row`]).
     RowColumn(usize),
-    /// An attribute carried by an incoming view's extra key, resolved from
-    /// the current entry combination.
-    Extra(AttrId),
+    /// An attribute carried by an incoming view's extra key: position `pos`
+    /// of the key of the entry that the term's `view`-th extra view
+    /// ([`TermPlan::extra_views`]) contributes to the current combination —
+    /// the first of them that carries the attribute.
+    Extra {
+        /// Index into the term's [`TermPlan::extra_views`].
+        view: usize,
+        /// Position within that view's key tuple.
+        pos: usize,
+    },
+}
+
+/// A factor whose attributes the planner resolved: `factor` reads its `i`-th
+/// attribute occurrence as `AttrId(i)`, whose value comes from `args[i]` —
+/// a depth, a column position or a [`KeySource`], by where it is evaluated.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResolvedFactor<S> {
+    /// The factor, over argument indices.
+    pub factor: ScalarFunction,
+    /// Where each argument is read.
+    pub args: Vec<S>,
+}
+
+/// Resolves `factor`'s attributes through `source`; `None` when one of them
+/// has no source.
+pub(crate) fn resolve<S>(
+    factor: &ScalarFunction,
+    source: impl FnMut(AttrId) -> Option<S>,
+) -> Option<ResolvedFactor<S>> {
+    use ScalarFunction as F;
+    let args = factor
+        .attrs()
+        .into_iter()
+        .map(source)
+        .collect::<Option<_>>()?;
+    let mut factor = factor.clone();
+    let attrs: Vec<&mut AttrId> = match &mut factor {
+        F::Constant(_) => vec![],
+        F::Identity(a)
+        | F::Log(a)
+        | F::Power { attr: a, .. }
+        | F::Indicator { attr: a, .. }
+        | F::InSet { attr: a, .. } => vec![a],
+        F::ExpLinear { coefficients } => coefficients.iter_mut().map(|(a, _)| a).collect(),
+        F::Dynamic { attrs, .. } => attrs.iter_mut().collect(),
+    };
+    for (i, a) in attrs.into_iter().enumerate() {
+        *a = AttrId(i as u32);
+    }
+    Some(ResolvedFactor { factor, args })
 }
 
 /// Plan for one incoming view consumed by the group.
@@ -57,10 +121,10 @@ pub enum KeySource {
 pub struct IncomingPlan {
     /// The incoming view.
     pub view: ViewId,
-    /// Key attributes of the view that are columns of the scanned relation,
-    /// as `(attr, column position in the relation)`, in the view's canonical
-    /// key order.
-    pub bound: Vec<(AttrId, usize)>,
+    /// The depths of the attribute order that bind the view's key attributes
+    /// that are columns of the scanned relation, in the view's canonical key
+    /// order: the probe key. Each is a join attribute of the node.
+    pub bound: Vec<usize>,
     /// Key attributes of the view that are *not* columns of the scanned
     /// relation (extra attributes carried from deeper in the tree), as
     /// `(attr, position within the view's key tuple)`.
@@ -87,14 +151,26 @@ pub struct TermPlan {
     /// Index of the term's local expression in [`GroupPlan::local_exprs`].
     pub local_expr: usize,
     /// References to aggregates of incoming views *with* extra keys,
-    /// multiplied in the innermost combination loop.
+    /// multiplied in the innermost combination loop, as `(view, aggregate)`:
+    /// `view` indexes [`TermPlan::extra_views`].
     pub extra_refs: Vec<(usize, usize)>,
     /// Distinct incoming-plan indices appearing in `extra_refs` (the views
-    /// whose entry lists the innermost loop iterates over).
+    /// whose entry lists the innermost loop iterates over); an entry
+    /// combination holds one entry of each, in this order.
     pub extra_views: Vec<usize>,
-    /// Factors over attributes that are not columns of the scanned relation,
-    /// evaluated against the current entry combination (plus bound values).
-    pub extra_factors: Vec<ScalarFunction>,
+    /// Where each part of the output's key is read for this term.
+    pub key: Vec<KeySource>,
+    /// Factors over attributes that are not all columns of the scanned
+    /// relation and that read no [`KeySource::RowColumn`]: evaluated once per
+    /// entry combination.
+    pub extra_factors: Vec<ResolvedFactor<KeySource>>,
+    /// The term's other factors over such attributes, which read a
+    /// [`KeySource::RowColumn`]: evaluated per row of the innermost range,
+    /// after the local factors.
+    pub row_factors: Vec<ResolvedFactor<KeySource>>,
+    /// True if the term is emitted per row of the innermost range: a key
+    /// part is a [`KeySource::RowColumn`], or a row factor reads one.
+    pub per_row: bool,
 }
 
 /// An output aggregate: the terms contributing to one aggregate of a view.
@@ -113,18 +189,13 @@ pub struct OutputPlan {
     pub view: ViewId,
     /// Group-by attributes in the view's canonical order.
     pub key_attrs: Vec<AttrId>,
-    /// Where each key component comes from.
-    pub key_sources: Vec<KeySource>,
-    /// True if any key component is a non-join relation column (per-row path).
-    pub needs_row_loop: bool,
     /// The depth whose binding fixes the output's key when every key part is
-    /// a [`KeySource::BoundDepth`]: `1 +` the deepest such part, `0` for a
+    /// a join attribute: `1 +` the deepest such part's depth, `0` for a
     /// scalar output. The scan then accumulates the output in a register row
     /// that is loaded once per binding of this depth and stored back when
-    /// the binding ends. `None` when a key part is a
-    /// [`KeySource::RowColumn`] or [`KeySource::Extra`]: such keys change
-    /// inside the innermost loop, so each contribution is added to its entry
-    /// directly.
+    /// the binding ends. `None` when a key part is a non-join column or an
+    /// extra attribute: such keys change inside the innermost loop, so each
+    /// contribution is added to its entry directly.
     pub register_depth: Option<usize>,
     /// The aggregates to compute.
     pub aggregates: Vec<AggregatePlan>,
@@ -138,8 +209,9 @@ pub enum DepthUpdate {
     Factor {
         /// Register slot to update.
         slot: usize,
-        /// The factor; its attributes are all bound at this depth.
-        factor: ScalarFunction,
+        /// The factor; its arguments are depths of the attribute order, all
+        /// bound at this depth.
+        factor: ResolvedFactor<usize>,
     },
     /// Multiply `slot` by aggregate `agg` of incoming view `incoming`
     /// (which has no extra keys and was probed at this depth).
@@ -165,8 +237,11 @@ pub enum DepthUpdate {
 /// product is the tuple count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalExpr {
-    /// The factors of the product (possibly empty = COUNT).
-    pub factors: Vec<ScalarFunction>,
+    /// The factors of the product (possibly empty = COUNT), indicators first
+    /// and each class in source order, so a product is abandoned at a
+    /// rejected row before its measures are read. Their arguments are column
+    /// positions of the scanned relation.
+    pub factors: Vec<ResolvedFactor<usize>>,
 }
 
 /// The physical plan of one view group.
@@ -189,6 +264,9 @@ pub struct GroupPlan {
     /// Register updates per depth (`programs[d]` applies when the `d`-th
     /// attribute gets bound; `programs[0]` applies once before the scan).
     pub programs: Vec<Vec<DepthUpdate>>,
+    /// `registers_at[d]`: the outputs whose register depth is `d`, whose
+    /// register rows are stored back when a binding of depth `d` ends.
+    pub registers_at: Vec<Vec<usize>>,
     /// Total number of term slots.
     pub num_slots: usize,
     /// Whether the scan lowers the local factors against the relation's typed
@@ -260,6 +338,7 @@ pub fn build_group_plan(
         outputs: Vec::new(),
         local_exprs: Vec::new(),
         programs: vec![Vec::new(); attr_order.len() + 1],
+        registers_at: vec![Vec::new(); attr_order.len() + 1],
         num_slots: 0,
         specialized: true,
     };
@@ -274,102 +353,68 @@ pub fn build_group_plan(
         }
     }
     for &vid in &incoming_ids {
-        plan.incoming.push(build_incoming_plan(
-            catalog.view(vid),
-            relation,
-            &attr_order,
-        ));
+        let incoming = build_incoming_plan(catalog.view(vid), relation, &attr_order)?;
+        plan.incoming.push(incoming);
     }
 
     // Lower every output view.
     for &vid in &group.views {
-        let def = catalog.view(vid);
-        let output = lower_output(
-            def,
-            relation,
-            &attr_order,
-            &incoming_ids,
-            catalog,
-            &mut plan,
-        );
+        let output = lower_output(catalog.view(vid), relation, &incoming_ids, &mut plan)?;
+        if let Some(depth) = output.register_depth {
+            plan.registers_at[depth].push(plan.outputs.len());
+        }
         plan.outputs.push(output);
     }
 
     Ok(plan)
 }
 
-fn build_incoming_plan(def: &ViewDef, relation: &Relation, attr_order: &[AttrId]) -> IncomingPlan {
+fn build_incoming_plan(
+    def: &ViewDef,
+    relation: &Relation,
+    attr_order: &[AttrId],
+) -> Result<IncomingPlan, EngineError> {
     let mut bound = Vec::new();
     let mut bound_positions = Vec::new();
     let mut extras = Vec::new();
     for (pos, &attr) in def.group_by.iter().enumerate() {
-        match relation.position(attr) {
-            Some(col) => {
-                bound.push((attr, col));
-                bound_positions.push(pos);
-            }
-            None => extras.push((attr, pos)),
+        if relation.position(attr).is_none() {
+            extras.push((attr, pos));
+            continue;
         }
+        // A probe key is read from the bindings of the attribute order; the
+        // pushdown layer keys a view only by join attributes of its target
+        // (running intersection), so another column is a malformed catalog.
+        let depth = attr_order.iter().position(|a| *a == attr).ok_or_else(|| {
+            EngineError::InvalidPlan(format!(
+                "incoming view {:?} is keyed by {attr:?}, a column of `{}` outside its attribute order",
+                def.id,
+                relation.name()
+            ))
+        })?;
+        bound.push(depth);
+        bound_positions.push(pos);
     }
-    let probe_depth = bound
-        .iter()
-        .map(|(a, _)| {
-            attr_order
-                .iter()
-                .position(|x| x == a)
-                .map(|p| p + 1)
-                // A bound attribute that is not a join attribute of the node
-                // can only be resolved per row; treat it as the deepest depth
-                // (its value is constant within the innermost range only if it
-                // is functionally determined by the join attributes, which
-                // holds for the keys produced by the pushdown layer).
-                .unwrap_or(attr_order.len())
-        })
-        .max()
-        .unwrap_or(0);
-    IncomingPlan {
+    Ok(IncomingPlan {
         view: def.id,
+        probe_depth: bound.iter().max().map_or(0, |d| d + 1),
         bound,
         extras,
         bound_positions,
-        probe_depth,
-    }
+    })
 }
 
 fn lower_output(
     def: &ViewDef,
     relation: &Relation,
-    attr_order: &[AttrId],
     incoming_ids: &[ViewId],
-    catalog: &ViewCatalog,
     plan: &mut GroupPlan,
-) -> OutputPlan {
-    // Key sources.
-    let mut key_sources = Vec::with_capacity(def.group_by.len());
-    let mut needs_row_loop = false;
-    for &attr in &def.group_by {
-        if let Some(depth) = attr_order.iter().position(|a| *a == attr) {
-            key_sources.push(KeySource::BoundDepth(depth));
-        } else if let Some(col) = relation.position(attr) {
-            key_sources.push(KeySource::RowColumn(col));
-            needs_row_loop = true;
-        } else {
-            key_sources.push(KeySource::Extra(attr));
-        }
-    }
-
+) -> Result<OutputPlan, EngineError> {
     let mut aggregates = Vec::with_capacity(def.aggregates.len());
     for (agg_idx, agg) in def.aggregates.iter().enumerate() {
         let mut terms = Vec::with_capacity(agg.terms.len());
         for term in &agg.terms {
-            terms.push(lower_term(
-                term,
-                relation,
-                attr_order,
-                incoming_ids,
-                catalog,
-                plan,
-            ));
+            terms.push(lower_term(def, term, relation, incoming_ids, plan)?);
         }
         aggregates.push(AggregatePlan {
             index: agg_idx,
@@ -377,29 +422,26 @@ fn lower_output(
         });
     }
 
-    let register_depth = key_sources.iter().try_fold(0, |deepest, src| match src {
-        KeySource::BoundDepth(d) => Some(deepest.max(d + 1)),
-        KeySource::RowColumn(_) | KeySource::Extra(_) => None,
+    let register_depth = def.group_by.iter().try_fold(0, |deepest, attr| {
+        let depth = plan.attr_order.iter().position(|a| a == attr)?;
+        Some(deepest.max(depth + 1))
     });
 
-    OutputPlan {
+    Ok(OutputPlan {
         view: def.id,
         key_attrs: def.group_by.clone(),
-        key_sources,
-        needs_row_loop,
         register_depth,
         aggregates,
-    }
+    })
 }
 
 fn lower_term(
-    term: &crate::view::ViewTerm,
+    def: &ViewDef,
+    term: &ViewTerm,
     relation: &Relation,
-    attr_order: &[AttrId],
     incoming_ids: &[ViewId],
-    catalog: &ViewCatalog,
     plan: &mut GroupPlan,
-) -> TermPlan {
+) -> Result<TermPlan, EngineError> {
     let slot = plan.num_slots;
     plan.num_slots += 1;
 
@@ -410,77 +452,104 @@ fn lower_term(
         });
     }
 
-    // Classify local factors.
-    let mut local_factors: Vec<ScalarFunction> = Vec::new();
-    let mut extra_factors: Vec<ScalarFunction> = Vec::new();
-    for f in &term.local {
-        let attrs = f.attrs();
-        let all_in_relation = attrs.iter().all(|a| relation.position(*a).is_some());
-        if all_in_relation {
-            let depths: Option<Vec<usize>> = attrs
-                .iter()
-                .map(|a| attr_order.iter().position(|x| x == a))
-                .collect();
-            match depths {
-                Some(ds) if !attrs.is_empty() => {
-                    // Factor over join attributes only: registered at the
-                    // deepest of the attributes' depths.
-                    let depth = ds.into_iter().max().unwrap() + 1;
-                    plan.programs[depth].push(DepthUpdate::Factor {
-                        slot,
-                        factor: f.clone(),
-                    });
-                }
-                _ => local_factors.push(f.clone()),
-            }
-        } else {
-            extra_factors.push(f.clone());
-        }
-    }
-
-    // Local expression (deduplicated across the whole group).
-    let local_expr = intern_local_expr(
-        plan,
-        LocalExpr {
-            factors: local_factors,
-        },
-    );
-
-    // Child references.
+    // Child references: views with extra keys join the combination loop,
+    // the others are probed at their depth — after the term's factors, the
+    // order in which the depth programs multiply them.
     let mut extra_refs = Vec::new();
     let mut extra_views = Vec::new();
-    for &(child, agg_idx) in &term.child_refs {
-        let incoming_idx = incoming_ids
+    let mut probed = Vec::new();
+    for &(child, agg) in &term.child_refs {
+        let incoming = incoming_ids
             .iter()
             .position(|v| *v == child)
             .expect("child view must be an incoming view of the group");
-        let child_def = catalog.view(child);
-        let has_extras = child_def
-            .group_by
-            .iter()
-            .any(|a| relation.position(*a).is_none());
-        if has_extras {
-            extra_refs.push((incoming_idx, agg_idx));
-            if !extra_views.contains(&incoming_idx) {
-                extra_views.push(incoming_idx);
-            }
-        } else {
-            let depth = plan.incoming[incoming_idx].probe_depth;
-            plan.programs[depth].push(DepthUpdate::ScalarView {
+        let inc = &plan.incoming[incoming];
+        if !inc.has_extras() {
+            let update = DepthUpdate::ScalarView {
                 slot,
-                incoming: incoming_idx,
-                agg: agg_idx,
+                incoming,
+                agg,
+            };
+            probed.push((inc.probe_depth, update));
+            continue;
+        }
+        let view = extra_views
+            .iter()
+            .position(|&v| v == incoming)
+            .unwrap_or_else(|| {
+                extra_views.push(incoming);
+                extra_views.len() - 1
             });
+        extra_refs.push((view, agg));
+    }
+    // Where the term reads `attr`: the scan's binding or row, else the first
+    // of its extra views that carries it.
+    let source = |attr: AttrId| {
+        if let Some(depth) = plan.attr_order.iter().position(|a| *a == attr) {
+            return Some(KeySource::BoundDepth(depth));
+        }
+        if let Some(col) = relation.position(attr) {
+            return Some(KeySource::RowColumn(col));
+        }
+        extra_views.iter().enumerate().find_map(|(view, &inc)| {
+            let extras = &plan.incoming[inc].extras;
+            let &(_, pos) = extras.iter().find(|(a, _)| *a == attr)?;
+            Some(KeySource::Extra { view, pos })
+        })
+    };
+    let unresolved = |what: String| {
+        EngineError::InvalidPlan(format!(
+            "{what} of view {:?} reads an attribute that is neither a column of `{}` \
+             nor carried by an incoming view of its term",
+            def.id,
+            relation.name()
+        ))
+    };
+    let reads_row = |args: &[KeySource]| args.iter().any(|s| matches!(s, KeySource::RowColumn(_)));
+
+    // Classify the factors: over join attributes only (registered at the
+    // deepest of their depths), over columns of the relation (the local
+    // expression), or spanning relations (the combination loop).
+    let mut local = Vec::new();
+    let mut extra_factors = Vec::new();
+    let mut row_factors = Vec::new();
+    for f in &term.local {
+        let on_depths = resolve(f, |a| plan.attr_order.iter().position(|x| *x == a));
+        if let Some(factor) = on_depths.filter(|r| !r.args.is_empty()) {
+            let depth = factor.args.iter().max().map_or(0, |d| d + 1);
+            plan.programs[depth].push(DepthUpdate::Factor { slot, factor });
+        } else if let Some(factor) = resolve(f, |a| relation.position(a)) {
+            local.push(factor);
+        } else {
+            let factor = resolve(f, source).ok_or_else(|| unresolved(format!("factor {f:?}")))?;
+            if reads_row(&factor.args) {
+                row_factors.push(factor);
+            } else {
+                extra_factors.push(factor);
+            }
         }
     }
+    for (depth, update) in probed {
+        plan.programs[depth].push(update);
+    }
+    let key: Option<Vec<_>> = def.group_by.iter().map(|&a| source(a)).collect();
+    let key = key.ok_or_else(|| unresolved("the key".to_string()))?;
+    let per_row = !row_factors.is_empty() || reads_row(&key);
 
-    TermPlan {
+    // Indicators first (see `LocalExpr::factors`); the sort is stable.
+    local.sort_by_key(|f| !matches!(f.factor, ScalarFunction::Indicator { .. }));
+    let local_expr = intern_local_expr(plan, LocalExpr { factors: local });
+
+    Ok(TermPlan {
         slot,
         local_expr,
         extra_refs,
         extra_views,
+        key,
         extra_factors,
-    }
+        row_factors,
+        per_row,
+    })
 }
 
 fn intern_local_expr(plan: &mut GroupPlan, expr: LocalExpr) -> usize {
@@ -651,15 +720,19 @@ mod tests {
         // its key from the incoming Items view (Extra source).
         let sales = tree.node_of_relation("Sales").unwrap();
         if roots.root_of(0) == sales {
-            let extra_keyed: Vec<&OutputPlan> = plans
-                .iter()
-                .flat_map(|p| &p.outputs)
-                .filter(|o| {
-                    o.key_sources
-                        .iter()
-                        .any(|k| matches!(k, KeySource::Extra(a) if *a == price))
-                })
-                .collect();
+            let mut extra_keyed = Vec::new();
+            for plan in &plans {
+                for output in plan.outputs.iter().filter(|o| o.key_attrs == [price]) {
+                    for term in output.aggregates.iter().flat_map(|g| &g.terms) {
+                        let [KeySource::Extra { view, pos }] = term.key[..] else {
+                            panic!("{:?} is not one extra part", term.key);
+                        };
+                        let inc = &plan.incoming[term.extra_views[view]];
+                        assert!(inc.extras.contains(&(price, pos)));
+                    }
+                    extra_keyed.push(output);
+                }
+            }
             assert!(!extra_keyed.is_empty());
             // An extra key part changes inside the innermost loop: no
             // output register.
@@ -703,15 +776,103 @@ mod tests {
         // Group by a non-join attribute of Sales.
         batch.push("by_units", vec![units], vec![Aggregate::count()]);
         let plans = plans_for(&batch, &mut db, &tree);
-        let found = plans.iter().any(|p| {
-            p.outputs.iter().any(|o| {
-                o.needs_row_loop
-                    && o.key_sources
-                        .iter()
-                        .any(|k| matches!(k, KeySource::RowColumn(_)))
-            })
-        });
-        assert!(found);
+        let terms: Vec<&TermPlan> = plans
+            .iter()
+            .flat_map(|p| &p.outputs)
+            .filter(|o| o.key_attrs == [units])
+            .flat_map(|o| o.aggregates.iter().flat_map(|g| &g.terms))
+            .collect();
+        assert!(!terms.is_empty());
+        for term in terms {
+            assert!(term.per_row);
+            assert!(matches!(term.key[..], [KeySource::RowColumn(_)]));
+        }
+    }
+
+    /// A one-group catalog at Sales: the output `root` (keyed by `key`, one
+    /// term with the `local` factors times the count of `child`) over one
+    /// incoming view from Items keyed by `child`. Planned at Sales, whose
+    /// attribute order is `[item]`.
+    fn hand_built_plan(
+        key: Vec<AttrId>,
+        local: Vec<ScalarFunction>,
+        child: Vec<AttrId>,
+    ) -> Result<GroupPlan, EngineError> {
+        let (mut db, tree) = db_and_tree();
+        prepare_database(&mut db, &tree);
+        let sales = tree.node_of_relation("Sales").unwrap();
+        let items = tree.node_of_relation("Items").unwrap();
+        let mut catalog = ViewCatalog::new();
+        let incoming = catalog.get_or_create(items, Some(sales), child);
+        catalog.add_aggregate(incoming, crate::view::ViewAggregate::count());
+        let root = catalog.get_or_create(sales, None, key);
+        let term = ViewTerm {
+            constant: 1.0,
+            local,
+            child_refs: vec![(incoming, 0)],
+        };
+        catalog.add_aggregate(root, crate::view::ViewAggregate::single(term));
+        let group = ViewGroup {
+            id: 0,
+            node: sales,
+            stage: 1,
+            views: vec![root],
+        };
+        build_group_plan(&db, &tree, &catalog, &group)
+    }
+
+    fn assert_invalid_plan(plan: Result<GroupPlan, EngineError>, what: &str) {
+        match plan {
+            Err(EngineError::InvalidPlan(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected an invalid plan naming {what:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_incoming_view_bound_on_a_non_join_column_is_an_invalid_plan() {
+        let (db, _) = db_and_tree();
+        let attr = |n: &str| db.schema().attr_id(n).unwrap();
+        // The well-formed shape plans: Items' view keyed by the join
+        // attribute `item` is probed at depth 1.
+        let plan = hand_built_plan(vec![], vec![], vec![attr("item")]).unwrap();
+        assert_eq!(plan.incoming[0].bound, [0]);
+        assert_eq!(plan.incoming[0].probe_depth, 1);
+        // Keyed by `units`, a column of Sales outside its attribute order,
+        // the view could only be probed with a value no binding holds.
+        assert_invalid_plan(
+            hand_built_plan(vec![], vec![], vec![attr("item"), attr("units")]),
+            "outside its attribute order",
+        );
+    }
+
+    #[test]
+    fn an_extra_attribute_no_view_of_the_term_carries_is_an_invalid_plan() {
+        let (db, _) = db_and_tree();
+        let attr = |n: &str| db.schema().attr_id(n).unwrap();
+        let (item, units, price) = (attr("item"), attr("units"), attr("price"));
+        let exp = ScalarFunction::ExpLinear {
+            coefficients: vec![(price, 1.0), (units, 1.0)],
+        };
+        // Carried by the incoming view, `price` resolves to its entry: the
+        // key part, and the factor's first argument beside a row column.
+        let plan = hand_built_plan(vec![price], vec![exp.clone()], vec![item, price]).unwrap();
+        let term = &plan.outputs[0].aggregates[0].terms[0];
+        let carried = KeySource::Extra { view: 0, pos: 1 };
+        assert_eq!(term.key, [carried]);
+        assert!(term.extra_factors.is_empty());
+        assert_eq!(term.row_factors.len(), 1);
+        assert_eq!(term.row_factors[0].args, [carried, KeySource::RowColumn(2)]);
+        assert!(term.per_row);
+        // Not carried, it is read from nowhere: as a key part, and as an
+        // argument of a factor.
+        assert_invalid_plan(
+            hand_built_plan(vec![price], vec![], vec![item]),
+            "the key of view",
+        );
+        assert_invalid_plan(
+            hand_built_plan(vec![], vec![exp], vec![item]),
+            "factor ExpLinear",
+        );
     }
 
     #[test]

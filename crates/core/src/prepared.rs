@@ -185,11 +185,6 @@ impl PreparedBatch {
         self.inner.queries.is_empty()
     }
 
-    /// The query names, in batch order.
-    pub fn query_names(&self) -> impl Iterator<Item = &str> {
-        self.inner.queries.iter().map(|q| q.name.as_str())
-    }
-
     /// This batch over the part of its database that satisfies every one of
     /// `conditions`: the same plans (shared, never re-planned) over a row
     /// selection of the same database.
@@ -503,10 +498,6 @@ mod tests {
         let prepared = engine.prepare(&batch).unwrap();
         assert_eq!(prepared.len(), 3);
         assert!(!prepared.is_empty());
-        assert_eq!(
-            prepared.query_names().collect::<Vec<_>>(),
-            vec!["count", "xy", "per_a"]
-        );
         let planned = prepared.stats().clone();
         assert_eq!(planned.output_size_bytes, 0);
         let executed = prepared.execute(&DynamicRegistry::new()).unwrap().stats;

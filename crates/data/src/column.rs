@@ -179,15 +179,6 @@ impl Column {
         }
     }
 
-    /// The dictionary-code slice, when this is a [`Column::Dict`] column.
-    #[inline]
-    pub fn as_codes(&self) -> Option<&[u32]> {
-        match self {
-            Column::Dict { codes, .. } => Some(codes),
-            _ => None,
-        }
-    }
-
     /// The dictionary attached to a [`Column::Dict`] column, if any.
     pub fn dictionary(&self) -> Option<&Arc<Dictionary>> {
         match self {
@@ -272,7 +263,7 @@ mod tests {
 
         let mut d = Column::new();
         d.push(Value::Cat(7));
-        assert_eq!(d.as_codes(), Some(&[7u32][..]));
+        assert!(matches!(&d, Column::Dict { codes, .. } if codes[..] == [7]));
     }
 
     #[test]

@@ -195,23 +195,6 @@ impl DatabaseSchema {
             .copied()
             .ok_or_else(|| DataError::UnknownRelation(name.to_string()))
     }
-
-    /// Attributes that appear in more than one relation (the join attributes
-    /// of the natural join of all relations).
-    pub fn join_attributes(&self) -> Vec<AttrId> {
-        let mut counts = vec![0usize; self.attributes.len()];
-        for rel in &self.relations {
-            for &a in &rel.attrs {
-                counts[a.index()] += 1;
-            }
-        }
-        counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 1)
-            .map(|(i, _)| AttrId(i as u32))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -280,20 +263,6 @@ mod tests {
         let shared = sales.shared_attrs(items);
         assert_eq!(shared.len(), 1);
         assert_eq!(s.attr_name(shared[0]), "item");
-    }
-
-    #[test]
-    fn join_attributes_of_database() {
-        let s = sample_schema();
-        let joins: Vec<&str> = s
-            .join_attributes()
-            .into_iter()
-            .map(|a| s.attr_name(a).to_string())
-            .map(|n| if n == "store" { "store" } else { "item" })
-            .collect();
-        assert_eq!(s.join_attributes().len(), 2);
-        assert!(joins.contains(&"store"));
-        assert!(joins.contains(&"item"));
     }
 
     #[test]

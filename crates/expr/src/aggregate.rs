@@ -117,18 +117,6 @@ impl Aggregate {
         }
     }
 
-    /// `SUM(Π X_j^{a_j})`, the polynomial-regression aggregate of Eq. (5).
-    pub fn sum_monomial(powers: &[(AttrId, u32)]) -> Self {
-        let factors = powers
-            .iter()
-            .filter(|(_, e)| *e > 0)
-            .map(|&(attr, exponent)| ScalarFunction::Power { attr, exponent })
-            .collect();
-        Aggregate {
-            terms: vec![ProductTerm::of(factors)],
-        }
-    }
-
     /// An aggregate from a single product term.
     pub fn product(term: ProductTerm) -> Self {
         Aggregate { terms: vec![term] }
@@ -227,16 +215,6 @@ mod tests {
             12.0
         );
         assert_eq!(Aggregate::sum_square(AttrId(1)).evaluate(&l, &reg), 16.0);
-    }
-
-    #[test]
-    fn monomial_aggregate() {
-        let reg = DynamicRegistry::new();
-        let l = lookup(vec![(AttrId(0), 2.0), (AttrId(1), 3.0)]);
-        let agg = Aggregate::sum_monomial(&[(AttrId(0), 2), (AttrId(1), 1), (AttrId(2), 0)]);
-        assert_eq!(agg.evaluate(&l, &reg), 12.0);
-        // zero exponents are dropped entirely
-        assert_eq!(agg.terms[0].factors.len(), 2);
     }
 
     #[test]

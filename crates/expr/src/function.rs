@@ -144,11 +144,6 @@ impl ScalarFunction {
         }
     }
 
-    /// True if the function reads no attributes (is a constant factor).
-    pub fn is_constant(&self) -> bool {
-        matches!(self, ScalarFunction::Constant(_))
-    }
-
     /// True if this is a dynamic function (must not be inlined/specialized,
     /// it may change between iterations).
     pub fn is_dynamic(&self) -> bool {
@@ -348,8 +343,6 @@ mod tests {
         };
         assert_eq!(d.attrs(), vec![AttrId(1), AttrId(4)]);
         assert!(d.is_dynamic());
-        assert!(!d.is_constant());
-        assert!(ScalarFunction::Constant(2.0).is_constant());
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl Query {
         self.aggregates.len()
     }
 
-    /// True if the query has no group-by attributes (scalar output).
-    pub fn is_scalar(&self) -> bool {
-        self.group_by.is_empty()
-    }
-
     /// True if any aggregate uses a dynamic function.
     pub fn has_dynamic(&self) -> bool {
         self.aggregates.iter().any(Aggregate::has_dynamic)
@@ -165,14 +160,7 @@ mod tests {
         );
         assert_eq!(q.attrs(), vec![AttrId(5), AttrId(1), AttrId(2)]);
         assert_eq!(q.num_aggregates(), 2);
-        assert!(!q.is_scalar());
         assert!(!q.has_dynamic());
-    }
-
-    #[test]
-    fn scalar_query() {
-        let q = Query::new(0, "count", vec![], vec![Aggregate::count()]);
-        assert!(q.is_scalar());
     }
 
     #[test]

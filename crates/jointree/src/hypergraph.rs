@@ -65,20 +65,6 @@ impl Hypergraph {
         self.edges.is_empty()
     }
 
-    /// All distinct attributes of the hypergraph.
-    pub fn vertices(&self) -> Vec<AttrId> {
-        let mut seen = FxHashSet::default();
-        let mut out = Vec::new();
-        for e in &self.edges {
-            for &a in &e.attrs {
-                if seen.insert(a) {
-                    out.push(a);
-                }
-            }
-        }
-        out
-    }
-
     /// Attributes shared between two edges.
     pub fn shared_attrs(&self, i: usize, j: usize) -> Vec<AttrId> {
         let set: FxHashSet<AttrId> = self.edges[j].attrs.iter().copied().collect();
@@ -88,11 +74,6 @@ impl Hypergraph {
             .copied()
             .filter(|a| set.contains(a))
             .collect()
-    }
-
-    /// Index of the edge with the given name.
-    pub fn edge_index(&self, name: &str) -> Option<usize> {
-        self.edges.iter().position(|e| e.name == name)
     }
 }
 
@@ -122,9 +103,6 @@ mod tests {
         let h = Hypergraph::from_schema(&schema);
         assert_eq!(h.len(), 3);
         assert!(!h.is_empty());
-        assert_eq!(h.vertices().len(), 4);
-        assert_eq!(h.edge_index("S2"), Some(1));
-        assert_eq!(h.edge_index("nope"), None);
     }
 
     #[test]

@@ -85,7 +85,7 @@
 
 use std::ops::Range;
 
-use lmfao_core::{BatchResult, Engine, EngineError, QueryResult};
+use lmfao_core::{BatchResult, Engine, EngineError, PreparedBatch, QueryResult};
 use lmfao_data::{AttrId, Value};
 use lmfao_expr::{Aggregate, CmpOp, DynamicRegistry, ProductTerm, QueryBatch, ScalarFunction};
 
@@ -524,14 +524,28 @@ pub fn train_decision_tree(
     let prepared = engine.prepare(&plan.batch(&ProductTerm::one()))?;
     let dynamics = DynamicRegistry::new();
     learn(&plan, config, prepared, |anchor, conditions| {
-        let node = match conditions {
-            [] => anchor.clone(),
-            _ => anchor.restrict(&indicators(conditions))?,
-        };
-        let rows = node.database().total_tuples();
-        let stats = plan.statistics(&node.execute(&dynamics)?);
-        Ok((node, stats, rows))
+        execute_restricted(&plan, &dynamics, anchor, conditions)
     })
+}
+
+/// The step [`train_decision_tree`] hands to `learn`: a node's batch is its
+/// nearest executed ancestor's batch `anchor` restricted by the split
+/// `conditions` between the two (the root's is the prepared batch itself,
+/// never restricted), executed once. Returns the batch, the node's statistics
+/// and the tuples of the database it read.
+fn execute_restricted(
+    plan: &CandidatePlan,
+    dynamics: &DynamicRegistry,
+    anchor: &PreparedBatch,
+    conditions: &[SplitCondition],
+) -> Result<(PreparedBatch, NodeStatistics, usize), EngineError> {
+    let node = match conditions {
+        [] => anchor.clone(),
+        _ => anchor.restrict(&indicators(conditions))?,
+    };
+    let rows = node.database().total_tuples();
+    let stats = plan.statistics(&node.execute(dynamics)?);
+    Ok((node, stats, rows))
 }
 
 /// Learns a decision tree by re-running the whole optimizer for every node
@@ -824,7 +838,6 @@ fn minus(a: &[f64], b: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmfao_core::PreparedBatch;
 
     #[test]
     fn split_condition_negation_round_trips() {
@@ -1172,44 +1185,35 @@ mod tests {
         assert_grouped_matches_oracle(&engine, &plan, &path);
     }
 
-    /// A tree learned the way [`train_decision_tree`] learns it, with the
-    /// path of every node that executed and of every node whose batch was
-    /// restricted, in the order the learner asked for them.
+    /// A tree learned by `learn` with [`train_decision_tree`]'s own step,
+    /// wrapped to record the path of every node that executed and of every
+    /// node whose batch the step restricted — read off the batch it returned,
+    /// whose database holds fewer tuples than its anchor's — in the order
+    /// the learner asked for them.
     struct Recorded {
-        root: TreeNode,
+        tree: DecisionTree,
         executed: Vec<Vec<SplitCondition>>,
         restricted: Vec<Vec<SplitCondition>>,
     }
 
     fn learn_recording(engine: &Engine, plan: &CandidatePlan, config: &TreeConfig) -> Recorded {
         let prepared = engine.prepare(&plan.batch(&ProductTerm::one())).unwrap();
+        let dynamics = DynamicRegistry::new();
         let (mut executed, mut restricted) = (Vec::new(), Vec::new());
-        let mut run = |node: &PreparedBatch, path: &[SplitCondition]| {
-            executed.push(path.to_vec());
-            plan.statistics(&node.execute(&DynamicRegistry::new()).unwrap())
-        };
-        let stats = run(&prepared, &[]);
-        // One full path per call: the anchor's path, then the conditions.
-        let mut execute = |(anchor, path): &(PreparedBatch, Vec<SplitCondition>),
-                           conditions: &[SplitCondition]| {
+        // Each state carries its node's full path beside its batch.
+        let root = (prepared, Vec::new());
+        let tree = learn(plan, config, root, |(anchor, path), conditions| {
             let path = [path.as_slice(), conditions].concat();
-            restricted.push(path.clone());
-            let node = anchor.restrict(&indicators(conditions))?;
-            let stats = run(&node, &path);
-            Ok(((node, path), stats))
-        };
-        let root = grow(
-            &(prepared, Vec::new()),
-            &[],
-            stats,
-            0,
-            plan,
-            config,
-            &mut execute,
-        )
+            let (node, stats, rows) = execute_restricted(plan, &dynamics, anchor, conditions)?;
+            executed.push(path.clone());
+            if rows < anchor.database().total_tuples() {
+                restricted.push(path.clone());
+            }
+            Ok(((node, path), stats, rows))
+        })
         .unwrap();
         Recorded {
-            root,
+            tree,
             executed,
             restricted,
         }
@@ -1337,7 +1341,9 @@ mod tests {
         let plan = CandidatePlan::new(engine, features, label, config);
         let recorded = learn_recording(engine, &plan, config);
         let tree = train_decision_tree(engine, features, label, config).unwrap();
-        assert_eq!(format!("{:?}", recorded.root), format!("{:?}", tree.root));
+        // The same tree and the same bookkeeping: nodes executed, queries
+        // issued and rows scanned.
+        assert_eq!(format!("{:?}", recorded.tree), format!("{tree:?}"));
 
         let prepared = engine.prepare(&plan.batch(&ProductTerm::one())).unwrap();
         let direct = |path: &[SplitCondition]| {
@@ -1382,7 +1388,9 @@ mod tests {
         for leaf in &walk.leaves {
             assert!(!recorded.restricted.contains(leaf), "{leaf:?} restricted");
         }
-        // A node is restricted exactly when it executes, and only once.
+        // A node's batch is restricted exactly when it executes, and only
+        // once: every executed node but the root reads fewer tuples than
+        // its anchor.
         assert_eq!(recorded.restricted, recorded.executed[1..]);
         for (i, path) in recorded.restricted.iter().enumerate() {
             assert!(

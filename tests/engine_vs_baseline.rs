@@ -253,3 +253,68 @@ fn flat_relation_long_range_matches_baseline() {
         }
     }
 }
+
+/// A factor spanning two relations, `exp(price + units)` over
+/// Sales(store, item, units) ⋈ Items(item, price): a scan at either relation
+/// reads one attribute from a non-join column of its own rows and the other
+/// from an extra key of the incoming view, so the factor is evaluated per
+/// row. Scalar, grouped by another column of Sales and grouped by the
+/// factor's own column, on every rung of the ladder.
+#[test]
+fn cross_relation_factor_reads_the_scanned_rows() {
+    let mut schema = DatabaseSchema::new();
+    schema.add_relation_with_attrs(
+        "Sales",
+        &[
+            ("store", AttrType::Int),
+            ("item", AttrType::Int),
+            ("units", AttrType::Double),
+        ],
+    );
+    schema.add_relation_with_attrs(
+        "Items",
+        &[("item", AttrType::Int), ("price", AttrType::Double)],
+    );
+    let [store, units, price] = ["store", "units", "price"].map(|n| schema.attr_id(n).unwrap());
+    let relation = |name: &str, rows: Vec<Vec<Value>>| {
+        Relation::from_rows(schema.relation(name).unwrap().clone(), rows).unwrap()
+    };
+    let sales = relation(
+        "Sales",
+        [(1, 1, 1.0), (2, 1, 2.0), (1, 2, 3.0)]
+            .map(|(s, i, u)| vec![Value::Int(s), Value::Int(i), Value::Double(u)])
+            .to_vec(),
+    );
+    let items = relation(
+        "Items",
+        [(1, 0.5), (2, 0.25)]
+            .map(|(i, p)| vec![Value::Int(i), Value::Double(p)])
+            .to_vec(),
+    );
+    let db = Database::new(schema.clone(), vec![sales, items]).unwrap();
+    let tree = build_join_tree(&Hypergraph::from_schema(&schema)).unwrap();
+
+    let exp = Aggregate::product(ProductTerm::single(ScalarFunction::ExpLinear {
+        coefficients: vec![(price, 1.0), (units, 1.0)],
+    }));
+    let mut batch = QueryBatch::new();
+    batch.push("total", vec![], vec![exp.clone()]);
+    batch.push("per_store", vec![store], vec![exp.clone()]);
+    batch.push("per_units", vec![units], vec![exp]);
+
+    let baseline = MaterializedEngine::materialize(&db, &tree);
+    let expected = baseline.execute_batch(&batch, &DynamicRegistry::new());
+    let by_hand = 1.5f64.exp() + 2.5f64.exp() + 3.25f64.exp();
+    assert!(relative_eq(expected[0].scalar(1)[0], by_hand));
+    assert!(relative_eq(by_hand, 42.454_522_9));
+    assert_eq!(expected[1].data.len(), 2);
+    assert_eq!(expected[2].data.len(), 3);
+    for (name, config) in EngineConfig::ablation_ladder(2) {
+        let result = Engine::new(db.clone(), tree.clone(), config)
+            .execute(&batch)
+            .unwrap();
+        for ((q, lm), bl) in batch.queries.iter().zip(&result.queries).zip(&expected) {
+            assert_agrees(&format!("{name}::{}", q.name), lm, bl);
+        }
+    }
+}

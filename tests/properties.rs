@@ -437,11 +437,20 @@ proptest! {
         let y = db.schema().attr_id("y").unwrap();
         let c = db.schema().attr_id("c").unwrap();
 
+        // A factor spanning R and T, kept finite by small coefficients: a
+        // scan reads one of its attributes from its own rows and the other
+        // from an incoming view's extra key.
+        let exp_xy = Aggregate::product(ProductTerm::single(ScalarFunction::ExpLinear {
+            coefficients: vec![(x, 0.3), (y, -0.2)],
+        }));
+
         let mut batch = QueryBatch::new();
         batch.push("count", vec![], vec![Aggregate::count()]);
         batch.push("sum_xy", vec![], vec![Aggregate::sum_product(x, y)]);
+        batch.push("exp_xy", vec![], vec![exp_xy.clone()]);
         batch.push("per_a", vec![a], vec![Aggregate::sum(y), Aggregate::count()]);
         batch.push("per_c", vec![c], vec![Aggregate::sum_square(x)]);
+        batch.push("exp_xy_per_c", vec![c], vec![exp_xy]);
 
         let baseline = MaterializedEngine::materialize(&db, &tree);
         let expected = baseline.execute_batch(&batch, &DynamicRegistry::new());
@@ -450,10 +459,12 @@ proptest! {
             let engine = Engine::new(db.clone(), tree.clone(), config);
             let result = engine.execute(&batch).unwrap();
             // Scalars.
-            prop_assert!(close(result.queries[0].scalar()[0], expected[0].scalar(1)[0]));
-            prop_assert!(close(result.queries[1].scalar()[0], expected[1].scalar(1)[0]));
+            for (q, (got, want)) in batch.queries.iter().zip(result.queries.iter().zip(&expected)).take(3) {
+                let (got, want) = (got.scalar()[0], want.scalar(1)[0]);
+                prop_assert!(close(got, want), "{}: {} vs {}", q.name, got, want);
+            }
             // Group-bys: every non-zero baseline group must match.
-            for (qi, exp) in expected.iter().enumerate().skip(2) {
+            for (qi, exp) in expected.iter().enumerate().skip(3) {
                 for (key, vals) in exp.data.iter() {
                     let got = result.queries[qi].get(key);
                     if vals.iter().any(|v| v.abs() > 1e-9) {
