@@ -462,10 +462,13 @@ mod tests {
     /// keyed by `ksn` alone, bound at the deepest level and recurring under
     /// every (locn, dateid). It must be accumulated in an output register
     /// loaded once per ksn binding (depth 3), not per aggregate and range.
+    /// Its term table holds every term once, in (aggregate, term) order,
+    /// each a plain register term; and depth 3, which updates and probes
+    /// nothing, is idle: the innermost loop reads depth 2's registers.
     #[test]
     fn rt_inventory_output_keyed_by_ksn_registers_at_depth_three() {
         use lmfao_core::group::group_views;
-        use lmfao_core::plan::{build_group_plan, prepare_database, KeySource};
+        use lmfao_core::plan::{build_group_plan, prepare_database, Emit};
         use lmfao_core::pushdown::push_down_batch;
         use lmfao_core::roots::assign_roots;
 
@@ -483,10 +486,27 @@ mod tests {
             for output in &plan.outputs {
                 if plan.relation == "Inventory" && output.key_attrs == [ksn] {
                     assert_eq!(plan.attr_order.iter().position(|a| *a == ksn), Some(2));
-                    for term in output.aggregates.iter().flat_map(|g| &g.terms) {
-                        assert_eq!(term.key, [KeySource::BoundDepth(2)]);
-                    }
                     assert_eq!(output.register_depth, Some(3));
+                    assert_eq!(output.register_key, [2]);
+
+                    let def = pushdown.catalog.view(output.view);
+                    let aggregate_of_each_term: Vec<u32> = (0..)
+                        .zip(&def.aggregates)
+                        .flat_map(|(a, agg)| std::iter::repeat_n(a, agg.terms.len()))
+                        .collect();
+                    let aggs: Vec<u32> = output.terms.iter().map(|t| t.agg).collect();
+                    assert_eq!(aggs, aggregate_of_each_term);
+                    // The output is the group's only one: its terms hold
+                    // every slot once, in the order they were lowered.
+                    assert_eq!(plan.outputs.len(), 1);
+                    let slots: Vec<u32> = output.terms.iter().map(|t| t.slot).collect();
+                    assert_eq!(slots, (0..plan.num_slots as u32).collect::<Vec<_>>());
+                    assert!(output.terms.iter().all(|t| t.emit == Emit::Register));
+                    assert!(output.general.is_empty());
+
+                    assert!(plan.programs[3].is_empty() && plan.probes_at[3].is_empty());
+                    assert!(!plan.programs[2].is_empty());
+                    assert_eq!(plan.prefix_source, [0, 1, 2, 2]);
                     found += 1;
                 }
             }

@@ -22,6 +22,24 @@
 //! ([`TermPlan::row_factors`]); both take the one per-row path of
 //! `emit_keyed`.
 //!
+//! **The innermost loop walks a flat term table.** The planner decided each
+//! term's emit path ([`Emit`]), so per innermost binding the scan makes one
+//! pass over every output's [`OutputPlan::terms`], compact records of slot,
+//! local expression and aggregate in (aggregate, term) order. A term whose
+//! partial product is exactly 0 is skipped. A plain register term
+//! ([`Emit::Register`]) adds `prefix[slot] · local[local_expr]` to its
+//! register row when that is nonzero, and does nothing else. Every other term
+//! ([`Emit::General`]) goes to `emit_combinations` or `emit_keyed` with its
+//! [`TermPlan`]. Each entry receives the same additions in the same order as
+//! a walk of the aggregates' term lists would give it.
+//!
+//! **Idle depths.** Entering a binding probes the incoming views whose probe
+//! depth it is ([`GroupPlan::probes_at`]), each once, then copies the
+//! registers of the parent's source and applies the depth's register
+//! program. A depth with an empty program is idle: it neither copies nor
+//! tests registers, and the scan reads the registers of its
+//! [`GroupPlan::prefix_source`] instead.
+//!
 //! **Output registers.** An output whose key parts are all bound join
 //! attributes ([`OutputPlan::register_depth`]) keeps one key for the whole
 //! binding of its register depth, so it is accumulated in a register row:
@@ -70,7 +88,8 @@
 
 use crate::error::EngineError;
 use crate::plan::{
-    DepthUpdate, GroupPlan, IncomingPlan, KeySource, OutputPlan, ResolvedFactor, TermPlan,
+    DepthUpdate, Emit, GroupPlan, IncomingPlan, KeySource, OutputPlan, ResolvedFactor, TermEntry,
+    TermPlan,
 };
 use crate::view::{ComputedView, ViewId, ViewSource};
 use lmfao_data::{AttrId, Column, Database, FxHashMap, Relation, TrieScan, Value};
@@ -244,24 +263,33 @@ struct Ctx<'a> {
 
 /// Mutable execution state.
 struct State<'a> {
-    /// Partial-product registers, one vector per depth (0..=depth).
+    /// Partial-product registers, one vector per depth (0..=depth); an idle
+    /// depth's stays empty, its products are its
+    /// [`GroupPlan::prefix_source`]'s.
     prefix: Vec<Vec<f64>>,
+    /// Per-local-expression sums for the current innermost range.
+    local_sums: Vec<f64>,
+    /// The probe key of the incoming view being looked up.
+    probe_buf: Vec<Value>,
+    /// Each direct incoming view's payload for the current binding of its
+    /// probe depth (`None`: the probe missed).
+    direct: Vec<Option<&'a [f64]>>,
+    /// What the emit paths read and write.
+    sink: Sink<'a>,
+}
+
+/// The part of the scan state that the innermost loop's emit paths use,
+/// apart from the partial products and local sums they only read.
+struct Sink<'a> {
     /// Values bound at each depth of the attribute order.
     bound: Vec<Value>,
     /// Matching entry lists of indexed incoming views for the current path.
     probed: Vec<Option<&'a IndexedEntries<'a>>>,
-    /// Per-local-expression sums for the current innermost range.
-    local_sums: Vec<f64>,
     /// Accumulated outputs, one per output plan.
     outputs: Vec<ComputedView>,
     /// One register row per output plan (used by those with a
     /// [`OutputPlan::register_depth`]).
     registers: Vec<Register>,
-    /// `apply_program`'s per-call cache of direct incoming-view probes,
-    /// reset on every call.
-    direct_cache: Vec<Option<Option<&'a [f64]>>>,
-    /// The probe key of the incoming view being looked up.
-    probe_buf: Vec<Value>,
     /// The key of the output entry being updated per contribution.
     key_buf: Vec<Value>,
     /// The innermost loop's odometer over a term's extra views: their entry
@@ -358,30 +386,40 @@ pub fn execute_group_scan<V: ViewSource>(
     };
 
     let mut state = State {
-        prefix: vec![vec![1.0; plan.num_slots]; depth + 1],
-        bound: vec![Value::Null; depth],
-        probed: vec![None; plan.incoming.len()],
-        local_sums: vec![0.0; plan.local_exprs.len()],
-        outputs: plan
-            .outputs
-            .iter()
-            .map(|o| ComputedView::new(o.key_attrs.clone(), o.aggregates.len()))
-            .collect(),
-        registers: plan
-            .outputs
-            .iter()
-            .map(|o| Register {
-                loaded: false,
-                key: Vec::with_capacity(o.key_attrs.len()),
-                row: vec![0.0; o.aggregates.len()],
+        prefix: (0..=depth)
+            .map(|d| {
+                if plan.prefix_source[d] == d {
+                    vec![1.0; plan.num_slots]
+                } else {
+                    Vec::new()
+                }
             })
             .collect(),
-        direct_cache: vec![None; plan.incoming.len()],
+        local_sums: vec![0.0; plan.local_exprs.len()],
         probe_buf: Vec::new(),
-        key_buf: Vec::new(),
-        lists: Vec::new(),
-        idx: Vec::new(),
-        combo: Vec::new(),
+        direct: vec![None; plan.incoming.len()],
+        sink: Sink {
+            bound: vec![Value::Null; depth],
+            probed: vec![None; plan.incoming.len()],
+            outputs: plan
+                .outputs
+                .iter()
+                .map(|o| ComputedView::new(o.key_attrs.clone(), o.num_aggregates))
+                .collect(),
+            registers: plan
+                .outputs
+                .iter()
+                .map(|o| Register {
+                    loaded: false,
+                    key: Vec::with_capacity(o.key_attrs.len()),
+                    row: vec![0.0; o.num_aggregates],
+                })
+                .collect(),
+            key_buf: Vec::new(),
+            lists: Vec::new(),
+            idx: Vec::new(),
+            combo: Vec::new(),
+        },
     };
 
     // Depth-0 program: constants and incoming views with no bound keys, then
@@ -400,12 +438,12 @@ pub fn execute_group_scan<V: ViewSource>(
         recurse(&ctx, &mut state, 0, range);
     }
 
-    store_registers(&ctx, &mut state, 0);
+    store_registers(&ctx, &mut state.sink, 0);
 
     Ok(plan
         .outputs
         .iter()
-        .zip(state.outputs)
+        .zip(state.sink.outputs)
         .map(|(o, cv)| (o.view, cv))
         .collect())
 }
@@ -440,66 +478,47 @@ fn all_zero(v: &[f64]) -> bool {
     !v.is_empty() && v.iter().all(|&x| x == 0.0)
 }
 
-/// Writes the probe key of an incoming view, from the current bindings, into
-/// `state.probe_buf`.
-fn probe_key(state: &mut State<'_>, inc: &IncomingPlan) {
-    state.probe_buf.clear();
-    state
-        .probe_buf
-        .extend(inc.bound.iter().map(|&d| state.bound[d]));
-}
-
-/// Applies the register program of `depth` (copying the parent registers
-/// first) and resolves the incoming views registered at that depth.
+/// Enters a binding of `depth`: probes the incoming views registered at that
+/// depth, then — unless the depth is idle — copies the registers of its
+/// parent's source and applies the depth's register program.
 fn apply_program<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, depth: usize) {
+    let plan = ctx.plan;
+    for &i in &plan.probes_at[depth] {
+        state.probe_buf.clear();
+        let bound = &state.sink.bound;
+        let key = plan.incoming[i].bound.iter().map(|&d| bound[d]);
+        state.probe_buf.extend(key);
+        let key = state.probe_buf.as_slice();
+        match &ctx.incoming[i] {
+            IncomingData::Direct(cv) => state.direct[i] = cv.get(key),
+            IncomingData::Indexed(map) => state.sink.probed[i] = map.get(key),
+        }
+    }
+
+    if plan.prefix_source[depth] != depth {
+        return;
+    }
     if depth > 0 {
         let (parents, rest) = state.prefix.split_at_mut(depth);
-        rest[0].copy_from_slice(&parents[depth - 1]);
+        rest[0].copy_from_slice(&parents[plan.prefix_source[depth - 1]]);
     }
-
-    // Resolve the indexed incoming views registered at this depth.
-    for (idx, inc) in ctx.plan.incoming.iter().enumerate() {
-        if inc.probe_depth != depth {
-            continue;
-        }
-        if let IncomingData::Indexed(map) = &ctx.incoming[idx] {
-            probe_key(state, inc);
-            state.probed[idx] = map.get(state.probe_buf.as_slice());
-        }
-    }
-
-    // Probe direct views once per view, then apply updates.
-    state.direct_cache.fill(None);
-    for update in &ctx.plan.programs[depth] {
-        match update {
-            DepthUpdate::Constant { slot, value } => {
-                state.prefix[depth][*slot] *= value;
-            }
+    let registers = &mut state.prefix[depth];
+    for update in &plan.programs[depth] {
+        match *update {
+            DepthUpdate::Constant { slot, value } => registers[slot as usize] *= value,
             DepthUpdate::Factor { slot, factor } => {
-                let bound = &state.bound;
-                state.prefix[depth][*slot] *= eval_factor(factor, |&d| bound[d], ctx.dynamics);
+                let factor = &plan.depth_factors[factor as usize];
+                let bound = &state.sink.bound;
+                registers[slot as usize] *= eval_factor(factor, |&d| bound[d], ctx.dynamics);
             }
             DepthUpdate::ScalarView {
                 slot,
                 incoming,
                 agg,
-            } => {
-                if state.direct_cache[*incoming].is_none() {
-                    let inc = &ctx.plan.incoming[*incoming];
-                    let probed = match &ctx.incoming[*incoming] {
-                        IncomingData::Direct(cv) => {
-                            probe_key(state, inc);
-                            cv.get(state.probe_buf.as_slice())
-                        }
-                        _ => None,
-                    };
-                    state.direct_cache[*incoming] = Some(probed);
-                }
-                match state.direct_cache[*incoming].unwrap() {
-                    Some(values) => state.prefix[depth][*slot] *= values[*agg],
-                    None => state.prefix[depth][*slot] = 0.0,
-                }
-            }
+            } => match state.direct[incoming as usize] {
+                Some(values) => registers[slot as usize] *= values[agg as usize],
+                None => registers[slot as usize] = 0.0,
+            },
         }
     }
 }
@@ -509,38 +528,45 @@ fn recurse<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, depth: usize, range: Range<
         process_innermost(ctx, state, range);
         return;
     }
+    let child = depth + 1;
+    // An idle child holds its parent's registers, which are not all zero.
+    let idle = ctx.plan.prefix_source[child] != child;
     for (value, child_range) in ctx.trie.children(depth, range) {
-        state.bound[depth] = value;
-        apply_program(ctx, state, depth + 1);
-        if all_zero(&state.prefix[depth + 1]) {
+        state.sink.bound[depth] = value;
+        apply_program(ctx, state, child);
+        if !idle && all_zero(&state.prefix[child]) {
             continue;
         }
-        recurse(ctx, state, depth + 1, child_range);
-        store_registers(ctx, state, depth + 1);
+        recurse(ctx, state, child, child_range);
+        store_registers(ctx, &mut state.sink, child);
     }
 }
 
-/// The register row of output `oi` under the current binding of its register
-/// depth, loaded on first use: the output's entry for the binding's key (read
-/// through `key`, a register output's term key) is swapped into the row, or
-/// the row is zeroed when the key has no entry yet.
-fn register_row<'s>(state: &'s mut State<'_>, key: &[KeySource], oi: usize) -> &'s mut [f64] {
-    let reg = &mut state.registers[oi];
-    if !reg.loaded {
+impl Sink<'_> {
+    /// The register row of output `oi` under the current binding of its
+    /// register depth, keyed by the values bound at the depths `key`.
+    #[inline]
+    fn register_row(&mut self, oi: usize, key: &[usize]) -> &mut [f64] {
+        if !self.registers[oi].loaded {
+            self.load_register(oi, key);
+        }
+        &mut self.registers[oi].row
+    }
+
+    /// Loads output `oi`'s register row on its first use under a binding:
+    /// the output's entry for the binding's key is swapped into the row, or
+    /// the row is zeroed when the key has no entry yet.
+    #[cold]
+    fn load_register(&mut self, oi: usize, key: &[usize]) {
+        let reg = &mut self.registers[oi];
         reg.loaded = true;
         reg.key.clear();
-        reg.key.extend(key.iter().map(|src| match src {
-            KeySource::BoundDepth(d) => state.bound[*d],
-            KeySource::RowColumn(_) | KeySource::Extra { .. } => {
-                unreachable!("a register output is keyed by bound depths only")
-            }
-        }));
-        match state.outputs[oi].data.get_mut(reg.key.as_slice()) {
+        reg.key.extend(key.iter().map(|&d| self.bound[d]));
+        match self.outputs[oi].data.get_mut(reg.key.as_slice()) {
             Some(entry) => std::mem::swap(entry, &mut reg.row),
             None => reg.row.fill(0.0),
         }
     }
-    &mut reg.row
 }
 
 /// Stores back the loaded register rows of the outputs whose register depth
@@ -548,13 +574,13 @@ fn register_row<'s>(state: &'s mut State<'_>, key: &[KeySource], oi: usize) -> &
 /// ended). An existing entry (its slot held the register's spare buffer
 /// meanwhile) gets its row swapped back; a new key is inserted, except a
 /// scalar output's all-zero row.
-fn store_registers(ctx: &Ctx<'_>, state: &mut State<'_>, depth: usize) {
+fn store_registers(ctx: &Ctx<'_>, sink: &mut Sink<'_>, depth: usize) {
     for &oi in &ctx.plan.registers_at[depth] {
-        let reg = &mut state.registers[oi];
+        let reg = &mut sink.registers[oi];
         if !std::mem::take(&mut reg.loaded) {
             continue;
         }
-        let data = &mut state.outputs[oi].data;
+        let data = &mut sink.outputs[oi].data;
         match data.get_mut(reg.key.as_slice()) {
             Some(entry) => std::mem::swap(entry, &mut reg.row),
             None if !reg.key.is_empty() || reg.row.iter().any(|v| *v != 0.0) => {
@@ -568,9 +594,9 @@ fn store_registers(ctx: &Ctx<'_>, state: &mut State<'_>, depth: usize) {
 /// Computes the local-expression sums for the innermost range (the
 /// `α9`/`α10` local variables of Figure 4): per expression, the sum over the
 /// range's rows of its factor product. The empty product is the tuple count.
-fn compute_local_sums(ctx: &Ctx<'_>, state: &mut State<'_>, range: &Range<usize>) {
-    for (i, factors) in ctx.local_programs.iter().enumerate() {
-        state.local_sums[i] = if factors.is_empty() {
+fn compute_local_sums(ctx: &Ctx<'_>, local_sums: &mut [f64], range: &Range<usize>) {
+    for (sum, factors) in local_sums.iter_mut().zip(&ctx.local_programs) {
+        *sum = if factors.is_empty() {
             range.len() as f64
         } else {
             let mut acc = 0.0;
@@ -613,51 +639,79 @@ fn times_factors(
     value
 }
 
+/// The innermost loop: one walk over every output's term table. A term
+/// whose partial product is exactly 0 adds nothing; a plain register term
+/// adds `prefix · local` to its register row when that is nonzero; every
+/// other term goes to the emit path of its [`TermPlan`].
 fn process_innermost<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, range: Range<usize>) {
-    compute_local_sums(ctx, state, &range);
-    let deepest = ctx.plan.depth();
+    compute_local_sums(ctx, &mut state.local_sums, &range);
+    let plan = ctx.plan;
+    let prefix = &state.prefix[plan.prefix_source[plan.depth()]];
+    let local_sums = &state.local_sums;
+    let sink = &mut state.sink;
 
-    for (oi, output) in ctx.plan.outputs.iter().enumerate() {
-        for agg in &output.aggregates {
-            for term in &agg.terms {
-                let base = state.prefix[deepest][term.slot];
-                if base == 0.0 {
-                    continue;
+    for (oi, output) in plan.outputs.iter().enumerate() {
+        for entry in &output.terms {
+            let base = prefix[entry.slot as usize];
+            if base == 0.0 {
+                continue;
+            }
+            match entry.emit {
+                Emit::Register => {
+                    let contribution = base * local_sums[entry.local_expr as usize];
+                    if contribution != 0.0 {
+                        sink.register_row(oi, &output.register_key)[entry.agg as usize] +=
+                            contribution;
+                    }
                 }
-                if term.extra_views.is_empty() {
-                    emit_term(ctx, state, oi, output, agg.index, term, base, &[], &range);
-                } else {
-                    emit_combinations(ctx, state, oi, output, agg.index, term, base, &range);
+                Emit::General(g) => {
+                    let term = &output.general[g as usize];
+                    let emit = Emission {
+                        oi,
+                        output,
+                        entry,
+                        term,
+                        local_sums,
+                        range: &range,
+                    };
+                    if term.extra_views.is_empty() {
+                        emit_keyed(ctx, sink, &emit, base, &[]);
+                    } else {
+                        emit_combinations(ctx, sink, &emit, base);
+                    }
                 }
             }
         }
     }
 }
 
+/// One [`Emit::General`] term under the current innermost range: what its
+/// emit paths read besides the scan state.
+struct Emission<'p> {
+    /// Index of the term's output in [`GroupPlan::outputs`].
+    oi: usize,
+    output: &'p OutputPlan,
+    entry: &'p TermEntry,
+    term: &'p TermPlan,
+    local_sums: &'p [f64],
+    range: &'p Range<usize>,
+}
+
 /// Emits a term with extra views once per combination of their matching
 /// entries, walking the cartesian product of the entry lists with an
-/// odometer kept in `state`'s scratch vectors. Out of line, like
+/// odometer kept in the sink's scratch vectors. Out of line, like
 /// [`emit_keyed`], so that the innermost loop stays small.
 #[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn emit_combinations<'a>(
-    ctx: &Ctx<'a>,
-    state: &mut State<'a>,
-    output_idx: usize,
-    output: &OutputPlan,
-    agg_index: usize,
-    term: &TermPlan,
-    base: f64,
-    range: &Range<usize>,
-) {
-    let mut lists = std::mem::take(&mut state.lists);
-    let mut idx = std::mem::take(&mut state.idx);
-    let mut combo = std::mem::take(&mut state.combo);
+fn emit_combinations<'a>(ctx: &Ctx<'a>, sink: &mut Sink<'a>, emit: &Emission<'_>, base: f64) {
+    let term = emit.term;
+    let mut lists = std::mem::take(&mut sink.lists);
+    let mut idx = std::mem::take(&mut sink.idx);
+    let mut combo = std::mem::take(&mut sink.combo);
     // Gather the matching entry lists; a missing list means no joining
     // tuples below, hence no contribution.
     lists.clear();
     for &iv in &term.extra_views {
-        match state.probed[iv] {
+        match sink.probed[iv] {
             Some(list) if !list.is_empty() => lists.push(list),
             _ => break,
         }
@@ -673,18 +727,16 @@ fn emit_combinations<'a>(
                 val *= combo[view].1[agg];
             }
             if val != 0.0 {
-                emit_term(
-                    ctx, state, output_idx, output, agg_index, term, val, &combo, range,
-                );
+                emit_keyed(ctx, sink, emit, val, &combo);
             }
             if !advance(&mut idx, &lists) {
                 break;
             }
         }
     }
-    state.lists = lists;
-    state.idx = idx;
-    state.combo = combo;
+    sink.lists = lists;
+    sink.idx = idx;
+    sink.combo = combo;
 }
 
 /// Steps the odometer `idx` over `lists`, the last position fastest; false
@@ -700,24 +752,25 @@ fn advance(idx: &mut [usize], lists: &[&[Entry<'_>]]) -> bool {
     false
 }
 
-/// Emits the contributions of one term under a fixed entry combination.
-#[allow(clippy::too_many_arguments)]
-fn emit_term(
+/// Emits the contributions of one [`Emit::General`] term under a fixed
+/// entry combination: `value` times its extra factors (read against the
+/// combination), then one contribution per row for a term emitted per row
+/// ([`TermPlan::per_row`]), its local factors (indicators first) before its
+/// row factors; else the range's one, times its local sum. Each is added to
+/// the register row, or to its entry when the output has no register. Out
+/// of line so that the innermost loop stays small.
+#[inline(never)]
+fn emit_keyed(
     ctx: &Ctx<'_>,
-    state: &mut State<'_>,
-    output_idx: usize,
-    output: &OutputPlan,
-    agg_index: usize,
-    term: &TermPlan,
+    sink: &mut Sink<'_>,
+    emit: &Emission<'_>,
     value: f64,
     combo: &[Entry<'_>],
-    range: &Range<usize>,
 ) {
-    // Factors over carried attributes, evaluated against the combination
-    // (they read no row).
+    let (term, range) = (emit.term, emit.range);
     let value = times_factors(
         ctx,
-        &state.bound,
+        &sink.bound,
         combo,
         range.start,
         &term.extra_factors,
@@ -726,37 +779,8 @@ fn emit_term(
     if value == 0.0 {
         return;
     }
-
-    if output.register_depth.is_some() && !term.per_row {
-        let contribution = value * state.local_sums[term.local_expr];
-        if contribution != 0.0 {
-            register_row(state, &term.key, output_idx)[agg_index] += contribution;
-        }
-    } else {
-        emit_keyed(
-            ctx, state, output_idx, output, agg_index, term, value, combo, range,
-        );
-    }
-}
-
-/// The part of [`emit_term`] that adds each contribution to its entry: one
-/// per row for a term emitted per row ([`TermPlan::per_row`]), its local
-/// factors (indicators first) before its row factors; else the range's one,
-/// for an output keyed by a [`KeySource::Extra`] part. Out of line so that
-/// the register path through `emit_term` stays small.
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn emit_keyed(
-    ctx: &Ctx<'_>,
-    state: &mut State<'_>,
-    output_idx: usize,
-    output: &OutputPlan,
-    agg_index: usize,
-    term: &TermPlan,
-    value: f64,
-    combo: &[Entry<'_>],
-    range: &Range<usize>,
-) {
+    let local_expr = emit.entry.local_expr as usize;
+    let agg = emit.entry.agg as usize;
     let rows = if term.per_row {
         range.clone()
     } else {
@@ -764,24 +788,25 @@ fn emit_keyed(
     };
     for row in rows {
         let v = if term.per_row {
-            let v = row_product(&ctx.local_programs[term.local_expr], value, ctx, row);
-            times_factors(ctx, &state.bound, combo, row, &term.row_factors, v)
+            let v = row_product(&ctx.local_programs[local_expr], value, ctx, row);
+            times_factors(ctx, &sink.bound, combo, row, &term.row_factors, v)
         } else {
-            value * state.local_sums[term.local_expr]
+            value * emit.local_sums[local_expr]
         };
         if v == 0.0 {
             continue;
         }
-        if output.register_depth.is_some() {
-            register_row(state, &term.key, output_idx)[agg_index] += v;
+        if emit.output.register_depth.is_some() {
+            sink.register_row(emit.oi, &emit.output.register_key)[agg] += v;
         } else {
-            state.key_buf.clear();
-            let key = term.key.iter();
-            let bound = &state.bound;
-            state
-                .key_buf
-                .extend(key.map(|&src| read(ctx, bound, combo, row, src)));
-            state.outputs[output_idx].add_single(&state.key_buf, agg_index, v);
+            sink.key_buf.clear();
+            let bound = &sink.bound;
+            let key = term
+                .key
+                .iter()
+                .map(|&src| read(ctx, bound, combo, row, src));
+            sink.key_buf.extend(key);
+            sink.outputs[emit.oi].add_single(&sink.key_buf, agg, v);
         }
     }
 }
@@ -792,7 +817,7 @@ mod tests {
     use crate::config::EngineConfig;
     use crate::engine::Engine;
     use crate::group::group_views;
-    use crate::plan::{build_group_plan, prepare_database, resolve, AggregatePlan, LocalExpr};
+    use crate::plan::{build_group_plan, prepare_database, resolve, LocalExpr};
     use crate::pushdown::push_down_batch;
     use crate::roots::assign_roots;
     use lmfao_data::{AttrType, DatabaseSchema, RelationSchema};
@@ -1177,11 +1202,21 @@ mod tests {
         Database::new(schema, vec![f]).unwrap()
     }
 
+    /// Σx and COUNT, one term each: the aggregates of most register tests.
+    const SUM_X: &[(usize, f64)] = &[(0, 1.0)];
+    const COUNT: &[(usize, f64)] = &[(1, 1.0)];
+
     /// A hand-built plan over [`register_db`] with attribute order (a, b, c)
-    /// and one output per entry of `keys`: its key parts are attribute-order
-    /// depths, its aggregates Σx and, when the flag is set, COUNT. With
-    /// `registers` off every output takes the per-contribution path.
-    fn register_plan(db: &Database, keys: &[(&[usize], bool)], registers: bool) -> GroupPlan {
+    /// and one output per entry of `keys`, whose parts are attribute-order
+    /// depths. Every output computes `aggregates`, each a sum of terms
+    /// `constant · local`, where local expression 0 is Σx and 1 is COUNT.
+    /// With `registers` off every output takes the per-contribution path.
+    fn register_plan(
+        db: &Database,
+        keys: &[&[usize]],
+        aggregates: &[&[(usize, f64)]],
+        registers: bool,
+    ) -> GroupPlan {
         let attr = |n: &str| db.schema().attr_id(n).unwrap();
         let attr_order = vec![attr("a"), attr("b"), attr("c")];
         let mut plan = GroupPlan {
@@ -1202,44 +1237,73 @@ mod tests {
                 LocalExpr { factors: vec![] },
             ],
             programs: vec![vec![]; 4],
-            registers_at: vec![vec![]; 4],
+            depth_factors: vec![],
+            probes_at: vec![],
+            prefix_source: vec![],
+            registers_at: vec![],
             num_slots: 0,
             specialized: true,
         };
-        for (view, (depths, with_count)) in keys.iter().enumerate() {
-            let local_exprs: &[usize] = if *with_count { &[0, 1] } else { &[0] };
-            let aggregates = local_exprs
-                .iter()
-                .enumerate()
-                .map(|(index, &local_expr)| {
+        for (view, depths) in keys.iter().enumerate() {
+            let register_depth = registers.then(|| depths.iter().map(|d| d + 1).max().unwrap_or(0));
+            let mut output = OutputPlan {
+                view: ViewId(view),
+                key_attrs: depths.iter().map(|&d| attr_order[d]).collect(),
+                num_aggregates: aggregates.len(),
+                register_depth,
+                register_key: if registers { depths.to_vec() } else { vec![] },
+                terms: vec![],
+                general: vec![],
+            };
+            for (agg, terms) in aggregates.iter().enumerate() {
+                for &(local_expr, value) in terms.iter() {
+                    let slot = plan.num_slots as u32;
                     plan.num_slots += 1;
-                    AggregatePlan {
-                        index,
-                        terms: vec![TermPlan {
-                            slot: plan.num_slots - 1,
-                            local_expr,
+                    if value != 1.0 {
+                        plan.programs[0].push(DepthUpdate::Constant { slot, value });
+                    }
+                    let emit = if registers {
+                        Emit::Register
+                    } else {
+                        output.general.push(TermPlan {
                             extra_refs: vec![],
                             extra_views: vec![],
                             key: depths.iter().map(|&d| KeySource::BoundDepth(d)).collect(),
                             extra_factors: vec![],
                             row_factors: vec![],
                             per_row: false,
-                        }],
-                    }
-                })
-                .collect();
-            let register_depth = registers.then(|| depths.iter().map(|d| d + 1).max().unwrap_or(0));
-            if let Some(depth) = register_depth {
-                plan.registers_at[depth].push(view);
+                        });
+                        Emit::General(output.general.len() as u32 - 1)
+                    };
+                    output.terms.push(TermEntry {
+                        slot,
+                        local_expr: local_expr as u32,
+                        agg: agg as u32,
+                        emit,
+                    });
+                }
             }
-            plan.outputs.push(OutputPlan {
-                view: ViewId(view),
-                key_attrs: depths.iter().map(|&d| attr_order[d]).collect(),
-                register_depth,
-                aggregates,
-            });
+            plan.outputs.push(output);
         }
+        plan.index_depths();
         plan
+    }
+
+    /// Every output of `got` holds the same entries as the same output of
+    /// `want`, with the same bits.
+    fn assert_same_bits(got: &[(ViewId, ComputedView)], want: &[(ViewId, ComputedView)]) {
+        let bits = |v: &ComputedView| {
+            let mut entries: Vec<(Vec<Value>, Vec<u64>)> = v
+                .iter()
+                .map(|(k, a)| (k.clone(), a.iter().map(|x| x.to_bits()).collect()))
+                .collect();
+            entries.sort();
+            entries
+        };
+        assert_eq!(got.len(), want.len());
+        for ((vid, got), (_, want)) in got.iter().zip(want) {
+            assert_eq!(bits(got), bits(want), "{vid:?}");
+        }
     }
 
     fn int_key(values: &[i64]) -> Vec<Value> {
@@ -1256,14 +1320,8 @@ mod tests {
         // Scalar; a key equal to the prefix (a); the prefix (a, b); the
         // deepest attribute c alone, whose values recur under different
         // (a, b); and (c, a), bound at the deepest level and not a prefix.
-        let keys: [(&[usize], bool); 5] = [
-            (&[], true),
-            (&[0], true),
-            (&[0, 1], true),
-            (&[2], true),
-            (&[2, 0], true),
-        ];
-        let plan = register_plan(&db, &keys, true);
+        let keys: [&[usize]; 5] = [&[], &[0], &[0, 1], &[2], &[2, 0]];
+        let plan = register_plan(&db, &keys, &[SUM_X, COUNT], true);
         let registers: Vec<Option<usize>> = plan.outputs.iter().map(|o| o.register_depth).collect();
         assert_eq!(registers, [Some(0), Some(1), Some(2), Some(3), Some(3)]);
         let out = execute_group(&db, &plan, &empty, &dynamics, None).unwrap();
@@ -1295,19 +1353,26 @@ mod tests {
             }
         }
 
-        let per_contribution = register_plan(&db, &keys[1..], false);
+        let per_contribution = register_plan(&db, &keys[1..], &[SUM_X, COUNT], false);
         let reference = execute_group(&db, &per_contribution, &empty, &dynamics, None).unwrap();
-        for ((_, got), (_, want)) in out[1..].iter().zip(&reference) {
-            let bits = |v: &ComputedView| {
-                let mut entries: Vec<(Vec<Value>, Vec<u64>)> = v
-                    .iter()
-                    .map(|(k, a)| (k.clone(), a.iter().map(|x| x.to_bits()).collect()))
-                    .collect();
-                entries.sort();
-                entries
-            };
-            assert_eq!(bits(got), bits(want));
-        }
+        assert_same_bits(&out[1..], &reference);
+
+        // One aggregate of three terms whose float sum depends on their
+        // order: `1e16·n + n − 1e16·n` loses `n` to rounding where a
+        // reordered sum keeps it. Each entry must see the terms in plan
+        // order, with registers and without.
+        let order_sensitive: &[(usize, f64)] = &[(1, 1e16), (1, 1.0), (1, -1e16)];
+        let with = register_plan(&db, &keys[1..], &[order_sensitive, SUM_X], true);
+        let without = register_plan(&db, &keys[1..], &[order_sensitive, SUM_X], false);
+        let with = execute_group(&db, &with, &empty, &dynamics, None).unwrap();
+        let without = execute_group(&db, &without, &empty, &dynamics, None).unwrap();
+        assert_same_bits(&with, &without);
+        // The test means something: some entry is not its exact count.
+        let counts = &reference[0].1;
+        let (_, rounded) = &with[0];
+        assert!(counts
+            .iter()
+            .any(|(key, values)| rounded.get(key).unwrap()[0] != values[1]));
     }
 
     /// Partitions that split one key's subtree — inside the innermost range
@@ -1318,9 +1383,8 @@ mod tests {
         let db = register_db();
         let dynamics = DynamicRegistry::new();
         let empty: FxHashMap<ViewId, ComputedView> = FxHashMap::default();
-        let keys: [(&[usize], bool); 4] =
-            [(&[], true), (&[0], true), (&[0, 1], true), (&[2], true)];
-        let plan = register_plan(&db, &keys, true);
+        let keys: [&[usize]; 4] = [&[], &[0], &[0, 1], &[2]];
+        let plan = register_plan(&db, &keys, &[SUM_X, COUNT], true);
         let whole = execute_group(&db, &plan, &empty, &dynamics, None).unwrap();
         let mut merged: Option<Vec<(ViewId, ComputedView)>> = None;
         for part in [0..1, 1..3, 3..8] {
@@ -1347,8 +1411,8 @@ mod tests {
         let db = register_db();
         let dynamics = DynamicRegistry::new();
         let empty: FxHashMap<ViewId, ComputedView> = FxHashMap::default();
-        let keys: [(&[usize], bool); 2] = [(&[], false), (&[0, 1], false)];
-        let plan = register_plan(&db, &keys, true);
+        let keys: [&[usize]; 2] = [&[], &[0, 1]];
+        let plan = register_plan(&db, &keys, &[SUM_X], true);
         let out = execute_group(&db, &plan, &empty, &dynamics, None).unwrap();
         assert!(out[0].1.is_empty(), "Σx = 0: no scalar entry");
         let per_ab = &out[1].1;
@@ -1488,13 +1552,11 @@ mod tests {
         // The shapes the plan must have for the test to mean anything.
         let x_col = db.relation("F").unwrap().position(x).unwrap();
         let ab = &plan.outputs[by_ab];
-        assert!(ab
-            .aggregates
-            .iter()
-            .all(|g| g.terms[0].extra_views.len() == 2));
+        assert_eq!(ab.general.len(), ab.terms.len());
+        assert!(ab.general.iter().all(|t| t.extra_views.len() == 2));
         // S's view is keyed (a, s), T's (t, b): their bound attributes sit at
         // key positions 1 and 0.
-        let bound_positions: Vec<(AttrId, &[usize])> = ab.aggregates[0].terms[0]
+        let bound_positions: Vec<(AttrId, &[usize])> = ab.general[0]
             .extra_views
             .iter()
             .map(|&iv| &plan.incoming[iv])
@@ -1503,7 +1565,7 @@ mod tests {
         assert_eq!(bound_positions, [(a, &[1][..]), (b, &[0][..])]);
         // Every term reads `a` from its S entry and `b` from its T entry.
         let keys = |oi: usize| -> Vec<(Vec<KeySource>, bool)> {
-            let terms = plan.outputs[oi].aggregates.iter().flat_map(|g| &g.terms);
+            let terms = plan.outputs[oi].general.iter();
             terms.map(|t| (t.key.clone(), t.per_row)).collect()
         };
         let (from_s, from_t) = (
@@ -1522,7 +1584,7 @@ mod tests {
         let filtered_view = ViewId(pd.catalog.len());
         let mut filtered = plan.outputs[by_ab].clone();
         filtered.view = filtered_view;
-        for term in filtered.aggregates.iter_mut().flat_map(|g| &mut g.terms) {
+        for term in &mut filtered.general {
             term.extra_factors.push(ResolvedFactor {
                 factor: ScalarFunction::Indicator {
                     attr: AttrId(0),

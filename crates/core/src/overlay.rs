@@ -45,7 +45,7 @@
 
 use crate::error::EngineError;
 use crate::exec::execute_group_scan;
-use crate::plan::{DepthUpdate, GroupPlan};
+use crate::plan::{DepthUpdate, Emit, GroupPlan};
 use crate::view::{ComputedView, ViewId, ViewSource};
 use lmfao_data::{FxHashMap, FxHashSet, KeySet, Relation};
 use lmfao_expr::DynamicRegistry;
@@ -111,7 +111,7 @@ pub(crate) fn scan_partition<V: ViewSource>(
             .map(|o| {
                 (
                     o.view,
-                    ComputedView::new(o.key_attrs.clone(), o.aggregates.len()),
+                    ComputedView::new(o.key_attrs.clone(), o.num_aggregates),
                 )
             })
             .collect());
@@ -269,22 +269,25 @@ fn changed_refs(
     mut note: impl FnMut(usize, usize) -> bool,
 ) -> bool {
     for update in plan.programs.iter().flatten() {
-        if let DepthUpdate::ScalarView { slot, incoming, .. } = update {
-            if changed_incoming[*incoming] && note(*slot, *incoming) {
+        if let DepthUpdate::ScalarView { slot, incoming, .. } = *update {
+            let (slot, incoming) = (slot as usize, incoming as usize);
+            if changed_incoming[incoming] && note(slot, incoming) {
                 return true;
             }
         }
     }
-    for term in plan
-        .outputs
-        .iter()
-        .flat_map(|o| &o.aggregates)
-        .flat_map(|a| &a.terms)
-    {
-        for &(view, _) in &term.extra_refs {
-            let inc = term.extra_views[view];
-            if changed_incoming[inc] && note(term.slot, inc) {
-                return true;
+    for output in &plan.outputs {
+        for entry in &output.terms {
+            // A plain register term references no view with extra keys.
+            let Emit::General(g) = entry.emit else {
+                continue;
+            };
+            let term = &output.general[g as usize];
+            for &(view, _) in &term.extra_refs {
+                let inc = term.extra_views[view];
+                if changed_incoming[inc] && note(entry.slot as usize, inc) {
+                    return true;
+                }
             }
         }
     }

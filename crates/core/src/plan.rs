@@ -45,6 +45,18 @@
 //! order, or a key part or factor argument no view of the term carries — is
 //! [`EngineError::InvalidPlan`].
 //!
+//! **The plan decides the emit path and the register source per depth.**
+//! Each output carries its terms as a flat table ([`OutputPlan::terms`]) in
+//! (aggregate, term) order. Each entry says how the scan emits the term
+//! ([`Emit`]): a plain register term is one multiply-add into the output's
+//! register row, and any other term points at its full lowering
+//! ([`TermPlan`]). The register programs are compact [`DepthUpdate`]
+//! records; a factor's evaluation lives in a side table
+//! ([`GroupPlan::depth_factors`]). Per depth the plan lists the incoming views
+//! probed there ([`GroupPlan::probes_at`]) and the depth whose partial
+//! products stand for it ([`GroupPlan::prefix_source`]), so a depth with no
+//! register update is idle.
+//!
 //! This module only *builds* the plans; execution lives in [`crate::exec`].
 
 use crate::error::EngineError;
@@ -143,13 +155,39 @@ impl IncomingPlan {
     }
 }
 
-/// One product term of an output aggregate, lowered for execution.
+/// How the scan emits a term; decided once by the planner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Emit {
+    /// A *plain register term*: its output has a register depth, and the
+    /// term has no extra view, no extra factor and is not emitted per row.
+    /// The innermost loop adds `prefix[slot] · local[local_expr]` to the
+    /// output's register row at `agg`, and nothing else.
+    Register,
+    /// Any other term, lowered in full as the output's
+    /// [`OutputPlan::general`]`[i]`: emitted per combination of its extra
+    /// views' entries, per row of the innermost range, or entry by entry.
+    General(u32),
+}
+
+/// One entry of an output's term table ([`OutputPlan::terms`]): where the
+/// term's partial product and local sum are read, which aggregate it adds
+/// to, and how it is emitted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TermEntry {
+    /// Slot of the term in the per-depth partial-product registers.
+    pub slot: u32,
+    /// Index of the term's local expression in [`GroupPlan::local_exprs`].
+    pub local_expr: u32,
+    /// Index of the aggregate within the output view.
+    pub agg: u32,
+    /// The emit path.
+    pub emit: Emit,
+}
+
+/// The lowering of a term that is not a plain register term
+/// ([`Emit::General`]): what the scan reads beyond its slot and local sum.
 #[derive(Debug, Clone)]
 pub struct TermPlan {
-    /// Slot of this term in the per-depth partial-product registers.
-    pub slot: usize,
-    /// Index of the term's local expression in [`GroupPlan::local_exprs`].
-    pub local_expr: usize,
     /// References to aggregates of incoming views *with* extra keys,
     /// multiplied in the innermost combination loop, as `(view, aggregate)`:
     /// `view` indexes [`TermPlan::extra_views`].
@@ -173,15 +211,6 @@ pub struct TermPlan {
     pub per_row: bool,
 }
 
-/// An output aggregate: the terms contributing to one aggregate of a view.
-#[derive(Debug, Clone)]
-pub struct AggregatePlan {
-    /// Index of the aggregate within the output view.
-    pub index: usize,
-    /// The lowered terms.
-    pub terms: Vec<TermPlan>,
-}
-
 /// Plan for one output view of the group.
 #[derive(Debug, Clone)]
 pub struct OutputPlan {
@@ -189,6 +218,8 @@ pub struct OutputPlan {
     pub view: ViewId,
     /// Group-by attributes in the view's canonical order.
     pub key_attrs: Vec<AttrId>,
+    /// Number of aggregates of the view.
+    pub num_aggregates: usize,
     /// The depth whose binding fixes the output's key when every key part is
     /// a join attribute: `1 +` the deepest such part's depth, `0` for a
     /// scalar output. The scan then accumulates the output in a register row
@@ -197,36 +228,41 @@ pub struct OutputPlan {
     /// extra attribute: such keys change inside the innermost loop, so each
     /// contribution is added to its entry directly.
     pub register_depth: Option<usize>,
-    /// The aggregates to compute.
-    pub aggregates: Vec<AggregatePlan>,
+    /// With a register depth, the depth binding each key part, in key order:
+    /// the key of the register row. Empty otherwise.
+    pub register_key: Vec<usize>,
+    /// The term table: every term of every aggregate, in (aggregate, term)
+    /// order — the order in which the scan adds them to an entry.
+    pub terms: Vec<TermEntry>,
+    /// The lowerings of the terms emitted [`Emit::General`], in table order.
+    pub general: Vec<TermPlan>,
 }
 
 /// A register update applied at a given depth of the attribute order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DepthUpdate {
     /// Multiply `slot` by a factor evaluated on the bound join-attribute
     /// values.
     Factor {
         /// Register slot to update.
-        slot: usize,
-        /// The factor; its arguments are depths of the attribute order, all
-        /// bound at this depth.
-        factor: ResolvedFactor<usize>,
+        slot: u32,
+        /// Index into [`GroupPlan::depth_factors`].
+        factor: u32,
     },
     /// Multiply `slot` by aggregate `agg` of incoming view `incoming`
-    /// (which has no extra keys and was probed at this depth).
+    /// (which has no extra keys and is probed at this depth).
     ScalarView {
         /// Register slot to update.
-        slot: usize,
+        slot: u32,
         /// Index into [`GroupPlan::incoming`].
-        incoming: usize,
+        incoming: u32,
         /// Aggregate index within the incoming view.
-        agg: usize,
+        agg: u32,
     },
     /// Multiply `slot` by a constant (applied at depth 0).
     Constant {
         /// Register slot to update.
-        slot: usize,
+        slot: u32,
         /// The constant.
         value: f64,
     },
@@ -264,6 +300,19 @@ pub struct GroupPlan {
     /// Register updates per depth (`programs[d]` applies when the `d`-th
     /// attribute gets bound; `programs[0]` applies once before the scan).
     pub programs: Vec<Vec<DepthUpdate>>,
+    /// The factors of the [`DepthUpdate::Factor`] updates; their arguments
+    /// are depths of the attribute order.
+    pub depth_factors: Vec<ResolvedFactor<usize>>,
+    /// `probes_at[d]`: the incoming views (indices into
+    /// [`GroupPlan::incoming`]) whose probe depth is `d`, probed once per
+    /// binding of that depth.
+    pub probes_at: Vec<Vec<usize>>,
+    /// `prefix_source[d]`: the depth whose partial-product registers hold
+    /// the products under a binding of depth `d` — `d` itself when
+    /// `programs[d]` updates a register, else the source of `d − 1`. A depth
+    /// without updates is *idle*: the scan neither copies nor tests
+    /// registers there.
+    pub prefix_source: Vec<usize>,
     /// `registers_at[d]`: the outputs whose register depth is `d`, whose
     /// register rows are stored back when a binding of depth `d` ends.
     pub registers_at: Vec<Vec<usize>>,
@@ -282,6 +331,34 @@ impl GroupPlan {
     pub fn depth(&self) -> usize {
         self.attr_order.len()
     }
+
+    /// Derives the per-depth tables — [`GroupPlan::probes_at`],
+    /// [`GroupPlan::prefix_source`] and [`GroupPlan::registers_at`] — from
+    /// the incoming views, the programs and the outputs.
+    pub(crate) fn index_depths(&mut self) {
+        let levels = self.depth() + 1;
+        self.probes_at = vec![Vec::new(); levels];
+        for (i, inc) in self.incoming.iter().enumerate() {
+            self.probes_at[inc.probe_depth].push(i);
+        }
+        self.prefix_source = (0..levels).collect();
+        for d in 1..levels {
+            if self.programs[d].is_empty() {
+                self.prefix_source[d] = self.prefix_source[d - 1];
+            }
+        }
+        self.registers_at = vec![Vec::new(); levels];
+        for (oi, output) in self.outputs.iter().enumerate() {
+            if let Some(depth) = output.register_depth {
+                self.registers_at[depth].push(oi);
+            }
+        }
+    }
+}
+
+/// An index of a plan table as the compact records store it.
+fn compact(i: usize) -> u32 {
+    u32::try_from(i).expect("a group plan indexes fewer than 2^32 slots, views and terms")
 }
 
 /// Computes the attribute order of a node: its join attributes (attributes
@@ -338,7 +415,10 @@ pub fn build_group_plan(
         outputs: Vec::new(),
         local_exprs: Vec::new(),
         programs: vec![Vec::new(); attr_order.len() + 1],
-        registers_at: vec![Vec::new(); attr_order.len() + 1],
+        depth_factors: Vec::new(),
+        probes_at: Vec::new(),
+        prefix_source: Vec::new(),
+        registers_at: Vec::new(),
         num_slots: 0,
         specialized: true,
     };
@@ -360,11 +440,9 @@ pub fn build_group_plan(
     // Lower every output view.
     for &vid in &group.views {
         let output = lower_output(catalog.view(vid), relation, &incoming_ids, &mut plan)?;
-        if let Some(depth) = output.register_depth {
-            plan.registers_at[depth].push(plan.outputs.len());
-        }
         plan.outputs.push(output);
     }
+    plan.index_depths();
 
     Ok(plan)
 }
@@ -410,44 +488,61 @@ fn lower_output(
     incoming_ids: &[ViewId],
     plan: &mut GroupPlan,
 ) -> Result<OutputPlan, EngineError> {
-    let mut aggregates = Vec::with_capacity(def.aggregates.len());
-    for (agg_idx, agg) in def.aggregates.iter().enumerate() {
-        let mut terms = Vec::with_capacity(agg.terms.len());
-        for term in &agg.terms {
-            terms.push(lower_term(def, term, relation, incoming_ids, plan)?);
-        }
-        aggregates.push(AggregatePlan {
-            index: agg_idx,
-            terms,
-        });
-    }
-
-    let register_depth = def.group_by.iter().try_fold(0, |deepest, attr| {
-        let depth = plan.attr_order.iter().position(|a| a == attr)?;
-        Some(deepest.max(depth + 1))
-    });
-
-    Ok(OutputPlan {
+    let register_key: Option<Vec<usize>> = def
+        .group_by
+        .iter()
+        .map(|attr| plan.attr_order.iter().position(|a| a == attr))
+        .collect();
+    let register_depth = register_key
+        .as_ref()
+        .map(|key| key.iter().map(|d| d + 1).max().unwrap_or(0));
+    let mut output = OutputPlan {
         view: def.id,
         key_attrs: def.group_by.clone(),
+        num_aggregates: def.aggregates.len(),
         register_depth,
-        aggregates,
-    })
+        register_key: register_key.unwrap_or_default(),
+        terms: Vec::new(),
+        general: Vec::new(),
+    };
+    for (agg, aggregate) in def.aggregates.iter().enumerate() {
+        for term in &aggregate.terms {
+            let (slot, local_expr, lowered) = lower_term(def, term, relation, incoming_ids, plan)?;
+            let plain = register_depth.is_some()
+                && lowered.extra_views.is_empty()
+                && lowered.extra_factors.is_empty()
+                && !lowered.per_row;
+            let emit = if plain {
+                Emit::Register
+            } else {
+                output.general.push(lowered);
+                Emit::General(compact(output.general.len() - 1))
+            };
+            output.terms.push(TermEntry {
+                slot: compact(slot),
+                local_expr: compact(local_expr),
+                agg: compact(agg),
+                emit,
+            });
+        }
+    }
+    Ok(output)
 }
 
+/// Lowers one term: its slot, its local expression and the rest of it.
 fn lower_term(
     def: &ViewDef,
     term: &ViewTerm,
     relation: &Relation,
     incoming_ids: &[ViewId],
     plan: &mut GroupPlan,
-) -> Result<TermPlan, EngineError> {
+) -> Result<(usize, usize, TermPlan), EngineError> {
     let slot = plan.num_slots;
     plan.num_slots += 1;
 
     if term.constant != 1.0 {
         plan.programs[0].push(DepthUpdate::Constant {
-            slot,
+            slot: compact(slot),
             value: term.constant,
         });
     }
@@ -466,9 +561,9 @@ fn lower_term(
         let inc = &plan.incoming[incoming];
         if !inc.has_extras() {
             let update = DepthUpdate::ScalarView {
-                slot,
-                incoming,
-                agg,
+                slot: compact(slot),
+                incoming: compact(incoming),
+                agg: compact(agg),
             };
             probed.push((inc.probe_depth, update));
             continue;
@@ -517,7 +612,11 @@ fn lower_term(
         let on_depths = resolve(f, |a| plan.attr_order.iter().position(|x| *x == a));
         if let Some(factor) = on_depths.filter(|r| !r.args.is_empty()) {
             let depth = factor.args.iter().max().map_or(0, |d| d + 1);
-            plan.programs[depth].push(DepthUpdate::Factor { slot, factor });
+            plan.programs[depth].push(DepthUpdate::Factor {
+                slot: compact(slot),
+                factor: compact(plan.depth_factors.len()),
+            });
+            plan.depth_factors.push(factor);
         } else if let Some(factor) = resolve(f, |a| relation.position(a)) {
             local.push(factor);
         } else {
@@ -540,16 +639,15 @@ fn lower_term(
     local.sort_by_key(|f| !matches!(f.factor, ScalarFunction::Indicator { .. }));
     let local_expr = intern_local_expr(plan, LocalExpr { factors: local });
 
-    Ok(TermPlan {
-        slot,
-        local_expr,
+    let lowered = TermPlan {
         extra_refs,
         extra_views,
         key,
         extra_factors,
         row_factors,
         per_row,
-    })
+    };
+    Ok((slot, local_expr, lowered))
 }
 
 fn intern_local_expr(plan: &mut GroupPlan, expr: LocalExpr) -> usize {
@@ -723,7 +821,8 @@ mod tests {
             let mut extra_keyed = Vec::new();
             for plan in &plans {
                 for output in plan.outputs.iter().filter(|o| o.key_attrs == [price]) {
-                    for term in output.aggregates.iter().flat_map(|g| &g.terms) {
+                    assert_eq!(output.general.len(), output.terms.len());
+                    for term in &output.general {
                         let [KeySource::Extra { view, pos }] = term.key[..] else {
                             panic!("{:?} is not one extra part", term.key);
                         };
@@ -780,7 +879,7 @@ mod tests {
             .iter()
             .flat_map(|p| &p.outputs)
             .filter(|o| o.key_attrs == [units])
-            .flat_map(|o| o.aggregates.iter().flat_map(|g| &g.terms))
+            .flat_map(|o| &o.general)
             .collect();
         assert!(!terms.is_empty());
         for term in terms {
@@ -856,7 +955,8 @@ mod tests {
         // Carried by the incoming view, `price` resolves to its entry: the
         // key part, and the factor's first argument beside a row column.
         let plan = hand_built_plan(vec![price], vec![exp.clone()], vec![item, price]).unwrap();
-        let term = &plan.outputs[0].aggregates[0].terms[0];
+        assert_eq!(plan.outputs[0].terms[0].emit, Emit::General(0));
+        let term = &plan.outputs[0].general[0];
         let carried = KeySource::Extra { view: 0, pos: 1 };
         assert_eq!(term.key, [carried]);
         assert!(term.extra_factors.is_empty());

@@ -318,3 +318,91 @@ fn cross_relation_factor_reads_the_scanned_rows() {
         }
     }
 }
+
+/// A term whose partial product is exactly 0 adds nothing, even where its
+/// local sum is ±inf or NaN: F(k, x) ⋈ D(k, t) with `SUM(1[t ≤ 0.5] · x)`,
+/// scalar and `GROUP BY k`, where every `k` that D rejects carries
+/// non-finite measures in F. Pushed down to D's view, the indicator zeroes
+/// the fact scan's partial product of a rejected key, while the COUNT in the
+/// same batch keeps that key's subtree live, so the innermost loop meets the
+/// zero product beside a local sum of inf, −inf or NaN. `0 · inf` is NaN,
+/// so adding the product unconditionally would poison the sums.
+#[test]
+fn zero_partial_products_add_nothing_over_non_finite_local_sums() {
+    let mut schema = DatabaseSchema::new();
+    schema.add_relation_with_attrs("F", &[("k", AttrType::Int), ("x", AttrType::Double)]);
+    schema.add_relation_with_attrs("D", &[("k", AttrType::Int), ("t", AttrType::Double)]);
+    let [k, x, t] = ["k", "x", "t"].map(|n| schema.attr_id(n).unwrap());
+    let relation = |name: &str, rows: Vec<(i64, f64)>| {
+        let rows = rows
+            .into_iter()
+            .map(|(key, v)| vec![Value::Int(key), Value::Double(v)])
+            .collect();
+        Relation::from_rows(schema.relation(name).unwrap().clone(), rows).unwrap()
+    };
+    let (inf, nan) = (f64::INFINITY, f64::NAN);
+    // Even keys pass `t ≤ 0.5`; each odd key's range sums to inf, −inf or
+    // NaN (inf + −inf, or a NaN beside a finite measure).
+    let fact = vec![
+        (0, 1.0),
+        (0, 2.0),
+        (1, inf),
+        (1, 3.0),
+        (2, 0.5),
+        (3, -inf),
+        (4, 4.0),
+        (4, 0.25),
+        (5, nan),
+        (5, 1.0),
+        (6, 8.0),
+        (7, inf),
+        (7, -inf),
+    ];
+    let dim = (0..8).map(|key| (key, (key % 2) as f64)).collect();
+    let db = Database::new(
+        schema.clone(),
+        vec![relation("F", fact), relation("D", dim)],
+    )
+    .unwrap();
+    let tree = build_join_tree(&Hypergraph::from_schema(&schema)).unwrap();
+
+    // The indicator comes first, so the materialized join's left-to-right
+    // product is abandoned at it too and never forms `0 · inf`.
+    let passed = Aggregate::product(ProductTerm::of(vec![
+        ScalarFunction::Indicator {
+            attr: t,
+            op: CmpOp::Le,
+            threshold: Value::Double(0.5),
+        },
+        ScalarFunction::Identity(x),
+    ]));
+    let mut batch = QueryBatch::new();
+    batch.push("total", vec![], vec![passed.clone()]);
+    batch.push("per_k", vec![k], vec![passed]);
+    batch.push("count", vec![], vec![Aggregate::count()]);
+
+    let baseline = MaterializedEngine::materialize(&db, &tree);
+    let expected = baseline.execute_batch(&batch, &DynamicRegistry::new());
+    assert_eq!(expected[0].scalar(1)[0], 15.75);
+    let per_k = [(0, 3.0), (2, 0.5), (4, 4.25), (6, 8.0)];
+    for (key, sum) in per_k {
+        assert_eq!(expected[1].get(&[Value::Int(key)]).unwrap()[0], sum);
+    }
+    for (name, config) in EngineConfig::ablation_ladder(2) {
+        let result = Engine::new(db.clone(), tree.clone(), config)
+            .execute(&batch)
+            .unwrap();
+        for ((q, lm), bl) in batch.queries.iter().zip(&result.queries).zip(&expected) {
+            assert_agrees(&format!("{name}::{}", q.name), lm, bl);
+        }
+        assert_eq!(result.query("total").scalar()[0], 15.75, "{name}");
+        assert_eq!(result.query("count").scalar()[0], 13.0, "{name}");
+        let got = result.query("per_k");
+        for (key, values) in got.iter() {
+            assert!(values.iter().all(|v| v.is_finite()), "{name}: {key:?}");
+        }
+        for (key, sum) in per_k {
+            assert_eq!(got.get(&[Value::Int(key)]).unwrap()[0], sum, "{name}");
+        }
+    }
+}
