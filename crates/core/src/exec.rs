@@ -44,32 +44,35 @@
 //! attributes ([`OutputPlan::register_depth`]) keeps one key for the whole
 //! binding of its register depth, so it is accumulated in a register row:
 //! on the first nonzero contribution under a binding the key is built once
-//! and the output's existing entry for it (or a zero row) is swapped into
+//! and the output's existing entry for it (or a zero row) is copied into
 //! the register; every term then adds to `row[aggregate]`; when the binding
 //! ends (the child at that depth returns, or the scan ends for a scalar
-//! output) the row is swapped back, or inserted if the key was new. The
+//! output) the row is copied back, or appended if the key was new. The
 //! entry receives the same float additions in the same order, starting from
 //! the same value, as a per-contribution hash update would give it — also
 //! for a key that recurs under other outer bindings — so the results are
-//! bit-identical to that, and the output map sees the same inserts in the
+//! bit-identical to that, and the output sees the same inserts in the
 //! same order. A keyed output gains an entry iff a nonzero contribution
 //! reached it; a scalar output gets none when its row ends all exactly 0.
 //! Keys with a [`KeySource::RowColumn`] or [`KeySource::Extra`] part change
 //! inside the innermost loop (per row, per entry combination) and are added
 //! entry by entry.
 //!
-//! **The keyed path allocates per new entry only.** A row-column or
-//! extra-key output key is written into a scratch buffer of the scan and
-//! copied into the output map only when the key is new
-//! ([`ComputedView::add_single`]). An incoming view with extra key
-//! attributes is indexed by the bound part of its key over borrowed
-//! `(key, payload)` pairs of the view, so only a new bound key allocates.
-//! Probe keys and the odometer over a term's entry combinations live in
-//! scan scratch as well. None of this changes which float is added to which
-//! entry, or in what order: the map receives the same inserts in the same
-//! order as with a fresh key per update, and each index list keeps the
-//! view's iteration order, so combinations are visited as before and the
-//! results are bit-identical.
+//! **A scan allocates per view, not per entry.** Every computed view is one
+//! flat store ([`ComputedView`]: a key arena, a payload array and a slot
+//! table), so an output grows by amortized doubling and a new key costs no
+//! heap block of its own. A row-column or extra-key output key is written
+//! into a scratch buffer of the scan and copied into the output's arena only
+//! when the key is new ([`ComputedView::add_single`]). An incoming view with
+//! extra key attributes is indexed by the bound part of its key in
+//! compressed sparse row form (`BoundIndex`: a table of the distinct bound
+//! keys, offsets, and the view's entry ids grouped by bound key, each group
+//! in the view's iteration order), four allocations per index, and a probe
+//! returns a slice of entry ids. Probe keys and the odometer over a term's
+//! entry combinations live in scan scratch as well. None of this changes
+//! which float is added to which entry, or in what order: outputs receive
+//! the same inserts in the same order as with a fresh key per update, and
+//! combinations are visited in the views' iteration order.
 //!
 //! This is the engine's only executor, and its per-row loop (`row_product`)
 //! the only evaluator of a product of local factors.
@@ -91,8 +94,8 @@ use crate::plan::{
     DepthUpdate, Emit, GroupPlan, IncomingPlan, KeySource, OutputPlan, ResolvedFactor, TermEntry,
     TermPlan,
 };
-use crate::view::{ComputedView, ViewId, ViewSource};
-use lmfao_data::{AttrId, Column, Database, FxHashMap, Relation, TrieScan, Value};
+use crate::view::{ComputedView, KeyTable, ViewId, ViewSource};
+use lmfao_data::{AttrId, Column, Database, Relation, TrieScan, Value};
 use lmfao_expr::{CmpOp, DynamicRegistry, ScalarFunction};
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -101,19 +104,96 @@ use std::ops::Range;
 /// view's canonical key order) and its aggregate payload.
 type Entry<'a> = (&'a [Value], &'a [f64]);
 
-/// Entries of an indexed incoming view that share one bound key.
-type IndexedEntries<'a> = Vec<Entry<'a>>;
+/// An incoming view with extra key attributes, indexed by the bound part of
+/// its key in compressed sparse row form: the distinct bound keys in a
+/// [`KeyTable`] (numbered in the order of their first entry), and the view's
+/// entry ids grouped by bound key, each group in the view's iteration order.
+/// The index holds four allocations whatever the view's size, and a probe
+/// returns a slice of it.
+struct BoundIndex<'a> {
+    view: &'a ComputedView,
+    keys: KeyTable,
+    /// Bound key `g`'s entries are `ids[starts[g]..starts[g + 1]]`.
+    starts: Vec<u32>,
+    ids: Vec<u32>,
+}
 
-/// An incoming view's entries re-indexed by the bound part of its key.
-type BoundIndex<'a> = FxHashMap<Vec<Value>, IndexedEntries<'a>>;
+impl<'a> BoundIndex<'a> {
+    /// Indexes `view` by its key values at `positions`.
+    fn build(view: &'a ComputedView, positions: &[usize]) -> Self {
+        let mut keys = KeyTable::new(positions.len());
+        let mut bound = Vec::with_capacity(positions.len());
+        // The bound key of every entry; ids are below `u32::MAX`, as the
+        // view's own key table holds them.
+        let group_of: Vec<u32> = view
+            .iter()
+            .map(|(key, _)| {
+                bound.clear();
+                bound.extend(positions.iter().map(|&p| key[p]));
+                keys.find_or_insert(&bound).0 as u32
+            })
+            .collect();
+        // Counting sort by bound key: `starts[g + 1]` counts group `g`, the
+        // prefix sum turns counts into offsets, `starts[g]` serves as group
+        // `g`'s write cursor and ends at `g`'s end, and the shift restores it.
+        let groups = keys.len();
+        let mut starts = vec![0u32; groups + 1];
+        for &g in &group_of {
+            starts[g as usize + 1] += 1;
+        }
+        for g in 0..groups {
+            starts[g + 1] += starts[g];
+        }
+        let mut ids = vec![0u32; group_of.len()];
+        for (id, &g) in group_of.iter().enumerate() {
+            let cursor = &mut starts[g as usize];
+            ids[*cursor as usize] = id as u32;
+            *cursor += 1;
+        }
+        starts.copy_within(0..groups, 1);
+        starts[0] = 0;
+        BoundIndex {
+            view,
+            keys,
+            starts,
+            ids,
+        }
+    }
+
+    /// The entries whose bound key is `key`, if any.
+    #[inline]
+    fn probe(&self, key: &[Value]) -> Option<Matches<'_>> {
+        let g = self.keys.find(key)?;
+        let ids = &self.ids[self.starts[g] as usize..self.starts[g + 1] as usize];
+        Some(Matches {
+            view: self.view,
+            ids,
+        })
+    }
+}
+
+/// The entries of an indexed incoming view that match the current binding.
+#[derive(Clone, Copy)]
+struct Matches<'a> {
+    view: &'a ComputedView,
+    /// Entry ids of `view`, in its iteration order; never empty.
+    ids: &'a [u32],
+}
+
+impl<'a> Matches<'a> {
+    /// The `i`-th matching entry.
+    #[inline]
+    fn get(&self, i: usize) -> Entry<'a> {
+        self.view.entry(self.ids[i] as usize)
+    }
+}
 
 /// Runtime representation of an incoming view.
 enum IncomingData<'a> {
     /// The view has no extra key attributes: probe its result directly.
     Direct(&'a ComputedView),
-    /// The view carries extra key attributes: its entries, borrowed, are
-    /// re-indexed by the bound part of the key, in the view's iteration
-    /// order.
+    /// The view carries extra key attributes: its entry ids are indexed by
+    /// the bound part of the key.
     Indexed(BoundIndex<'a>),
 }
 
@@ -283,8 +363,8 @@ struct State<'a> {
 struct Sink<'a> {
     /// Values bound at each depth of the attribute order.
     bound: Vec<Value>,
-    /// Matching entry lists of indexed incoming views for the current path.
-    probed: Vec<Option<&'a IndexedEntries<'a>>>,
+    /// Matching entries of indexed incoming views for the current path.
+    probed: Vec<Option<Matches<'a>>>,
     /// Accumulated outputs, one per output plan.
     outputs: Vec<ComputedView>,
     /// One register row per output plan (used by those with a
@@ -292,9 +372,10 @@ struct Sink<'a> {
     registers: Vec<Register>,
     /// The key of the output entry being updated per contribution.
     key_buf: Vec<Value>,
-    /// The innermost loop's odometer over a term's extra views: their entry
-    /// lists, the position in each, and the entries at those positions.
-    lists: Vec<&'a [Entry<'a>]>,
+    /// The innermost loop's odometer over a term's extra views: their
+    /// matching entries, the position in each, and the entries at those
+    /// positions.
+    lists: Vec<Matches<'a>>,
     idx: Vec<usize>,
     combo: Vec<Entry<'a>>,
 }
@@ -309,6 +390,8 @@ struct Register {
     key: Vec<Value>,
     /// The entry's aggregate values.
     row: Vec<f64>,
+    /// The id of the output's entry for `key`, `None` while the key is new.
+    entry: Option<usize>,
 }
 
 /// Executes a group plan over (a partition of) its relation, returning one
@@ -413,6 +496,7 @@ pub fn execute_group_scan<V: ViewSource>(
                     loaded: false,
                     key: Vec::with_capacity(o.key_attrs.len()),
                     row: vec![0.0; o.num_aggregates],
+                    entry: None,
                 })
                 .collect(),
             key_buf: Vec::new(),
@@ -455,23 +539,11 @@ fn prepare_incoming<'a, V: ViewSource>(
     let Some(cv) = computed.view_result(inc.view) else {
         return Err(EngineError::ViewNotComputed(inc.view));
     };
-    if !inc.has_extras() {
-        return Ok(IncomingData::Direct(cv));
-    }
-    let mut index: BoundIndex = FxHashMap::default();
-    let mut bound_key = Vec::with_capacity(inc.bound_positions.len());
-    for (key, aggs) in cv.iter() {
-        bound_key.clear();
-        bound_key.extend(inc.bound_positions.iter().map(|&p| key[p]));
-        let entry = (key.as_slice(), aggs.as_slice());
-        match index.get_mut(bound_key.as_slice()) {
-            Some(list) => list.push(entry),
-            None => {
-                index.insert(bound_key.clone(), vec![entry]);
-            }
-        }
-    }
-    Ok(IncomingData::Indexed(index))
+    Ok(if inc.has_extras() {
+        IncomingData::Indexed(BoundIndex::build(cv, &inc.bound_positions))
+    } else {
+        IncomingData::Direct(cv)
+    })
 }
 
 fn all_zero(v: &[f64]) -> bool {
@@ -491,7 +563,7 @@ fn apply_program<'a>(ctx: &Ctx<'a>, state: &mut State<'a>, depth: usize) {
         let key = state.probe_buf.as_slice();
         match &ctx.incoming[i] {
             IncomingData::Direct(cv) => state.direct[i] = cv.get(key),
-            IncomingData::Indexed(map) => state.sink.probed[i] = map.get(key),
+            IncomingData::Indexed(index) => state.sink.probed[i] = index.probe(key),
         }
     }
 
@@ -554,7 +626,7 @@ impl Sink<'_> {
     }
 
     /// Loads output `oi`'s register row on its first use under a binding:
-    /// the output's entry for the binding's key is swapped into the row, or
+    /// the output's entry for the binding's key is copied into the row, or
     /// the row is zeroed when the key has no entry yet.
     #[cold]
     fn load_register(&mut self, oi: usize, key: &[usize]) {
@@ -562,8 +634,10 @@ impl Sink<'_> {
         reg.loaded = true;
         reg.key.clear();
         reg.key.extend(key.iter().map(|&d| self.bound[d]));
-        match self.outputs[oi].data.get_mut(reg.key.as_slice()) {
-            Some(entry) => std::mem::swap(entry, &mut reg.row),
+        let output = &self.outputs[oi];
+        reg.entry = output.find(&reg.key);
+        match reg.entry {
+            Some(id) => reg.row.copy_from_slice(output.entry(id).1),
             None => reg.row.fill(0.0),
         }
     }
@@ -571,20 +645,20 @@ impl Sink<'_> {
 
 /// Stores back the loaded register rows of the outputs whose register depth
 /// is `depth`, whose binding is about to change (or, at depth 0, whose scan
-/// ended). An existing entry (its slot held the register's spare buffer
-/// meanwhile) gets its row swapped back; a new key is inserted, except a
-/// scalar output's all-zero row.
+/// ended). An existing entry gets the row copied back (no other path writes
+/// a register output meanwhile, so its id still holds); a new key is
+/// appended, except a scalar output's all-zero row.
 fn store_registers(ctx: &Ctx<'_>, sink: &mut Sink<'_>, depth: usize) {
     for &oi in &ctx.plan.registers_at[depth] {
         let reg = &mut sink.registers[oi];
         if !std::mem::take(&mut reg.loaded) {
             continue;
         }
-        let data = &mut sink.outputs[oi].data;
-        match data.get_mut(reg.key.as_slice()) {
-            Some(entry) => std::mem::swap(entry, &mut reg.row),
+        let output = &mut sink.outputs[oi];
+        match reg.entry {
+            Some(id) => output.row_mut(id).copy_from_slice(&reg.row),
             None if !reg.key.is_empty() || reg.row.iter().any(|v| *v != 0.0) => {
-                data.insert(reg.key.clone(), reg.row.clone());
+                output.insert_new(&reg.key, &reg.row);
             }
             None => {}
         }
@@ -707,13 +781,13 @@ fn emit_combinations<'a>(ctx: &Ctx<'a>, sink: &mut Sink<'a>, emit: &Emission<'_>
     let mut lists = std::mem::take(&mut sink.lists);
     let mut idx = std::mem::take(&mut sink.idx);
     let mut combo = std::mem::take(&mut sink.combo);
-    // Gather the matching entry lists; a missing list means no joining
+    // Gather the matching entries; a view without any means no joining
     // tuples below, hence no contribution.
     lists.clear();
     for &iv in &term.extra_views {
         match sink.probed[iv] {
-            Some(list) if !list.is_empty() => lists.push(list),
-            _ => break,
+            Some(matches) => lists.push(matches),
+            None => break,
         }
     }
     if lists.len() == term.extra_views.len() {
@@ -721,7 +795,7 @@ fn emit_combinations<'a>(ctx: &Ctx<'a>, sink: &mut Sink<'a>, emit: &Emission<'_>
         idx.resize(lists.len(), 0);
         loop {
             combo.clear();
-            combo.extend(lists.iter().zip(&idx).map(|(l, &i)| l[i]));
+            combo.extend(lists.iter().zip(&idx).map(|(m, &i)| m.get(i)));
             let mut val = base;
             for &(view, agg) in &term.extra_refs {
                 val *= combo[view].1[agg];
@@ -741,10 +815,10 @@ fn emit_combinations<'a>(ctx: &Ctx<'a>, sink: &mut Sink<'a>, emit: &Emission<'_>
 
 /// Steps the odometer `idx` over `lists`, the last position fastest; false
 /// once every combination has been visited.
-fn advance(idx: &mut [usize], lists: &[&[Entry<'_>]]) -> bool {
+fn advance(idx: &mut [usize], lists: &[Matches<'_>]) -> bool {
     for (i, list) in idx.iter_mut().zip(lists).rev() {
         *i += 1;
-        if *i < list.len() {
+        if *i < list.ids.len() {
             return true;
         }
         *i = 0;
@@ -820,7 +894,7 @@ mod tests {
     use crate::plan::{build_group_plan, prepare_database, resolve, LocalExpr};
     use crate::pushdown::push_down_batch;
     use crate::roots::assign_roots;
-    use lmfao_data::{AttrType, DatabaseSchema, RelationSchema};
+    use lmfao_data::{AttrType, DatabaseSchema, FxHashMap, RelationSchema};
     use lmfao_expr::{Aggregate, QueryBatch};
     use lmfao_jointree::{build_join_tree, Hypergraph, JoinTree};
 
@@ -897,7 +971,7 @@ mod tests {
                     ComputedView::new(cv.key_attrs.clone(), o.aggregate_indices.len());
                 for (key, vals) in cv.iter() {
                     let sel: Vec<f64> = o.aggregate_indices.iter().map(|&i| vals[i]).collect();
-                    projected.add(key.clone(), &sel);
+                    projected.add(key, &sel);
                 }
                 projected
             })
@@ -1071,7 +1145,7 @@ mod tests {
                     match partials.get_mut(&vid) {
                         Some(acc) => {
                             for (k, v) in cv.iter() {
-                                acc.add(k.clone(), v);
+                                acc.add(k, v);
                             }
                         }
                         None => {
@@ -1295,7 +1369,7 @@ mod tests {
         let bits = |v: &ComputedView| {
             let mut entries: Vec<(Vec<Value>, Vec<u64>)> = v
                 .iter()
-                .map(|(k, a)| (k.clone(), a.iter().map(|x| x.to_bits()).collect()))
+                .map(|(k, a)| (k.to_vec(), a.iter().map(|x| x.to_bits()).collect()))
                 .collect();
             entries.sort();
             entries
@@ -1399,7 +1473,7 @@ mod tests {
             }
         }
         for ((vid, got), (_, want)) in merged.unwrap().iter().zip(&whole) {
-            assert_eq!(got.data, want.data, "{vid:?}");
+            assert_eq!(got, want, "{vid:?}");
         }
     }
 

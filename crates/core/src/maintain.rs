@@ -277,8 +277,10 @@ impl Maintainer {
 
         // Fold the signed deltas into a staged copy of the current view map,
         // in group order. `Arc::make_mut` is the copy-on-write step: only
-        // views on the refresh frontier are cloned, and only when a published
-        // generation still pins them. Residues that are zero up to rounding
+        // views on the refresh frontier are copied, and only when a published
+        // generation still pins them; the copy goes into the view's spare
+        // when no reader holds it, and the pinned view becomes the next
+        // commit's spare. Residues that are zero up to rounding
         // snap to exact zero so the pruning below drops keys whose aggregates
         // cancelled. Each fold also settles the view's certificate account:
         // the exact encoded net moves a staged copy of the shadow ledger,
@@ -286,6 +288,7 @@ impl Maintainer {
         let mut computed = current.computed.clone();
         let mut shadow = self.shadow.clone();
         let mut accounts = Vec::new();
+        let mut spare = std::mem::take(&mut self.spare);
         for outcome in outcomes {
             let Some(group) = outcome else {
                 stats.skipped_groups += 1;
@@ -316,6 +319,17 @@ impl Maintainer {
                         delta.num_aggregates,
                     ))
                 });
+                if Arc::get_mut(entry).is_none() {
+                    let mut buf = spare.remove(&view);
+                    let pinned = match buf.as_mut().and_then(Arc::get_mut) {
+                        Some(free) => {
+                            free.clone_from(entry);
+                            std::mem::replace(entry, buf.expect("a free spare"))
+                        }
+                        None => Arc::clone(entry),
+                    };
+                    spare.insert(view, pinned);
+                }
                 let cv = Arc::make_mut(entry);
                 cv.fold_delta(&delta);
 
@@ -389,6 +403,7 @@ impl Maintainer {
             inner: Arc::clone(&self.inner),
             certificate: Arc::new(certificate),
         };
+        self.spare = spare;
         self.publish(next, shadow);
         Ok(stats)
     }
@@ -635,6 +650,46 @@ mod tests {
             let expected = recompute(maintained.database(), &tree, cfg, &b);
             assert_same_results(maintained.snapshot().results(), &expected);
         }
+    }
+
+    /// With no reader pinning old generations, a commit copies each view it
+    /// changes into the spare the previous commit left behind, and the
+    /// results stay those of a recompute.
+    #[test]
+    fn commits_copy_changed_views_into_the_previous_commits_spares() {
+        let (db, tree) = db_and_tree();
+        let b = batch(&db);
+        let engine = Engine::new(db.clone(), tree.clone(), EngineConfig::default());
+        let mut maintained = engine
+            .prepare(&b)
+            .unwrap()
+            .into_serving(&DynamicRegistry::new())
+            .unwrap();
+        let sale = |i: i64| {
+            let mut delta = TableDelta::for_relation(db.relation("Sales").unwrap());
+            delta
+                .insert(&[
+                    Value::Int(i % 5),
+                    Value::Int(i % 7),
+                    Value::Double(i as f64),
+                ])
+                .unwrap();
+            delta
+        };
+        maintained.commit(sale(1), &DynamicRegistry::new()).unwrap();
+        assert!(!maintained.spare.is_empty());
+        let spares: Vec<(ViewId, *const ComputedView)> = maintained
+            .spare
+            .iter()
+            .map(|(&v, cv)| (v, Arc::as_ptr(cv)))
+            .collect();
+        maintained.commit(sale(2), &DynamicRegistry::new()).unwrap();
+        let snapshot = maintained.snapshot();
+        for (view, spare) in spares {
+            assert_eq!(Arc::as_ptr(&snapshot.computed[&view]), spare, "{view:?}");
+        }
+        let expected = recompute(maintained.database(), &tree, EngineConfig::default(), &b);
+        assert_same_results(snapshot.results(), &expected);
     }
 
     #[test]

@@ -153,15 +153,15 @@ mod tests {
     #[test]
     fn merge_partials_sums_view_by_view_in_output_order() {
         let mut a = ComputedView::new(vec![AttrId(0)], 1);
-        a.add(vec![Value::Int(1)], &[1.0]);
+        a.add(&[Value::Int(1)], &[1.0]);
         let mut acc = vec![
             (ViewId(0), a),
             (ViewId(1), ComputedView::new(vec![AttrId(1)], 1)),
         ];
         let mut b = ComputedView::new(vec![AttrId(0)], 1);
-        b.add(vec![Value::Int(1)], &[2.0]);
+        b.add(&[Value::Int(1)], &[2.0]);
         let mut c = ComputedView::new(vec![AttrId(1)], 1);
-        c.add(vec![Value::Int(9)], &[5.0]);
+        c.add(&[Value::Int(9)], &[5.0]);
         merge_partials(&mut acc, vec![(ViewId(0), b), (ViewId(1), c)]);
         assert_eq!(acc.len(), 2);
         assert_eq!(acc[0].1.get(&[Value::Int(1)]).unwrap(), &[3.0]);

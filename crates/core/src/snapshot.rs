@@ -33,8 +33,10 @@
 //! * **Views**: the retained state is a map of `Arc<ComputedView>`. Folding
 //!   a view delta goes through [`Arc::make_mut`] — only views on the refresh
 //!   frontier (those whose state actually changed) are copied, and only when
-//!   a published snapshot still pins the old version. Views untouched by the
-//!   delta are shared by every generation that ever existed.
+//!   a published snapshot still pins the old version. The copy goes into
+//!   the buffers of the version the previous commit replaced, once no reader
+//!   holds it, so a steady writer reuses the same few blocks per view. Views
+//!   untouched by the delta are shared by every generation that ever existed.
 //! * **Relations**: the base data is a [`Database`], whose relations sit
 //!   behind `Arc`s and take deltas copy-on-write at relation granularity — a
 //!   delta against the fact table copies the fact table once and shares
@@ -399,6 +401,12 @@ pub struct Maintainer {
     /// Fingerprint of the last emitted certificate; the next maintenance
     /// certificate records it as `parent_hash`.
     pub(crate) last_fingerprint: u64,
+    /// The views the previous commit replaced, kept as buffers for the next
+    /// one: a view the published generation pins is copied into its spare
+    /// (reusing the spare's allocations) when no reader holds the spare any
+    /// more, instead of into fresh ones. Reusing the same few blocks from
+    /// commit to commit keeps a long-running writer's heap from fragmenting.
+    pub(crate) spare: FxHashMap<ViewId, Arc<ComputedView>>,
     /// The publication cell shared with every reader.
     handle: SnapshotHandle,
 }
@@ -451,6 +459,7 @@ impl PreparedBatch {
             current,
             shadow,
             last_fingerprint,
+            spare: FxHashMap::default(),
         })
     }
 }

@@ -234,114 +234,358 @@ impl ViewCatalog {
     }
 }
 
+/// Marks a free slot of a [`KeyTable`].
+const EMPTY: u32 = u32::MAX;
+
+/// Fewest slots of a [`KeyTable`] that holds a key.
+const MIN_SLOTS: usize = 8;
+
+/// The hash of a key tuple: one Fx step (rotate, xor, multiply) per value,
+/// then a fold of the high half into the low half and a second multiply.
+/// An Fx step's low bits depend only on the low bits of its input, and its
+/// high bits on all of them; the final fold and multiply carry every input
+/// bit into the high bits the table indexes by ([`KeyTable`]). The tag
+/// constants keep equal payloads of different variants apart (`Int(3)`,
+/// `Cat(3)`); a `Double` hashes by its bit pattern, like its equality.
+#[inline]
+fn hash_key(key: &[Value]) -> u64 {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    const FOLD: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = 0u64;
+    for v in key {
+        let word = match *v {
+            Value::Int(i) => i as u64,
+            Value::Double(d) => d.to_bits() ^ 0x2545_f491_4f6c_dd1d,
+            Value::Cat(c) => u64::from(c) ^ 0x6a09_e667_f3bc_c908,
+            Value::Null => 0xbb67_ae85_84ca_a73b,
+        };
+        h = (h.rotate_left(5) ^ word).wrapping_mul(SEED);
+    }
+    (h ^ (h >> 32)).wrapping_mul(FOLD)
+}
+
+/// Distinct key tuples of one arity, numbered `0..len` in first-insertion
+/// order: the tuples back to back in one `Value` arena (tuple `i` at
+/// `keys[i · arity ..]`), and an open-addressing table of their ids.
+///
+/// The table is a power of two long and at most half full, and is probed
+/// linearly from the slot named by the high bits of [`hash_key`]. A key costs
+/// no heap block of its own: a table of `n` keys holds two allocations.
+pub(crate) struct KeyTable {
+    arity: usize,
+    len: usize,
+    keys: Vec<Value>,
+    /// Key ids, [`EMPTY`] where free.
+    slots: Vec<u32>,
+    /// `64 − log₂(slots.len())`: a hash's slot is `hash >> shift`.
+    shift: u32,
+}
+
+/// `clone_from` copies into the target's own buffers, reusing their
+/// allocations when they are large enough.
+impl Clone for KeyTable {
+    fn clone(&self) -> Self {
+        KeyTable {
+            arity: self.arity,
+            len: self.len,
+            keys: self.keys.clone(),
+            slots: self.slots.clone(),
+            shift: self.shift,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.arity = source.arity;
+        self.len = source.len;
+        self.keys.clone_from(&source.keys);
+        self.slots.clone_from(&source.slots);
+        self.shift = source.shift;
+    }
+}
+
+impl KeyTable {
+    /// An empty table of `arity`-value keys.
+    pub(crate) fn new(arity: usize) -> Self {
+        KeyTable {
+            arity,
+            len: 0,
+            keys: Vec::new(),
+            slots: Vec::new(),
+            shift: 64,
+        }
+    }
+
+    /// Number of keys.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Values per key.
+    #[inline]
+    pub(crate) fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// The key with id `id`.
+    #[inline]
+    pub(crate) fn key(&self, id: usize) -> &[Value] {
+        &self.keys[id * self.arity..(id + 1) * self.arity]
+    }
+
+    /// The id of `key`, if present.
+    #[inline]
+    pub(crate) fn find(&self, key: &[Value]) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = (hash_key(key) >> self.shift) as usize;
+        loop {
+            let id = self.slots[slot];
+            if id == EMPTY {
+                return None;
+            }
+            if self.key(id as usize) == key {
+                return Some(id as usize);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The id of `key`, inserting it (with the next id) when absent; the flag
+    /// says whether it was inserted.
+    #[inline]
+    pub(crate) fn find_or_insert(&mut self, key: &[Value]) -> (usize, bool) {
+        debug_assert_eq!(key.len(), self.arity, "key of the wrong arity");
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut slot = (hash_key(key) >> self.shift) as usize;
+        loop {
+            let id = self.slots[slot];
+            if id == EMPTY {
+                break;
+            }
+            if self.key(id as usize) == key {
+                return (id as usize, false);
+            }
+            slot = (slot + 1) & mask;
+        }
+        let id = self.len;
+        self.slots[slot] = u32::try_from(id)
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("a key table holds fewer than 2³² − 1 keys");
+        self.keys.extend_from_slice(key);
+        self.len += 1;
+        (id, true)
+    }
+
+    /// Doubles the slot table (or allocates its first one) and re-slots
+    /// every key.
+    #[cold]
+    fn grow(&mut self) {
+        let slots = (2 * self.slots.len()).max(MIN_SLOTS);
+        self.reslot(slots);
+    }
+
+    /// Rebuilds the slot table at `slots` slots from the key arena.
+    fn reslot(&mut self, slots: usize) {
+        debug_assert!(slots.is_power_of_two() && slots >= 2 * self.len);
+        self.shift = 64 - slots.trailing_zeros();
+        self.slots.clear();
+        self.slots.resize(slots, EMPTY);
+        let mask = slots - 1;
+        for id in 0..self.len {
+            let mut slot = (hash_key(self.key(id)) >> self.shift) as usize;
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = id as u32;
+        }
+    }
+
+    /// Keeps the keys for which `keep(id)` holds, called once per id in id
+    /// order; the kept keys are renumbered densely in the same order, and the
+    /// slot table is rebuilt when a key went.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        let arity = self.arity;
+        let mut kept = 0;
+        for id in 0..self.len {
+            if keep(id) {
+                if kept != id {
+                    self.keys
+                        .copy_within(id * arity..(id + 1) * arity, kept * arity);
+                }
+                kept += 1;
+            }
+        }
+        if kept != self.len {
+            self.len = kept;
+            self.keys.truncate(kept * arity);
+            let slots = self.slots.len();
+            self.reslot(slots);
+        }
+    }
+
+    /// The longest run of slots a lookup of a present key walks: 1 when
+    /// every key sits in its home slot.
+    #[cfg(test)]
+    fn longest_probe(&self) -> usize {
+        let mask = self.slots.len().wrapping_sub(1);
+        (0..self.slots.len())
+            .filter(|&slot| self.slots[slot] != EMPTY)
+            .map(|slot| {
+                let home = (hash_key(self.key(self.slots[slot] as usize)) >> self.shift) as usize;
+                (slot.wrapping_sub(home) & mask) + 1
+            })
+            .max()
+            .unwrap_or(0)
+    }
+}
+
 /// The materialized result of a view: a map from group-by key to the vector
 /// of aggregate values.
-#[derive(Debug, Clone)]
+///
+/// **Layout.** One flat store per view: the keys in one `Value` arena,
+/// stride = key arity, with an open-addressing table of `u32` entry ids (a
+/// crate-private `KeyTable`), and the payloads in one `Vec<f64>`, stride =
+/// [`num_aggregates`](ComputedView::num_aggregates), entry `i`'s aggregates
+/// at `vals[i · num_aggregates ..]`. An entry costs no heap block of its
+/// own, so building or dropping a view allocates or frees a handful of
+/// blocks whatever its size.
+///
+/// **Iteration order** is first-insertion order, and is kept by
+/// [`prune_zero_entries`](ComputedView::prune_zero_entries), which compacts
+/// the survivors in place. Every mutation is deterministic, so two views built
+/// by the same sequence of calls iterate alike.
 pub struct ComputedView {
     /// Group-by attributes of the key, in the view's canonical order.
     pub key_attrs: Vec<AttrId>,
     /// Number of aggregates per entry.
     pub num_aggregates: usize,
-    /// The data: key tuple → aggregate values.
-    pub data: FxHashMap<Vec<Value>, Vec<f64>>,
+    keys: KeyTable,
+    vals: Vec<f64>,
 }
 
 impl ComputedView {
     /// Creates an empty computed view.
     pub fn new(key_attrs: Vec<AttrId>, num_aggregates: usize) -> Self {
         ComputedView {
+            keys: KeyTable::new(key_attrs.len()),
             key_attrs,
             num_aggregates,
-            data: FxHashMap::default(),
+            vals: Vec::new(),
         }
     }
 
-    /// Adds `values` into the entry for `key` (element-wise sum).
-    pub fn add(&mut self, key: Vec<Value>, values: &[f64]) {
+    /// The aggregates of entry `id`.
+    #[inline]
+    fn row(&self, id: usize) -> &[f64] {
+        &self.vals[id * self.num_aggregates..(id + 1) * self.num_aggregates]
+    }
+
+    /// The aggregates of entry `id`, mutably.
+    #[inline]
+    pub(crate) fn row_mut(&mut self, id: usize) -> &mut [f64] {
+        let n = self.num_aggregates;
+        &mut self.vals[id * n..(id + 1) * n]
+    }
+
+    /// The key and aggregates of entry `id`, `0 ≤ id < len`, in iteration
+    /// order.
+    #[inline]
+    pub(crate) fn entry(&self, id: usize) -> (&[Value], &[f64]) {
+        (self.keys.key(id), self.row(id))
+    }
+
+    /// The id of the entry for `key`, if present.
+    #[inline]
+    pub(crate) fn find(&self, key: &[Value]) -> Option<usize> {
+        self.keys.find(key)
+    }
+
+    /// The id of the entry for `key`, appending a zero entry when absent.
+    #[inline]
+    fn find_or_insert(&mut self, key: &[Value]) -> usize {
+        let (id, inserted) = self.keys.find_or_insert(key);
+        if inserted {
+            self.vals.resize(self.vals.len() + self.num_aggregates, 0.0);
+        }
+        id
+    }
+
+    /// Appends an entry for `key`, which must be absent, holding `values`.
+    #[inline]
+    pub(crate) fn insert_new(&mut self, key: &[Value], values: &[f64]) {
         debug_assert_eq!(values.len(), self.num_aggregates);
-        let entry = self
-            .data
-            .entry(key)
-            .or_insert_with(|| vec![0.0; self.num_aggregates]);
-        for (e, v) in entry.iter_mut().zip(values) {
+        let (_, inserted) = self.keys.find_or_insert(key);
+        debug_assert!(inserted, "insert_new of a present key");
+        self.vals.extend_from_slice(values);
+    }
+
+    /// Adds `values` into the entry for `key` (element-wise sum).
+    pub fn add(&mut self, key: &[Value], values: &[f64]) {
+        debug_assert_eq!(values.len(), self.num_aggregates);
+        let id = self.find_or_insert(key);
+        for (e, v) in self.row_mut(id).iter_mut().zip(values) {
             *e += v;
         }
     }
 
-    /// Adds a single aggregate value into the entry for `key`. The key is
-    /// copied only when it is new: the map sees the same inserts, in the same
-    /// order, as an `entry(key)` update would make.
+    /// Adds a single aggregate value into the entry for `key`; the key is
+    /// copied into the arena only when it is new.
+    #[inline]
     pub fn add_single(&mut self, key: &[Value], agg_idx: usize, value: f64) {
-        match self.data.get_mut(key) {
-            Some(entry) => entry[agg_idx] += value,
-            None => {
-                let mut entry = vec![0.0; self.num_aggregates];
-                entry[agg_idx] += value;
-                self.data.insert(key.to_vec(), entry);
-            }
-        }
+        let id = self.find_or_insert(key);
+        self.row_mut(id)[agg_idx] += value;
     }
 
     /// The aggregate values for a key, if present.
     pub fn get(&self, key: &[Value]) -> Option<&[f64]> {
-        self.data.get(key).map(Vec::as_slice)
+        self.find(key).map(|id| self.row(id))
     }
 
     /// For scalar views (no group-by), the aggregate values.
     pub fn scalar(&self) -> Option<&[f64]> {
-        self.data.get(&Vec::new() as &Vec<Value>).map(Vec::as_slice)
+        self.get(&[])
     }
 
     /// Number of distinct keys.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.keys.len()
     }
 
     /// True if no tuple was produced.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.keys.len() == 0
     }
 
     /// Approximate size of the view in bytes (keys plus aggregate payload).
     pub fn size_bytes(&self) -> usize {
-        let key_width = self.key_attrs.len() * std::mem::size_of::<Value>();
+        let key_width = self.keys.arity() * std::mem::size_of::<Value>();
         let agg_width = self.num_aggregates * std::mem::size_of::<f64>();
-        self.data.len() * (key_width + agg_width)
+        self.len() * (key_width + agg_width)
     }
 
-    /// Iterates over `(key, aggregate values)` entries.
-    pub fn iter(&self) -> impl Iterator<Item = (&Vec<Value>, &Vec<f64>)> {
-        self.data.iter()
-    }
-
-    /// Drains all `(key, aggregate values)` entries, leaving the view empty.
-    /// The consuming counterpart of [`ComputedView::iter`]: folding
-    /// domain-parallel partials through this moves the key tuples instead of
-    /// cloning them.
-    pub fn drain(&mut self) -> impl Iterator<Item = (Vec<Value>, Vec<f64>)> + '_ {
-        self.data.drain()
+    /// Iterates over `(key, aggregate values)` entries in first-insertion
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[Value], &[f64])> + '_ {
+        (0..self.len()).map(|id| self.entry(id))
     }
 
     /// Merges `other` into this view by element-wise addition, consuming it.
-    /// Keys absent from `self` are moved, not cloned.
-    pub fn merge_from(&mut self, mut other: ComputedView) {
+    /// An empty `self` adopts `other`'s store whole.
+    pub fn merge_from(&mut self, other: ComputedView) {
         debug_assert_eq!(other.num_aggregates, self.num_aggregates);
-        if self.data.is_empty() {
-            self.data = std::mem::take(&mut other.data);
+        if self.is_empty() {
+            self.keys = other.keys;
+            self.vals = other.vals;
             return;
         }
-        for (key, values) in other.drain() {
-            match self.data.entry(key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (a, b) in e.get_mut().iter_mut().zip(&values) {
-                        *a += b;
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(values);
-                }
-            }
-        }
+        self.merge_signed(&other, 1.0);
     }
 
     /// Merges `delta` scaled by `sign` into this view (element-wise
@@ -351,11 +595,8 @@ impl ComputedView {
     pub fn merge_signed(&mut self, delta: &ComputedView, sign: f64) {
         debug_assert_eq!(delta.num_aggregates, self.num_aggregates);
         for (key, values) in delta.iter() {
-            let entry = self
-                .data
-                .entry(key.clone())
-                .or_insert_with(|| vec![0.0; self.num_aggregates]);
-            for (e, v) in entry.iter_mut().zip(values) {
+            let id = self.find_or_insert(key);
+            for (e, v) in self.row_mut(id).iter_mut().zip(values) {
                 *e += sign * v;
             }
         }
@@ -384,11 +625,8 @@ impl ComputedView {
     pub fn merge_signed_snapped(&mut self, delta: &ComputedView, sign: f64, rel_eps: f64) {
         debug_assert_eq!(delta.num_aggregates, self.num_aggregates);
         for (key, values) in delta.iter() {
-            let entry = self
-                .data
-                .entry(key.clone())
-                .or_insert_with(|| vec![0.0; self.num_aggregates]);
-            for (e, v) in entry.iter_mut().zip(values) {
+            let id = self.find_or_insert(key);
+            for (e, v) in self.row_mut(id).iter_mut().zip(values) {
                 *e += sign * v;
                 if *e != 0.0 && e.fract() != 0.0 && e.abs() <= rel_eps * v.abs() {
                     *e = 0.0;
@@ -413,8 +651,66 @@ impl ComputedView {
     /// Drops entries whose aggregates are all exactly zero. After a signed
     /// merge this restores the invariant that keys without joining tuples are
     /// absent (absent keys already mean all-zero aggregates to every reader).
+    /// The survivors are compacted in place and keep their order.
     pub fn prune_zero_entries(&mut self) {
-        self.data.retain(|_, v| v.iter().any(|&x| x != 0.0));
+        let n = self.num_aggregates;
+        let vals = &mut self.vals;
+        let mut kept = 0;
+        self.keys.retain(|id| {
+            let live = vals[id * n..(id + 1) * n].iter().any(|&x| x != 0.0);
+            if live {
+                vals.copy_within(id * n..(id + 1) * n, kept * n);
+                kept += 1;
+            }
+            live
+        });
+        vals.truncate(kept * n);
+    }
+}
+
+/// `clone_from` copies into the target's own buffers, reusing their
+/// allocations when they are large enough: the commit path copies a pinned
+/// view into the spare it replaced a commit earlier.
+impl Clone for ComputedView {
+    fn clone(&self) -> Self {
+        ComputedView {
+            key_attrs: self.key_attrs.clone(),
+            num_aggregates: self.num_aggregates,
+            keys: self.keys.clone(),
+            vals: self.vals.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.key_attrs.clone_from(&source.key_attrs);
+        self.num_aggregates = source.num_aggregates;
+        self.keys.clone_from(&source.keys);
+        self.vals.clone_from(&source.vals);
+    }
+}
+
+/// Prints the entries in iteration order, not the store's slot table.
+impl std::fmt::Debug for ComputedView {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ComputedView")
+            .field("key_attrs", &self.key_attrs)
+            .field("num_aggregates", &self.num_aggregates)
+            .field("entries", &self.iter().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// Two views are equal when they hold the same keys with equal aggregates
+/// (compared as `f64`s), whatever their iteration order — the equality of
+/// the map they stand for.
+impl PartialEq for ComputedView {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_attrs == other.key_attrs
+            && self.num_aggregates == other.num_aggregates
+            && self.len() == other.len()
+            && self
+                .iter()
+                .all(|(key, values)| other.get(key) == Some(values))
     }
 }
 
@@ -512,9 +808,9 @@ mod tests {
     #[test]
     fn computed_view_accumulates() {
         let mut cv = ComputedView::new(vec![AttrId(0)], 2);
-        cv.add(vec![Value::Int(1)], &[1.0, 2.0]);
-        cv.add(vec![Value::Int(1)], &[3.0, 4.0]);
-        cv.add(vec![Value::Int(2)], &[1.0, 1.0]);
+        cv.add(&[Value::Int(1)], &[1.0, 2.0]);
+        cv.add(&[Value::Int(1)], &[3.0, 4.0]);
+        cv.add(&[Value::Int(2)], &[1.0, 1.0]);
         cv.add_single(&[Value::Int(2)], 1, 5.0);
         assert_eq!(cv.len(), 2);
         assert_eq!(cv.get(&[Value::Int(1)]), Some(&[4.0, 6.0][..]));
@@ -527,32 +823,32 @@ mod tests {
     #[test]
     fn consuming_merge_moves_entries() {
         let mut a = ComputedView::new(vec![AttrId(0)], 2);
-        a.add(vec![Value::Int(1)], &[1.0, 2.0]);
+        a.add(&[Value::Int(1)], &[1.0, 2.0]);
         let mut b = ComputedView::new(vec![AttrId(0)], 2);
-        b.add(vec![Value::Int(1)], &[10.0, 20.0]);
-        b.add(vec![Value::Int(2)], &[5.0, 5.0]);
+        b.add(&[Value::Int(1)], &[10.0, 20.0]);
+        b.add(&[Value::Int(2)], &[5.0, 5.0]);
         a.merge_from(b);
         assert_eq!(a.get(&[Value::Int(1)]), Some(&[11.0, 22.0][..]));
         assert_eq!(a.get(&[Value::Int(2)]), Some(&[5.0, 5.0][..]));
-        // Merging into an empty accumulator adopts the map wholesale.
+        // New keys follow the existing ones, in `b`'s order.
+        let keys: Vec<&[Value]> = a.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, [&[Value::Int(1)][..], &[Value::Int(2)][..]]);
+        // Merging into an empty accumulator adopts the store wholesale.
         let mut empty = ComputedView::new(vec![AttrId(0)], 2);
         let mut c = ComputedView::new(vec![AttrId(0)], 2);
-        c.add(vec![Value::Int(7)], &[1.0, 1.0]);
+        c.add(&[Value::Int(7)], &[1.0, 1.0]);
         empty.merge_from(c);
         assert_eq!(empty.len(), 1);
-        // Drain empties the view.
-        let drained: Vec<_> = empty.drain().collect();
-        assert_eq!(drained.len(), 1);
-        assert!(empty.is_empty());
+        assert_eq!(empty.get(&[Value::Int(7)]), Some(&[1.0, 1.0][..]));
     }
 
     #[test]
     fn signed_merge_and_retract() {
         let mut cv = ComputedView::new(vec![AttrId(0)], 2);
-        cv.add(vec![Value::Int(1)], &[4.0, 6.0]);
+        cv.add(&[Value::Int(1)], &[4.0, 6.0]);
         let mut delta = ComputedView::new(vec![AttrId(0)], 2);
-        delta.add(vec![Value::Int(1)], &[1.0, 2.0]);
-        delta.add(vec![Value::Int(2)], &[5.0, 0.0]);
+        delta.add(&[Value::Int(1)], &[1.0, 2.0]);
+        delta.add(&[Value::Int(2)], &[5.0, 0.0]);
         cv.merge_signed(&delta, 1.0);
         assert_eq!(cv.get(&[Value::Int(1)]), Some(&[5.0, 8.0][..]));
         assert_eq!(cv.get(&[Value::Int(2)]), Some(&[5.0, 0.0][..]));
@@ -571,7 +867,7 @@ mod tests {
         assert_ne!(0.1_f64 + 0.2 - 0.3, 0.0);
         let add = |v: f64| {
             let mut d = ComputedView::new(vec![AttrId(0)], 1);
-            d.add(vec![Value::Int(1)], &[v]);
+            d.add(&[Value::Int(1)], &[v]);
             d
         };
         let eps = 1e-11;
@@ -600,9 +896,9 @@ mod tests {
         // on relative magnitude alone would snap it to zero. Integer-valued
         // sums carry no float residue, so they must always survive.
         let mut cv = ComputedView::new(vec![AttrId(0)], 1);
-        cv.add(vec![Value::Int(1)], &[1e12 + 1.0]);
+        cv.add(&[Value::Int(1)], &[1e12 + 1.0]);
         let mut d = ComputedView::new(vec![AttrId(0)], 1);
-        d.add(vec![Value::Int(1)], &[1e12]);
+        d.add(&[Value::Int(1)], &[1e12]);
         cv.merge_signed_snapped(&d, -1.0, CANCELLATION_REL_EPS);
         assert_eq!(
             cv.get(&[Value::Int(1)]),
@@ -611,7 +907,7 @@ mod tests {
         );
         // And exact integer cancellation still reaches bit-exact zero.
         let mut one = ComputedView::new(vec![AttrId(0)], 1);
-        one.add(vec![Value::Int(1)], &[1.0]);
+        one.add(&[Value::Int(1)], &[1.0]);
         cv.merge_signed_snapped(&one, -1.0, CANCELLATION_REL_EPS);
         cv.prune_zero_entries();
         assert!(cv.is_empty(), "exact cancellation prunes");
@@ -621,14 +917,14 @@ mod tests {
     fn fold_delta_drops_an_entry_cancelled_up_to_rounding() {
         let entry = |v: f64| {
             let mut cv = ComputedView::new(vec![AttrId(0)], 1);
-            cv.add(vec![Value::Int(1)], &[v]);
+            cv.add(&[Value::Int(1)], &[v]);
             cv
         };
         // 0.1 + 0.2 - 0.3 leaves a residue of about 5.5e-17, not zero.
         let mut cv = entry(0.1);
         cv.merge_signed(&entry(0.2), 1.0);
         cv.fold_delta(&entry(-0.3));
-        assert!(cv.is_empty(), "residue left a key: {:?}", cv.data);
+        assert!(cv.is_empty(), "residue left a key: {cv:?}");
         // A plain signed merge keeps the residue, and with it the key.
         let mut unsnapped = entry(0.1);
         unsnapped.merge_signed(&entry(0.2), 1.0);
@@ -657,9 +953,109 @@ mod tests {
     fn scalar_view_access() {
         let mut cv = ComputedView::new(vec![], 1);
         assert!(cv.is_empty());
-        cv.add(vec![], &[10.0]);
-        cv.add(vec![], &[5.0]);
+        cv.add(&[], &[10.0]);
+        cv.add(&[], &[5.0]);
         assert_eq!(cv.scalar(), Some(&[15.0][..]));
+    }
+
+    /// Keys that differ only in high bits, which the last multiply of an Fx
+    /// step carries into the high bits alone, still spread over the slot
+    /// table: the longest probe stays short. (Indexing by the hash's low
+    /// bits would put all 65 536 `Int` keys in one run.)
+    #[test]
+    fn keys_differing_in_high_bits_spread_over_the_table() {
+        const LONGEST_PROBE: usize = 16;
+        let mut ints = KeyTable::new(1);
+        for i in 0..65_536i64 {
+            ints.find_or_insert(&[Value::Int(i << 32)]);
+        }
+        assert_eq!(ints.len(), 65_536);
+        let probe = ints.longest_probe();
+        assert!(
+            probe <= LONGEST_PROBE,
+            "Int(i << 32): longest probe {probe}"
+        );
+        // Every finite exponent of a double with an empty mantissa, either
+        // sign: the keys differ only in bits 52–63.
+        let mut doubles = KeyTable::new(1);
+        for bits in (0..2_047u64).flat_map(|e| [e << 52, (1 << 63) | (e << 52)]) {
+            doubles.find_or_insert(&[Value::Double(f64::from_bits(bits))]);
+        }
+        assert_eq!(doubles.len(), 4_094);
+        let probe = doubles.longest_probe();
+        assert!(
+            probe <= LONGEST_PROBE,
+            "Double exponents: longest probe {probe}"
+        );
+    }
+
+    #[test]
+    fn key_table_numbers_keys_in_insertion_order_and_keeps_it_on_retain() {
+        let mut table = KeyTable::new(2);
+        let key = |i: i64| [Value::Int(i % 7), Value::Double(i as f64)];
+        for i in 0..100 {
+            assert_eq!(table.find_or_insert(&key(i)), (i as usize, true));
+        }
+        assert_eq!(table.find_or_insert(&key(42)), (42, false));
+        table.retain(|id| id % 3 == 0);
+        assert_eq!(table.len(), 34);
+        for i in 0..100 {
+            let want = (i % 3 == 0).then_some(i as usize / 3);
+            assert_eq!(table.find(&key(i)), want, "{i}");
+        }
+        assert_eq!(table.key(5), key(15));
+        // Scalar keys: one key of arity 0.
+        let mut scalar = KeyTable::new(0);
+        assert_eq!(scalar.find(&[]), None);
+        assert_eq!(scalar.find_or_insert(&[]), (0, true));
+        assert_eq!(scalar.find_or_insert(&[]), (0, false));
+        assert_eq!(scalar.key(0), &[] as &[Value]);
+    }
+
+    #[test]
+    fn prune_compacts_in_insertion_order() {
+        let mut cv = ComputedView::new(vec![AttrId(0)], 2);
+        for i in 0..10 {
+            cv.add(&[Value::Int(9 - i)], &[(i % 3) as f64, 0.0]);
+        }
+        cv.prune_zero_entries();
+        let kept: Vec<(Vec<Value>, Vec<f64>)> =
+            cv.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        let want: Vec<(Vec<Value>, Vec<f64>)> = [1, 2, 4, 5, 7, 8]
+            .iter()
+            .map(|&i| (vec![Value::Int(9 - i)], vec![(i % 3) as f64, 0.0]))
+            .collect();
+        assert_eq!(kept, want);
+        assert_eq!(cv.get(&[Value::Int(6)]), None);
+        assert_eq!(cv.get(&[Value::Int(1)]), Some(&[2.0, 0.0][..]));
+        // Equality ignores order.
+        let mut reversed = ComputedView::new(vec![AttrId(0)], 2);
+        for (k, v) in want.iter().rev() {
+            reversed.add(k, v);
+        }
+        assert_eq!(cv, reversed);
+        reversed.add(&[Value::Int(1)], &[1.0, 0.0]);
+        assert_ne!(cv, reversed);
+    }
+
+    #[test]
+    fn clone_from_keeps_the_targets_buffers_and_the_sources_order() {
+        let mut source = ComputedView::new(vec![AttrId(0)], 2);
+        for i in 0..5 {
+            source.add(&[Value::Int(4 - i)], &[i as f64, 1.0]);
+        }
+        let mut target = ComputedView::new(vec![AttrId(0)], 2);
+        for i in 0..100 {
+            target.add(&[Value::Int(-i)], &[1.0, 1.0]);
+        }
+        let vals = target.vals.as_ptr();
+        target.clone_from(&source);
+        assert_eq!(target.vals.as_ptr(), vals, "payload buffer reused");
+        assert!(target.iter().eq(source.iter()));
+        assert_eq!(target.get(&[Value::Int(-3)]), None);
+        assert_eq!(target.get(&[Value::Int(3)]), Some(&[1.0, 1.0][..]));
+        target.add(&[Value::Int(7)], &[2.0, 2.0]);
+        assert_eq!(target.len(), 6);
     }
 
     #[test]

@@ -1,6 +1,14 @@
-//! The executor's allocation budget: an execute allocates per result entry
-//! (a new output key, a new bound key of an incoming view's index), never per
-//! probe, per row, per entry combination or per dynamic-function call.
+//! The executor's allocation budget: an execute allocates per view, per
+//! index and per result entry (an entry of the projected query results),
+//! not per view entry. Every computed view is one flat store, and every
+//! index over an incoming view one compressed sparse row table; both grow by
+//! doubling, so nothing is allocated per view entry, per bound key, per
+//! probe, per row, per entry combination or per dynamic-function call. Two
+//! bounds hold it: the per-entry budget of three allocations per view entry
+//! and index key, and a bound that does not grow with the view entries,
+//! under which ten times the fact rows may at most double the count (the
+//! extra doubling steps of larger stores, and the projected query results,
+//! which stay a map with a key and a payload per entry).
 //!
 //! A test binary of its own, holding one test, because it installs a
 //! counting global allocator: nothing else runs while it counts.
@@ -118,15 +126,18 @@ fn dynamic_batch(ds: &Dataset) -> QueryBatch {
 fn keyed_execute_allocates_per_result_entry() {
     let mut dynamics = DynamicRegistry::new();
     dynamics.register(|args| 1.0 + args[0].as_f64() * args[1].as_f64());
+    // Each batch's count at the smaller scale.
+    let mut small: Vec<u64> = Vec::new();
     for rows in [2_000, 20_000] {
         let ds = lmfao::datagen::favorita::generate(Scale::new(rows, 1));
         let attrs: Vec<AttrId> = FAVORITA_MUTUAL_INFO.iter().map(|n| ds.attr(n)).collect();
         let shared = SharedDatabase::prepare(ds.db.clone(), &ds.tree);
         let engine = Engine::with_shared(shared.clone(), ds.tree.clone(), EngineConfig::full(1));
-        for (name, batch) in [
+        let batches = [
             ("mutual information", mutual_info_batch(&attrs).batch),
             ("dynamic", dynamic_batch(&ds)),
-        ] {
+        ];
+        for (b, (name, batch)) in batches.into_iter().enumerate() {
             let budget = 3 * entries_and_index_keys(&shared, &ds.tree, &batch, &dynamics) + 1_000;
             let prepared = engine.prepare(&batch).unwrap();
             drop(prepared.execute(&dynamics).unwrap());
@@ -139,6 +150,17 @@ fn keyed_execute_allocates_per_result_entry() {
                 allocations <= budget as u64,
                 "{name}, {rows} fact rows: one execute made {allocations} allocations, budget {budget}"
             );
+            match small.get(b) {
+                None => small.push(allocations),
+                Some(&at_small) => {
+                    let flat = 2 * at_small + 1_000;
+                    assert!(
+                        allocations <= flat,
+                        "{name}, {rows} fact rows: {allocations} allocations, more than \
+                         2 × {at_small} (the count at 2 000 rows) + 1 000"
+                    );
+                }
+            }
         }
     }
 }

@@ -6,7 +6,7 @@ use lmfao::baseline::MaterializedEngine;
 use lmfao::datagen::{
     self, fact_relation, transaction_stream, txn_relations, update_stream, Scale, UpdateMix,
 };
-use lmfao::engine::BatchResult;
+use lmfao::engine::{BatchResult, ComputedView};
 use lmfao::prelude::*;
 use lmfao_bench::WorkloadSpec;
 use lmfao_expr::{CmpOp, DynamicRegistry, ScalarFunction};
@@ -220,6 +220,75 @@ fn naive_semi_join(
         })
         .map(|t| target.row(t).to_vec())
         .collect()
+}
+
+/// The key parts a computed view's keys draw from: `Int`s, `Double`s that
+/// compare by bit pattern (a NaN, `0.0` and `-0.0` are three keys), a `Cat`
+/// and `Null`, so `Int(1)`, `Double(1.0)` and `Cat(1)` are distinct keys too.
+const VIEW_KEY_PARTS: [Value; 8] = [
+    Value::Int(0),
+    Value::Int(1),
+    Value::Double(f64::NAN),
+    Value::Double(0.0),
+    Value::Double(-0.0),
+    Value::Double(1.0),
+    Value::Cat(1),
+    Value::Null,
+];
+
+/// The aggregate values the operations add: some cancel exactly, and
+/// `0.1 + 0.2 − 0.3` leaves a residue that only the snapped merge zeroes.
+const VIEW_VALUES: [f64; 8] = [1.0, -1.0, 0.5, 0.1, 0.2, -0.3, 0.0, 3.0];
+
+/// A map-backed model of a computed view: the entries, and the keys in
+/// first-insertion order.
+#[derive(Clone, Default)]
+struct ModelView {
+    data: lmfao_data::FxHashMap<Vec<Value>, Vec<f64>>,
+    order: Vec<Vec<Value>>,
+}
+
+impl ModelView {
+    fn entry(&mut self, key: &[Value], width: usize) -> &mut Vec<f64> {
+        if !self.data.contains_key(key) {
+            self.order.push(key.to_vec());
+        }
+        self.data
+            .entry(key.to_vec())
+            .or_insert_with(|| vec![0.0; width])
+    }
+
+    fn merge(&mut self, other: &ModelView, width: usize, mut add: impl FnMut(&mut f64, f64)) {
+        for key in &other.order {
+            let entry = self.entry(key, width);
+            for (e, &v) in entry.iter_mut().zip(&other.data[key]) {
+                add(e, v);
+            }
+        }
+    }
+
+    fn prune(&mut self) {
+        self.data.retain(|_, v| v.iter().any(|&x| x != 0.0));
+        let data = &self.data;
+        self.order.retain(|k| data.contains_key(k));
+    }
+}
+
+/// `view` holds exactly `model`'s entries, payloads bit for bit, and
+/// iterates them in `model`'s first-insertion order.
+fn same_as_model(view: &ComputedView, model: &ModelView) -> Result<(), String> {
+    let keys: Vec<Vec<Value>> = view.iter().map(|(k, _)| k.to_vec()).collect();
+    if keys != model.order || view.len() != model.data.len() {
+        return Err(format!("keys {keys:?}, model {:?}", model.order));
+    }
+    for (key, values) in view.iter() {
+        let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u64> = model.data[key].iter().map(|v| v.to_bits()).collect();
+        if bits != want || view.get(key) != Some(values) {
+            return Err(format!("{key:?}: {values:?}, model {:?}", model.data[key]));
+        }
+    }
+    Ok(())
 }
 
 /// A two-relation database whose fact table spans three morsels, with
@@ -671,6 +740,91 @@ proptest! {
         // And the relation is indeed sorted by column 0.
         for i in 1..rel.len() {
             prop_assert!(rel.value(i - 1, 0) <= rel.value(i, 0));
+        }
+    }
+
+    /// A computed view's flat store behaves as a map with first-insertion
+    /// order: random sequences of `add`, `add_single`, `merge_from`,
+    /// `merge_signed_snapped`, `prune_zero_entries` and `clone` / `clone_from` over two
+    /// views, with keys of arity 0–3, leave each with the key set, the
+    /// payload bits and the iteration order of a `FxHashMap` model that
+    /// records the order in which keys first arrived (and drops pruned ones
+    /// from it).
+    #[test]
+    fn computed_views_match_a_map_model(
+        (arity, width) in (0usize..4, 1usize..4),
+        ops in prop::collection::vec((0u8..8, 0u8..8, 0u8..8, 0u8..8, 0u8..8, 0u8..8), 0..120)
+    ) {
+        let attrs: Vec<AttrId> = (0..arity as u32).map(AttrId).collect();
+        let mut views = [
+            ComputedView::new(attrs.clone(), width),
+            ComputedView::new(attrs.clone(), width),
+        ];
+        let mut models = [ModelView::default(), ModelView::default()];
+        for (step, &(op, k0, k1, k2, v, agg)) in ops.iter().enumerate() {
+            let key: Vec<Value> = [k0, k1, k2][..arity]
+                .iter()
+                .map(|&k| VIEW_KEY_PARTS[k as usize])
+                .collect();
+            let values: Vec<f64> = (0..width)
+                .map(|i| VIEW_VALUES[(v as usize + i) % VIEW_VALUES.len()])
+                .collect();
+            // `add`, `add_single` and `prune_zero_entries` act on the second
+            // view when `agg` is odd.
+            let t = usize::from(agg % 2 == 1);
+            match op {
+                0 | 2 => {
+                    let t = if op == 2 { 1 } else { t };
+                    views[t].add(&key, &values);
+                    let entry = models[t].entry(&key, width);
+                    entry.iter_mut().zip(&values).for_each(|(e, x)| *e += x);
+                }
+                1 => {
+                    let (agg, x) = (agg as usize / 2 % width, values[0]);
+                    views[t].add_single(&key, agg, x);
+                    models[t].entry(&key, width)[agg] += x;
+                }
+                3 => {
+                    views[0].merge_from(views[1].clone());
+                    let other = models[1].clone();
+                    models[0].merge(&other, width, |e, x| *e += x);
+                }
+                4 => {
+                    let (sign, eps) = (if v % 2 == 0 { 1.0 } else { -1.0 }, 1e-11);
+                    let [a, b] = &mut views;
+                    a.merge_signed_snapped(b, sign, eps);
+                    let other = models[1].clone();
+                    models[0].merge(&other, width, |e, x| {
+                        *e += sign * x;
+                        if *e != 0.0 && e.fract() != 0.0 && e.abs() <= eps * x.abs() {
+                            *e = 0.0;
+                        }
+                    });
+                }
+                5 => {
+                    views[t].prune_zero_entries();
+                    models[t].prune();
+                }
+                6 => {
+                    // `clone_from` reuses the second view's buffers.
+                    if v % 2 == 0 {
+                        views[1] = views[0].clone();
+                    } else {
+                        let [a, b] = &mut views;
+                        b.clone_from(a);
+                    }
+                    models[1] = models[0].clone();
+                }
+                _ => {
+                    views[1] = ComputedView::new(attrs.clone(), width);
+                    models[1] = ModelView::default();
+                }
+            }
+            for (view, model) in views.iter().zip(&models) {
+                if let Err(e) = same_as_model(view, model) {
+                    prop_assert!(false, "step {} (op {}): {}", step, op, e);
+                }
+            }
         }
     }
 
